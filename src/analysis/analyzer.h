@@ -23,7 +23,7 @@
 //   tsg-metric-name    metric names are <subsystem>.<snake_case> literals.
 //
 // A `NOLINT(tsg-<rule>)` comment on the diagnosed line suppresses the
-// line-anchored rules, mirroring the old tools/lint.py contract. Files
+// line-anchored rules. Files
 // under a `lint_fixtures` directory are skipped in directory scans (they
 // are known-bad on purpose) but lint normally when named explicitly.
 #pragma once

@@ -4,7 +4,7 @@
 // nested-looking comments, char literals and string prefixes are handled
 // the way the compiler handles them, so rules built on the stream cannot be
 // fooled by a forbidden identifier inside a string literal or a comment —
-// the failure mode that limited the old tools/lint.py.
+// the failure mode of a regex linter.
 //
 // Scope: tokens sufficient for project-invariant analysis, not a compiler
 // front end. Identifiers and keywords share one kind (rules match text);

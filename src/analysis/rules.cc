@@ -1,7 +1,6 @@
-// Per-file passes: the four legacy lint.py rules re-based onto the token
-// stream (immune to comment/string spoofing, and call sites may now span
-// lines), plus the two annotation-driven concurrency rules (tsg-hot-path,
-// tsg-atomics).
+// Per-file passes: the four project-invariant rules on the token stream
+// (immune to comment/string spoofing, and call sites may span lines), plus
+// the two annotation-driven concurrency rules (tsg-hot-path, tsg-atomics).
 #include <cstddef>
 #include <set>
 #include <string>

@@ -87,6 +87,10 @@ class WorkerState {
   // Metering accumulators, drained per superstep.
   std::int64_t send_ns = 0;
   std::int64_t load_ns = 0;
+  // Load time spent before the round started (a temporally concurrent task
+  // copies its instance out of the shared provider first); charged to the
+  // next record's load_ns without being subtracted from its compute_ns.
+  std::int64_t untimed_load_ns = 0;
   std::uint64_t msgs_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t subgraphs_computed = 0;
@@ -308,50 +312,71 @@ std::uint64_t SubgraphContext::aggregatedU64(std::string_view name) const {
 
 namespace {
 
-// Abstracts how a round is executed across partitions: a Cluster (spatial
+// Abstracts how a round is executed across partitions: a cluster (spatial
 // concurrency) or a sequential loop (inside a temporally concurrent task).
 using RoundRunner = std::function<std::vector<Cluster::RoundTiming>(
     const std::function<void(PartitionId)>&)>;
 
-RoundRunner makeClusterRunner(Cluster& cluster) {
-  return [&cluster](const std::function<void(PartitionId)>& job) {
-    std::vector<Cluster::RoundTiming> timings = cluster.run(job);
-    if (cluster.hasFaults()) [[unlikely]] {
-      // A worker died mid-round (fault::WorkerFault). The round itself
-      // completed — the barrier never hangs — so the coordinator unwinds
-      // here and the engine's recovery path takes over.
-      std::string detail;
-      for (const auto& f : cluster.takeFaults()) {
-        if (!detail.empty()) {
-          detail += "; ";
-        }
-        detail += f.detail;
-      }
-      throw fault::RecoveryNeeded(std::move(detail));
+// A worker died mid-round (fault::WorkerFault). The round itself
+// completed — the barrier never hangs — so the coordinator unwinds here and
+// the engine's recovery path takes over.
+template <typename AnyCluster>
+void unwindFaults(AnyCluster& cluster) {
+  if (!cluster.hasFaults()) [[likely]] {
+    return;
+  }
+  std::string detail;
+  for (const auto& f : cluster.takeFaults()) {
+    if (!detail.empty()) {
+      detail += "; ";
     }
-    return timings;
-  };
+    detail += f.detail;
+  }
+  throw fault::RecoveryNeeded(std::move(detail));
 }
 
-// Full-cluster rounds (maintenance, end-of-timestep) on the async
-// substrate: every partition participates, faults unwind like the BSP
-// runner's.
-RoundRunner makeAsyncAllRunner(AsyncCluster& cluster) {
-  return [&cluster](const std::function<void(PartitionId)>& job) {
-    std::vector<Cluster::RoundTiming> timings = cluster.runAll(job);
-    if (cluster.hasFaults()) [[unlikely]] {
-      std::string detail;
-      for (const auto& f : cluster.takeFaults()) {
-        if (!detail.empty()) {
-          detail += "; ";
-        }
-        detail += f.detail;
-      }
-      throw fault::RecoveryNeeded(std::move(detail));
+// The spatial substrate of a serial run or a merge phase: one worker per
+// partition, either barriered (Cluster) or wave-driven (AsyncCluster). Full
+// rounds (end of timestep, maintenance) run on either; supersteps run as
+// waves when async() is non-null.
+class Substrate {
+ public:
+  Substrate(std::uint32_t k, bool use_async) {
+    if (use_async) {
+      async_ = std::make_unique<AsyncCluster>(k);
+    } else {
+      bsp_ = std::make_unique<Cluster>(k);
     }
-    return timings;
-  };
-}
+    round_ = [this](const std::function<void(PartitionId)>& job) {
+      std::vector<Cluster::RoundTiming> timings;
+      if (async_ != nullptr) {
+        timings = async_->runAll(job);
+        unwindFaults(*async_);
+      } else {
+        timings = bsp_->run(job);
+        unwindFaults(*bsp_);
+      }
+      return timings;
+    };
+  }
+  Substrate(const Substrate&) = delete;
+  Substrate& operator=(const Substrate&) = delete;
+
+  [[nodiscard]] const RoundRunner& round() const { return round_; }
+  [[nodiscard]] AsyncCluster* async() const { return async_.get(); }
+  void respawnDead() {
+    if (async_ != nullptr) {
+      async_->respawnDead();
+    } else {
+      bsp_->respawnDead();
+    }
+  }
+
+ private:
+  std::unique_ptr<Cluster> bsp_;
+  std::unique_ptr<AsyncCluster> async_;
+  RoundRunner round_;
+};
 
 RoundRunner makeSequentialRunner(std::uint32_t num_partitions) {
   return [num_partitions](const std::function<void(PartitionId)>& job) {
@@ -360,7 +385,6 @@ RoundRunner makeSequentialRunner(std::uint32_t num_partitions) {
       const std::int64_t start = steadyNowNs();
       job(p);
       timings[p].busy_ns = steadyNowNs() - start;
-      timings[p].sync_ns = 0;
     }
     return timings;
   };
@@ -415,26 +439,26 @@ void distributeInbox(WorkerState& st) {
   inbox.clear();
 }
 
-// Drains per-superstep meters from a state into a stats record entry.
+// Drains per-superstep meters from a state into a stats record entry. Load
+// time spent before the round (untimed_load_ns) is charged as load but not
+// subtracted from compute, because the round's timing never contained it.
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
                          const Cluster::RoundTiming& timing) {
   ps.send_ns = std::exchange(st.send_ns, 0);
   ps.load_ns = std::exchange(st.load_ns, 0);
   ps.compute_ns =
       std::max<std::int64_t>(0, timing.busy_ns - ps.send_ns - ps.load_ns);
+  ps.load_ns += std::exchange(st.untimed_load_ns, 0);
   ps.sync_ns = timing.sync_ns;
   ps.messages_sent = std::exchange(st.msgs_sent, 0);
   ps.bytes_sent = std::exchange(st.bytes_sent, 0);
   ps.subgraphs_computed = std::exchange(st.subgraphs_computed, 0);
 }
 
-struct TimestepOutcome {
-  bool all_halt_timestep = false;
-  std::int32_t supersteps = 0;
-};
-
-struct ExecEnv;
-bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s);
+bool partitionQuiesced(const WorkerState& st) {
+  return std::all_of(st.halted.begin(), st.halted.end(),
+                     [](std::uint8_t h) { return h != 0; });
+}
 
 struct ExecEnv {
   const PartitionedGraph& pg;
@@ -443,6 +467,7 @@ struct ExecEnv {
   std::vector<std::unique_ptr<WorkerState>>& states;
   MessageBus& bus;
   const RoundRunner& round;
+  AsyncCluster* async;  // non-null: supersteps run as waves
   RunStats& stats;
   std::mutex* stats_mutex;  // null when single coordinator thread
   check::BspChecker* checker;  // null when protocol checking is off
@@ -498,181 +523,322 @@ void commitRecord(ExecEnv& env, SuperstepRecord rec, Timestep counter_t) {
   env.stats.addSuperstep(std::move(rec));
 }
 
-// One full BSP over the instance at timestep t. seed_msgs are injected
-// before superstep 0 (inter-timestep or application-input traffic).
-TimestepOutcome runOneTimestep(ExecEnv& env, Timestep t,
-                               std::vector<Message> seed_msgs) {
-  TraceSpan timestep_span("tibsp", "tibsp.timestep", "t", t);
+// Partition p's share of superstep s — the one per-partition superstep body
+// behind BSP rounds, async wave tasks and the merge phase. Loads the
+// instance at superstep 0 of a compute phase, routes the inbox, then runs
+// compute (or merge) on every active subgraph in local order; one thread
+// per partition replays the same send sequence under every schedule.
+void runPartitionSuperstep(ExecEnv& env, PartitionId p, Timestep t,
+                           std::int32_t s, ExecPhase phase) {
+  auto& st = *env.states[p];
+  st.superstep = s;
+  const bool merge = phase == ExecPhase::kMerge;
+  auto& inj = fault::FaultInjector::global();
+  if (env.checker != nullptr) {
+    env.checker->enterCompute(p);
+  }
+  if (!merge && s == 0) {
+    if (inj.armed() &&
+        inj.fire(fault::Site::kSliceLoad, p, t, fault::Action::kKill))
+        [[unlikely]] {
+      throw fault::WorkerFault(p, t, fault::Site::kSliceLoad);
+    }
+    TraceSpan load_span("gofs", "gofs.instance_load", "partition", p, "t", t);
+    st.instance = &env.provider.instanceFor(p, t);
+    st.load_ns += env.provider.takeLoadNs(p);
+  }
+  distributeInbox(st);
+  if (!merge && inj.armed()) [[unlikely]] {
+    if (const auto spec = inj.fire(fault::Site::kCompute, p, t)) {
+      if (spec->action == fault::Action::kKill) {
+        throw fault::WorkerFault(p, t, fault::Site::kCompute);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(spec->delay_us));
+    }
+  }
+  // Incremental skip (streaming runs): a message-free subgraph whose
+  // instance values did not change this timestep, and whose program opted
+  // in via skippableWhenClean(), halts without computing. Only legal at
+  // superstep 0 of a non-first timestep — later supersteps are driven by
+  // messages alone, the first timestep has no previous sealed instance to
+  // be clean against, and merge phases are not timestep compute.
+  const bool may_skip = !merge && s == 0 && env.config.stream != nullptr &&
+                        t > env.config.first_timestep &&
+                        st.program->skippableWhenClean();
+  const Partition& part = env.pg.partition(p);
+  std::uint64_t skipped = 0;
+  for (std::uint32_t i = 0; i < part.subgraphs.size(); ++i) {
+    const bool has_msgs = !st.sg_inbox[i].empty();
+    const bool active = s == 0 || has_msgs || st.halted[i] == 0;
+    if (!active) {
+      continue;
+    }
+    if (may_skip && !has_msgs &&
+        !env.config.stream->subgraphDirty(t, part.subgraphs[i].id)) {
+      st.halted[i] = 1;
+      ++skipped;
+      continue;
+    }
+    if (env.checker != nullptr) {
+      env.checker->onComputeUnit(p, part.subgraphs[i].id, st.halted[i] != 0,
+                                 s == 0 || has_msgs);
+    }
+    st.halted[i] = 0;  // must re-vote to stay halted
+    st.cur_local = i;
+    st.cur_sg = &part.subgraphs[i];
+    auto ctx = st.makeContext();
+    const bool profiled = Profiler::enabled();
+    const std::int64_t unit_start = profiled ? steadyNowNs() : 0;
+    if (merge) {
+      st.program->merge(ctx);
+    } else {
+      st.program->compute(ctx);
+    }
+    if (profiled) [[unlikely]] {
+      Profiler::global().recordCompute(st.cur_sg->id, t,
+                                       steadyNowNs() - unit_start);
+    }
+    ++st.subgraphs_computed;
+    st.sg_inbox[i].clear();
+  }
+  if (skipped > 0) {
+    MetricsRegistry::global()
+        .counter("engine.subgraphs_skipped_incremental")
+        .add(skipped);
+  }
+  if (!merge && inj.armed() &&
+      inj.fire(fault::Site::kBarrier, p, t, fault::Action::kKill))
+      [[unlikely]] {
+    // Dies with work done but the compute phase still open: the checker
+    // would see an unpaired round if recovery didn't re-pair.
+    throw fault::WorkerFault(p, t, fault::Site::kBarrier);
+  }
+  if (env.checker != nullptr) {
+    env.checker->exitCompute(p);
+  }
+}
+
+// Seals superstep s once every partition's share ran — the one tail behind
+// the BSP barrier and the async wave seal: drains the meters into a record,
+// delivers the bus and commits the record. `timings` holds each partition's
+// busy and sync time (zero rows for partitions a wave skipped). An injected
+// delivery drop clears the fabric and unwinds into recovery instead.
+MessageBus::DeliveryStats sealSuperstep(
+    ExecEnv& env, Timestep t, std::int32_t s, ExecPhase phase,
+    const std::vector<Cluster::RoundTiming>& timings) {
+  const auto k = static_cast<std::uint32_t>(env.states.size());
+  const bool merge = phase == ExecPhase::kMerge;
+  SuperstepRecord rec;
+  rec.timestep = t;
+  rec.superstep = s;
+  rec.is_merge_phase = merge;
+  rec.parts.resize(k);
+  for (PartitionId p = 0; p < k; ++p) {
+    drainPartitionStats(*env.states[p], rec.parts[p], timings[p]);
+  }
+  auto& inj = fault::FaultInjector::global();
+  if (!merge && inj.armed()) [[unlikely]] {
+    if (const auto spec =
+            inj.fire(fault::Site::kDeliver, kInvalidPartition, t)) {
+      if (spec->action == fault::Action::kDrop) {
+        // The batch is lost in transit: clear the fabric and unwind into
+        // the recovery path (the checker forgives via onReset).
+        env.bus.clearAll();
+        commitRecord(env, std::move(rec), t);
+        throw fault::RecoveryNeeded("delivery batch dropped at timestep " +
+                                    std::to_string(t) + " superstep " +
+                                    std::to_string(s));
+      }
+      // Transient delay: the barrier stretches, delivery then proceeds.
+      std::this_thread::sleep_for(std::chrono::microseconds(spec->delay_us));
+      MetricsRegistry::global().counter("fault.delivery_delays").increment();
+    }
+  }
+  const auto delivery = env.bus.deliver();
+  rec.delivered_messages = delivery.messages;
+  rec.delivered_bytes = delivery.bytes;
+  rec.cross_partition_messages = delivery.cross_partition_messages;
+  rec.cross_partition_bytes = delivery.cross_partition_bytes;
+  if (!merge) {
+    traceCounter("bus.delivered_messages",
+                 static_cast<std::int64_t>(delivery.messages));
+    traceCounter("bus.cross_partition_bytes",
+                 static_cast<std::int64_t>(delivery.cross_partition_bytes));
+  }
+  commitRecord(env, std::move(rec), t);
+  return delivery;
+}
+
+void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
+  if (phase == ExecPhase::kMerge) {
+    TSG_LOG(Warn) << "merge phase hit the superstep cap (" << s
+                  << "); aborting its BSP";
+  } else {
+    TSG_LOG(Warn) << "timestep " << t << " hit the superstep cap (" << s
+                  << "); aborting its BSP";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dependency-driven (async) schedule — wave execution of one BSP phase.
+// ---------------------------------------------------------------------------
+//
+// A wave is the async analogue of a superstep: only partitions the
+// ReadyTracker deems eligible run, as whole (partition, superstep) tasks on
+// AsyncCluster's steal-deques. The last finisher seals the wave — delivery,
+// record commit, termination check and readiness advance all happen there,
+// exclusively, replacing the global barrier + coordinator rendezvous.
+// Tasks and seals run the same body and tail as BSP rounds, so the send
+// sequence (and therefore every digest) is identical to BSP.
+class WaveDriver final : public AsyncCluster::Driver {
+ public:
+  WaveDriver(ExecEnv& env, Timestep t, ExecPhase phase)
+      : env_(env),
+        t_(t),
+        phase_(phase),
+        tracker_(static_cast<std::int32_t>(env.states.size())),
+        timings_(env.states.size()),
+        m_skips_(
+            MetricsRegistry::global().counter("cluster.barrier_skips")) {
+    tracker_.beginTimestep();
+  }
+
+  [[nodiscard]] std::int32_t wavesRun() const { return waves_run_; }
+
+  void runTask(PartitionId p, const AsyncCluster::TaskInfo& info) override {
+    const std::int64_t cpu_start = threadCpuNowNs();
+    runPartitionSuperstep(env_, p, t_, info.wave, phase_);
+    timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
+    timings_[p].sync_ns = info.ready_wait_ns;
+  }
+
+  std::vector<PartitionId> sealWave(std::int32_t s) override {
+    const auto k = static_cast<std::uint32_t>(env_.states.size());
+    (void)sealSuperstep(env_, t_, s, phase_, timings_);
+    std::fill(timings_.begin(), timings_.end(), Cluster::RoundTiming{});
+    waves_run_ = s + 1;
+
+    // Readiness: what the bus just put in each inbox is the ground-truth
+    // inbound set for wave s+1 (the conservation accounting, per
+    // destination).
+    for (PartitionId p = 0; p < k; ++p) {
+      tracker_.recordQuiesce(p, partitionQuiesced(*env_.states[p]));
+      tracker_.recordDelivery(
+          p, static_cast<std::uint64_t>(env_.bus.inbox(p).size()));
+    }
+    if (tracker_.terminated()) {
+      return {};
+    }
+    if (s + 1 >= env_.config.max_supersteps_per_timestep) {
+      warnSuperstepCap(t_, s + 1, phase_);
+      env_.bus.clearAll();
+      return {};
+    }
+    std::vector<PartitionId> next = tracker_.advance();
+    if (next.size() < k) {
+      m_skips_.add(k - static_cast<std::uint32_t>(next.size()));
+      if (env_.checker != nullptr) {
+        // Cross-check every skip against the bus: `next` is ascending, so
+        // a two-pointer sweep finds the complement.
+        std::size_t j = 0;
+        for (PartitionId p = 0; p < k; ++p) {
+          if (j < next.size() && next[j] == p) {
+            ++j;
+            continue;
+          }
+          env_.checker->onSkipRound(
+              p, static_cast<std::uint64_t>(env_.bus.inbox(p).size()));
+        }
+      }
+    }
+    if (env_.checker != nullptr) {
+      env_.checker->beginSuperstep(s + 1);
+    }
+    return next;
+  }
+
+ private:
+  ExecEnv& env_;
+  Timestep t_;
+  ExecPhase phase_;
+  ReadyTracker tracker_;
+  std::vector<Cluster::RoundTiming> timings_;
+  std::int32_t waves_run_ = 0;
+  MetricsRegistry::Counter& m_skips_;
+};
+
+// One barriered superstep: every partition runs its share, then the
+// coordinator seals. Returns whether the phase continues.
+bool runBarrieredSuperstep(ExecEnv& env, Timestep t, std::int32_t s,
+                           ExecPhase phase) {
+  if (env.checker != nullptr) {
+    env.checker->beginSuperstep(s);
+  }
+  const auto timings = env.round([&env, t, s, phase](PartitionId p) {
+    runPartitionSuperstep(env, p, t, s, phase);
+  });
+  const bool all_halted = std::all_of(
+      env.states.begin(), env.states.end(),
+      [](const auto& st_ptr) { return partitionQuiesced(*st_ptr); });
+  const auto delivery = sealSuperstep(env, t, s, phase, timings);
+  if (all_halted && delivery.messages == 0) {
+    return false;
+  }
+  if (s + 1 >= env.config.max_supersteps_per_timestep) {
+    warnSuperstepCap(t, s + 1, phase);
+    env.bus.clearAll();
+    return false;
+  }
+  return true;
+}
+
+// Runs one BSP phase (a timestep's compute or the merge) to quiescence and
+// returns how many supersteps it took. The schedules differ only here:
+// barriered rounds until every subgraph halted with nothing delivered, or
+// dependency-driven waves that seal themselves.
+std::int32_t runSupersteps(ExecEnv& env, Timestep t, ExecPhase phase) {
+  if (env.async != nullptr) {
+    if (env.checker != nullptr) {
+      env.checker->beginSuperstep(0);
+    }
+    WaveDriver driver(env, t, phase);
+    std::vector<PartitionId> all(env.states.size());
+    std::iota(all.begin(), all.end(), PartitionId{0});
+    env.async->runWaves(driver, all, /*first_wave=*/0);
+    return driver.wavesRun();
+  }
+  std::int32_t s = 0;
+  bool more = true;
+  while (more) {
+    if (phase == ExecPhase::kMerge) {
+      TraceSpan span("tibsp", "tibsp.merge_superstep", "s", s);
+      more = runBarrieredSuperstep(env, t, s, phase);
+    } else {
+      TraceSpan span("tibsp", "tibsp.superstep", "t", t, "s", s);
+      more = runBarrieredSuperstep(env, t, s, phase);
+    }
+    ++s;
+  }
+  return s;
+}
+
+// Resets every partition for a new BSP phase and injects its seed traffic
+// (inter-timestep, application-input or merge messages) before superstep 0.
+void beginPhase(ExecEnv& env, Timestep t, ExecPhase phase,
+                std::vector<Message> seed_msgs) {
   if (env.checker != nullptr) {
     env.checker->beginTimestep(t);
   }
-  const auto k = static_cast<std::uint32_t>(env.states.size());
   for (auto& st_ptr : env.states) {
     auto& st = *st_ptr;
     st.timestep = t;
     st.superstep = 0;
-    st.phase = ExecPhase::kCompute;
+    st.phase = phase;
     st.instance = nullptr;
     std::fill(st.halted.begin(), st.halted.end(), 0);
     std::fill(st.halt_timestep.begin(), st.halt_timestep.end(), 0);
   }
   routeBySubgraphPartition(env.pg, std::move(seed_msgs), env.bus);
-
-  TimestepOutcome outcome;
-  std::int32_t s = 0;
-  while (true) {
-    TraceSpan superstep_span("tibsp", "tibsp.superstep", "t", t, "s", s);
-    if (env.checker != nullptr) {
-      env.checker->beginSuperstep(s);
-    }
-    for (auto& st_ptr : env.states) {
-      st_ptr->superstep = s;
-    }
-    const auto& timings = env.round([&env, t, s](PartitionId p) {
-      auto& st = *env.states[p];
-      auto& inj = fault::FaultInjector::global();
-      if (env.checker != nullptr) {
-        env.checker->enterCompute(p);
-      }
-      if (s == 0) {
-        if (inj.armed() &&
-            inj.fire(fault::Site::kSliceLoad, p, t, fault::Action::kKill))
-            [[unlikely]] {
-          throw fault::WorkerFault(p, t, fault::Site::kSliceLoad);
-        }
-        TraceSpan load_span("gofs", "gofs.instance_load", "partition", p,
-                            "t", t);
-        st.instance = &env.provider.instanceFor(p, t);
-        st.load_ns += env.provider.takeLoadNs(p);
-      }
-      distributeInbox(st);
-      if (inj.armed()) [[unlikely]] {
-        if (const auto spec = inj.fire(fault::Site::kCompute, p, t)) {
-          if (spec->action == fault::Action::kKill) {
-            throw fault::WorkerFault(p, t, fault::Site::kCompute);
-          }
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(spec->delay_us));
-        }
-      }
-      const Partition& part = env.pg.partition(p);
-      std::uint64_t skipped = 0;
-      for (std::uint32_t i = 0; i < part.subgraphs.size(); ++i) {
-        const bool has_msgs = !st.sg_inbox[i].empty();
-        const bool active = s == 0 || has_msgs || st.halted[i] == 0;
-        if (!active) {
-          continue;
-        }
-        // Incremental skip (streaming runs): a message-free subgraph whose
-        // instance values did not change this timestep, and whose program
-        // opted in via skippableWhenClean(), halts without computing. Only
-        // legal at superstep 0 of a non-first timestep — later supersteps
-        // are driven by messages alone, and the first timestep has no
-        // previous sealed instance to be clean against.
-        if (s == 0 && env.config.stream != nullptr &&
-            t > env.config.first_timestep && !has_msgs &&
-            st.program->skippableWhenClean() &&
-            !env.config.stream->subgraphDirty(t, part.subgraphs[i].id)) {
-          st.halted[i] = 1;
-          ++skipped;
-          continue;
-        }
-        if (env.checker != nullptr) {
-          env.checker->onComputeUnit(p, part.subgraphs[i].id,
-                                     st.halted[i] != 0, s == 0 || has_msgs);
-        }
-        st.halted[i] = 0;  // must re-vote to stay halted
-        st.cur_local = i;
-        st.cur_sg = &part.subgraphs[i];
-        auto ctx = st.makeContext();
-        if (Profiler::enabled()) [[unlikely]] {
-          const std::int64_t unit_start = steadyNowNs();
-          st.program->compute(ctx);
-          Profiler::global().recordCompute(st.cur_sg->id, t,
-                                           steadyNowNs() - unit_start);
-        } else {
-          st.program->compute(ctx);
-        }
-        ++st.subgraphs_computed;
-        st.sg_inbox[i].clear();
-      }
-      if (skipped > 0) {
-        MetricsRegistry::global()
-            .counter("engine.subgraphs_skipped_incremental")
-            .add(skipped);
-      }
-      if (inj.armed() &&
-          inj.fire(fault::Site::kBarrier, p, t, fault::Action::kKill))
-          [[unlikely]] {
-        // Dies with work done but the compute phase still open: the
-        // checker would see an unpaired round if recovery didn't re-pair.
-        throw fault::WorkerFault(p, t, fault::Site::kBarrier);
-      }
-      if (env.checker != nullptr) {
-        env.checker->exitCompute(p);
-      }
-    });
-
-    SuperstepRecord rec;
-    rec.timestep = t;
-    rec.superstep = s;
-    rec.parts.resize(k);
-    bool all_halted = true;
-    for (PartitionId p = 0; p < k; ++p) {
-      auto& st = *env.states[p];
-      drainPartitionStats(st, rec.parts[p], timings[p]);
-      all_halted = all_halted &&
-                   std::all_of(st.halted.begin(), st.halted.end(),
-                               [](std::uint8_t h) { return h != 0; });
-    }
-    {
-      auto& inj = fault::FaultInjector::global();
-      if (inj.armed()) [[unlikely]] {
-        if (const auto spec =
-                inj.fire(fault::Site::kDeliver, kInvalidPartition, t)) {
-          if (spec->action == fault::Action::kDrop) {
-            // The batch is lost in transit: clear the fabric and unwind
-            // into the recovery path (the checker forgives via onReset).
-            env.bus.clearAll();
-            commitRecord(env, std::move(rec), t);
-            throw fault::RecoveryNeeded(
-                "delivery batch dropped at timestep " + std::to_string(t) +
-                " superstep " + std::to_string(s));
-          }
-          // Transient delay: the barrier stretches, delivery then proceeds.
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(spec->delay_us));
-          MetricsRegistry::global()
-              .counter("fault.delivery_delays")
-              .increment();
-        }
-      }
-    }
-    const auto delivery = env.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
-    traceCounter("bus.delivered_messages",
-                 static_cast<std::int64_t>(delivery.messages));
-    traceCounter("bus.cross_partition_bytes",
-                 static_cast<std::int64_t>(delivery.cross_partition_bytes));
-    commitRecord(env, std::move(rec), t);
-
-    ++s;
-    if (all_halted && delivery.messages == 0) {
-      break;
-    }
-    if (s >= env.config.max_supersteps_per_timestep) {
-      TSG_LOG(Warn) << "timestep " << t << " hit the superstep cap ("
-                    << s << "); aborting its BSP";
-      env.bus.clearAll();
-      break;
-    }
-  }
-  outcome.supersteps = s;
-  outcome.all_halt_timestep = runEndOfTimestep(env, t, s);
-  return outcome;
 }
 
 // EndOfTimestep hook: every subgraph, one round (metered like a superstep).
@@ -722,378 +888,23 @@ bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
   return all_halt_timestep;
 }
 
+// One full BSP over the instance at timestep t. seed_msgs are injected
+// before superstep 0 (inter-timestep or application-input traffic).
+// Returns whether every subgraph voted to halt the timestep loop.
+bool runOneTimestep(ExecEnv& env, Timestep t, std::vector<Message> seed_msgs) {
+  TraceSpan timestep_span("tibsp", "tibsp.timestep", "t", t);
+  beginPhase(env, t, ExecPhase::kCompute, std::move(seed_msgs));
+  const std::int32_t supersteps = runSupersteps(env, t, ExecPhase::kCompute);
+  return runEndOfTimestep(env, t, supersteps);
+}
+
 // The Merge BSP of the eventually dependent pattern (§II-D). Runs over the
 // subgraph templates; instance values are unavailable.
 void runMergePhase(ExecEnv& env, std::vector<Message> merge_pool,
                    Timestep stats_timestep) {
   TraceSpan merge_span("tibsp", "tibsp.merge");
-  if (env.checker != nullptr) {
-    env.checker->beginTimestep(stats_timestep);
-  }
-  const auto k = static_cast<std::uint32_t>(env.states.size());
-  for (auto& st_ptr : env.states) {
-    auto& st = *st_ptr;
-    st.timestep = stats_timestep;
-    st.phase = ExecPhase::kMerge;
-    st.instance = nullptr;
-    std::fill(st.halted.begin(), st.halted.end(), 0);
-  }
-  routeBySubgraphPartition(env.pg, std::move(merge_pool), env.bus);
-
-  std::int32_t s = 0;
-  while (true) {
-    TraceSpan superstep_span("tibsp", "tibsp.merge_superstep", "s", s);
-    if (env.checker != nullptr) {
-      env.checker->beginSuperstep(s);
-    }
-    for (auto& st_ptr : env.states) {
-      st_ptr->superstep = s;
-    }
-    const auto& timings = env.round([&env, s, stats_timestep](PartitionId p) {
-      auto& st = *env.states[p];
-      if (env.checker != nullptr) {
-        env.checker->enterCompute(p);
-      }
-      distributeInbox(st);
-      const Partition& part = env.pg.partition(p);
-      for (std::uint32_t i = 0; i < part.subgraphs.size(); ++i) {
-        const bool has_msgs = !st.sg_inbox[i].empty();
-        const bool active = s == 0 || has_msgs || st.halted[i] == 0;
-        if (!active) {
-          continue;
-        }
-        if (env.checker != nullptr) {
-          env.checker->onComputeUnit(p, part.subgraphs[i].id,
-                                     st.halted[i] != 0, s == 0 || has_msgs);
-        }
-        st.halted[i] = 0;
-        st.cur_local = i;
-        st.cur_sg = &part.subgraphs[i];
-        auto ctx = st.makeContext();
-        if (Profiler::enabled()) [[unlikely]] {
-          const std::int64_t unit_start = steadyNowNs();
-          st.program->merge(ctx);
-          Profiler::global().recordCompute(st.cur_sg->id, stats_timestep,
-                                           steadyNowNs() - unit_start);
-        } else {
-          st.program->merge(ctx);
-        }
-        ++st.subgraphs_computed;
-        st.sg_inbox[i].clear();
-      }
-      if (env.checker != nullptr) {
-        env.checker->exitCompute(p);
-      }
-    });
-
-    SuperstepRecord rec;
-    rec.timestep = stats_timestep;
-    rec.superstep = s;
-    rec.is_merge_phase = true;
-    rec.parts.resize(k);
-    bool all_halted = true;
-    for (PartitionId p = 0; p < k; ++p) {
-      auto& st = *env.states[p];
-      drainPartitionStats(st, rec.parts[p], timings[p]);
-      all_halted = all_halted &&
-                   std::all_of(st.halted.begin(), st.halted.end(),
-                               [](std::uint8_t h) { return h != 0; });
-    }
-    const auto delivery = env.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
-    commitRecord(env, std::move(rec), stats_timestep);
-
-    ++s;
-    if (all_halted && delivery.messages == 0) {
-      break;
-    }
-    if (s >= env.config.max_supersteps_per_timestep) {
-      TSG_LOG(Warn) << "merge phase hit the superstep cap; aborting";
-      env.bus.clearAll();
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Dependency-driven (async) schedule — wave execution of one BSP phase.
-// ---------------------------------------------------------------------------
-//
-// A wave is the async analogue of a superstep: only partitions the
-// ReadyTracker deems eligible run, as whole (partition, superstep) tasks on
-// AsyncCluster's steal-deques. The last finisher seals the wave — delivery,
-// record commit, termination check and readiness advance all happen there,
-// exclusively, replacing the global barrier + coordinator rendezvous.
-// Because one thread runs all of a partition's subgraphs in local order,
-// the send sequence (and therefore every digest) is identical to BSP.
-class WaveDriver final : public AsyncCluster::Driver {
- public:
-  WaveDriver(ExecEnv& env, Timestep t, bool is_merge)
-      : env_(env),
-        t_(t),
-        is_merge_(is_merge),
-        tracker_(static_cast<std::int32_t>(env.states.size())),
-        busy_ns_(env.states.size(), 0),
-        wait_ns_(env.states.size(), 0),
-        m_skips_(
-            MetricsRegistry::global().counter("cluster.barrier_skips")) {
-    tracker_.beginTimestep();
-  }
-
-  [[nodiscard]] std::int32_t wavesRun() const { return waves_run_; }
-
-  void runTask(PartitionId p, const AsyncCluster::TaskInfo& info) override {
-    auto& st = *env_.states[p];
-    const std::int32_t s = info.wave;
-    st.superstep = s;
-    auto& inj = fault::FaultInjector::global();
-    const std::int64_t cpu_start = threadCpuNowNs();
-    if (env_.checker != nullptr) {
-      env_.checker->enterCompute(p);
-    }
-    if (!is_merge_ && s == 0) {
-      if (inj.armed() &&
-          inj.fire(fault::Site::kSliceLoad, p, t_, fault::Action::kKill))
-          [[unlikely]] {
-        throw fault::WorkerFault(p, t_, fault::Site::kSliceLoad);
-      }
-      TraceSpan load_span("gofs", "gofs.instance_load", "partition", p, "t",
-                          t_);
-      st.instance = &env_.provider.instanceFor(p, t_);
-      st.load_ns += env_.provider.takeLoadNs(p);
-    }
-    distributeInbox(st);
-    if (!is_merge_ && inj.armed()) [[unlikely]] {
-      if (const auto spec = inj.fire(fault::Site::kCompute, p, t_)) {
-        if (spec->action == fault::Action::kKill) {
-          throw fault::WorkerFault(p, t_, fault::Site::kCompute);
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(spec->delay_us));
-      }
-    }
-    const Partition& part = env_.pg.partition(p);
-    std::uint64_t skipped = 0;
-    for (std::uint32_t i = 0; i < part.subgraphs.size(); ++i) {
-      const bool has_msgs = !st.sg_inbox[i].empty();
-      const bool active = s == 0 || has_msgs || st.halted[i] == 0;
-      if (!active) {
-        continue;
-      }
-      // Incremental skip — same rule as the BSP loop above; merge phases
-      // never skip (they are not timestep compute).
-      if (!is_merge_ && s == 0 && env_.config.stream != nullptr &&
-          t_ > env_.config.first_timestep && !has_msgs &&
-          st.program->skippableWhenClean() &&
-          !env_.config.stream->subgraphDirty(t_, part.subgraphs[i].id)) {
-        st.halted[i] = 1;
-        ++skipped;
-        continue;
-      }
-      if (env_.checker != nullptr) {
-        env_.checker->onComputeUnit(p, part.subgraphs[i].id,
-                                    st.halted[i] != 0, s == 0 || has_msgs);
-      }
-      st.halted[i] = 0;  // must re-vote to stay halted
-      st.cur_local = i;
-      st.cur_sg = &part.subgraphs[i];
-      auto ctx = st.makeContext();
-      if (Profiler::enabled()) [[unlikely]] {
-        const std::int64_t unit_start = steadyNowNs();
-        if (is_merge_) {
-          st.program->merge(ctx);
-        } else {
-          st.program->compute(ctx);
-        }
-        Profiler::global().recordCompute(st.cur_sg->id, t_,
-                                         steadyNowNs() - unit_start);
-      } else if (is_merge_) {
-        st.program->merge(ctx);
-      } else {
-        st.program->compute(ctx);
-      }
-      ++st.subgraphs_computed;
-      st.sg_inbox[i].clear();
-    }
-    if (skipped > 0) {
-      MetricsRegistry::global()
-          .counter("engine.subgraphs_skipped_incremental")
-          .add(skipped);
-    }
-    if (!is_merge_ && inj.armed() &&
-        inj.fire(fault::Site::kBarrier, p, t_, fault::Action::kKill))
-        [[unlikely]] {
-      throw fault::WorkerFault(p, t_, fault::Site::kBarrier);
-    }
-    if (env_.checker != nullptr) {
-      env_.checker->exitCompute(p);
-    }
-    busy_ns_[p] = threadCpuNowNs() - cpu_start;
-    wait_ns_[p] = info.ready_wait_ns;
-  }
-
-  std::vector<PartitionId> sealWave(std::int32_t s) override {
-    const auto k = static_cast<std::uint32_t>(env_.states.size());
-    SuperstepRecord rec;
-    rec.timestep = t_;
-    rec.superstep = s;
-    rec.is_merge_phase = is_merge_;
-    rec.parts.resize(k);
-    for (PartitionId p = 0; p < k; ++p) {
-      auto& st = *env_.states[p];
-      // Skipped partitions drained nothing: their meters are zero, so the
-      // row stays a zero row — same record schema as BSP.
-      Cluster::RoundTiming timing;
-      timing.busy_ns = std::exchange(busy_ns_[p], 0);
-      timing.sync_ns = std::exchange(wait_ns_[p], 0);
-      drainPartitionStats(st, rec.parts[p], timing);
-      tracker_.recordQuiesce(
-          p, std::all_of(st.halted.begin(), st.halted.end(),
-                         [](std::uint8_t h) { return h != 0; }));
-    }
-    if (!is_merge_) {
-      auto& inj = fault::FaultInjector::global();
-      if (inj.armed()) [[unlikely]] {
-        if (const auto spec =
-                inj.fire(fault::Site::kDeliver, kInvalidPartition, t_)) {
-          if (spec->action == fault::Action::kDrop) {
-            env_.bus.clearAll();
-            commitRecord(env_, std::move(rec), t_);
-            throw fault::RecoveryNeeded(
-                "delivery batch dropped at timestep " + std::to_string(t_) +
-                " superstep " + std::to_string(s));
-          }
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(spec->delay_us));
-          MetricsRegistry::global()
-              .counter("fault.delivery_delays")
-              .increment();
-        }
-      }
-    }
-    const auto delivery = env_.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
-    if (!is_merge_) {
-      traceCounter("bus.delivered_messages",
-                   static_cast<std::int64_t>(delivery.messages));
-      traceCounter("bus.cross_partition_bytes",
-                   static_cast<std::int64_t>(delivery.cross_partition_bytes));
-    }
-    commitRecord(env_, std::move(rec), t_);
-    waves_run_ = s + 1;
-
-    // Readiness: what the bus just put in each inbox is the ground-truth
-    // inbound set for wave s+1 (the conservation accounting, per
-    // destination).
-    for (PartitionId p = 0; p < k; ++p) {
-      tracker_.recordDelivery(
-          p, static_cast<std::uint64_t>(env_.bus.inbox(p).size()));
-    }
-    if (tracker_.terminated()) {
-      return {};
-    }
-    if (s + 1 >= env_.config.max_supersteps_per_timestep) {
-      TSG_LOG(Warn) << (is_merge_ ? "merge phase" : "timestep")
-                    << " hit the superstep cap (" << (s + 1)
-                    << ") under the async schedule; aborting its BSP";
-      env_.bus.clearAll();
-      return {};
-    }
-    std::vector<PartitionId> next = tracker_.advance();
-    if (next.size() < k) {
-      m_skips_.add(k - static_cast<std::uint32_t>(next.size()));
-      if (env_.checker != nullptr) {
-        // Cross-check every skip against the bus: `next` is ascending, so
-        // a two-pointer sweep finds the complement.
-        std::size_t j = 0;
-        for (PartitionId p = 0; p < k; ++p) {
-          if (j < next.size() && next[j] == p) {
-            ++j;
-            continue;
-          }
-          env_.checker->onSkipRound(
-              p, static_cast<std::uint64_t>(env_.bus.inbox(p).size()));
-        }
-      }
-    }
-    if (env_.checker != nullptr) {
-      env_.checker->beginSuperstep(s + 1);
-    }
-    return next;
-  }
-
- private:
-  ExecEnv& env_;
-  Timestep t_;
-  bool is_merge_;
-  ReadyTracker tracker_;
-  std::vector<std::int64_t> busy_ns_;
-  std::vector<std::int64_t> wait_ns_;
-  std::int32_t waves_run_ = 0;
-  MetricsRegistry::Counter& m_skips_;
-};
-
-// Async analogue of runOneTimestep: supersteps run as waves, then the
-// end-of-timestep hook runs as a full round (it must reach every partition
-// regardless of halt state, exactly like BSP).
-TimestepOutcome runOneTimestepAsync(ExecEnv& env, AsyncCluster& cluster,
-                                    Timestep t,
-                                    std::vector<Message> seed_msgs) {
-  TraceSpan timestep_span("tibsp", "tibsp.timestep", "t", t);
-  if (env.checker != nullptr) {
-    env.checker->beginTimestep(t);
-    env.checker->beginSuperstep(0);
-  }
-  for (auto& st_ptr : env.states) {
-    auto& st = *st_ptr;
-    st.timestep = t;
-    st.superstep = 0;
-    st.phase = ExecPhase::kCompute;
-    st.instance = nullptr;
-    std::fill(st.halted.begin(), st.halted.end(), 0);
-    std::fill(st.halt_timestep.begin(), st.halt_timestep.end(), 0);
-  }
-  routeBySubgraphPartition(env.pg, std::move(seed_msgs), env.bus);
-
-  WaveDriver driver(env, t, /*is_merge=*/false);
-  std::vector<PartitionId> all(env.states.size());
-  std::iota(all.begin(), all.end(), PartitionId{0});
-  cluster.runWaves(driver, all, /*first_wave=*/0);
-
-  TimestepOutcome outcome;
-  outcome.supersteps = driver.wavesRun();
-  outcome.all_halt_timestep = runEndOfTimestep(env, t, outcome.supersteps);
-  return outcome;
-}
-
-// Async analogue of runMergePhase.
-void runMergePhaseAsync(ExecEnv& env, AsyncCluster& cluster,
-                        std::vector<Message> merge_pool,
-                        Timestep stats_timestep) {
-  TraceSpan merge_span("tibsp", "tibsp.merge");
-  if (env.checker != nullptr) {
-    env.checker->beginTimestep(stats_timestep);
-    env.checker->beginSuperstep(0);
-  }
-  for (auto& st_ptr : env.states) {
-    auto& st = *st_ptr;
-    st.timestep = stats_timestep;
-    st.superstep = 0;
-    st.phase = ExecPhase::kMerge;
-    st.instance = nullptr;
-    std::fill(st.halted.begin(), st.halted.end(), 0);
-  }
-  routeBySubgraphPartition(env.pg, std::move(merge_pool), env.bus);
-
-  WaveDriver driver(env, stats_timestep, /*is_merge=*/true);
-  std::vector<PartitionId> all(env.states.size());
-  std::iota(all.begin(), all.end(), PartitionId{0});
-  cluster.runWaves(driver, all, /*first_wave=*/0);
+  beginPhase(env, stats_timestep, ExecPhase::kMerge, std::move(merge_pool));
+  (void)runSupersteps(env, stats_timestep, ExecPhase::kMerge);
 }
 
 // Synchronized maintenance pause: the structural stand-in for the paper's
@@ -1124,16 +935,53 @@ void runMaintenance(ExecEnv& env, Timestep t) {
   commitRecord(env, std::move(rec), t);
 }
 
-std::vector<std::unique_ptr<WorkerState>> makeStates(
-    const PartitionedGraph& pg, MessageBus& bus, Pattern pattern,
-    std::size_t planned, std::int64_t t0, std::int64_t delta) {
+// One worker state per partition over `bus`, each served by a fresh program
+// from the factory.
+struct Workers {
+  std::vector<std::unique_ptr<TiBspProgram>> programs;
   std::vector<std::unique_ptr<WorkerState>> states;
-  states.reserve(pg.numPartitions());
+};
+
+Workers makeWorkers(const PartitionedGraph& pg, MessageBus& bus,
+                    const TiBspConfig& config, std::size_t planned,
+                    const InstanceProvider& provider,
+                    const ProgramFactory& factory) {
+  Workers w;
   for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
-    states.push_back(std::make_unique<WorkerState>(pg, p, bus, pattern,
-                                                   planned, t0, delta));
+    w.programs.push_back(factory(p));
+    TSG_CHECK(w.programs.back() != nullptr);
+    w.states.push_back(std::make_unique<WorkerState>(
+        pg, p, bus, config.pattern, planned, provider.t0(), provider.delta()));
+    w.states.back()->program = w.programs.back().get();
   }
-  return states;
+  return w;
+}
+
+// Protocol checker for one bus (null when checking is off). Registry
+// reconciliation is only valid while no other bus is live.
+std::unique_ptr<check::BspChecker> attachChecker(MessageBus& bus,
+                                                 std::uint32_t k,
+                                                 bool async_mode,
+                                                 bool reconcile) {
+  if (!check::enabled()) {
+    return nullptr;
+  }
+  auto checker = std::make_unique<check::BspChecker>(k);
+  if (reconcile) {
+    checker->enableRegistryReconciliation();
+  }
+  if (async_mode) {
+    checker->enableAsyncMode();
+  }
+  bus.attachChecker(checker.get());
+  return checker;
+}
+
+void detachChecker(MessageBus& bus, check::BspChecker* checker) {
+  if (checker != nullptr) {
+    checker->endRun();
+    bus.attachChecker(nullptr);
+  }
 }
 
 }  // namespace
@@ -1182,40 +1030,25 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       config.pattern != Pattern::kSequentiallyDependent;
 
   if (!concurrent) {
-    std::unique_ptr<Cluster> bsp_cluster;
-    std::unique_ptr<AsyncCluster> async_cluster;
-    RoundRunner round;
-    if (use_async) {
-      async_cluster = std::make_unique<AsyncCluster>(k);
-      round = makeAsyncAllRunner(*async_cluster);
-    } else {
-      bsp_cluster = std::make_unique<Cluster>(k);
-      round = makeClusterRunner(*bsp_cluster);
-    }
+    Substrate substrate(k, use_async);
     MessageBus bus(k);
-    auto states = makeStates(pg_, bus, config.pattern,
-                             static_cast<std::size_t>(count), provider_.t0(),
-                             provider_.delta());
-    std::vector<std::unique_ptr<TiBspProgram>> programs;
-    programs.reserve(k);
-    for (PartitionId p = 0; p < k; ++p) {
-      programs.push_back(factory(p));
-      TSG_CHECK(programs.back() != nullptr);
-      states[p]->program = programs.back().get();
-    }
+    Workers workers = makeWorkers(pg_, bus, config,
+                                  static_cast<std::size_t>(count), provider_,
+                                  factory);
+    auto& programs = workers.programs;
+    auto& states = workers.states;
     // Protocol checking: one checker per run, attached to the sole bus.
-    // Registry reconciliation is valid here because no other bus is live.
-    std::unique_ptr<check::BspChecker> checker;
-    if (check::enabled()) {
-      checker = std::make_unique<check::BspChecker>(k);
-      checker->enableRegistryReconciliation();
-      if (use_async) {
-        checker->enableAsyncMode();
-      }
-      bus.attachChecker(checker.get());
-    }
-    ExecEnv env{pg_,  provider_,   config, states,
-                bus,  round,       result.stats, nullptr, checker.get()};
+    const auto checker = attachChecker(bus, k, use_async, /*reconcile=*/true);
+    ExecEnv env{pg_,
+                provider_,
+                config,
+                states,
+                bus,
+                substrate.round(),
+                substrate.async(),
+                result.stats,
+                nullptr,
+                checker.get()};
 
     std::vector<Message> pending_next;
     std::vector<Message> merge_pool;
@@ -1282,11 +1115,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           } else {
             seed = config.input_messages;  // every instance gets the inputs
           }
-          const auto outcome =
-              use_async
-                  ? runOneTimestepAsync(env, *async_cluster, t,
-                                        std::move(seed))
-                  : runOneTimestep(env, t, std::move(seed));
+          const bool all_halt_timestep =
+              runOneTimestep(env, t, std::move(seed));
           ++result.timesteps_executed;
 
           std::map<std::string, std::uint64_t> agg_now;
@@ -1308,7 +1138,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           }
 
           if (config.pattern == Pattern::kSequentiallyDependent &&
-              config.while_mode && outcome.all_halt_timestep &&
+              config.while_mode && all_halt_timestep &&
               pending_next.empty()) {
             stop = true;
           }
@@ -1321,12 +1151,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         }
 
         if (config.pattern == Pattern::kEventuallyDependent) {
-          if (use_async) {
-            runMergePhaseAsync(env, *async_cluster, std::move(merge_pool),
-                               first + count);
-          } else {
-            runMergePhase(env, std::move(merge_pool), first + count);
-          }
+          runMergePhase(env, std::move(merge_pool), first + count);
         }
         done = true;
       } catch (const fault::RecoveryNeeded& fault_cause) {
@@ -1351,11 +1176,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           checker->onRecovery();
         }
         bus.clearAll();
-        if (use_async) {
-          async_cluster->respawnDead();
-        } else {
-          bsp_cluster->respawnDead();
-        }
+        substrate.respawnDead();
 
         auto loaded = store->loadLatest();
         TSG_CHECK_MSG(loaded.isOk(), loaded.status().toString());
@@ -1379,6 +1200,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           }
           st.send_ns = 0;
           st.load_ns = 0;
+          st.untimed_load_ns = 0;
           st.msgs_sent = 0;
           st.bytes_sent = 0;
           st.subgraphs_computed = 0;
@@ -1397,10 +1219,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         stop = false;
       }
     }
-    if (checker != nullptr) {
-      checker->endRun();
-      bus.attachChecker(nullptr);
-    }
+    detachChecker(bus, checker.get());
     for (const auto& st_ptr : states) {
       result.outputs.insert(result.outputs.end(), st_ptr->outputs.begin(),
                             st_ptr->outputs.end());
@@ -1430,23 +1249,19 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
     const auto run_timestep_task = [&](std::size_t i) {
       const Timestep t = first + static_cast<Timestep>(i);
       MessageBus bus(k);
-      auto states = makeStates(pg_, bus, config.pattern,
-                               static_cast<std::size_t>(count),
-                               provider_.t0(), provider_.delta());
-      std::vector<std::unique_ptr<TiBspProgram>> programs;
-      programs.reserve(k);
-      for (PartitionId p = 0; p < k; ++p) {
-        programs.push_back(factory(p));
-        states[p]->program = programs.back().get();
-      }
+      Workers workers = makeWorkers(pg_, bus, config,
+                                    static_cast<std::size_t>(count),
+                                    provider_, factory);
+      auto& states = workers.states;
       // Copy this timestep's partition data under the provider lock, then
-      // serve it from the copy.
+      // serve it from the copy. The load happens before the task's timed
+      // rounds, so it is charged to superstep 0 as untimed load.
       std::vector<PartitionInstanceData> local_data(k);
       {
         std::lock_guard lock(provider_mutex);
         for (PartitionId p = 0; p < k; ++p) {
           local_data[p] = provider_.instanceFor(p, t);
-          (void)provider_.takeLoadNs(p);
+          states[p]->untimed_load_ns = provider_.takeLoadNs(p);
         }
       }
       struct LocalProvider final : InstanceProvider {
@@ -1470,20 +1285,21 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
 
       // Per-task checker: several buses are live at once, so no registry
       // reconciliation (the process-wide counters mix all tasks' traffic).
-      std::unique_ptr<check::BspChecker> task_checker;
-      if (check::enabled()) {
-        task_checker = std::make_unique<check::BspChecker>(k);
-        bus.attachChecker(task_checker.get());
-      }
+      const auto task_checker =
+          attachChecker(bus, k, /*async_mode=*/false, /*reconcile=*/false);
       const RoundRunner round = makeSequentialRunner(k);
-      ExecEnv env{pg_, local,  config,       states,
-                  bus, round,  result.stats, &stats_mutex,
+      ExecEnv env{pg_,
+                  local,
+                  config,
+                  states,
+                  bus,
+                  round,
+                  /*async=*/nullptr,
+                  result.stats,
+                  &stats_mutex,
                   task_checker.get()};
       (void)runOneTimestep(env, t, config.input_messages);
-      if (task_checker != nullptr) {
-        task_checker->endRun();
-        bus.attachChecker(nullptr);
-      }
+      detachChecker(bus, task_checker.get());
 
       auto& out = outputs_by_t[i];
       for (auto& st_ptr : states) {
@@ -1518,47 +1334,26 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       for (auto& msgs : merge_by_t) {
         std::move(msgs.begin(), msgs.end(), std::back_inserter(merge_pool));
       }
-      std::unique_ptr<Cluster> bsp_cluster;
-      std::unique_ptr<AsyncCluster> async_cluster;
-      RoundRunner round;
-      if (use_async) {
-        async_cluster = std::make_unique<AsyncCluster>(k);
-        round = makeAsyncAllRunner(*async_cluster);
-      } else {
-        bsp_cluster = std::make_unique<Cluster>(k);
-        round = makeClusterRunner(*bsp_cluster);
-      }
+      Substrate substrate(k, use_async);
       MessageBus bus(k);
-      auto states = makeStates(pg_, bus, config.pattern,
-                               static_cast<std::size_t>(count),
-                               provider_.t0(), provider_.delta());
-      std::vector<std::unique_ptr<TiBspProgram>> programs;
-      programs.reserve(k);
-      for (PartitionId p = 0; p < k; ++p) {
-        programs.push_back(factory(p));
-        states[p]->program = programs.back().get();
-      }
-      std::unique_ptr<check::BspChecker> merge_checker;
-      if (check::enabled()) {
-        merge_checker = std::make_unique<check::BspChecker>(k);
-        if (use_async) {
-          merge_checker->enableAsyncMode();
-        }
-        bus.attachChecker(merge_checker.get());
-      }
-      ExecEnv env{pg_, provider_, config,       states,
-                  bus, round,     result.stats, nullptr,
+      Workers workers = makeWorkers(pg_, bus, config,
+                                    static_cast<std::size_t>(count),
+                                    provider_, factory);
+      auto& states = workers.states;
+      const auto merge_checker =
+          attachChecker(bus, k, use_async, /*reconcile=*/false);
+      ExecEnv env{pg_,
+                  provider_,
+                  config,
+                  states,
+                  bus,
+                  substrate.round(),
+                  substrate.async(),
+                  result.stats,
+                  nullptr,
                   merge_checker.get()};
-      if (use_async) {
-        runMergePhaseAsync(env, *async_cluster, std::move(merge_pool),
-                           first + count);
-      } else {
-        runMergePhase(env, std::move(merge_pool), first + count);
-      }
-      if (merge_checker != nullptr) {
-        merge_checker->endRun();
-        bus.attachChecker(nullptr);
-      }
+      runMergePhase(env, std::move(merge_pool), first + count);
+      detachChecker(bus, merge_checker.get());
       for (const auto& st_ptr : states) {
         result.outputs.insert(result.outputs.end(), st_ptr->outputs.begin(),
                               st_ptr->outputs.end());

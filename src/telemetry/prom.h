@@ -3,7 +3,7 @@
 // Metric names are mangled to the Prometheus grammar: a `tsg_` prefix, dots
 // become underscores, anything outside [a-zA-Z0-9_:] becomes '_'. The
 // registry's naming convention (`<subsystem>.<snake_case>`, enforced by
-// tools/lint.py's metric-name rule) guarantees the mangling is injective in
+// tsglint's metric-name rule) guarantees the mangling is injective in
 // practice, so dashboard queries stay stable across releases. Partition
 // labels become {partition="N"}; histograms are exposed as summaries
 // (quantile series + _sum + _count).

@@ -1,64 +1,83 @@
 #include "vertexcentric/engine.h"
 
-#include <algorithm>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <utility>
 
-#include "check/bsp_checker.h"
-#include "common/log.h"
-#include "common/metrics.h"
-#include "common/stopwatch.h"
-#include "common/trace.h"
-#include "profile/profiler.h"
-#include "runtime/cluster.h"
-#include "runtime/fault_injector.h"
+#include "core/engine.h"
+#include "gofs/checkpoint.h"
+#include "vertexcentric/adapter.h"
 
 namespace tsg {
 namespace vertexcentric {
 
-struct VertexMessage {
-  VertexIndex dst;
-  double value;
+// Serves partition p of a VertexProgram run. Values live in one vector
+// shared by all partitions; each partition writes only its own vertices.
+class VcAdapter final : public VertexAdapter {
+ public:
+  VcAdapter(const PartitionedGraph& pg, PartitionId p, VertexProgram& program,
+            const VcConfig& config, std::vector<double>& values)
+      : VertexAdapter(pg, p, config.combiner == Combiner::kMin),
+        program_(program),
+        edge_weights_(config.edge_weights),
+        values_(values) {}
+
+  // The checkpointed state is this partition's slice of the values, so the
+  // run's initial cut holds the seeded values and a recovery restarts there.
+  void saveState(BinaryWriter& w) const override {
+    for (const VertexIndex v : pg_.partition(partition_).vertices) {
+      w.writeDouble(values_[v]);
+    }
+  }
+  Status loadState(BinaryReader& r) override {
+    for (const VertexIndex v : pg_.partition(partition_).vertices) {
+      TSG_RETURN_IF_ERROR(r.readDouble(values_[v]));
+    }
+    return Status::ok();
+  }
+
+ protected:
+  void computeVertex(SubgraphContext& ctx, VertexIndex v,
+                     std::span<const double> messages,
+                     std::uint8_t& halted) override {
+    VertexContext vctx;
+    vctx.vertex_ = v;
+    vctx.superstep_ = ctx.superstep();
+    vctx.tmpl_ = &pg_.graphTemplate();
+    vctx.value_ = &values_[v];
+    vctx.halted_ = &halted;
+    vctx.messages_ = messages;
+    vctx.edge_weights_ = &edge_weights_;
+    vctx.adapter_ = this;
+    program_.compute(vctx);
+  }
+
+ private:
+  VertexProgram& program_;
+  const std::vector<double>& edge_weights_;
+  std::vector<double>& values_;
 };
 
-// Per-partition worker state; thread-confined during a round, drained by
-// the coordinator between rounds.
-struct VcWorker {
-  const PartitionedGraph* pg = nullptr;
-  PartitionId partition = 0;
-  std::vector<std::vector<VertexMessage>> outbox;  // by destination partition
-  std::vector<VertexMessage> incoming;
-  // Messages per local vertex for the current superstep.
-  std::vector<std::vector<double>> vertex_msgs;
-  std::vector<std::uint8_t> has_msgs;
-  std::int64_t send_ns = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t vertices_computed = 0;
-  // Protocol checking (null = off): this engine's swap-based exchange plays
-  // the role MessageBus plays elsewhere, so it reports to the same checker.
-  check::BspChecker* checker = nullptr;
-  std::int32_t incoming_stamp_s = -1;  // superstep incoming was delivered at
+namespace {
+
+// The single attribute-free instance a plain vertex-centric BSP runs over.
+class EmptyInstanceProvider final : public InstanceProvider {
+ public:
+  [[nodiscard]] std::size_t numInstances() const override { return 1; }
+  [[nodiscard]] std::int64_t t0() const override { return 0; }
+  [[nodiscard]] std::int64_t delta() const override { return 1; }
+  const PartitionInstanceData& instanceFor(PartitionId, Timestep) override {
+    return empty_;
+  }
+  std::int64_t takeLoadNs(PartitionId) override { return 0; }
+
+ private:
+  PartitionInstanceData empty_;
 };
+
+}  // namespace
 
 void VertexContext::sendTo(VertexIndex dst, double value) {
-  auto& worker = *worker_;
-  ScopedCpuTimer timer(worker.send_ns);
-  const PartitionId to = worker.pg->partitionOfVertex(dst);
-  if (worker.checker != nullptr) {
-    worker.checker->onSend(worker.partition, to, sizeof(VertexMessage));
-  }
-  worker.outbox[to].push_back({dst, value});
-  ++worker.msgs_sent;
-  worker.bytes_sent += sizeof(VertexMessage);
-  if (Profiler::enabled()) [[unlikely]] {
-    // This engine has no timesteps; everything lands on row 0.
-    Profiler::global().recordSend(worker.pg->subgraphOfVertex(vertex_),
-                                  worker.pg->subgraphOfVertex(dst), 0,
-                                  sizeof(VertexMessage));
-  }
+  adapter_->sendTo(dst, value);
 }
 
 VertexCentricEngine::VertexCentricEngine(const PartitionedGraph& pg)
@@ -68,347 +87,34 @@ VcResult VertexCentricEngine::run(
     VertexProgram& program, const VcConfig& config,
     const std::function<double(VertexIndex)>& initial_value) {
   const GraphTemplate& tmpl = pg_.graphTemplate();
-  const auto k = pg_.numPartitions();
-  const std::size_t n = tmpl.numVertices();
   TSG_CHECK(config.edge_weights.empty() ||
             config.edge_weights.size() == tmpl.numEdges());
 
-  std::vector<double> values(n);
-  std::vector<std::uint8_t> halted(n, 0);
-  for (VertexIndex v = 0; v < n; ++v) {
-    values[v] = initial_value(v);
-  }
-
-  std::vector<VcWorker> workers(k);
-  for (PartitionId p = 0; p < k; ++p) {
-    auto& w = workers[p];
-    w.pg = &pg_;
-    w.partition = p;
-    w.outbox.resize(k);
-    const std::size_t local = pg_.partition(p).vertices.size();
-    w.vertex_msgs.resize(local);
-    w.has_msgs.assign(local, 0);
-  }
-
   VcResult result;
-  result.stats = RunStats(k);
-  Tracer::setCurrentThreadName("coordinator");
-  TraceSpan run_span("vc", "vc.run");
-  if (Profiler::enabled()) {
-    Profiler::global().beginRun(pg_, 0, 1);
-  }
-  const auto metrics_before = MetricsRegistry::global().snapshot();
-  const auto hists_before = MetricsRegistry::global().histogramSnapshot();
-  Stopwatch wall;
-  Cluster cluster(k);
-
-  // Protocol checking: one checker per run; no registry reconciliation (the
-  // bus.* counters belong to MessageBus, which this engine does not use).
-  std::unique_ptr<check::BspChecker> checker;
-  if (check::enabled()) {
-    checker = std::make_unique<check::BspChecker>(k);
-    checker->beginTimestep(0);
-    for (auto& w : workers) {
-      w.checker = checker.get();
-    }
+  result.values.resize(tmpl.numVertices());
+  for (VertexIndex v = 0; v < tmpl.numVertices(); ++v) {
+    result.values[v] = initial_value(v);
   }
 
-  std::int32_t s = 0;
-  std::int32_t recoveries = 0;
-
-  // Runs one barriered round; a worker killed by fault injection surfaces
-  // here as RecoveryNeeded (same contract as the TI-BSP engines).
-  const auto runRound = [&cluster](const std::function<void(PartitionId)>& job)
-      -> const std::vector<Cluster::RoundTiming>& {
-    const auto& timings = cluster.run(job);
-    if (cluster.hasFaults()) [[unlikely]] {
-      std::string detail;
-      for (const auto& f : cluster.takeFaults()) {
-        if (!detail.empty()) {
-          detail += "; ";
-        }
-        detail += f.detail;
-      }
-      throw fault::RecoveryNeeded(std::move(detail));
-    }
-    return timings;
-  };
-
-  // One superstep; returns false once the BSP quiesced or hit the cap.
-  // This engine has no timesteps, so fault filters use timestep 0.
-  const auto runSuperstep = [&]() -> bool {
-    TraceSpan superstep_span("vc", "vc.superstep", "s", s);
-    if (checker != nullptr) {
-      checker->beginSuperstep(s);
-    }
-    const auto& timings = runRound([&, s](PartitionId p) {
-      auto& w = workers[p];
-      auto& inj = fault::FaultInjector::global();
-      if (w.checker != nullptr) {
-        w.checker->enterCompute(p);
-        if (!w.incoming.empty()) {
-          w.checker->onConsume(p, w.incoming.size(), 0, w.incoming_stamp_s,
-                               0);
-        }
-      }
-      // No GoFS provider here; the slice-load site maps to this engine's
-      // superstep-0 input consumption so the fault matrix covers all sites.
-      if (s == 0 && inj.armed() &&
-          inj.fire(fault::Site::kSliceLoad, p, 0, fault::Action::kKill))
-          [[unlikely]] {
-        throw fault::WorkerFault(p, 0, fault::Site::kSliceLoad);
-      }
-      const Partition& part = pg_.partition(p);
-      // Distribute incoming messages to per-vertex lists, combining if
-      // configured (Giraph's MinimumDoubleCombiner analog).
-      for (const auto& msg : w.incoming) {
-        const std::uint32_t local = pg_.localIndexOfVertex(msg.dst);
-        auto& list = w.vertex_msgs[local];
-        if (config.combiner == Combiner::kMin && !list.empty()) {
-          list[0] = std::min(list[0], msg.value);
-        } else {
-          list.push_back(msg.value);
-        }
-        w.has_msgs[local] = 1;
-      }
-      w.incoming.clear();
-      if (inj.armed()) [[unlikely]] {
-        if (const auto spec = inj.fire(fault::Site::kCompute, p, 0)) {
-          if (spec->action == fault::Action::kKill) {
-            throw fault::WorkerFault(p, 0, fault::Site::kCompute);
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(spec->delay_us));
-        }
-      }
-
-      VertexContext ctx;
-      ctx.superstep_ = s;
-      ctx.tmpl_ = &tmpl;
-      ctx.edge_weights_ = &config.edge_weights;
-      ctx.worker_ = &w;
-      for (std::uint32_t i = 0; i < part.vertices.size(); ++i) {
-        const VertexIndex v = part.vertices[i];
-        const bool active = s == 0 || w.has_msgs[i] != 0 || halted[v] == 0;
-        if (!active) {
-          continue;
-        }
-        if (w.checker != nullptr) {
-          w.checker->onComputeUnit(p, v, halted[v] != 0,
-                                   s == 0 || w.has_msgs[i] != 0);
-        }
-        halted[v] = 0;  // must re-vote to stay halted
-        ctx.vertex_ = v;
-        ctx.value_ = &values[v];
-        ctx.halted_ = &halted[v];
-        ctx.messages_ = w.vertex_msgs[i];
-        if (Profiler::enabled()) [[unlikely]] {
-          auto& prof = Profiler::global();
-          const std::uint64_t msgs_before = w.msgs_sent;
-          const std::int64_t unit_start = steadyNowNs();
-          program.compute(ctx);
-          const std::int64_t unit_ns = steadyNowNs() - unit_start;
-          prof.recordCompute(pg_.subgraphOfVertex(v), 0, unit_ns);
-          if (w.vertices_computed % prof.sampleEvery() == 0) {
-            prof.recordVertexSample(p, v, unit_ns, w.msgs_sent - msgs_before);
-          }
-        } else {
-          program.compute(ctx);
-        }
-        ++w.vertices_computed;
-        w.vertex_msgs[i].clear();
-        w.has_msgs[i] = 0;
-      }
-      if (inj.armed() &&
-          inj.fire(fault::Site::kBarrier, p, 0, fault::Action::kKill))
-          [[unlikely]] {
-        // Dies with the compute phase still open; onRecovery re-pairs it.
-        throw fault::WorkerFault(p, 0, fault::Site::kBarrier);
-      }
-      if (w.checker != nullptr) {
-        w.checker->exitCompute(p);
-      }
-    });
-
-    // Coordinator: build the record and exchange outboxes.
-    SuperstepRecord rec;
-    rec.timestep = 0;
-    rec.superstep = s;
-    rec.parts.resize(k);
-    for (PartitionId p = 0; p < k; ++p) {
-      auto& w = workers[p];
-      auto& ps = rec.parts[p];
-      ps.send_ns = std::exchange(w.send_ns, 0);
-      ps.compute_ns =
-          std::max<std::int64_t>(0, timings[p].busy_ns - ps.send_ns);
-      ps.sync_ns = timings[p].sync_ns;
-      ps.messages_sent = std::exchange(w.msgs_sent, 0);
-      ps.bytes_sent = std::exchange(w.bytes_sent, 0);
-      ps.subgraphs_computed = std::exchange(w.vertices_computed, 0);
-    }
-    auto& registry = MetricsRegistry::global();
-    {
-      // Delivery faults hit the whole exchange, so only wildcard-partition
-      // specs match. A drop discards every outbox and forces a restart; the
-      // aborted attempt's record stays in RunStats.
-      auto& inj = fault::FaultInjector::global();
-      if (inj.armed()) [[unlikely]] {
-        if (const auto spec =
-                inj.fire(fault::Site::kDeliver, kInvalidPartition, 0)) {
-          if (spec->action == fault::Action::kDrop) {
-            for (auto& w : workers) {
-              for (auto& box : w.outbox) {
-                box.clear();
-              }
-            }
-            result.stats.addSuperstep(std::move(rec));
-            throw fault::RecoveryNeeded("delivery exchange dropped at superstep " +
-                                        std::to_string(s));
-          }
-          registry.counter("fault.delivery_delays").increment();
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(spec->delay_us));
-        }
-      }
-    }
-    auto& h_batch = registry.histogram("vc.batch_messages");
-    std::uint64_t delivered = 0;
-    for (PartitionId p = 0; p < k; ++p) {
-      for (PartitionId q = 0; q < k; ++q) {
-        auto& box = workers[p].outbox[q];
-        if (!box.empty()) {
-          h_batch.record(box.size());
-        }
-        delivered += box.size();
-        rec.delivered_bytes += box.size() * sizeof(VertexMessage);
-        if (p != q) {
-          rec.cross_partition_messages += box.size();
-          rec.cross_partition_bytes += box.size() * sizeof(VertexMessage);
-        }
-        auto& inbox = workers[q].incoming;
-        if (inbox.empty()) {
-          // Whole-vector splice; the swap also recycles the inbox's old
-          // capacity back into the outbox slot.
-          std::swap(inbox, box);
-        } else {
-          inbox.insert(inbox.end(), std::make_move_iterator(box.begin()),
-                       std::make_move_iterator(box.end()));
-          box.clear();
-        }
-      }
-    }
-    rec.delivered_messages = delivered;
-    if (checker != nullptr) {
-      // The swap loop above is this engine's barrier delivery; nothing is
-      // ever left undrained (incoming is cleared at every round start).
-      for (auto& w : workers) {
-        w.incoming_stamp_s = s;
-      }
-      checker->onDeliver(delivered, delivered * sizeof(VertexMessage), 0, 0);
-    }
-    traceCounter("vc.delivered_messages", static_cast<std::int64_t>(delivered));
-    {
-      registry.counter("vc.supersteps").increment();
-      // Live-progress gauge (shared series name with the TI engines so the
-      // telemetry consumers need no per-engine cases).
-      registry.gauge("engine.current_superstep")
-          .set(static_cast<std::int64_t>(s));
-      std::uint64_t computed = 0;
-      auto& h_compute = registry.histogram("vc.superstep_compute_ns");
-      auto& h_send = registry.histogram("vc.superstep_send_ns");
-      auto& h_sync = registry.histogram("vc.superstep_sync_ns");
-      for (const auto& ps : rec.parts) {
-        computed += ps.subgraphs_computed;
-        h_compute.record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, ps.compute_ns)));
-        h_send.record(
-            static_cast<std::uint64_t>(std::max<std::int64_t>(0, ps.send_ns)));
-        h_sync.record(
-            static_cast<std::uint64_t>(std::max<std::int64_t>(0, ps.sync_ns)));
-      }
-      registry.counter("vc.vertices_computed").add(computed);
-      registry.counter("vc.messages_delivered").add(delivered);
-    }
-    result.stats.addSuperstep(std::move(rec));
-
-    const bool all_halted =
-        std::all_of(halted.begin(), halted.end(),
-                    [](std::uint8_t h) { return h != 0; });
-    ++s;
-    if (all_halted && delivered == 0) {
-      return false;
-    }
-    if (s >= config.max_supersteps) {
-      if (checker != nullptr) {
-        // Cap abort abandons delivered-but-unconsumed traffic by design.
-        checker->onReset();
-      }
-      return false;
-    }
-    return true;
-  };
-
-  bool done = false;
-  while (!done) {
-    try {
-      while (runSuperstep()) {
-      }
-      done = true;
-    } catch (const fault::RecoveryNeeded& fault_cause) {
-      // A single BSP carries no inter-timestep state, so recovery is a full
-      // restart: re-seed values and rerun from superstep 0. Deterministic
-      // programs converge to the same answer as a fault-free run.
-      ++recoveries;
-      TSG_CHECK_MSG(recoveries <= config.max_recoveries,
-                    "recovery limit exhausted; last fault: " +
-                        std::string(fault_cause.what()));
-      TraceSpan rec_span("vc", "vc.recovery");
-      TSG_LOG(Warn) << "restarting after fault (" << recoveries << "/"
-                    << config.max_recoveries << "): " << fault_cause.what();
-      MetricsRegistry::global().counter("engine.recoveries").increment();
-      if (checker != nullptr) {
-        checker->onRecovery();
-      }
-      cluster.respawnDead();
-      for (auto& w : workers) {
-        for (auto& box : w.outbox) {
-          box.clear();
-        }
-        w.incoming.clear();
-        for (auto& msgs : w.vertex_msgs) {
-          msgs.clear();
-        }
-        std::fill(w.has_msgs.begin(), w.has_msgs.end(), 0);
-        w.send_ns = 0;
-        w.msgs_sent = 0;
-        w.bytes_sent = 0;
-        w.vertices_computed = 0;
-        w.incoming_stamp_s = -1;
-      }
-      for (VertexIndex v = 0; v < n; ++v) {
-        values[v] = initial_value(v);
-      }
-      std::fill(halted.begin(), halted.end(), 0);
-      if (Profiler::enabled()) {
-        // Full restart: drop the aborted attempt's attributed compute.
-        Profiler::global().resetRowsFrom(0);
-      }
-      s = 0;
-    }
-  }
-  if (checker != nullptr) {
-    checker->endRun();
-  }
-
-  result.stats.setWallClockNs(wall.elapsedNs());
-  result.stats.setMetrics(
-      snapshotDelta(metrics_before, MetricsRegistry::global().snapshot()));
-  result.stats.setHistograms(histogramDelta(
-      hists_before, MetricsRegistry::global().histogramSnapshot()));
-  if (Profiler::enabled()) {
-    result.stats.setAttribution(Profiler::global().take());
-  }
-  result.values = std::move(values);
-  result.supersteps = s;
+  EmptyInstanceProvider provider;
+  MemoryCheckpointStore store;
+  TiBspConfig tc;
+  tc.pattern = Pattern::kIndependent;
+  tc.max_supersteps_per_timestep = config.max_supersteps;
+  tc.checkpoint_store = &store;
+  tc.max_recoveries = config.max_recoveries;
+  TiBspEngine engine(pg_, provider);
+  auto run = engine.run(
+      [&](PartitionId p) {
+        return std::make_unique<VcAdapter>(pg_, p, program, config,
+                                           result.values);
+      },
+      tc);
+  result.stats = std::move(run.stats);
+  // The end-of-timestep round is the last record; it runs at superstep
+  // index = the number of supersteps the BSP took.
+  TSG_CHECK(!result.stats.supersteps().empty());
+  result.supersteps = result.stats.supersteps().back().superstep;
   return result;
 }
 

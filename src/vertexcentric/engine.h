@@ -1,16 +1,18 @@
 // Vertex-centric BSP engine — the Apache Giraph / Pregel stand-in used by
 // the Fig. 5b baseline comparison.
 //
-// Same substrate as the subgraph-centric runtime (one worker thread per
-// partition, bulk message delivery, barriered supersteps), but the unit of
-// computation is a single vertex and messages address vertices. This
-// isolates exactly the difference the paper attributes its speedups to:
-// a vertex-centric SSSP needs ~graph-diameter supersteps and per-vertex
+// The unit of computation is a single vertex and messages address vertices.
+// A run is a one-timestep TiBspEngine run over an attribute-free instance,
+// with each partition served by a VertexAdapter (vertexcentric/adapter.h),
+// so it shares the subgraph-centric runtime's workers, bus, barriers and
+// metering. What differs is exactly what the paper attributes its speedups
+// to: a vertex-centric SSSP needs ~graph-diameter supersteps and per-vertex
 // message traffic, while the subgraph-centric version runs Dijkstra inside
 // each subgraph and needs ~partition-hop supersteps.
 //
 // Messages carry one double (what Pregel's SSSP/BFS use); an optional
-// min-combiner reduces traffic like Giraph's MinimumDoubleCombiner.
+// min-combiner reduces each vertex's inbox like Giraph's
+// MinimumDoubleCombiner (applied at the receiver).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@ namespace tsg {
 namespace vertexcentric {
 
 class VertexContext;
+class VertexAdapter;
 
 // User logic invoked per active vertex per superstep.
 class VertexProgram {
@@ -41,8 +44,8 @@ struct VcConfig {
   // Edge weights by template edge index; empty = unweighted (1.0).
   std::vector<double> edge_weights;
   // Fault tolerance: a single BSP carries no inter-timestep state, so
-  // recovery is a restart — re-seed values via initial_value and rerun from
-  // superstep 0. This caps how many restarts a run tolerates.
+  // recovery is a restart from the seeded values (the run's initial
+  // checkpoint). This caps how many restarts a run tolerates.
   std::int32_t max_recoveries = 8;
 };
 
@@ -57,7 +60,7 @@ class VertexCentricEngine {
   explicit VertexCentricEngine(const PartitionedGraph& pg);
 
   // Runs to quiescence. `initial_value(v)` seeds every vertex value;
-  // vertices start active.
+  // vertices start active. Always barriered BSP.
   VcResult run(VertexProgram& program, const VcConfig& config,
                const std::function<double(VertexIndex)>& initial_value);
 
@@ -85,8 +88,7 @@ class VertexContext {
   void voteToHalt() { *halted_ = 1; }
 
  private:
-  friend class VertexCentricEngine;
-  friend struct VcWorker;
+  friend class VcAdapter;
 
   VertexIndex vertex_ = 0;
   std::int32_t superstep_ = 0;
@@ -95,7 +97,7 @@ class VertexContext {
   std::uint8_t* halted_ = nullptr;
   std::span<const double> messages_;
   const std::vector<double>* edge_weights_ = nullptr;
-  struct VcWorker* worker_ = nullptr;
+  VertexAdapter* adapter_ = nullptr;
 };
 
 }  // namespace vertexcentric

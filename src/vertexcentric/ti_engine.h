@@ -4,12 +4,13 @@
 // possible") and §VI ("these abstractions can be extended to other
 // partition- and vertex-centric programming frameworks too").
 //
-// The outer loop iterates graph instances exactly like the subgraph-centric
-// TiBspEngine (sequentially dependent pattern); the inner BSP runs per
-// VERTEX with double-valued messages. Per-vertex algorithm state persists
-// across timesteps inside the program (vertices are owned by fixed
-// partitions, so shared arrays are race-free), and per-vertex messages can
-// be deferred to the next timestep with sendToNextTimestep.
+// A run is a sequentially dependent TiBspEngine run whose partitions are
+// served by VertexAdapters (vertexcentric/adapter.h): the outer loop
+// iterates graph instances, the inner BSP runs per VERTEX with
+// double-valued messages. Per-vertex algorithm state persists across
+// timesteps inside the program (vertices are owned by fixed partitions, so
+// shared arrays are race-free), and per-vertex messages can be deferred to
+// the next timestep with sendToNextTimestep.
 //
 // The paper bounds a TI-BSP Giraph port at [τ, n·τ] where τ is one
 // vertex-centric SSSP; bench_fig5b_giraph measures our port against that
@@ -34,6 +35,7 @@ class CheckpointStore;  // gofs/checkpoint.h
 namespace vertexcentric {
 
 class TemporalVertexContext;
+class VertexAdapter;
 
 // User logic invoked per active vertex, per superstep, per timestep.
 class TemporalVertexProgram {
@@ -47,7 +49,8 @@ class TemporalVertexProgram {
   }
   // Checkpoint hooks (cf. TiBspProgram). Per-vertex algorithm state lives
   // in the program across timesteps, so a program used with a checkpoint
-  // store must round-trip every member that outlives one timestep.
+  // store must round-trip every member that outlives one timestep. The
+  // program is shared by all partitions; partition 0's cut carries it.
   virtual void saveState(BinaryWriter& w) const { (void)w; }
   virtual Status loadState(BinaryReader& r) {
     (void)r;
@@ -73,9 +76,9 @@ struct TemporalVcConfig {
   std::int32_t max_recoveries = 8;
 
   // Streaming ingestion (cf. TiBspConfig::stream): when set, the timestep
-  // loop blocks on stream->awaitTimestep(t) before executing t. The
-  // vertex-centric engine has no per-subgraph skip (its compute units are
-  // vertices), so the dirty tracker is unused here.
+  // loop blocks on stream->awaitTimestep(t) before executing t. Vertex
+  // programs never opt into the incremental skip (every vertex computes at
+  // superstep 0), so the dirty tracker is unused here.
   TimestepStream* stream = nullptr;
 };
 
@@ -116,8 +119,7 @@ class TemporalVertexContext {
   void voteToHalt() { *halted_ = 1; }
 
  private:
-  friend class TemporalVertexEngine;
-  friend struct TvWorker;
+  friend class TvAdapter;
 
   VertexIndex vertex_ = 0;
   Timestep timestep_ = 0;
@@ -126,7 +128,7 @@ class TemporalVertexContext {
   std::int64_t delta_ = 1;
   std::uint8_t* halted_ = nullptr;
   std::span<const double> messages_;
-  struct TvWorker* worker_ = nullptr;
+  VertexAdapter* adapter_ = nullptr;
 };
 
 }  // namespace vertexcentric

@@ -8,6 +8,8 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "algorithms/codec.h"
 #include "test_util.h"
@@ -563,6 +565,64 @@ TEST(Engine, MergeOnlyRunsForEventuallyDependent) {
   config.pattern = Pattern::kEventuallyDependent;
   engine.run(factory, config);
   EXPECT_EQ(merges.load(), static_cast<int>(fx.pg.numSubgraphs()));
+}
+
+// Wraps a provider and reports a fixed load time for every instance fetch,
+// so load accounting can be checked exactly.
+class FixedLoadProvider final : public InstanceProvider {
+ public:
+  static constexpr std::int64_t kLoadNs = 3'600'000'000'000;  // one hour
+
+  FixedLoadProvider(InstanceProvider& inner, std::uint32_t k)
+      : inner_(inner), pending_(k, 0) {}
+
+  [[nodiscard]] std::size_t numInstances() const override {
+    return inner_.numInstances();
+  }
+  [[nodiscard]] std::int64_t t0() const override { return inner_.t0(); }
+  [[nodiscard]] std::int64_t delta() const override { return inner_.delta(); }
+  const PartitionInstanceData& instanceFor(PartitionId p,
+                                           Timestep t) override {
+    pending_[p] += kLoadNs;
+    return inner_.instanceFor(p, t);
+  }
+  std::int64_t takeLoadNs(PartitionId p) override {
+    (void)inner_.takeLoadNs(p);
+    return std::exchange(pending_[p], 0);
+  }
+
+ private:
+  InstanceProvider& inner_;
+  std::vector<std::int64_t> pending_;
+};
+
+// The async timestep-overlap path copies each instance out of the provider
+// before the timestep's timed rounds start. That load must be charged to
+// superstep 0's load_ns, and must not be subtracted from its compute_ns:
+// taking an hour off a microsecond round would clamp compute to zero.
+TEST(Engine, OverlappedTimestepsChargeProviderLoadWithoutShrinkingCompute) {
+  EngineFixture fx(2, 4);
+  FixedLoadProvider provider(*fx.provider, fx.pg.numPartitions());
+  TiBspConfig config;
+  config.pattern = Pattern::kIndependent;
+  config.schedule = Schedule::kAsync;
+  TiBspEngine engine(fx.pg, provider);
+  const auto result = engine.run(
+      factoryOf([](SubgraphContext& ctx) { ctx.voteToHalt(); }), config);
+  ASSERT_EQ(result.timesteps_executed, 4);
+
+  std::int64_t load_ns = 0;
+  for (const auto& rec : result.stats.supersteps()) {
+    for (const auto& part : rec.parts) {
+      load_ns += part.load_ns;
+      if (rec.superstep == 0) {
+        EXPECT_EQ(part.load_ns, FixedLoadProvider::kLoadNs);
+        EXPECT_GT(part.compute_ns, 0);
+      }
+    }
+  }
+  EXPECT_EQ(load_ns, FixedLoadProvider::kLoadNs * fx.pg.numPartitions() *
+                         result.timesteps_executed);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "algorithms/reference.h"
@@ -63,7 +64,9 @@ TEST(VertexCentric, WeightedSsspMatchesDijkstra) {
   }
 }
 
-TEST(VertexCentric, MinCombinerGivesSameAnswerWithFewerBytes) {
+// The combiner runs at the receiver, so it changes how many values each
+// vertex reads, never the traffic on the wire: only the answer is compared.
+TEST(VertexCentric, MinCombinerLeavesValuesUnchanged) {
   auto tmpl = smallSocial(200);
   const auto pg = partitionGraph(tmpl, 3);
   VertexCentricEngine engine(pg);
@@ -96,6 +99,53 @@ TEST(VertexCentric, SuperstepCountTracksDiameterNotPartitions) {
   const auto levels = reference::bfsLevels(*tmpl, 0);
   const auto ecc = *std::max_element(levels.begin(), levels.end());
   EXPECT_GE(result.supersteps, ecc);
+}
+
+// Pins the Giraph-baseline cost model exactly: vertex-centric BFS runs one
+// superstep per hop, and superstep s delivers one message per out-edge of
+// the level-s frontier -- no batching, no local shortcut.
+void expectBfsCostMatchesFrontierOracle(const GraphTemplatePtr& tmpl,
+                                        std::uint32_t partitions) {
+  const auto pg = partitionGraph(tmpl, partitions);
+  VertexCentricEngine engine(pg);
+  BfsVertexProgram program(0);
+  const auto result =
+      engine.run(program, {}, [](VertexIndex) { return vertexcentric::kInf; });
+
+  const auto levels = reference::bfsLevels(*tmpl, 0);
+  const std::int32_t ecc = *std::max_element(levels.begin(), levels.end());
+  std::vector<std::uint64_t> frontier_out(static_cast<std::size_t>(ecc) + 1);
+  for (VertexIndex v = 0; v < tmpl->numVertices(); ++v) {
+    if (levels[v] >= 0) {
+      frontier_out[static_cast<std::size_t>(levels[v])] += tmpl->outDegree(v);
+    }
+  }
+  // The last frontier's messages need one more superstep to be received
+  // (and ignored) before every vertex is halted with nothing in flight.
+  EXPECT_EQ(result.supersteps, ecc + (frontier_out.back() > 0 ? 2 : 1));
+
+  std::vector<std::uint32_t> seen(static_cast<std::size_t>(result.supersteps));
+  for (const auto& rec : result.stats.supersteps()) {
+    if (rec.superstep < 0 || rec.superstep >= result.supersteps) {
+      continue;
+    }
+    const auto s = static_cast<std::size_t>(rec.superstep);
+    ++seen[s];
+    const std::uint64_t expected =
+        s < frontier_out.size() ? frontier_out[s] : 0;
+    EXPECT_EQ(rec.delivered_messages, expected) << "superstep " << s;
+  }
+  for (std::size_t s = 0; s < seen.size(); ++s) {
+    EXPECT_EQ(seen[s], 1u) << "superstep " << s;
+  }
+}
+
+TEST(VertexCentric, BfsCostMatchesFrontierOracleOnRoad) {
+  expectBfsCostMatchesFrontierOracle(smallRoad(10, 10), 3);
+}
+
+TEST(VertexCentric, BfsCostMatchesFrontierOracleOnSocial) {
+  expectBfsCostMatchesFrontierOracle(smallSocial(150), 2);
 }
 
 TEST(VertexCentric, BfsLevelsMatchReference) {

@@ -1,9 +1,9 @@
 // tsglint — the repo-native static analyzer (see src/analysis/).
 //
 // Runs the full rule catalogue (layering, lock-order, hot-path, atomics,
-// and the four legacy project-invariant rules) over the given files or
+// and the four project-invariant rules) over the given files or
 // directories and exits non-zero on any finding. Wired into tier-1 as the
-// `TsgLint` ctest; tools/lint.py delegates here when the binary exists.
+// `TsgLint` ctest.
 //
 // Usage:
 //   tsglint [--root=DIR] [--json=FILE] [--layers=FILE] [--lock-order=FILE]
