@@ -121,8 +121,8 @@ void checkNakedThread(const SourceFile& f, std::vector<Diagnostic>& out) {
         (isIdent(tokens[i + 2], "thread") ||
          isIdent(tokens[i + 2], "jthread"))) {
       emit(f, tokens[i].line, "naked-thread",
-           "spawn workers via runtime/Cluster or common/ThreadPool, not "
-           "std::thread",
+           "spawn workers via runtime/Cluster (rounds and waves) or "
+           "common/ThreadPool, not std::thread",
            out);
     }
   }

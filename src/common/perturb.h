@@ -4,12 +4,13 @@
 // scheduled. The harness tests that promise by re-running the same job
 // under N different perturbed schedules: when perturbation is enabled the
 // Cluster staggers its workers' release from the round barrier and their
-// arrival back at it with deterministic per-(seed, round, partition)
-// delays — a seeded stand-in for "randomized barrier release order" — and
-// the ThreadPool dispatches parallelFor indices in a seeded shuffled order
-// instead of 0..n-1. Any output divergence between two seeds is a
-// schedule-dependence bug (the class TSan cannot see, because nothing
-// races — the program is simply order-sensitive).
+// arrival back at it (and each wave task's pickup and completion) with
+// deterministic per-(seed, round, partition) delays — a seeded stand-in
+// for "randomized barrier release order" — and the ThreadPool dispatches
+// parallelFor indices in a seeded shuffled order instead of 0..n-1. Any
+// output divergence between two seeds is a schedule-dependence bug (the
+// class TSan cannot see, because nothing races — the program is simply
+// order-sensitive).
 //
 // Cost when off: one relaxed load + branch at each hook site.
 #pragma once
@@ -29,7 +30,7 @@ inline bool perturbEnabled() {
 }
 
 // Enables perturbation with the given seed (affects Cluster rounds and
-// ThreadPool::parallelFor dispatch from the next round on).
+// waves and ThreadPool::parallelFor dispatch from the next round on).
 void setPerturbation(std::uint64_t seed);
 void clearPerturbation();
 [[nodiscard]] std::uint64_t perturbSeed();

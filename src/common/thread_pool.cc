@@ -97,66 +97,6 @@ void ThreadPool::parallelFor(std::size_t n,
   done_cv.wait(lock, [&] { return done_tasks.load() == num_tasks; });
 }
 
-void ThreadPool::parallelForStealing(std::size_t n,
-                                     const std::function<void(std::size_t)>& fn,
-                                     std::size_t* stolen_out) {
-  if (n == 0) {
-    if (stolen_out != nullptr) {
-      *stolen_out = 0;
-    }
-    return;
-  }
-  const std::size_t num_tasks = std::min(threads_.size(), n);
-  // Deal indices round-robin; under schedule perturbation the deal order is
-  // shuffled (same hook as parallelFor) so runs differ in deque layout.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (check::perturbEnabled()) {
-    std::sort(order.begin(), order.end(), [](std::size_t a, std::size_t b) {
-      const auto ra = check::perturbRank(a);
-      const auto rb = check::perturbRank(b);
-      return ra != rb ? ra < rb : a < b;
-    });
-  }
-  std::vector<StealDeque<std::size_t>> deques(num_tasks);
-  for (std::size_t i = 0; i < n; ++i) {
-    deques[i % num_tasks].pushBottom(order[i]);
-  }
-  std::atomic<std::size_t> stolen{0};
-  std::atomic<std::size_t> done_tasks{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([&, t] {
-      while (true) {
-        std::optional<std::size_t> idx = deques[t].popBottom();
-        if (!idx) {
-          // Own deque dry: scan the others top-first (oldest work).
-          for (std::size_t v = 1; v < num_tasks && !idx; ++v) {
-            idx = deques[(t + v) % num_tasks].stealTop();
-          }
-          if (!idx) {
-            break;
-          }
-          stolen.fetch_add(1, std::memory_order_relaxed);  // tsg:mo(steal stat; read after the pool quiesces)
-        }
-        fn(*idx);
-      }
-      if (done_tasks.fetch_add(1) + 1 == num_tasks) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
-    });
-  }
-  {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] { return done_tasks.load() == num_tasks; });
-  }
-  if (stolen_out != nullptr) {
-    *stolen_out = stolen.load();
-  }
-}
-
 void ThreadPool::workerLoop() {
   while (true) {
     std::function<void()> task;

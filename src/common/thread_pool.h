@@ -91,16 +91,6 @@ class ThreadPool {
   // Runs fn(i) for i in [0, n) across the pool and waits for completion.
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Work-stealing variant used by the async scheduler's timestep-overlap
-  // path: indices are dealt round-robin into one StealDeque per worker
-  // task; each task drains its own deque LIFO and then steals FIFO from
-  // the others, so a straggling index never strands the rest of its deque.
-  // `stolen_out`, when non-null, receives the number of indices executed
-  // by a task other than the one they were dealt to.
-  void parallelForStealing(std::size_t n,
-                           const std::function<void(std::size_t)>& fn,
-                           std::size_t* stolen_out = nullptr);
-
   [[nodiscard]] std::size_t numThreads() const { return threads_.size(); }
 
  private:

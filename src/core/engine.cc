@@ -9,7 +9,10 @@
 #include <thread>
 #include <utility>
 
-#if defined(__GLIBC__) || defined(__linux__)
+// Under ThreadSanitizer malloc is TSan's allocator, so glibc's arenas are
+// never set up; concurrent first calls to malloc_trim then race on glibc's
+// lazy initialization and can crash the maintenance round.
+#if (defined(__GLIBC__) || defined(__linux__)) && !defined(__SANITIZE_THREAD__)
 #include <malloc.h>
 #define TSG_HAVE_MALLOC_TRIM 1
 #endif
@@ -317,66 +320,13 @@ namespace {
 using RoundRunner = std::function<std::vector<Cluster::RoundTiming>(
     const std::function<void(PartitionId)>&)>;
 
-// A worker died mid-round (fault::WorkerFault). The round itself
-// completed — the barrier never hangs — so the coordinator unwinds here and
-// the engine's recovery path takes over.
-template <typename AnyCluster>
-void unwindFaults(AnyCluster& cluster) {
-  if (!cluster.hasFaults()) [[likely]] {
-    return;
-  }
-  std::string detail;
-  for (const auto& f : cluster.takeFaults()) {
-    if (!detail.empty()) {
-      detail += "; ";
-    }
-    detail += f.detail;
-  }
-  throw fault::RecoveryNeeded(std::move(detail));
+// Barriered rounds on the partition workers. A worker death surfaces as
+// fault::RecoveryNeeded out of Cluster::run.
+RoundRunner makeClusterRunner(Cluster& cluster) {
+  return [&cluster](const std::function<void(PartitionId)>& job) {
+    return cluster.run(job);
+  };
 }
-
-// The spatial substrate of a serial run or a merge phase: one worker per
-// partition, either barriered (Cluster) or wave-driven (AsyncCluster). Full
-// rounds (end of timestep, maintenance) run on either; supersteps run as
-// waves when async() is non-null.
-class Substrate {
- public:
-  Substrate(std::uint32_t k, bool use_async) {
-    if (use_async) {
-      async_ = std::make_unique<AsyncCluster>(k);
-    } else {
-      bsp_ = std::make_unique<Cluster>(k);
-    }
-    round_ = [this](const std::function<void(PartitionId)>& job) {
-      std::vector<Cluster::RoundTiming> timings;
-      if (async_ != nullptr) {
-        timings = async_->runAll(job);
-        unwindFaults(*async_);
-      } else {
-        timings = bsp_->run(job);
-        unwindFaults(*bsp_);
-      }
-      return timings;
-    };
-  }
-  Substrate(const Substrate&) = delete;
-  Substrate& operator=(const Substrate&) = delete;
-
-  [[nodiscard]] const RoundRunner& round() const { return round_; }
-  [[nodiscard]] AsyncCluster* async() const { return async_.get(); }
-  void respawnDead() {
-    if (async_ != nullptr) {
-      async_->respawnDead();
-    } else {
-      bsp_->respawnDead();
-    }
-  }
-
- private:
-  std::unique_ptr<Cluster> bsp_;
-  std::unique_ptr<AsyncCluster> async_;
-  RoundRunner round_;
-};
 
 RoundRunner makeSequentialRunner(std::uint32_t num_partitions) {
   return [num_partitions](const std::function<void(PartitionId)>& job) {
@@ -467,7 +417,7 @@ struct ExecEnv {
   std::vector<std::unique_ptr<WorkerState>>& states;
   MessageBus& bus;
   const RoundRunner& round;
-  AsyncCluster* async;  // non-null: supersteps run as waves
+  Cluster* waves;  // non-null (async schedule): supersteps run as waves
   RunStats& stats;
   std::mutex* stats_mutex;  // null when single coordinator thread
   check::BspChecker* checker;  // null when protocol checking is off
@@ -685,12 +635,12 @@ void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
 //
 // A wave is the async analogue of a superstep: only partitions the
 // ReadyTracker deems eligible run, as whole (partition, superstep) tasks on
-// AsyncCluster's steal-deques. The last finisher seals the wave — delivery,
+// Cluster's steal-deques. The last finisher seals the wave — delivery,
 // record commit, termination check and readiness advance all happen there,
 // exclusively, replacing the global barrier + coordinator rendezvous.
 // Tasks and seals run the same body and tail as BSP rounds, so the send
 // sequence (and therefore every digest) is identical to BSP.
-class WaveDriver final : public AsyncCluster::Driver {
+class WaveDriver final : public Cluster::Driver {
  public:
   WaveDriver(ExecEnv& env, Timestep t, ExecPhase phase)
       : env_(env),
@@ -705,7 +655,7 @@ class WaveDriver final : public AsyncCluster::Driver {
 
   [[nodiscard]] std::int32_t wavesRun() const { return waves_run_; }
 
-  void runTask(PartitionId p, const AsyncCluster::TaskInfo& info) override {
+  void runTask(PartitionId p, const Cluster::TaskInfo& info) override {
     const std::int64_t cpu_start = threadCpuNowNs();
     runPartitionSuperstep(env_, p, t_, info.wave, phase_);
     timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
@@ -797,14 +747,14 @@ bool runBarrieredSuperstep(ExecEnv& env, Timestep t, std::int32_t s,
 // barriered rounds until every subgraph halted with nothing delivered, or
 // dependency-driven waves that seal themselves.
 std::int32_t runSupersteps(ExecEnv& env, Timestep t, ExecPhase phase) {
-  if (env.async != nullptr) {
+  if (env.waves != nullptr) {
     if (env.checker != nullptr) {
       env.checker->beginSuperstep(0);
     }
     WaveDriver driver(env, t, phase);
     std::vector<PartitionId> all(env.states.size());
     std::iota(all.begin(), all.end(), PartitionId{0});
-    env.async->runWaves(driver, all, /*first_wave=*/0);
+    env.waves->runWaves(driver, all, /*first_wave=*/0);
     return driver.wavesRun();
   }
   std::int32_t s = 0;
@@ -842,9 +792,9 @@ void beginPhase(ExecEnv& env, Timestep t, ExecPhase phase,
 }
 
 // EndOfTimestep hook: every subgraph, one round (metered like a superstep).
-// Runs as a full round on either substrate (all partitions participate
-// regardless of halt state). Returns whether every subgraph voted to halt
-// the timestep loop.
+// Runs as a barriered round under either schedule (all partitions
+// participate regardless of halt state). Returns whether every subgraph
+// voted to halt the timestep loop.
 bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
   const auto k = static_cast<std::uint32_t>(env.states.size());
   TraceSpan eot_span("tibsp", "tibsp.end_of_timestep", "t", t);
@@ -1015,22 +965,13 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
   Stopwatch wall;
 
   const bool use_async = config.schedule == Schedule::kAsync;
-  // Timestep overlap (async × independent/eventually-dependent × serial):
-  // whole timesteps become the work units of the steal scheduler — t+1 runs
-  // while t's straggler finishes. Checkpointing pins execution to the
-  // serial wave path (concurrent tasks have no consistent cut), and a
-  // single timestep has nothing to overlap.
-  const bool overlap = use_async &&
-                       config.temporal_mode == TemporalMode::kSerial &&
-                       config.pattern != Pattern::kSequentiallyDependent &&
-                       config.checkpoint_store == nullptr &&
-                       config.stream == nullptr && count > 1;
   const bool concurrent =
-      (config.temporal_mode == TemporalMode::kConcurrent || overlap) &&
+      config.temporal_mode == TemporalMode::kConcurrent &&
       config.pattern != Pattern::kSequentiallyDependent;
 
   if (!concurrent) {
-    Substrate substrate(k, use_async);
+    Cluster cluster(k);
+    const RoundRunner round = makeClusterRunner(cluster);
     MessageBus bus(k);
     Workers workers = makeWorkers(pg_, bus, config,
                                   static_cast<std::size_t>(count), provider_,
@@ -1044,8 +985,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                 config,
                 states,
                 bus,
-                substrate.round(),
-                substrate.async(),
+                round,
+                use_async ? &cluster : nullptr,
                 result.stats,
                 nullptr,
                 checker.get()};
@@ -1176,7 +1117,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           checker->onRecovery();
         }
         bus.clearAll();
-        substrate.respawnDead();
+        cluster.respawnDead();
 
         auto loaded = store->loadLatest();
         TSG_CHECK_MSG(loaded.isOk(), loaded.status().toString());
@@ -1294,7 +1235,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                   states,
                   bus,
                   round,
-                  /*async=*/nullptr,
+                  /*waves=*/nullptr,
                   result.stats,
                   &stats_mutex,
                   task_checker.get()};
@@ -1314,16 +1255,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                       "aggregators require the serial temporal mode");
       }
     };
-    if (use_async) {
-      // Timestep tasks on steal-deques: a straggling timestep never strands
-      // the ones dealt behind it.
-      std::size_t stolen = 0;
-      pool.parallelForStealing(static_cast<std::size_t>(count),
-                               run_timestep_task, &stolen);
-      MetricsRegistry::global().counter("cluster.steals").add(stolen);
-    } else {
-      pool.parallelFor(static_cast<std::size_t>(count), run_timestep_task);
-    }
+    pool.parallelFor(static_cast<std::size_t>(count), run_timestep_task);
     result.timesteps_executed = count;
     for (auto& out : outputs_by_t) {
       std::move(out.begin(), out.end(), std::back_inserter(result.outputs));
@@ -1334,7 +1266,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       for (auto& msgs : merge_by_t) {
         std::move(msgs.begin(), msgs.end(), std::back_inserter(merge_pool));
       }
-      Substrate substrate(k, use_async);
+      Cluster cluster(k);
+      const RoundRunner round = makeClusterRunner(cluster);
       MessageBus bus(k);
       Workers workers = makeWorkers(pg_, bus, config,
                                     static_cast<std::size_t>(count),
@@ -1347,8 +1280,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                   config,
                   states,
                   bus,
-                  substrate.round(),
-                  substrate.async(),
+                  round,
+                  use_async ? &cluster : nullptr,
                   result.stats,
                   nullptr,
                   merge_checker.get()};

@@ -42,10 +42,10 @@ enum class Schedule : std::uint8_t {
   // Global per-superstep barrier (the paper's model; the checked reference).
   kBsp,
   // Dependency-driven waves: only ready partitions run each superstep,
-  // idle workers steal straggler partitions' tasks, halted partitions skip
-  // rounds, and independent/eventually-dependent patterns overlap
-  // timesteps. Output is identical to kBsp by construction (whole-partition
-  // tasks replay the BSP send order); see DESIGN.md "Scheduling".
+  // idle workers steal straggler partitions' tasks and halted partitions
+  // skip rounds. Output is identical to kBsp by construction
+  // (whole-partition tasks replay the BSP send order); see DESIGN.md
+  // "Scheduling".
   kAsync,
 };
 

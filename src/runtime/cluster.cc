@@ -30,127 +30,13 @@ void perturbPoint(std::uint64_t round, PartitionId p, std::uint64_t salt) {
 }  // namespace
 
 Cluster::Cluster(std::uint32_t num_partitions)
-    : start_ns_(num_partitions, 0),
+    : deques_(num_partitions),
       end_ns_(num_partitions, 0),
       cpu_busy_ns_(num_partitions, 0),
       timings_(num_partitions),
       m_rounds_(MetricsRegistry::global().counter("cluster.rounds")),
       m_barrier_wait_ns_(
           MetricsRegistry::global().counter("cluster.barrier_wait_ns")),
-      m_respawns_(MetricsRegistry::global().counter("cluster.respawns")) {
-  TSG_CHECK(num_partitions > 0);
-  dead_.assign(num_partitions, 0);
-  workers_.reserve(num_partitions);
-  for (PartitionId p = 0; p < num_partitions; ++p) {
-    workers_.emplace_back([this, p] { workerLoop(p, /*start_round=*/0); });
-  }
-}
-
-Cluster::~Cluster() {
-  {
-    std::lock_guard lock(mutex_);
-    shutting_down_ = true;
-  }
-  round_start_.notify_all();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-const std::vector<Cluster::RoundTiming>& Cluster::run(
-    const std::function<void(PartitionId)>& job) {
-  TraceSpan span("cluster", "cluster.round");
-  {
-    std::unique_lock lock(mutex_);
-    TSG_CHECK_MSG(remaining_ == 0, "run() re-entered mid-round");
-    for (PartitionId p = 0; p < dead_.size(); ++p) {
-      TSG_CHECK_MSG(dead_[p] == 0,
-                    "run() with a dead worker — call respawnDead() first");
-    }
-    job_ = &job;
-    remaining_ = static_cast<std::uint32_t>(workers_.size());
-    ++round_;
-    round_start_.notify_all();
-    round_done_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-  // All end_ns_ are final now; the slowest worker defines the barrier time.
-  const std::int64_t round_end =
-      *std::max_element(end_ns_.begin(), end_ns_.end());
-  std::int64_t sync_total = 0;
-  for (PartitionId p = 0; p < timings_.size(); ++p) {
-    timings_[p].busy_ns = cpu_busy_ns_[p];
-    timings_[p].sync_ns = round_end - end_ns_[p];
-    sync_total += timings_[p].sync_ns;
-  }
-  m_rounds_.increment();
-  m_barrier_wait_ns_.add(static_cast<std::uint64_t>(sync_total));
-  if (prof::armed()) [[unlikely]] {
-    // The last finisher is the round's straggler: every other partition's
-    // barrier wait this round traces back to it.
-    const PartitionId straggler = static_cast<PartitionId>(
-        std::max_element(end_ns_.begin(), end_ns_.end()) - end_ns_.begin());
-    prof::hooks().wait_caused(straggler, sync_total);
-  }
-  return timings_;
-}
-
-bool Cluster::hasFaults() {
-  std::lock_guard lock(mutex_);
-  return !faults_.empty();
-}
-
-std::vector<Cluster::FaultRecord> Cluster::takeFaults() {
-  std::lock_guard lock(mutex_);
-  return std::exchange(faults_, {});
-}
-
-std::uint32_t Cluster::respawnDead() {
-  std::uint32_t respawned = 0;
-  std::uint64_t resume_round = 0;
-  std::vector<PartitionId> to_spawn;
-  {
-    std::lock_guard lock(mutex_);
-    TSG_CHECK_MSG(remaining_ == 0, "respawnDead() mid-round");
-    resume_round = round_;
-    for (PartitionId p = 0; p < dead_.size(); ++p) {
-      if (dead_[p] != 0) {
-        to_spawn.push_back(p);
-      }
-    }
-  }
-  for (const PartitionId p : to_spawn) {
-    // The dead thread already exited its loop; join reclaims it, then a
-    // fresh thread takes over the partition from the current round.
-    workers_[p].join();
-    workers_[p] = std::thread(
-        [this, p, resume_round] { workerLoop(p, resume_round); });
-    ++respawned;
-    m_respawns_.increment();
-  }
-  if (respawned > 0) {
-    std::lock_guard lock(mutex_);
-    for (const PartitionId p : to_spawn) {
-      dead_[p] = 0;
-    }
-  }
-  return respawned;
-}
-
-std::uint32_t Cluster::aliveWorkers() {
-  std::lock_guard lock(mutex_);
-  std::uint32_t alive = 0;
-  for (const std::uint8_t d : dead_) {
-    alive += d == 0 ? 1 : 0;
-  }
-  return alive;
-}
-
-AsyncCluster::AsyncCluster(std::uint32_t num_partitions)
-    : deques_(num_partitions),
-      end_ns_(num_partitions, 0),
-      cpu_busy_ns_(num_partitions, 0),
-      timings_(num_partitions),
       m_waves_(MetricsRegistry::global().counter("cluster.waves")),
       m_steals_(MetricsRegistry::global().counter("cluster.steals")),
       m_ready_wait_ns_(
@@ -171,7 +57,7 @@ AsyncCluster::AsyncCluster(std::uint32_t num_partitions)
   }
 }
 
-AsyncCluster::~AsyncCluster() {
+Cluster::~Cluster() {
   {
     std::lock_guard lock(mutex_);
     shutting_down_ = true;
@@ -182,13 +68,13 @@ AsyncCluster::~AsyncCluster() {
   }
 }
 
-void AsyncCluster::updateReadyDepthLocked() {
+void Cluster::updateReadyDepthLocked() {
   g_ready_depth_.set(static_cast<std::int64_t>(queued_) +
                      static_cast<std::int64_t>(executing_));
 }
 
-void AsyncCluster::pushTasksLocked(const std::vector<PartitionId>& parts,
-                                   std::int32_t wave) {
+void Cluster::pushTasksLocked(const std::vector<PartitionId>& parts,
+                              std::int32_t wave) {
   const std::int64_t now = steadyNowNs();
   for (const PartitionId p : parts) {
     TSG_CHECK(static_cast<std::size_t>(p) < deques_.size());
@@ -206,7 +92,7 @@ void AsyncCluster::pushTasksLocked(const std::vector<PartitionId>& parts,
   }
 }
 
-bool AsyncCluster::popTaskLocked(PartitionId w, Task* out) {
+bool Cluster::popTaskLocked(PartitionId w, Task* out) {
   const std::size_t k = deques_.size();
   // Own deque first (LIFO, cache-warm), then steal oldest from peers.
   if (auto t = deques_[static_cast<std::size_t>(w)].popBottom()) {
@@ -229,9 +115,68 @@ bool AsyncCluster::popTaskLocked(PartitionId w, Task* out) {
   return false;
 }
 
-void AsyncCluster::runWaves(Driver& driver,
-                            const std::vector<PartitionId>& initial,
-                            std::int32_t first_wave) {
+bool Cluster::drainFaultsLocked(std::string& detail) {
+  const bool died = !faults_.empty();
+  for (auto& f : std::exchange(faults_, {})) {
+    if (!detail.empty()) {
+      detail += "; ";
+    }
+    detail += std::move(f.detail);
+  }
+  return died;
+}
+
+const std::vector<Cluster::RoundTiming>& Cluster::run(
+    const std::function<void(PartitionId)>& job) {
+  TraceSpan span("cluster", "cluster.round");
+  std::string detail;
+  bool died = false;
+  {
+    std::unique_lock lock(mutex_);
+    TSG_CHECK_MSG(mode_ == Mode::kIdle && outstanding_ == 0,
+                  "run() re-entered mid-phase");
+    for (PartitionId p = 0; p < dead_.size(); ++p) {
+      TSG_CHECK_MSG(dead_[p] == 0,
+                    "run() with a dead worker — call respawnDead() first");
+    }
+    job_ = &job;
+    mode_ = Mode::kRound;
+    round_remaining_ = static_cast<std::uint32_t>(workers_.size());
+    ++round_;
+    work_available_.notify_all();
+    phase_done_cv_.wait(lock, [this] { return round_remaining_ == 0; });
+    mode_ = Mode::kIdle;
+    job_ = nullptr;
+    died = drainFaultsLocked(detail);
+  }
+  // All end_ns_ are final now; the slowest worker defines the barrier time.
+  const std::int64_t round_end =
+      *std::max_element(end_ns_.begin(), end_ns_.end());
+  std::int64_t sync_total = 0;
+  for (PartitionId p = 0; p < timings_.size(); ++p) {
+    timings_[p].busy_ns = cpu_busy_ns_[p];
+    timings_[p].sync_ns = round_end - end_ns_[p];
+    sync_total += timings_[p].sync_ns;
+  }
+  m_rounds_.increment();
+  m_barrier_wait_ns_.add(static_cast<std::uint64_t>(sync_total));
+  if (prof::armed()) [[unlikely]] {
+    // The last finisher is the round's straggler: every other partition's
+    // barrier wait this round traces back to it.
+    const PartitionId straggler = static_cast<PartitionId>(
+        std::max_element(end_ns_.begin(), end_ns_.end()) - end_ns_.begin());
+    prof::hooks().wait_caused(straggler, sync_total);
+  }
+  if (died) {
+    // The round itself completed — the barrier never hangs — so the
+    // coordinator unwinds here and the engine's recovery path takes over.
+    throw fault::RecoveryNeeded(std::move(detail));
+  }
+  return timings_;
+}
+
+void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
+                       std::int32_t first_wave) {
   TraceSpan span("cluster", "cluster.wave_phase");
   TSG_CHECK(!initial.empty());
   std::string detail;
@@ -257,16 +202,8 @@ void AsyncCluster::runWaves(Driver& driver,
     phase_done_cv_.wait(lock, [this] { return phase_done_; });
     mode_ = Mode::kIdle;
     driver_ = nullptr;
-    failed = abort_ || !faults_.empty();
     detail = abort_detail_;
-    // Drain the death records now (dead_ stays set for respawnDead): a
-    // stale record must not fail the rerun after the engine recovers.
-    for (auto& f : std::exchange(faults_, {})) {
-      if (!detail.empty()) {
-        detail += "; ";
-      }
-      detail += std::move(f.detail);
-    }
+    failed = drainFaultsLocked(detail) || abort_;
   }
   if (failed) {
     throw fault::RecoveryNeeded(detail.empty() ? "worker died during wave"
@@ -274,53 +211,7 @@ void AsyncCluster::runWaves(Driver& driver,
   }
 }
 
-const std::vector<Cluster::RoundTiming>& AsyncCluster::runAll(
-    const std::function<void(PartitionId)>& job) {
-  TraceSpan span("cluster", "cluster.round");
-  {
-    std::unique_lock lock(mutex_);
-    TSG_CHECK_MSG(mode_ == Mode::kIdle && outstanding_ == 0,
-                  "runAll() re-entered mid-phase");
-    for (PartitionId p = 0; p < dead_.size(); ++p) {
-      TSG_CHECK_MSG(dead_[p] == 0,
-                    "runAll() with a dead worker — respawnDead() first");
-    }
-    job_ = &job;
-    mode_ = Mode::kAll;
-    all_remaining_ = static_cast<std::uint32_t>(workers_.size());
-    ++round_;
-    work_available_.notify_all();
-    phase_done_cv_.wait(lock, [this] { return all_remaining_ == 0; });
-    mode_ = Mode::kIdle;
-    job_ = nullptr;
-  }
-  const std::int64_t round_end =
-      *std::max_element(end_ns_.begin(), end_ns_.end());
-  std::int64_t sync_total = 0;
-  for (PartitionId p = 0; p < timings_.size(); ++p) {
-    timings_[p].busy_ns = cpu_busy_ns_[p];
-    timings_[p].sync_ns = round_end - end_ns_[p];
-    sync_total += timings_[p].sync_ns;
-  }
-  if (prof::armed()) [[unlikely]] {
-    const PartitionId straggler = static_cast<PartitionId>(
-        std::max_element(end_ns_.begin(), end_ns_.end()) - end_ns_.begin());
-    prof::hooks().wait_caused(straggler, sync_total);
-  }
-  return timings_;
-}
-
-bool AsyncCluster::hasFaults() {
-  std::lock_guard lock(mutex_);
-  return !faults_.empty();
-}
-
-std::vector<AsyncCluster::FaultRecord> AsyncCluster::takeFaults() {
-  std::lock_guard lock(mutex_);
-  return std::exchange(faults_, {});
-}
-
-std::uint32_t AsyncCluster::respawnDead() {
+std::uint32_t Cluster::respawnDead() {
   std::uint32_t respawned = 0;
   std::uint64_t resume_round = 0;
   std::vector<PartitionId> to_spawn;
@@ -335,6 +226,8 @@ std::uint32_t AsyncCluster::respawnDead() {
     }
   }
   for (const PartitionId p : to_spawn) {
+    // The dead thread already exited its loop; join reclaims it, then a
+    // fresh thread takes over the partition from the current round.
     workers_[p].join();
     workers_[p] =
         std::thread([this, p, resume_round] { workerLoop(p, resume_round); });
@@ -350,7 +243,7 @@ std::uint32_t AsyncCluster::respawnDead() {
   return respawned;
 }
 
-std::uint32_t AsyncCluster::aliveWorkers() {
+std::uint32_t Cluster::aliveWorkers() {
   std::lock_guard lock(mutex_);
   std::uint32_t alive = 0;
   for (const std::uint8_t d : dead_) {
@@ -359,23 +252,29 @@ std::uint32_t AsyncCluster::aliveWorkers() {
   return alive;
 }
 
-void AsyncCluster::workerLoop(PartitionId p, std::uint64_t start_round) {
+void Cluster::workerLoop(PartitionId p, std::uint64_t start_round) {
   Tracer::setCurrentThreadName("partition-" + std::to_string(p));
   std::uint64_t seen_round = start_round;
   while (true) {
     std::unique_lock lock(mutex_);
     work_available_.wait(lock, [&] {
       return shutting_down_ || (mode_ == Mode::kWaves && queued_ > 0) ||
-             (mode_ == Mode::kAll && round_ != seen_round);
+             (mode_ == Mode::kRound && round_ != seen_round);
     });
     if (shutting_down_) {
       return;
     }
-    if (mode_ == Mode::kAll && round_ != seen_round) {
+    if (mode_ == Mode::kRound && round_ != seen_round) {
       seen_round = round_;
       const std::function<void(PartitionId)>* job = job_;
       lock.unlock();
+      // Perturb the release from the round barrier (before timing starts)
+      // and the arrival back at it (after timing ends): under the
+      // determinism harness every run sees a different worker interleaving.
       perturbPoint(seen_round, p, /*salt=*/0);
+      // Busy = CPU time (workers share cores; wall time would charge a
+      // worker for time spent descheduled while peers ran). End timestamps
+      // stay on the wall clock for barrier-wait (sync) computation.
       const std::int64_t cpu_start = threadCpuNowNs();
       bool died = false;
       std::string fault_detail;
@@ -396,10 +295,12 @@ void AsyncCluster::workerLoop(PartitionId p, std::uint64_t start_round) {
         dead_[p] = 1;
         faults_.push_back(FaultRecord{p, std::move(fault_detail)});
       }
-      if (--all_remaining_ == 0) {
+      if (--round_remaining_ == 0) {
         phase_done_cv_.notify_all();
       }
       if (died) {
+        // The worker is gone until respawnDead(); the thread exits so the
+        // failure is a real thread death, not a flagged skip.
         return;
       }
       continue;
@@ -522,63 +423,6 @@ void AsyncCluster::workerLoop(PartitionId p, std::uint64_t start_round) {
       }
     }
     if (died) {
-      return;
-    }
-  }
-}
-
-void Cluster::workerLoop(PartitionId p, std::uint64_t start_round) {
-  Tracer::setCurrentThreadName("partition-" + std::to_string(p));
-  std::uint64_t seen_round = start_round;
-  while (true) {
-    const std::function<void(PartitionId)>* job = nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      round_start_.wait(lock, [&] {
-        return shutting_down_ || round_ != seen_round;
-      });
-      if (shutting_down_) {
-        return;
-      }
-      seen_round = round_;
-      job = job_;
-    }
-    // Perturb the release from the round barrier (before timing starts) and
-    // the arrival back at it (after timing ends): under the determinism
-    // harness every run sees a different worker interleaving.
-    perturbPoint(seen_round, p, /*salt=*/0);
-    // Busy = CPU time (workers share cores; wall time would charge a worker
-    // for time spent descheduled while peers ran). End timestamps stay on
-    // the wall clock for barrier-wait (sync) computation.
-    start_ns_[p] = steadyNowNs();
-    const std::int64_t cpu_start = threadCpuNowNs();
-    bool died = false;
-    std::string fault_detail;
-    {
-      TraceSpan job_span("cluster", "cluster.job", "partition", p);
-      try {
-        (*job)(p);
-      } catch (const fault::WorkerFault& f) {
-        died = true;
-        fault_detail = f.what();
-      }
-    }
-    cpu_busy_ns_[p] = threadCpuNowNs() - cpu_start;
-    end_ns_[p] = steadyNowNs();
-    perturbPoint(seen_round, p, /*salt=*/1);
-    {
-      std::lock_guard lock(mutex_);
-      if (died) {
-        dead_[p] = 1;
-        faults_.push_back(FaultRecord{p, std::move(fault_detail)});
-      }
-      if (--remaining_ == 0) {
-        round_done_.notify_all();
-      }
-    }
-    if (died) {
-      // The worker is gone until respawnDead(); the thread exits so the
-      // failure is a real thread death, not a flagged skip.
       return;
     }
   }

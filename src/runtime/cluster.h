@@ -1,17 +1,34 @@
 // Cluster — the simulated distributed substrate.
 //
 // One long-lived worker thread per partition stands in for the paper's one
-// EC2 VM per partition. The coordinator drives rounds: run(job) executes
-// job(p) on every worker concurrently and blocks until all finish, like a
-// BSP compute phase ending at a barrier.
+// EC2 VM per partition. The coordinator drives it two ways:
 //
-// Per round and per partition the cluster records busy time and barrier
-// (sync) wait — the raw series behind Fig. 7b/7d's compute / sync split.
+//  * run(job) — a barriered round: job(p) on every worker concurrently,
+//    blocking until all finish, like a BSP compute phase ending at a
+//    barrier. Used for BSP supersteps, end-of-timestep rounds and
+//    maintenance rounds under either schedule. Per partition it records
+//    busy time and barrier (sync) wait — the raw series behind Fig. 7b/7d's
+//    compute / sync split.
+//  * runWaves(driver, initial) — the dependency-driven phase behind
+//    `--schedule=async`. A wave is the set of partitions actually ready for
+//    superstep s (per ReadyTracker). Each wave's tasks are dealt to their
+//    owning workers' steal-deques; an idle worker whose own deque is dry
+//    steals whole partition-tasks from stragglers instead of blocking at a
+//    barrier. The last task to finish a wave *seals* it — runs the driver's
+//    delivery/termination step exclusively — and pushes the next wave's
+//    tasks, so there is no coordinator rendezvous per superstep.
 //
-// Fault model: a job that throws fault::WorkerFault kills its worker — the
-// thread records the death and exits, the round still completes (the
-// barrier never hangs). The coordinator observes the casualty via
-// hasFaults(), rolls back, and calls respawnDead() before the next round.
+// Wave tasks are whole (partition, superstep) units — programs are stateful
+// per partition, so a partition's subgraphs must run on one thread, in
+// local order. That granularity also makes async output byte-identical to
+// BSP: one thread replays exactly the BSP send sequence of that partition.
+//
+// Fault model: a job or task that throws fault::WorkerFault kills the
+// executing worker thread (even if the task was stolen — the thief's host
+// dies). A round still completes (the barrier never hangs); a wave phase
+// discards its queued tasks and lets in-flight ones drain. Either entry
+// point then throws fault::RecoveryNeeded, and the coordinator rolls back
+// and calls respawnDead() before the next round.
 #pragma once
 
 #include <condition_variable>
@@ -30,92 +47,10 @@ namespace tsg {
 
 class Cluster {
  public:
-  explicit Cluster(std::uint32_t num_partitions);
-  ~Cluster();
-
-  Cluster(const Cluster&) = delete;
-  Cluster& operator=(const Cluster&) = delete;
-
   struct RoundTiming {
     std::int64_t busy_ns = 0;  // CPU time consumed by job(p)
     std::int64_t sync_ns = 0;  // own finish -> slowest worker's finish (wall)
   };
-
-  // Runs job(p) on every partition worker; blocks until the round ends.
-  // The returned reference is valid until the next run() call. All workers
-  // must be alive (respawnDead() after a fault).
-  const std::vector<RoundTiming>& run(
-      const std::function<void(PartitionId)>& job);
-
-  [[nodiscard]] std::uint32_t numPartitions() const {
-    return static_cast<std::uint32_t>(timings_.size());
-  }
-
-  // One worker death, as observed at the round barrier.
-  struct FaultRecord {
-    PartitionId partition = kInvalidPartition;
-    std::string detail;
-  };
-
-  // True if any worker died during the last round.
-  [[nodiscard]] bool hasFaults();
-  // Drains the recorded deaths (oldest first).
-  std::vector<FaultRecord> takeFaults();
-  // Joins every dead worker thread and spawns a replacement; returns how
-  // many were respawned. Must be called between rounds.
-  std::uint32_t respawnDead();
-  // Number of workers currently alive (for tests).
-  [[nodiscard]] std::uint32_t aliveWorkers();
-
- private:
-  void workerLoop(PartitionId p, std::uint64_t start_round);
-
-  std::mutex mutex_;
-  std::condition_variable round_start_;
-  std::condition_variable round_done_;
-  const std::function<void(PartitionId)>* job_ = nullptr;
-  std::uint64_t round_ = 0;
-  std::uint32_t remaining_ = 0;
-  bool shutting_down_ = false;
-  std::vector<std::uint8_t> dead_;        // guarded by mutex_
-  std::vector<FaultRecord> faults_;       // guarded by mutex_
-
-  std::vector<std::int64_t> start_ns_;
-  std::vector<std::int64_t> end_ns_;
-  std::vector<std::int64_t> cpu_busy_ns_;
-  std::vector<RoundTiming> timings_;
-  // Cached handles: run() executes once per superstep, so it bumps the
-  // cells directly instead of re-doing the registry name lookup.
-  MetricsRegistry::Counter& m_rounds_;
-  MetricsRegistry::Counter& m_barrier_wait_ns_;
-  MetricsRegistry::Counter& m_respawns_;
-  std::vector<std::thread> workers_;
-};
-
-// AsyncCluster — the dependency-driven substrate behind `--schedule=async`.
-//
-// Where Cluster rendezvouses every partition at a global barrier each
-// superstep, AsyncCluster runs *waves*: the set of partitions that are
-// actually ready for superstep s (per ReadyTracker). Each wave's tasks are
-// dealt to their owning workers' steal-deques; an idle worker whose own
-// deque is dry steals whole partition-tasks from stragglers instead of
-// blocking in barrier_wait. The last task to finish a wave *seals* it —
-// runs the driver's delivery/termination step exclusively — and pushes the
-// next wave's tasks, so there is no coordinator rendezvous per superstep
-// at all: control threads only sleep at phase boundaries.
-//
-// Tasks are whole (partition, superstep) units — programs are stateful per
-// partition, so a partition's subgraphs must run on one thread, in local
-// order. That granularity also makes async output byte-identical to BSP:
-// one thread replays exactly the BSP send sequence of that partition.
-//
-// Fault model matches Cluster: a task throwing fault::WorkerFault kills the
-// executing worker thread (even if the task was stolen — the thief's host
-// dies); queued tasks are discarded, in-flight tasks finish, and runWaves
-// reports the abort so the engine can roll back and respawnDead().
-class AsyncCluster {
- public:
-  using FaultRecord = Cluster::FaultRecord;
 
   struct TaskInfo {
     std::int32_t wave = 0;
@@ -144,11 +79,18 @@ class AsyncCluster {
     virtual std::vector<PartitionId> sealWave(std::int32_t wave) = 0;
   };
 
-  explicit AsyncCluster(std::uint32_t num_partitions);
-  ~AsyncCluster();
+  explicit Cluster(std::uint32_t num_partitions);
+  ~Cluster();
 
-  AsyncCluster(const AsyncCluster&) = delete;
-  AsyncCluster& operator=(const AsyncCluster&) = delete;
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
+  // Runs job(p) on every partition worker; blocks until the round ends.
+  // The returned reference is valid until the next run() call. All workers
+  // must be alive (respawnDead() after a fault). Throws
+  // fault::RecoveryNeeded if a worker died during the round.
+  const std::vector<RoundTiming>& run(
+      const std::function<void(PartitionId)>& job);
 
   // Runs waves starting with `initial` at `first_wave` until sealWave
   // returns empty. Throws fault::RecoveryNeeded if a worker died or
@@ -156,18 +98,10 @@ class AsyncCluster {
   void runWaves(Driver& driver, const std::vector<PartitionId>& initial,
                 std::int32_t first_wave = 0);
 
-  // Runs job(p) once on every worker concurrently and blocks (used for
-  // maintenance rounds). Timings mirror Cluster::run.
-  const std::vector<Cluster::RoundTiming>& runAll(
-      const std::function<void(PartitionId)>& job);
-
-  [[nodiscard]] std::uint32_t numPartitions() const {
-    return static_cast<std::uint32_t>(deques_.size());
-  }
-
-  [[nodiscard]] bool hasFaults();
-  std::vector<FaultRecord> takeFaults();
+  // Joins every dead worker thread and spawns a replacement; returns how
+  // many were respawned. Must be called between rounds.
   std::uint32_t respawnDead();
+  // Number of workers currently alive (for tests).
   [[nodiscard]] std::uint32_t aliveWorkers();
 
  private:
@@ -177,7 +111,7 @@ class AsyncCluster {
     std::int64_t push_ns = 0;
   };
 
-  enum class Mode : std::uint8_t { kIdle, kWaves, kAll };
+  enum class Mode : std::uint8_t { kIdle, kRound, kWaves };
 
   void workerLoop(PartitionId p, std::uint64_t start_round);
   // Called with mutex_ held: push one task per partition for `wave`.
@@ -188,12 +122,31 @@ class AsyncCluster {
   // Refreshes cluster.ready_queue_depth from queued_ + executing_ (tasks
   // admitted to the current wave and not yet completed). Mutex must be held.
   void updateReadyDepthLocked();
+  // Called with mutex_ held: drains the death records into `detail` (dead_
+  // stays set for respawnDead) so a stale record cannot fail the rerun
+  // after the engine recovers. Returns whether any worker died.
+  bool drainFaultsLocked(std::string& detail);
+
+  struct FaultRecord {
+    PartitionId partition = kInvalidPartition;
+    std::string detail;
+  };
 
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable phase_done_cv_;
 
   Mode mode_ = Mode::kIdle;
+  bool shutting_down_ = false;
+  std::vector<std::uint8_t> dead_;   // guarded by mutex_
+  std::vector<FaultRecord> faults_;  // guarded by mutex_
+
+  // Round state.
+  const std::function<void(PartitionId)>* job_ = nullptr;
+  std::uint64_t round_ = 0;
+  std::uint32_t round_remaining_ = 0;
+
+  // Wave-phase state.
   Driver* driver_ = nullptr;
   std::int32_t wave_ = 0;
   std::uint32_t outstanding_ = 0;  // tasks pushed, not yet completed
@@ -201,15 +154,6 @@ class AsyncCluster {
   bool phase_done_ = false;
   bool abort_ = false;
   std::string abort_detail_;
-
-  // runAll round state (mirrors Cluster).
-  const std::function<void(PartitionId)>* job_ = nullptr;
-  std::uint64_t round_ = 0;
-  std::uint32_t all_remaining_ = 0;
-
-  bool shutting_down_ = false;
-  std::vector<std::uint8_t> dead_;   // guarded by mutex_
-  std::vector<FaultRecord> faults_;  // guarded by mutex_
 
   std::vector<StealDeque<Task>> deques_;  // all access under mutex_
   // Gap-time accounting for TaskInfo::ready_wait_ns (guarded by mutex_):
@@ -219,8 +163,12 @@ class AsyncCluster {
   std::int64_t idle_since_ns_ = -1;
   std::vector<std::int64_t> end_ns_;
   std::vector<std::int64_t> cpu_busy_ns_;
-  std::vector<Cluster::RoundTiming> timings_;
+  std::vector<RoundTiming> timings_;
 
+  // Cached handles: run() executes once per superstep, so it bumps the
+  // cells directly instead of re-doing the registry name lookup.
+  MetricsRegistry::Counter& m_rounds_;
+  MetricsRegistry::Counter& m_barrier_wait_ns_;
   MetricsRegistry::Counter& m_waves_;
   MetricsRegistry::Counter& m_steals_;
   MetricsRegistry::Counter& m_ready_wait_ns_;

@@ -57,9 +57,9 @@ struct FaultSpec {
   std::int64_t delay_us = 2000;               // for kDelay
 };
 
-// Thrown out of a worker job when a kill fault fires. Cluster::workerLoop
-// catches it, records the death and lets the thread exit; the coordinator
-// then raises RecoveryNeeded.
+// Thrown out of a worker job or wave task when a kill fault fires.
+// Cluster::workerLoop catches it, records the death and lets the thread
+// exit; Cluster::run / Cluster::runWaves then raise RecoveryNeeded.
 class WorkerFault : public std::exception {
  public:
   WorkerFault(PartitionId partition, Timestep timestep, Site site);

@@ -5,7 +5,7 @@
 namespace tsg {
 
 ReadyTracker::ReadyTracker(std::int32_t num_partitions)
-    : num_partitions_(num_partitions),
+    : num_partitions_(static_cast<PartitionId>(num_partitions)),
       pending_(static_cast<std::size_t>(num_partitions), 0),
       halted_(static_cast<std::size_t>(num_partitions), 0) {
   TSG_CHECK(num_partitions > 0);
@@ -18,22 +18,21 @@ void ReadyTracker::beginTimestep() {
 }
 
 void ReadyTracker::recordDelivery(PartitionId to, std::uint64_t messages) {
-  TSG_CHECK(to >= 0 && to < num_partitions_);
-  pending_[static_cast<std::size_t>(to)] += messages;
+  TSG_CHECK(to < num_partitions_);
+  pending_[to] += messages;
 }
 
 void ReadyTracker::recordQuiesce(PartitionId p, bool halted) {
-  TSG_CHECK(p >= 0 && p < num_partitions_);
-  halted_[static_cast<std::size_t>(p)] = halted ? 1 : 0;
+  TSG_CHECK(p < num_partitions_);
+  halted_[p] = halted ? 1 : 0;
 }
 
 std::vector<PartitionId> ReadyTracker::advance() {
   ++wave_;
   std::vector<PartitionId> eligible;
   eligible.reserve(pending_.size());
-  for (std::int32_t p = 0; p < num_partitions_; ++p) {
-    const auto i = static_cast<std::size_t>(p);
-    if (pending_[i] > 0 || halted_[i] == 0) {
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    if (pending_[p] > 0 || halted_[p] == 0) {
       eligible.push_back(p);
     } else {
       ++skipped_;
@@ -44,9 +43,8 @@ std::vector<PartitionId> ReadyTracker::advance() {
 }
 
 bool ReadyTracker::terminated() const {
-  for (std::int32_t p = 0; p < num_partitions_; ++p) {
-    const auto i = static_cast<std::size_t>(p);
-    if (pending_[i] > 0 || halted_[i] == 0) {
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    if (pending_[p] > 0 || halted_[p] == 0) {
       return false;
     }
   }
@@ -54,8 +52,8 @@ bool ReadyTracker::terminated() const {
 }
 
 std::uint64_t ReadyTracker::pendingMessages(PartitionId p) const {
-  TSG_CHECK(p >= 0 && p < num_partitions_);
-  return pending_[static_cast<std::size_t>(p)];
+  TSG_CHECK(p < num_partitions_);
+  return pending_[p];
 }
 
 }  // namespace tsg

@@ -9,7 +9,7 @@
 // to do — it is skipped instead of being marched through an empty round.
 //
 // The tracker is deliberately single-threaded: the wave scheduler
-// (AsyncCluster's seal step) owns the lock and calls into it, which keeps
+// (Cluster::runWaves's seal step) owns the lock and calls into it, which keeps
 // the readiness rule a pure function that unit tests can drive directly
 // with out-of-order delivery sequences.
 #pragma once
@@ -59,7 +59,7 @@ class ReadyTracker {
   [[nodiscard]] std::uint64_t pendingMessages(PartitionId p) const;
 
  private:
-  std::int32_t num_partitions_;
+  PartitionId num_partitions_;
   std::int32_t wave_ = 0;
   std::vector<std::uint64_t> pending_;  // per-partition, for wave_ + 1
   std::vector<std::uint8_t> halted_;    // per-partition, as of last quiesce

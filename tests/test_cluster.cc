@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
+
+#include "common/stopwatch.h"
+#include "runtime/fault_injector.h"
 
 namespace tsg {
 namespace {
@@ -31,14 +34,15 @@ TEST(Cluster, RepeatedRoundsReuseWorkers) {
 TEST(Cluster, TimingsMeasureBusyAndSync) {
   Cluster cluster(2);
   // Busy time is per-thread CPU time, so the slow partition must burn CPU
-  // (a sleep would register ~0 busy).
+  // (a sleep would register ~0 busy). It spins until its own CPU clock has
+  // advanced 20ms: a wall-clock deadline would burn less CPU whenever the
+  // host is oversubscribed (as under a parallel ctest).
   const auto& timings = cluster.run([](PartitionId p) {
     if (p == 0) {
       volatile std::uint64_t sink = 0;
-      const auto start = std::chrono::steady_clock::now();
-      while (std::chrono::steady_clock::now() - start <
-             std::chrono::milliseconds(20)) {
-        sink += 1;
+      const std::int64_t start = threadCpuNowNs();
+      while (threadCpuNowNs() - start < 20'000'000) {
+        sink = sink + 1;
       }
     }
   });
@@ -77,6 +81,33 @@ TEST(Cluster, ManyPartitionsOnFewCores) {
   std::atomic<int> total{0};
   cluster.run([&](PartitionId) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 9);
+}
+
+// A job that kills its worker still completes the round (the barrier never
+// hangs), then run() unwinds into recovery. Mirrors the engine's rollback:
+// respawn the dead worker and the next round runs everywhere, with no stale
+// death record left to fail it.
+TEST(Cluster, RoundFaultThrowsRecoveryNeededAndRespawnsCleanly) {
+  Cluster cluster(3);
+  std::vector<std::atomic<int>> hits(3);
+  const auto kill_p1 = [&](PartitionId p) {
+    if (p == 1) {
+      throw fault::WorkerFault(p, /*timestep=*/0, fault::Site::kCompute);
+    }
+    hits[p].fetch_add(1);
+  };
+  EXPECT_THROW(cluster.run(kill_p1), fault::RecoveryNeeded);
+  EXPECT_EQ(hits[0].load(), 1);
+  EXPECT_EQ(hits[2].load(), 1);
+  EXPECT_EQ(cluster.aliveWorkers(), 2u);
+  EXPECT_EQ(cluster.respawnDead(), 1u);
+  EXPECT_EQ(cluster.aliveWorkers(), 3u);
+
+  cluster.run([&](PartitionId p) { hits[p].fetch_add(1); });
+  EXPECT_EQ(hits[0].load(), 2);
+  EXPECT_EQ(hits[1].load(), 1);
+  EXPECT_EQ(hits[2].load(), 2);
+  EXPECT_EQ(cluster.respawnDead(), 0u);
 }
 
 }  // namespace

@@ -596,16 +596,17 @@ class FixedLoadProvider final : public InstanceProvider {
   std::vector<std::int64_t> pending_;
 };
 
-// The async timestep-overlap path copies each instance out of the provider
-// before the timestep's timed rounds start. That load must be charged to
-// superstep 0's load_ns, and must not be subtracted from its compute_ns:
-// taking an hour off a microsecond round would clamp compute to zero.
-TEST(Engine, OverlappedTimestepsChargeProviderLoadWithoutShrinkingCompute) {
+// A temporally concurrent timestep task copies each instance out of the
+// provider before the timestep's timed rounds start. That load must be
+// charged to superstep 0's load_ns, and must not be subtracted from its
+// compute_ns: taking an hour off a microsecond round would clamp compute to
+// zero.
+TEST(Engine, ConcurrentTimestepsChargeProviderLoadWithoutShrinkingCompute) {
   EngineFixture fx(2, 4);
   FixedLoadProvider provider(*fx.provider, fx.pg.numPartitions());
   TiBspConfig config;
   config.pattern = Pattern::kIndependent;
-  config.schedule = Schedule::kAsync;
+  config.temporal_mode = TemporalMode::kConcurrent;
   TiBspEngine engine(fx.pg, provider);
   const auto result = engine.run(
       factoryOf([](SubgraphContext& ctx) { ctx.voteToHalt(); }), config);

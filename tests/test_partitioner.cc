@@ -66,10 +66,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("road", "social"),
                        ::testing::Values(2u, 3u, 6u, 9u),
                        ::testing::Values("hash", "bfs", "ldg")),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_" +
-             std::get<2>(info.param);
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_" +
+             std::get<2>(param_info.param);
     });
 
 TEST(BfsPartitioner, SinglePartitionIsTrivial) {

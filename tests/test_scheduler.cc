@@ -1,5 +1,5 @@
 // Dependency-driven scheduling tests: the ReadyTracker readiness rule, the
-// StealDeque under thread-sanitizer stress, the AsyncCluster wave protocol
+// StealDeque under thread-sanitizer stress, the Cluster wave protocol
 // (seal exclusivity, stealing, fault abort + respawn), and the end-to-end
 // guarantee that --schedule=async output is byte-identical to BSP — with
 // and without injected faults.
@@ -179,33 +179,19 @@ TEST(StealDeque, ConcurrentOwnerAndThievesConserveItems) {
             static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
 }
 
-TEST(ThreadPoolScheduler, ParallelForStealingCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 512;
-  std::vector<std::atomic<int>> hits(kN);
-  std::size_t stolen = 0;
-  pool.parallelForStealing(
-      kN, [&](std::size_t i) { hits[i].fetch_add(1); }, &stolen);
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-  // Stolen count is schedule-dependent but must stay within bounds.
-  EXPECT_LE(stolen, kN);
-}
-
 // ---------------------------------------------------------------------------
-// AsyncCluster — the wave protocol.
+// Cluster::runWaves — the wave protocol.
 // ---------------------------------------------------------------------------
 
 // Scripted driver: wave w runs the partitions the script lists, the seal
 // returns the next wave's set. Verifies seal exclusivity (no task in
 // flight) and per-wave task bookkeeping.
-class ScriptedDriver final : public AsyncCluster::Driver {
+class ScriptedDriver final : public Cluster::Driver {
  public:
   explicit ScriptedDriver(std::vector<std::vector<PartitionId>> script)
       : script_(std::move(script)) {}
 
-  void runTask(PartitionId p, const AsyncCluster::TaskInfo& info) override {
+  void runTask(PartitionId p, const Cluster::TaskInfo& info) override {
     std::lock_guard lock(mutex_);
     ++in_flight_;
     EXPECT_FALSE(sealing_) << "task ran while a seal was in progress";
@@ -247,8 +233,8 @@ class ScriptedDriver final : public AsyncCluster::Driver {
   bool sealing_ = false;
 };
 
-TEST(AsyncCluster, RunsScriptedWavesAndSealsEachExactlyOnce) {
-  AsyncCluster cluster(4);
+TEST(Cluster, RunsScriptedWavesAndSealsEachExactlyOnce) {
+  Cluster cluster(4);
   // Wave 0: everyone. Wave 1: partitions 1 and 3 (0 and 2 "halted").
   // Wave 2: just 3. Then done.
   ScriptedDriver driver({{0, 1, 2, 3}, {1, 3}, {3}});
@@ -269,27 +255,14 @@ TEST(AsyncCluster, RunsScriptedWavesAndSealsEachExactlyOnce) {
   EXPECT_TRUE(seen.count({2, 3}) == 1);
 }
 
-TEST(AsyncCluster, RunAllMirrorsBarrierRound) {
-  AsyncCluster cluster(3);
-  std::vector<std::atomic<int>> hits(3);
-  const auto& timings = cluster.runAll([&](PartitionId p) {
-    hits[p].fetch_add(1);
-  });
-  ASSERT_EQ(timings.size(), 3u);
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
 // A task fault must abort the phase (RecoveryNeeded), leave the dead worker
 // respawnable, and the rerun after respawn must succeed — mirroring the
 // engine's rollback protocol.
-class FaultyDriver final : public AsyncCluster::Driver {
+class FaultyDriver final : public Cluster::Driver {
  public:
-  explicit FaultyDriver(bool* armed) : armed_(armed) {}
-  void runTask(PartitionId p, const AsyncCluster::TaskInfo&) override {
-    if (*armed_ && p == 1) {
-      *armed_ = false;
+  explicit FaultyDriver(std::atomic<bool>* armed) : armed_(armed) {}
+  void runTask(PartitionId p, const Cluster::TaskInfo&) override {
+    if (p == 1 && armed_->exchange(false)) {
       throw fault::WorkerFault(p, /*timestep=*/0, fault::Site::kCompute);
     }
     tasks_.fetch_add(1);
@@ -301,12 +274,12 @@ class FaultyDriver final : public AsyncCluster::Driver {
   std::atomic<int> tasks_{0};
 
  private:
-  bool* armed_;
+  std::atomic<bool>* armed_;  // read by every worker running a task
 };
 
-TEST(AsyncCluster, TaskFaultAbortsPhaseAndRespawnsCleanly) {
-  AsyncCluster cluster(3);
-  bool armed = true;
+TEST(Cluster, WaveTaskFaultAbortsPhaseAndRespawnsCleanly) {
+  Cluster cluster(3);
+  std::atomic<bool> armed{true};
   FaultyDriver driver(&armed);
   EXPECT_THROW(cluster.runWaves(driver, {0, 1, 2}),
                fault::RecoveryNeeded);
@@ -395,6 +368,35 @@ TEST(AsyncSchedule, MemeDigestMatchesBspExactly) {
     return d.hex();
   };
   EXPECT_EQ(digestOf(Schedule::kAsync), digestOf(Schedule::kBsp));
+}
+
+// Every wait a run's records charge to sync_ns is metered in the registry:
+// barrier rounds (BSP supersteps, end-of-timestep and maintenance rounds,
+// under either schedule) into cluster.barrier_wait_ns, async wave pickups
+// into engine.ready_wait_ns. Nothing is counted twice or left out.
+TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
+  auto tmpl = smallSocial(64);
+  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
+  TimeSeriesCollection coll = tweetCollection(tmpl, kTimesteps);
+  for (const Schedule schedule : {Schedule::kBsp, Schedule::kAsync}) {
+    DirectInstanceProvider provider(pg, coll);
+    MemeOptions options;
+    options.tweets_attr = tmpl->vertexSchema().requireIndex("tweets");
+    options.maintenance_period = 2;
+    options.schedule = schedule;
+    const auto run = runMemeTracking(pg, provider, options);
+    std::int64_t sync_ns = 0;
+    for (const auto& rec : run.exec.stats.supersteps()) {
+      for (const auto& part : rec.parts) {
+        sync_ns += part.sync_ns;
+      }
+    }
+    const auto& stats = run.exec.stats;
+    EXPECT_EQ(sync_ns, metricTotal(stats, "cluster.barrier_wait_ns") +
+                           metricTotal(stats, "engine.ready_wait_ns"))
+        << (schedule == Schedule::kBsp ? "bsp" : "async");
+    EXPECT_GT(metricTotal(stats, "cluster.rounds"), 0);
+  }
 }
 
 // Async × fault recovery: a worker killed mid-compute and a dropped

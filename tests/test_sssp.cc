@@ -50,10 +50,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SsspProperty,
     ::testing::Combine(::testing::Values(6, 10), ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(1, 7, 13)),
-    [](const auto& info) {
-      return "g" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return "g" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(SubgraphSssp, UnweightedDegeneratesToBfs) {

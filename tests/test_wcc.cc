@@ -72,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, WccProperty,
     ::testing::Combine(::testing::Values("road", "social", "multi"),
                        ::testing::Values(1u, 2u, 4u, 7u)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_k" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) + "_k" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Wcc, CountsComponents) {

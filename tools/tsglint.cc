@@ -100,7 +100,9 @@ int main(int argc, char** argv) {
     }
   }
   if (options.root.empty()) {
-    options.root = ".";
+    // Move-assign: GCC 12 reports a false -Wrestrict on
+    // operator=(const char*) at -O2.
+    options.root = std::string(".");
   }
   if (paths.empty()) {
     paths = {"src", "tools", "tests", "bench"};
