@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths:
 // serialization, attribute gather/scatter, message bus delivery, RNG,
-// partitioning and subgraph decomposition throughput.
+// partitioning and subgraph decomposition throughput, and the subgraph
+// Dijkstra kernel under TDSP.
 #include <benchmark/benchmark.h>
 
+#include "algorithms/tdsp.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "generators/instances.h"
@@ -213,6 +215,42 @@ void BM_PartitionGather(benchmark::State& state) {
                           static_cast<std::int64_t>(tmpl->numEdges()));
 }
 BENCHMARK(BM_PartitionGather);
+
+// TDSP on one CARN-like subgraph (a 10k-vertex lattice, one partition) over
+// a few timesteps, with the road workload's latency scale relative to δ:
+// each timestep re-roots the growing finalized frontier and runs the
+// horizon-bounded kernel, so the kernel dominates the engine's per-timestep
+// overhead.
+void BM_TdspSubgraphCompute(benchmark::State& state) {
+  auto tmpl = benchRoad(100);
+  auto pg_result = PartitionedGraph::build(
+      tmpl, PartitionAssignment(tmpl->numVertices(), 0), 1);
+  TSG_CHECK(pg_result.isOk());
+  const auto pg = std::move(pg_result).value();
+  TSG_CHECK(pg.numSubgraphs() == 1);
+  const auto timesteps = static_cast<std::uint32_t>(state.range(0));
+  RoadInstanceOptions rio;
+  rio.num_timesteps = timesteps;
+  rio.delta = 5;
+  rio.min_latency = 0.04;
+  rio.max_latency = 0.9;
+  auto coll = makeRoadInstances(tmpl, rio);
+  TSG_CHECK(coll.isOk());
+  DirectInstanceProvider provider(pg, coll.value());
+  TdspOptions options;
+  options.source = tmpl->numVertices() / 2;
+  options.latency_attr = 0;
+  options.while_mode = false;
+  for (auto _ : state) {
+    auto run = runTdsp(pg, provider, options);
+    benchmark::DoNotOptimize(run.tdsp.data());
+  }
+  state.SetItemsProcessed(state.iterations() * timesteps);
+}
+BENCHMARK(BM_TdspSubgraphCompute)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

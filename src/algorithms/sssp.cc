@@ -1,96 +1,44 @@
 #include "algorithms/sssp.h"
 
 #include <limits>
-#include <queue>
-#include <unordered_map>
 
-#include "algorithms/codec.h"
+#include "algorithms/subgraph_dijkstra.h"
 
 namespace tsg {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using HeapEntry = std::pair<double, VertexIndex>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+static_assert(SsspOptions::kUnweighted == SubgraphDijkstra::kNoAttr);
 
 class SsspProgram final : public TiBspProgram {
  public:
   SsspProgram(const SsspOptions& options, std::vector<double>& distances)
-      : options_(options), distances_(distances) {}
+      : options_(options),
+        distances_(distances),
+        dijkstra_(distances, options.latency_attr) {}
 
   void compute(SubgraphContext& ctx) override {
     const Subgraph& sg = ctx.subgraph();
-    MinHeap heap;
-
     if (ctx.superstep() == 0) {
       for (const VertexIndex v : sg.vertices) {
         distances_[v] = kInf;
       }
       if (ctx.ownsVertex(options_.source) &&
           ctx.partitionedGraph().subgraphOfVertex(options_.source) == sg.id) {
-        distances_[options_.source] = 0.0;
-        heap.push({0.0, options_.source});
+        dijkstra_.seed(ctx, options_.source, 0.0);
       }
     } else {
-      for (const Message& msg : ctx.messages()) {
-        for (const auto& item : decodeVertexLabels(msg.payload)) {
-          if (item.label < distances_[item.vertex]) {
-            distances_[item.vertex] = item.label;
-            heap.push({item.label, item.vertex});
-          }
-        }
-      }
+      dijkstra_.seedFromMessages(ctx);
     }
-
-    // Dijkstra inside the subgraph; candidates crossing a remote edge are
-    // batched per destination subgraph (best candidate per vertex).
-    std::unordered_map<SubgraphId, std::unordered_map<VertexIndex, double>>
-        remote_best;
-    const auto& pg = ctx.partitionedGraph();
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (d > distances_[v]) {
-        continue;
-      }
-      for (const auto& oe : ctx.graphTemplate().outEdges(v)) {
-        const double w =
-            options_.latency_attr == SsspOptions::kUnweighted
-                ? 1.0
-                : ctx.edgeDouble(options_.latency_attr, oe.edge);
-        const double candidate = d + w;
-        const SubgraphId dst_sg = pg.subgraphOfVertex(oe.dst);
-        if (dst_sg == sg.id) {
-          if (candidate < distances_[oe.dst]) {
-            distances_[oe.dst] = candidate;
-            heap.push({candidate, oe.dst});
-          }
-        } else {
-          auto& best = remote_best[dst_sg];
-          const auto it = best.find(oe.dst);
-          if (it == best.end() || candidate < it->second) {
-            best[oe.dst] = candidate;
-          }
-        }
-      }
-    }
-
-    for (const auto& [dst_sg, candidates] : remote_best) {
-      std::vector<VertexLabel> batch;
-      batch.reserve(candidates.size());
-      for (const auto& [v, label] : candidates) {
-        batch.push_back({v, label});
-      }
-      ctx.sendToSubgraph(dst_sg, encodeVertexLabels(batch));
-    }
+    dijkstra_.run(ctx, kInf);
     ctx.voteToHalt();
   }
 
  private:
   const SsspOptions& options_;
   std::vector<double>& distances_;  // shared; this partition's vertices only
+  SubgraphDijkstra dijkstra_;       // relaxes distances_
 };
 
 }  // namespace

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <unordered_map>
 
 #include "algorithms/codec.h"
+#include "algorithms/subgraph_dijkstra.h"
 
 namespace tsg {
 namespace {
@@ -13,9 +13,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr const char* kTotalFinalizedAgg = "tdsp_total_finalized";
 
-using HeapEntry = std::pair<double, VertexIndex>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+static_assert(TdspOptions::kNoExistsAttr == SubgraphDijkstra::kNoAttr);
 
 class TdspProgram final : public TiBspProgram {
  public:
@@ -27,13 +25,15 @@ class TdspProgram final : public TiBspProgram {
         options_(options),
         tdsp_(tdsp),
         finalized_at_(finalized_at),
-        label_(pg.graphTemplate().numVertices(), kInf) {}
+        label_(pg.graphTemplate().numVertices(), kInf),
+        dijkstra_(label_, options.latency_attr, options.exists_attr) {}
 
   // Checkpoint hooks: the frontier F and done_ flag carry across timesteps,
   // and endOfTimestep writes this partition's slice of the shared tdsp_/
   // finalized_at_ results — all of it must roll back with the engine, or a
   // replayed timestep would skip vertices the aborted attempt finalized.
-  // label_ stays out: compute rebuilds it at superstep 0 of every timestep.
+  // label_ and the kernel's scratch stay out: compute rebuilds label_ at
+  // superstep 0 of every timestep.
   void saveState(BinaryWriter& w) const override {
     w.writeBool(done_);
     for (const VertexIndex v : pg_.partition(partition_).vertices) {
@@ -90,85 +90,25 @@ class TdspProgram final : public TiBspProgram {
       return;
     }
 
-    MinHeap heap;
     if (ctx.superstep() == 0) {
       // Fresh tentative labels for this instance; finalized vertices keep
       // their arrival in tdsp_ and re-enter as roots at t·δ (idling edges).
       for (const VertexIndex v : sg.vertices) {
         label_[v] = kInf;
       }
-      if (t == options_.first_timestep) {
-        if (pg.subgraphOfVertex(options_.source) == sg.id) {
-          label_[options_.source] = 0.0;
-          heap.push({0.0, options_.source});
-        }
+      if (t == options_.first_timestep &&
+          pg.subgraphOfVertex(options_.source) == sg.id) {
+        dijkstra_.seed(ctx, options_.source, 0.0);
       }
       // Roots from the previous timestep's frontier (messages carry the
       // accumulated finalized set F of this subgraph; Alg. 2 line 9-11).
-      const double root_label = delta * static_cast<double>(t);
-      for (const Message& msg : ctx.messages()) {
-        for (const VertexIndex v : decodeVertexList(msg.payload)) {
-          if (root_label < label_[v]) {
-            label_[v] = root_label;
-            heap.push({root_label, v});
-          }
-        }
-      }
+      dijkstra_.seedRootsFromMessages(ctx, delta * static_cast<double>(t));
     } else {
       // Relaxations arriving over remote edges (Alg. 2 line 13-18).
-      for (const Message& msg : ctx.messages()) {
-        for (const auto& item : decodeVertexLabels(msg.payload)) {
-          if (item.label < label_[item.vertex]) {
-            label_[item.vertex] = item.label;
-            heap.push({item.label, item.vertex});
-          }
-        }
-      }
+      dijkstra_.seedFromMessages(ctx);
     }
-
     // ModifiedSSSP: horizon-bounded Dijkstra inside the subgraph.
-    std::unordered_map<SubgraphId, std::unordered_map<VertexIndex, double>>
-        remote_best;
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (d > label_[v]) {
-        continue;
-      }
-      for (const auto& oe : ctx.graphTemplate().outEdges(v)) {
-        if (options_.exists_attr != TdspOptions::kNoExistsAttr &&
-            !ctx.edgeBool(options_.exists_attr, oe.edge)) {
-          continue;  // road closed during this instance (isExists == false)
-        }
-        const double candidate =
-            d + ctx.edgeDouble(options_.latency_attr, oe.edge);
-        if (candidate > horizon) {
-          continue;  // unknowable beyond this instance's validity window
-        }
-        const SubgraphId dst_sg = pg.subgraphOfVertex(oe.dst);
-        if (dst_sg == sg.id) {
-          if (candidate < label_[oe.dst]) {
-            label_[oe.dst] = candidate;
-            heap.push({candidate, oe.dst});
-          }
-        } else {
-          auto& best = remote_best[dst_sg];
-          const auto it = best.find(oe.dst);
-          if (it == best.end() || candidate < it->second) {
-            best[oe.dst] = candidate;
-          }
-        }
-      }
-    }
-
-    for (const auto& [dst_sg, candidates] : remote_best) {
-      std::vector<VertexLabel> batch;
-      batch.reserve(candidates.size());
-      for (const auto& [v, lbl] : candidates) {
-        batch.push_back({v, lbl});
-      }
-      ctx.sendToSubgraph(dst_sg, encodeVertexLabels(batch));
-    }
+    dijkstra_.run(ctx, horizon);
     ctx.voteToHalt();
   }
 
@@ -224,6 +164,7 @@ class TdspProgram final : public TiBspProgram {
   std::vector<double>& tdsp_;
   std::vector<Timestep>& finalized_at_;
   std::vector<double> label_;  // tentative labels, this partition's vertices
+  SubgraphDijkstra dijkstra_;  // relaxes label_
   std::unordered_map<SubgraphId, std::vector<VertexIndex>> finalized_by_sg_;
   bool done_ = false;
 };

@@ -197,20 +197,15 @@ const std::vector<std::string>& SubgraphContext::vertexStringList(
   TSG_CHECK(attr < inst.vertex_cols.size());
   return inst.vertex_cols[attr].asStringList()[vertexSlot(state_, v)];
 }
-std::int64_t SubgraphContext::edgeInt64(std::size_t attr, EdgeIndex e) const {
-  const auto& inst = instanceOf(state_);
-  TSG_CHECK(attr < inst.edge_cols.size());
-  return inst.edge_cols[attr].asInt64()[edgeSlot(state_, e)];
-}
 double SubgraphContext::edgeDouble(std::size_t attr, EdgeIndex e) const {
   const auto& inst = instanceOf(state_);
   TSG_CHECK(attr < inst.edge_cols.size());
   return inst.edge_cols[attr].asDouble()[edgeSlot(state_, e)];
 }
-bool SubgraphContext::edgeBool(std::size_t attr, EdgeIndex e) const {
+const AttributeColumn& SubgraphContext::edgeColumn(std::size_t attr) const {
   const auto& inst = instanceOf(state_);
   TSG_CHECK(attr < inst.edge_cols.size());
-  return inst.edge_cols[attr].asBool()[edgeSlot(state_, e)] != 0;
+  return inst.edge_cols[attr];
 }
 
 std::span<const Message> SubgraphContext::messages() const {

@@ -71,9 +71,12 @@ class SubgraphContext {
                                                 VertexIndex v) const;
   [[nodiscard]] const std::vector<std::string>& vertexStringList(
       std::size_t attr, VertexIndex v) const;
-  [[nodiscard]] std::int64_t edgeInt64(std::size_t attr, EdgeIndex e) const;
   [[nodiscard]] double edgeDouble(std::size_t attr, EdgeIndex e) const;
-  [[nodiscard]] bool edgeBool(std::size_t attr, EdgeIndex e) const;
+  // This partition's whole column of edge attribute attr, indexed by
+  // PartitionedGraph::localIndexOfEdge. Inner loops read it once instead of
+  // paying edgeDouble's per-call ownership and type checks; the caller must
+  // then keep to edges whose source this partition owns.
+  [[nodiscard]] const AttributeColumn& edgeColumn(std::size_t attr) const;
 
   // --- messages delivered to this subgraph this superstep ---
   [[nodiscard]] std::span<const Message> messages() const;

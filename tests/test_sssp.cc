@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <tuple>
 
+#include "algorithms/codec.h"
 #include "algorithms/reference.h"
+#include "algorithms/subgraph_dijkstra.h"
 #include "generators/topology.h"
 #include "test_util.h"
 
@@ -118,6 +122,107 @@ TEST(SubgraphSssp, InvalidSourceAborts) {
   SsspOptions options;
   options.source = 1 << 20;
   EXPECT_DEATH((void)runSubgraphSssp(pg, provider, options), "TSG_CHECK");
+}
+
+// Exactness: labels must equal sequential Dijkstra bit for bit. Latencies
+// are quantised to {0, 1, 2, 3} x 0.7 so zero-latency edges and equal-cost
+// lattice paths tie everywhere; 0.7 is no binary fraction, so a label summed
+// along a different path would round apart.
+class SubgraphSsspExactness
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, Schedule>> {};
+
+TEST_P(SubgraphSsspExactness, QuantisedLatticeMatchesDijkstraExactly) {
+  const auto [k, schedule] = GetParam();
+  auto tmpl = smallRoad(10, 10, 31);
+  auto coll = roadCollection(tmpl, 1, 32);
+  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
+  auto& weights = coll.mutableInstance(0).edgeCol(latency).asDouble();
+  for (double& w : weights) {
+    w = 0.7 * std::floor(w / 3.0);  // uniform [1, 10) -> {0, .7, 1.4, 2.1}
+  }
+  const auto pg = partitionGraph(tmpl, k, 33);
+  DirectInstanceProvider provider(pg, coll);
+
+  SsspOptions options;
+  options.source = 55;
+  options.latency_attr = latency;
+  options.schedule = schedule;
+  const auto run = runSubgraphSssp(pg, provider, options);
+  EXPECT_EQ(run.distances, reference::dijkstra(*tmpl, weights, 55));
+}
+
+TEST_P(SubgraphSsspExactness, UnweightedMatchesDijkstraExactly) {
+  const auto [k, schedule] = GetParam();
+  auto tmpl = smallRoad(10, 10, 34);
+  const auto coll = roadCollection(tmpl, 1, 35);
+  const auto pg = partitionGraph(tmpl, k, 36);
+  DirectInstanceProvider provider(pg, coll);
+
+  SsspOptions options;
+  options.source = 3;
+  options.schedule = schedule;
+  const auto run = runSubgraphSssp(pg, provider, options);
+  EXPECT_EQ(run.distances, reference::dijkstra(*tmpl, {}, 3));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SubgraphSsspExactness,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(Schedule::kBsp, Schedule::kAsync)),
+    [](const auto& param_info) {
+      return "k" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) == Schedule::kBsp ? "_bsp"
+                                                              : "_async");
+    });
+
+// Sends, at superstep 0, a label naming one of the sender's own vertices
+// (or an out-of-range vertex) to another subgraph; the receiving kernel
+// must abort rather than write another subgraph's label.
+class MisroutingProgram final : public TiBspProgram {
+ public:
+  MisroutingProgram(std::vector<double>& labels, VertexIndex named)
+      : named_(named), dijkstra_(labels, SubgraphDijkstra::kNoAttr) {}
+
+  void compute(SubgraphContext& ctx) override {
+    if (ctx.superstep() == 0 && ctx.subgraphId() == 0) {
+      ctx.sendToSubgraph(1, encodeVertexLabels({{named_, 1.0}}));
+    } else if (ctx.superstep() > 0) {
+      dijkstra_.seedFromMessages(ctx);
+      dijkstra_.run(ctx, std::numeric_limits<double>::infinity());
+    }
+    ctx.voteToHalt();
+  }
+
+ private:
+  VertexIndex named_;
+  SubgraphDijkstra dijkstra_;
+};
+
+void runMisrouted(const PartitionedGraph& pg, InstanceProvider& provider,
+                  VertexIndex named) {
+  std::vector<double> labels(pg.graphTemplate().numVertices(),
+                             std::numeric_limits<double>::infinity());
+  TiBspConfig config;
+  config.pattern = Pattern::kSequentiallyDependent;
+  config.num_timesteps = 1;
+  TiBspEngine engine(pg, provider);
+  (void)engine.run(
+      [&](PartitionId) {
+        return std::make_unique<MisroutingProgram>(labels, named);
+      },
+      config);
+}
+
+TEST(SubgraphSssp, MisroutedLabelAborts) {
+  auto tmpl = smallRoad(4, 4);
+  const auto pg = partitionGraph(tmpl, 2);
+  ASSERT_GE(pg.numSubgraphs(), 2u);
+  ASSERT_NE(pg.subgraphOfVertex(pg.subgraph(0).vertices.front()), 1u);
+  const auto coll = roadCollection(tmpl, 1);
+  DirectInstanceProvider provider(pg, coll);
+  EXPECT_DEATH(runMisrouted(pg, provider, pg.subgraph(0).vertices.front()),
+               "outside the receiving subgraph");
+  EXPECT_DEATH(runMisrouted(pg, provider, 1u << 20), "TSG_CHECK");
 }
 
 }  // namespace

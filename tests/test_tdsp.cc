@@ -337,5 +337,139 @@ TEST(TdspClosures, ClosuresOnlyDelayNeverSpeedUp) {
   (void)coll_open;
 }
 
+// Exactness: the subgraph kernel must reproduce the sequential reference
+// bit for bit, so these compare with EXPECT_EQ, never within a tolerance.
+// Latencies are quantised to {0, 1, 2, 3} x 0.7: zero-latency edges and
+// lattice paths of equal hop mix tie constantly, and 0.7 is no binary
+// fraction, so a label summed along a different path would round apart.
+void quantiseLatencies(TimeSeriesCollection& coll, std::size_t latency) {
+  for (std::size_t t = 0; t < coll.numInstances(); ++t) {
+    auto& weights = coll.mutableInstance(static_cast<Timestep>(t))
+                        .edgeCol(latency)
+                        .asDouble();
+    for (double& w : weights) {
+      w = 0.7 * std::floor(w / 3.0);  // uniform [1, 10) -> {0, .7, 1.4, 2.1}
+    }
+  }
+}
+
+class TdspExactness
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, Schedule>> {};
+
+TEST_P(TdspExactness, QuantisedLatticeMatchesReferenceExactly) {
+  const auto [k, schedule] = GetParam();
+  auto tmpl = smallRoad(9, 9, 17);
+  auto coll = roadCollection(tmpl, 30, 18, /*delta=*/2);
+  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
+  quantiseLatencies(coll, latency);
+  const auto pg = partitionGraph(tmpl, k, 19);
+  DirectInstanceProvider provider(pg, coll);
+
+  TdspOptions options;
+  options.source = 40;
+  options.latency_attr = latency;
+  options.schedule = schedule;
+  const auto run = runTdsp(pg, provider, options);
+  const auto expected =
+      reference::timeDependentShortestPath(*tmpl, coll, latency, 40);
+  EXPECT_EQ(run.finalized_at, expected.finalized_at);
+  EXPECT_EQ(run.tdsp, expected.tdsp);
+  EXPECT_GT(run.exec.timesteps_executed, 1);
+}
+
+TEST_P(TdspExactness, QuantisedClosuresMatchReferenceExactly) {
+  // The isExists path: the kernel reads the bool column once per call.
+  const auto [k, schedule] = GetParam();
+  RoadNetworkOptions topo;
+  topo.width = 8;
+  topo.height = 8;
+  topo.seed = 23;
+  auto tmpl = testing::share(testing::unwrap(
+      makeRoadNetwork(topo, AttributeSchema{}, roadEdgeSchemaWithClosures())));
+  RoadInstanceOptions rio;
+  rio.num_timesteps = 25;
+  rio.delta = 2;
+  rio.closure_probability = 0.3;
+  rio.seed = 24;
+  auto coll = unwrap(makeRoadInstances(tmpl, rio));
+  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
+  const std::size_t exists = tmpl->edgeSchema().requireIndex("exists");
+  quantiseLatencies(coll, latency);
+  const auto pg = partitionGraph(tmpl, k, 25);
+  DirectInstanceProvider provider(pg, coll);
+
+  TdspOptions options;
+  options.source = 0;
+  options.latency_attr = latency;
+  options.exists_attr = exists;
+  options.schedule = schedule;
+  const auto run = runTdsp(pg, provider, options);
+  const auto expected =
+      reference::timeDependentShortestPath(*tmpl, coll, latency, 0, exists);
+  EXPECT_EQ(run.finalized_at, expected.finalized_at);
+  EXPECT_EQ(run.tdsp, expected.tdsp);
+}
+
+// Hand-built: zero-latency edges join a root to a root (S->A), cross a
+// partition boundary (A->B) and carry the frontier forward at t=1 (B->C).
+TEST_P(TdspExactness, ZeroLatencyEdgesMatchReferenceExactly) {
+  const auto [k, schedule] = GetParam();
+  GraphTemplateBuilder builder(/*directed=*/true);
+  builder.edgeSchema().add("latency", AttrType::kDouble);
+  for (VertexId id = 0; id < 5; ++id) {  // S, A, B, C, D = 0..4
+    builder.addVertex(id);
+  }
+  builder.addEdge(0, 0, 1);  // S->A
+  builder.addEdge(1, 1, 2);  // A->B
+  builder.addEdge(2, 2, 3);  // B->C
+  builder.addEdge(3, 3, 4);  // C->D
+  builder.addEdge(4, 0, 4);  // S->D
+  auto tmpl = share(unwrap(builder.build()));
+  TimeSeriesCollection coll(tmpl, /*t0=*/0, /*delta=*/1);
+  // Latencies keyed by (src, dst).
+  using Latencies = std::map<std::pair<VertexIndex, VertexIndex>, double>;
+  const Latencies t0 = {
+      {{0, 1}, 0.0}, {{1, 2}, 0.7}, {{2, 3}, 0.7}, {{3, 4}, 5.0},
+      {{0, 4}, 2.1}};  // S, A at 0; B at 0.7
+  Latencies t1 = t0;
+  t1[{2, 3}] = 0.0;  // root B reaches C at exactly 1
+  t1[{3, 4}] = 0.1;  // D at 1 + 0.1
+  for (const Latencies& latencies : {t0, t1, t1}) {
+    auto& weights = coll.appendInstance().edgeCol(0).asDouble();
+    for (VertexIndex v = 0; v < tmpl->numVertices(); ++v) {
+      for (const auto& oe : tmpl->outEdges(v)) {
+        weights[oe.edge] = latencies.at({v, oe.dst});
+      }
+    }
+  }
+  // k=1: one partition; k=2 splits A|B; k=3 also splits C|D.
+  const std::vector<PartitionAssignment> assignments = {
+      {0, 0, 0, 0, 0}, {0, 0, 1, 1, 1}, {0, 0, 1, 1, 2}};
+  const auto pg = unwrap(PartitionedGraph::build(tmpl, assignments[k - 1], k));
+  DirectInstanceProvider provider(pg, coll);
+
+  TdspOptions options;
+  options.source = 0;
+  options.latency_attr = 0;
+  options.schedule = schedule;
+  const auto run = runTdsp(pg, provider, options);
+  const auto expected = reference::timeDependentShortestPath(*tmpl, coll, 0, 0);
+  EXPECT_EQ(run.finalized_at, expected.finalized_at);
+  EXPECT_EQ(run.tdsp, expected.tdsp);
+  EXPECT_EQ(run.finalized_at, (std::vector<Timestep>{0, 0, 0, 1, 1}));
+  EXPECT_EQ(run.tdsp[3], 1.0);
+  EXPECT_EQ(run.tdsp[4], 1.0 + 0.1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TdspExactness,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(Schedule::kBsp, Schedule::kAsync)),
+    [](const auto& param_info) {
+      return "k" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) == Schedule::kBsp ? "_bsp"
+                                                              : "_async");
+    });
+
 }  // namespace
 }  // namespace tsg
