@@ -1,8 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths:
 // serialization, attribute gather/scatter, message bus delivery, RNG,
-// partitioning and subgraph decomposition throughput, and the subgraph
-// Dijkstra kernel under TDSP.
+// partitioning and subgraph decomposition throughput, the subgraph
+// Dijkstra kernel under TDSP, and the cluster's per-barrier cost.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include "algorithms/tdsp.h"
 #include "common/rng.h"
@@ -12,6 +16,7 @@
 #include "gofs/instance_provider.h"
 #include "partition/partitioned_graph.h"
 #include "partition/partitioner.h"
+#include "runtime/cluster.h"
 #include "runtime/message_bus.h"
 
 namespace {
@@ -253,5 +258,43 @@ BENCHMARK(BM_TdspSubgraphCompute)
     ->UseRealTime();
 
 }  // namespace
+
+// The fixed cost of a BSP barrier: per iteration one barriered phase of
+// `waves` waves of empty tasks — push, owner wake-up and seal per wave, plus
+// the coordinator's phase start and return. waves=1 is an end-of-timestep
+// or maintenance phase; many waves are the supersteps of one timestep.
+class EmptyWaves final : public Cluster::Driver {
+ public:
+  EmptyWaves(std::uint32_t k, std::int32_t waves) : all_(k), waves_(waves) {
+    std::iota(all_.begin(), all_.end(), PartitionId{0});
+  }
+  void runTask(PartitionId, const Cluster::TaskInfo&) override {}
+  std::vector<PartitionId> sealWave(std::int32_t wave,
+                                    std::span<const std::int64_t>) override {
+    return wave + 1 < waves_ ? all_ : std::vector<PartitionId>{};
+  }
+  void runPhase(Cluster& cluster) {
+    cluster.runWaves(*this, all_, Cluster::Sync::kBarrier);
+  }
+
+ private:
+  std::vector<PartitionId> all_;
+  std::int32_t waves_;
+};
+
+void BM_BarrieredPhase(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto waves = static_cast<std::int32_t>(state.range(1));
+  Cluster cluster(k);
+  EmptyWaves driver(k, waves);
+  for (auto _ : state) {
+    driver.runPhase(cluster);
+  }
+  state.SetItemsProcessed(state.iterations() * waves);
+}
+BENCHMARK(BM_BarrieredPhase)
+    ->ArgNames({"k", "waves"})
+    ->ArgsProduct({{3, 9}, {1, 64}})
+    ->UseRealTime();
 
 BENCHMARK_MAIN();

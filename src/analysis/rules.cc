@@ -121,7 +121,7 @@ void checkNakedThread(const SourceFile& f, std::vector<Diagnostic>& out) {
         (isIdent(tokens[i + 2], "thread") ||
          isIdent(tokens[i + 2], "jthread"))) {
       emit(f, tokens[i].line, "naked-thread",
-           "spawn workers via runtime/Cluster (rounds and waves) or "
+           "spawn workers via runtime/Cluster (wave phases) or "
            "common/ThreadPool, not std::thread",
            out);
     }

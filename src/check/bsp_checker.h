@@ -15,7 +15,7 @@
 //
 // One BspChecker instance is created per engine run (per MessageBus / per
 // vertex-centric fabric) when checking is enabled. Hooks are threaded
-// through MessageBus, both engine families and the cluster job wrappers;
+// through MessageBus, both engine families and the engine's wave tasks;
 // with checking off every hook site is one null-pointer (or relaxed-load)
 // branch — the same cost model as common/trace.
 //

@@ -23,9 +23,9 @@ std::uint64_t perturbSeed() {
   return perturb_detail::g_perturb_seed.load(std::memory_order_relaxed);  // tsg:mo(seed is set at configuration time, before workers run)
 }
 
-std::uint64_t perturbDelayNs(std::uint64_t round, std::uint32_t partition,
+std::uint64_t perturbDelayNs(std::uint64_t crossing, std::uint32_t partition,
                              std::uint64_t salt) {
-  SplitMix64 mix(perturbSeed() ^ (round * 0x9E3779B97F4A7C15ULL) ^
+  SplitMix64 mix(perturbSeed() ^ (crossing * 0x9E3779B97F4A7C15ULL) ^
                  (static_cast<std::uint64_t>(partition) << 32) ^ salt);
   // 0 .. ~200µs: large enough to reorder workers, small enough that a
   // perturbed run stays within a few × the unperturbed wall time.

@@ -3,9 +3,9 @@
 // BSP semantics promise that results do not depend on how workers are
 // scheduled. The harness tests that promise by re-running the same job
 // under N different perturbed schedules: when perturbation is enabled the
-// Cluster staggers its workers' release from the round barrier and their
-// arrival back at it (and each wave task's pickup and completion) with
-// deterministic per-(seed, round, partition) delays — a seeded stand-in
+// Cluster staggers each wave task's pickup and its arrival at the wave's
+// seal with deterministic per-(seed, barrier crossing, partition) delays —
+// a seeded stand-in
 // for "randomized barrier release order" — and the ThreadPool dispatches
 // parallelFor indices in a seeded shuffled order instead of 0..n-1. Any
 // output divergence between two seeds is a schedule-dependence bug (the
@@ -29,16 +29,16 @@ inline bool perturbEnabled() {
   return perturb_detail::g_perturb_enabled.load(std::memory_order_relaxed);  // tsg:mo(gate read; perturbation is configured before workers start)
 }
 
-// Enables perturbation with the given seed (affects Cluster rounds and
-// waves and ThreadPool::parallelFor dispatch from the next round on).
+// Enables perturbation with the given seed (affects Cluster waves and
+// ThreadPool::parallelFor dispatch from the next wave on).
 void setPerturbation(std::uint64_t seed);
 void clearPerturbation();
 [[nodiscard]] std::uint64_t perturbSeed();
 
-// Deterministic jitter for (round, partition) under the current seed, in
-// nanoseconds (0 .. ~200µs). `salt` decorrelates the two hook points of a
-// round (release vs barrier arrival).
-[[nodiscard]] std::uint64_t perturbDelayNs(std::uint64_t round,
+// Deterministic jitter for (barrier crossing, partition) under the current
+// seed, in nanoseconds (0 .. ~200µs). `salt` decorrelates the two hook
+// points of a crossing (task pickup vs arrival at the seal).
+[[nodiscard]] std::uint64_t perturbDelayNs(std::uint64_t crossing,
                                            std::uint32_t partition,
                                            std::uint64_t salt = 0);
 

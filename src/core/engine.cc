@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 
-// Under ThreadSanitizer malloc is TSan's allocator, so glibc's arenas are
-// never set up; concurrent first calls to malloc_trim then race on glibc's
-// lazy initialization and can crash the maintenance round.
-#if (defined(__GLIBC__) || defined(__linux__)) && !defined(__SANITIZE_THREAD__)
+// Under ThreadSanitizer or AddressSanitizer malloc is the sanitizer's
+// allocator, so glibc's arenas are never set up; concurrent first calls to
+// malloc_trim then race on glibc's lazy initialization and can crash the
+// maintenance wave.
+#if (defined(__GLIBC__) || defined(__linux__)) && \
+    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
 #include <malloc.h>
 #define TSG_HAVE_MALLOC_TRIM 1
 #endif
@@ -34,8 +38,8 @@ namespace tsg {
 namespace core_detail {
 
 // Per-partition execution state backing SubgraphContext. Each instance is
-// touched only by its partition's worker thread during a round; the
-// coordinator reads/drains it between rounds.
+// touched only by the thread running its partition's task during a wave;
+// the wave's seal and the coordinator read/drain it between waves.
 class WorkerState {
  public:
   WorkerState(const PartitionedGraph& pg, PartitionId p, MessageBus& bus,
@@ -90,7 +94,7 @@ class WorkerState {
   // Metering accumulators, drained per superstep.
   std::int64_t send_ns = 0;
   std::int64_t load_ns = 0;
-  // Load time spent before the round started (a temporally concurrent task
+  // Load time spent before the phase started (a temporally concurrent task
   // copies its instance out of the shared provider first); charged to the
   // next record's load_ns without being subtracted from its compute_ns.
   std::int64_t untimed_load_ns = 0;
@@ -310,30 +314,14 @@ std::uint64_t SubgraphContext::aggregatedU64(std::string_view name) const {
 
 namespace {
 
-// Abstracts how a round is executed across partitions: a cluster (spatial
-// concurrency) or a sequential loop (inside a temporally concurrent task).
-using RoundRunner = std::function<std::vector<Cluster::RoundTiming>(
-    const std::function<void(PartitionId)>&)>;
-
-// Barriered rounds on the partition workers. A worker death surfaces as
-// fault::RecoveryNeeded out of Cluster::run.
-RoundRunner makeClusterRunner(Cluster& cluster) {
-  return [&cluster](const std::function<void(PartitionId)>& job) {
-    return cluster.run(job);
-  };
-}
-
-RoundRunner makeSequentialRunner(std::uint32_t num_partitions) {
-  return [num_partitions](const std::function<void(PartitionId)>& job) {
-    std::vector<Cluster::RoundTiming> timings(num_partitions);
-    for (PartitionId p = 0; p < num_partitions; ++p) {
-      const std::int64_t start = steadyNowNs();
-      job(p);
-      timings[p].busy_ns = steadyNowNs() - start;
-    }
-    return timings;
-  };
-}
+// One partition's share of a wave: the CPU time its task consumed (workers
+// share cores; wall time would charge a worker for time spent descheduled
+// while peers ran) and its wait at the seal — barrier wait under BSP, ready
+// wait for an async superstep.
+struct PartitionTiming {
+  std::int64_t busy_ns = 0;
+  std::int64_t sync_ns = 0;
+};
 
 void routeBySubgraphPartition(const PartitionedGraph& pg,
                               std::vector<Message> msgs, MessageBus& bus) {
@@ -350,7 +338,7 @@ void routeBySubgraphPartition(const PartitionedGraph& pg,
 }
 
 // Routes the partition's inbox batches into per-subgraph queues. Runs on the
-// partition's worker thread at the start of the round (not on the serial
+// partition's task thread at the start of the superstep (not on the serial
 // coordinator path): first a counting pass so every destination bucket is
 // reserve()d exactly once, then a move pass.
 // tsg:hot — touches every delivered message once per superstep.
@@ -385,10 +373,10 @@ void distributeInbox(WorkerState& st) {
 }
 
 // Drains per-superstep meters from a state into a stats record entry. Load
-// time spent before the round (untimed_load_ns) is charged as load but not
-// subtracted from compute, because the round's timing never contained it.
+// time spent before the phase (untimed_load_ns) is charged as load but not
+// subtracted from compute, because the task's timing never contained it.
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
-                         const Cluster::RoundTiming& timing) {
+                         const PartitionTiming& timing) {
   ps.send_ns = std::exchange(st.send_ns, 0);
   ps.load_ns = std::exchange(st.load_ns, 0);
   ps.compute_ns =
@@ -411,8 +399,11 @@ struct ExecEnv {
   const TiBspConfig& config;
   std::vector<std::unique_ptr<WorkerState>>& states;
   MessageBus& bus;
-  const RoundRunner& round;
-  Cluster* waves;  // non-null (async schedule): supersteps run as waves
+  // Null inside a temporally concurrent task: its phases run inline on the
+  // task's pool thread.
+  Cluster* cluster;
+  // Compute and merge supersteps run as stealing, readiness-gated waves.
+  bool async;
   RunStats& stats;
   std::mutex* stats_mutex;  // null when single coordinator thread
   check::BspChecker* checker;  // null when protocol checking is off
@@ -469,7 +460,7 @@ void commitRecord(ExecEnv& env, SuperstepRecord rec, Timestep counter_t) {
 }
 
 // Partition p's share of superstep s — the one per-partition superstep body
-// behind BSP rounds, async wave tasks and the merge phase. Loads the
+// behind every compute and merge wave, BSP and async alike. Loads the
 // instance at superstep 0 of a compute phase, routes the inbox, then runs
 // compute (or merge) on every active subgraph in local order; one thread
 // per partition replays the same send sequence under every schedule.
@@ -563,14 +554,13 @@ void runPartitionSuperstep(ExecEnv& env, PartitionId p, Timestep t,
   }
 }
 
-// Seals superstep s once every partition's share ran — the one tail behind
-// the BSP barrier and the async wave seal: drains the meters into a record,
-// delivers the bus and commits the record. `timings` holds each partition's
-// busy and sync time (zero rows for partitions a wave skipped). An injected
-// delivery drop clears the fabric and unwinds into recovery instead.
-MessageBus::DeliveryStats sealSuperstep(
-    ExecEnv& env, Timestep t, std::int32_t s, ExecPhase phase,
-    const std::vector<Cluster::RoundTiming>& timings) {
+// Seals superstep s once every partition's share ran: drains the meters
+// into a record, delivers the bus and commits the record. `timings` holds
+// each partition's busy and sync time (zero rows for partitions a wave
+// skipped). An injected delivery drop clears the fabric and unwinds into
+// recovery instead.
+void sealSuperstep(ExecEnv& env, Timestep t, std::int32_t s, ExecPhase phase,
+                   const std::vector<PartitionTiming>& timings) {
   const auto k = static_cast<std::uint32_t>(env.states.size());
   const bool merge = phase == ExecPhase::kMerge;
   SuperstepRecord rec;
@@ -611,7 +601,6 @@ MessageBus::DeliveryStats sealSuperstep(
                  static_cast<std::int64_t>(delivery.cross_partition_bytes));
   }
   commitRecord(env, std::move(rec), t);
-  return delivery;
 }
 
 void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
@@ -624,17 +613,38 @@ void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
   }
 }
 
+// Runs one phase through `driver`, starting with every partition: on the
+// cluster's workers, or — inside a temporally concurrent task — inline on
+// the task's pool thread, each wave's partitions in order, then its seal.
+void runPhase(ExecEnv& env, Cluster::Driver& driver, Cluster::Sync sync) {
+  std::vector<PartitionId> wave(env.states.size());
+  std::iota(wave.begin(), wave.end(), PartitionId{0});
+  if (env.cluster != nullptr) {
+    env.cluster->runWaves(driver, wave, sync);
+    return;
+  }
+  const std::vector<std::int64_t> no_wait(wave.size(), 0);
+  for (std::int32_t w = 0; !wave.empty(); ++w) {
+    for (const PartitionId p : wave) {
+      driver.runTask(p, Cluster::TaskInfo{.wave = w});
+    }
+    wave = driver.sealWave(w, no_wait);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Dependency-driven (async) schedule — wave execution of one BSP phase.
+// Superstep phases — a timestep's compute or the merge, under both schedules.
 // ---------------------------------------------------------------------------
 //
-// A wave is the async analogue of a superstep: only partitions the
-// ReadyTracker deems eligible run, as whole (partition, superstep) tasks on
-// Cluster's steal-deques. The last finisher seals the wave — delivery,
-// record commit, termination check and readiness advance all happen there,
-// exclusively, replacing the global barrier + coordinator rendezvous.
-// Tasks and seals run the same body and tail as BSP rounds, so the send
-// sequence (and therefore every digest) is identical to BSP.
+// Each superstep is one wave of whole (partition, superstep) tasks. The last
+// finisher seals the wave — delivery, record commit, termination check and
+// the next wave all happen there, exclusively, with no coordinator
+// rendezvous. The phase terminates at the ReadyTracker's fixed point under
+// both schedules (all halted, nothing delivered); the schedules differ only
+// in the next wave: every partition behind a barrier under BSP, the
+// partitions the tracker deems ready — stealable — under async. Every task
+// runs the same body, so the send sequence (and therefore every digest) is
+// identical under both.
 class WaveDriver final : public Cluster::Driver {
  public:
   WaveDriver(ExecEnv& env, Timestep t, ExecPhase phase)
@@ -657,10 +667,14 @@ class WaveDriver final : public Cluster::Driver {
     timings_[p].sync_ns = info.ready_wait_ns;
   }
 
-  std::vector<PartitionId> sealWave(std::int32_t s) override {
+  std::vector<PartitionId> sealWave(
+      std::int32_t s, std::span<const std::int64_t> barrier_wait_ns) override {
     const auto k = static_cast<std::uint32_t>(env_.states.size());
-    (void)sealSuperstep(env_, t_, s, phase_, timings_);
-    std::fill(timings_.begin(), timings_.end(), Cluster::RoundTiming{});
+    for (PartitionId p = 0; p < k; ++p) {
+      timings_[p].sync_ns += barrier_wait_ns[p];
+    }
+    sealSuperstep(env_, t_, s, phase_, timings_);
+    std::fill(timings_.begin(), timings_.end(), PartitionTiming{});
     waves_run_ = s + 1;
 
     // Readiness: what the bus just put in each inbox is the ground-truth
@@ -680,7 +694,10 @@ class WaveDriver final : public Cluster::Driver {
       return {};
     }
     std::vector<PartitionId> next = tracker_.advance();
-    if (next.size() < k) {
+    if (!env_.async) {
+      next.resize(k);
+      std::iota(next.begin(), next.end(), PartitionId{0});
+    } else if (next.size() < k) {
       m_skips_.add(k - static_cast<std::uint32_t>(next.size()));
       if (env_.checker != nullptr) {
         // Cross-check every skip against the bus: `next` is ascending, so
@@ -707,64 +724,51 @@ class WaveDriver final : public Cluster::Driver {
   Timestep t_;
   ExecPhase phase_;
   ReadyTracker tracker_;
-  std::vector<Cluster::RoundTiming> timings_;
+  std::vector<PartitionTiming> timings_;
   std::int32_t waves_run_ = 0;
   MetricsRegistry::Counter& m_skips_;
 };
 
-// One barriered superstep: every partition runs its share, then the
-// coordinator seals. Returns whether the phase continues.
-bool runBarrieredSuperstep(ExecEnv& env, Timestep t, std::int32_t s,
-                           ExecPhase phase) {
+// Runs one superstep phase (a timestep's compute or the merge) to
+// quiescence and returns how many supersteps it took.
+std::int32_t runSupersteps(ExecEnv& env, Timestep t, ExecPhase phase) {
   if (env.checker != nullptr) {
-    env.checker->beginSuperstep(s);
+    env.checker->beginSuperstep(0);
   }
-  const auto timings = env.round([&env, t, s, phase](PartitionId p) {
-    runPartitionSuperstep(env, p, t, s, phase);
-  });
-  const bool all_halted = std::all_of(
-      env.states.begin(), env.states.end(),
-      [](const auto& st_ptr) { return partitionQuiesced(*st_ptr); });
-  const auto delivery = sealSuperstep(env, t, s, phase, timings);
-  if (all_halted && delivery.messages == 0) {
-    return false;
-  }
-  if (s + 1 >= env.config.max_supersteps_per_timestep) {
-    warnSuperstepCap(t, s + 1, phase);
-    env.bus.clearAll();
-    return false;
-  }
-  return true;
+  WaveDriver driver(env, t, phase);
+  runPhase(env, driver,
+           env.async ? Cluster::Sync::kSteal : Cluster::Sync::kBarrier);
+  return driver.wavesRun();
 }
 
-// Runs one BSP phase (a timestep's compute or the merge) to quiescence and
-// returns how many supersteps it took. The schedules differ only here:
-// barriered rounds until every subgraph halted with nothing delivered, or
-// dependency-driven waves that seal themselves.
-std::int32_t runSupersteps(ExecEnv& env, Timestep t, ExecPhase phase) {
-  if (env.waves != nullptr) {
-    if (env.checker != nullptr) {
-      env.checker->beginSuperstep(0);
+// A one-wave barriered phase under either schedule — end-of-timestep and
+// maintenance: `job` runs once on every partition, all partitions take
+// part regardless of halt state. Returns each partition's CPU busy time
+// and barrier wait.
+std::vector<PartitionTiming> runBarrierWave(
+    ExecEnv& env, const std::function<void(PartitionId)>& job) {
+  class OneWave final : public Cluster::Driver {
+   public:
+    OneWave(const std::function<void(PartitionId)>& job, std::size_t k)
+        : job_(job), timings_(k) {}
+    void runTask(PartitionId p, const Cluster::TaskInfo&) override {
+      const std::int64_t cpu_start = threadCpuNowNs();
+      job_(p);
+      timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
     }
-    WaveDriver driver(env, t, phase);
-    std::vector<PartitionId> all(env.states.size());
-    std::iota(all.begin(), all.end(), PartitionId{0});
-    env.waves->runWaves(driver, all, /*first_wave=*/0);
-    return driver.wavesRun();
-  }
-  std::int32_t s = 0;
-  bool more = true;
-  while (more) {
-    if (phase == ExecPhase::kMerge) {
-      TraceSpan span("tibsp", "tibsp.merge_superstep", "s", s);
-      more = runBarrieredSuperstep(env, t, s, phase);
-    } else {
-      TraceSpan span("tibsp", "tibsp.superstep", "t", t, "s", s);
-      more = runBarrieredSuperstep(env, t, s, phase);
+    std::vector<PartitionId> sealWave(
+        std::int32_t, std::span<const std::int64_t> barrier_wait_ns) override {
+      for (std::size_t p = 0; p < timings_.size(); ++p) {
+        timings_[p].sync_ns = barrier_wait_ns[p];
+      }
+      return {};
     }
-    ++s;
-  }
-  return s;
+    const std::function<void(PartitionId)>& job_;
+    std::vector<PartitionTiming> timings_;
+  };
+  OneWave driver(job, env.states.size());
+  runPhase(env, driver, Cluster::Sync::kBarrier);
+  return std::move(driver.timings_);
 }
 
 // Resets every partition for a new BSP phase and injects its seed traffic
@@ -786,10 +790,9 @@ void beginPhase(ExecEnv& env, Timestep t, ExecPhase phase,
   routeBySubgraphPartition(env.pg, std::move(seed_msgs), env.bus);
 }
 
-// EndOfTimestep hook: every subgraph, one round (metered like a superstep).
-// Runs as a barriered round under either schedule (all partitions
-// participate regardless of halt state). Returns whether every subgraph
-// voted to halt the timestep loop.
+// EndOfTimestep hook: every subgraph, one barriered wave (metered like a
+// superstep). Returns whether every subgraph voted to halt the timestep
+// loop.
 bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
   const auto k = static_cast<std::uint32_t>(env.states.size());
   TraceSpan eot_span("tibsp", "tibsp.end_of_timestep", "t", t);
@@ -800,7 +803,7 @@ bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
     st_ptr->superstep = s;
     st_ptr->phase = ExecPhase::kEndOfTimestep;
   }
-  const auto& eot_timings = env.round([&env](PartitionId p) {
+  const auto eot_timings = runBarrierWave(env, [&env](PartitionId p) {
     auto& st = *env.states[p];
     if (env.checker != nullptr) {
       env.checker->enterCompute(p);
@@ -854,11 +857,11 @@ void runMergePhase(ExecEnv& env, std::vector<Message> merge_pool,
 
 // Synchronized maintenance pause: the structural stand-in for the paper's
 // forced System.gc() every 20 timesteps (§IV-D). Each partition trims its
-// allocator arenas; the round is recorded so it shows in per-timestep time.
+// allocator arenas; the wave is recorded so it shows in per-timestep time.
 void runMaintenance(ExecEnv& env, Timestep t) {
   TraceSpan span("tibsp", "tibsp.maintenance", "t", t);
   const auto k = static_cast<std::uint32_t>(env.states.size());
-  const auto& timings = env.round([&env](PartitionId p) {
+  const auto timings = runBarrierWave(env, [&env](PartitionId p) {
     if (env.checker != nullptr) {
       env.checker->enterCompute(p);
     }
@@ -966,7 +969,6 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
 
   if (!concurrent) {
     Cluster cluster(k);
-    const RoundRunner round = makeClusterRunner(cluster);
     MessageBus bus(k);
     Workers workers = makeWorkers(pg_, bus, config,
                                   static_cast<std::size_t>(count), provider_,
@@ -980,8 +982,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                 config,
                 states,
                 bus,
-                round,
-                use_async ? &cluster : nullptr,
+                &cluster,
+                use_async,
                 result.stats,
                 nullptr,
                 checker.get()};
@@ -1162,8 +1164,9 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
     }
   } else {
     // Temporal concurrency: each timestep runs as one task with its own
-    // states, programs and bus; spatial execution inside a task is
-    // sequential. Merge (if any) runs afterwards on a spatial cluster.
+    // states, programs and bus; its phases run inline on the task's pool
+    // thread (runPhase without a cluster). Merge (if any) runs afterwards on
+    // a spatial cluster.
     // Recovery is a serial-mode feature: concurrent tasks have no cluster
     // to respawn and independent timesteps can simply be re-run whole.
     TSG_CHECK_MSG(config.checkpoint_store == nullptr,
@@ -1191,7 +1194,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       auto& states = workers.states;
       // Copy this timestep's partition data under the provider lock, then
       // serve it from the copy. The load happens before the task's timed
-      // rounds, so it is charged to superstep 0 as untimed load.
+      // waves, so it is charged to superstep 0 as untimed load.
       std::vector<PartitionInstanceData> local_data(k);
       {
         std::lock_guard lock(provider_mutex);
@@ -1223,14 +1226,13 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       // reconciliation (the process-wide counters mix all tasks' traffic).
       const auto task_checker =
           attachChecker(bus, k, /*async_mode=*/false, /*reconcile=*/false);
-      const RoundRunner round = makeSequentialRunner(k);
       ExecEnv env{pg_,
                   local,
                   config,
                   states,
                   bus,
-                  round,
-                  /*waves=*/nullptr,
+                  /*cluster=*/nullptr,
+                  /*async=*/false,
                   result.stats,
                   &stats_mutex,
                   task_checker.get()};
@@ -1262,7 +1264,6 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         std::move(msgs.begin(), msgs.end(), std::back_inserter(merge_pool));
       }
       Cluster cluster(k);
-      const RoundRunner round = makeClusterRunner(cluster);
       MessageBus bus(k);
       Workers workers = makeWorkers(pg_, bus, config,
                                     static_cast<std::size_t>(count),
@@ -1275,8 +1276,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
                   config,
                   states,
                   bus,
-                  round,
-                  use_async ? &cluster : nullptr,
+                  &cluster,
+                  use_async,
                   result.stats,
                   nullptr,
                   merge_checker.get()};

@@ -19,11 +19,11 @@ namespace tsg {
 namespace {
 
 // Determinism-harness hook: stagger this worker's schedule by a seeded,
-// per-(round, partition) delay. Off = one relaxed load + branch.
-void perturbPoint(std::uint64_t round, PartitionId p, std::uint64_t salt) {
+// per-(barrier crossing, partition) delay. Off = one relaxed load + branch.
+void perturbPoint(std::uint64_t crossing, PartitionId p, std::uint64_t salt) {
   if (check::perturbEnabled()) {
     std::this_thread::sleep_for(
-        std::chrono::nanoseconds(check::perturbDelayNs(round, p, salt)));
+        std::chrono::nanoseconds(check::perturbDelayNs(crossing, p, salt)));
   }
 }
 
@@ -31,9 +31,8 @@ void perturbPoint(std::uint64_t round, PartitionId p, std::uint64_t salt) {
 
 Cluster::Cluster(std::uint32_t num_partitions)
     : deques_(num_partitions),
-      end_ns_(num_partitions, 0),
-      cpu_busy_ns_(num_partitions, 0),
-      timings_(num_partitions),
+      end_ns_(num_partitions, -1),
+      barrier_wait_ns_(num_partitions, 0),
       m_rounds_(MetricsRegistry::global().counter("cluster.rounds")),
       m_barrier_wait_ns_(
           MetricsRegistry::global().counter("cluster.barrier_wait_ns")),
@@ -53,7 +52,7 @@ Cluster::Cluster(std::uint32_t num_partitions)
   }
   workers_.reserve(num_partitions);
   for (PartitionId p = 0; p < num_partitions; ++p) {
-    workers_.emplace_back([this, p] { workerLoop(p, /*start_round=*/0); });
+    workers_.emplace_back([this, p] { workerLoop(p); });
   }
 }
 
@@ -82,6 +81,7 @@ void Cluster::pushTasksLocked(const std::vector<PartitionId>& parts,
     g_worker_depth_[static_cast<std::size_t>(p)]->set(
         static_cast<std::int64_t>(deques_[static_cast<std::size_t>(p)].size()));
   }
+  ++crossing_;
   queued_ += static_cast<std::uint32_t>(parts.size());
   outstanding_ += static_cast<std::uint32_t>(parts.size());
   updateReadyDepthLocked();
@@ -92,8 +92,16 @@ void Cluster::pushTasksLocked(const std::vector<PartitionId>& parts,
   }
 }
 
+bool Cluster::hasWorkLocked(PartitionId w) const {
+  // A barriered worker waits on its own deque only: waking on the global
+  // count would spin it while its peers' tasks sit queued.
+  return sync_ == Sync::kSteal
+             ? queued_ > 0
+             : !deques_[static_cast<std::size_t>(w)].empty();
+}
+
 bool Cluster::popTaskLocked(PartitionId w, Task* out) {
-  const std::size_t k = deques_.size();
+  const std::size_t k = sync_ == Sync::kSteal ? deques_.size() : 1;
   // Own deque first (LIFO, cache-warm), then steal oldest from peers.
   if (auto t = deques_[static_cast<std::size_t>(w)].popBottom()) {
     *out = *t;
@@ -126,81 +134,52 @@ bool Cluster::drainFaultsLocked(std::string& detail) {
   return died;
 }
 
-const std::vector<Cluster::RoundTiming>& Cluster::run(
-    const std::function<void(PartitionId)>& job) {
-  TraceSpan span("cluster", "cluster.round");
-  std::string detail;
-  bool died = false;
-  {
-    std::unique_lock lock(mutex_);
-    TSG_CHECK_MSG(mode_ == Mode::kIdle && outstanding_ == 0,
-                  "run() re-entered mid-phase");
-    for (PartitionId p = 0; p < dead_.size(); ++p) {
-      TSG_CHECK_MSG(dead_[p] == 0,
-                    "run() with a dead worker — call respawnDead() first");
-    }
-    job_ = &job;
-    mode_ = Mode::kRound;
-    round_remaining_ = static_cast<std::uint32_t>(workers_.size());
-    ++round_;
-    work_available_.notify_all();
-    phase_done_cv_.wait(lock, [this] { return round_remaining_ == 0; });
-    mode_ = Mode::kIdle;
-    job_ = nullptr;
-    died = drainFaultsLocked(detail);
-  }
-  // All end_ns_ are final now; the slowest worker defines the barrier time.
-  const std::int64_t round_end =
-      *std::max_element(end_ns_.begin(), end_ns_.end());
-  std::int64_t sync_total = 0;
-  for (PartitionId p = 0; p < timings_.size(); ++p) {
-    timings_[p].busy_ns = cpu_busy_ns_[p];
-    timings_[p].sync_ns = round_end - end_ns_[p];
-    sync_total += timings_[p].sync_ns;
+void Cluster::meterBarrier() {
+  // The slowest task's end is the barrier instant; it is the wave's
+  // straggler, and every other partition's wait traces back to it.
+  const auto straggler_it = std::max_element(end_ns_.begin(), end_ns_.end());
+  const std::int64_t barrier = *straggler_it;
+  std::int64_t total = 0;
+  for (std::size_t p = 0; p < end_ns_.size(); ++p) {
+    barrier_wait_ns_[p] = end_ns_[p] < 0 ? 0 : barrier - end_ns_[p];
+    total += barrier_wait_ns_[p];
+    end_ns_[p] = -1;
   }
   m_rounds_.increment();
-  m_barrier_wait_ns_.add(static_cast<std::uint64_t>(sync_total));
+  m_barrier_wait_ns_.add(static_cast<std::uint64_t>(total));
   if (prof::armed()) [[unlikely]] {
-    // The last finisher is the round's straggler: every other partition's
-    // barrier wait this round traces back to it.
-    const PartitionId straggler = static_cast<PartitionId>(
-        std::max_element(end_ns_.begin(), end_ns_.end()) - end_ns_.begin());
-    prof::hooks().wait_caused(straggler, sync_total);
+    prof::hooks().wait_caused(
+        static_cast<PartitionId>(straggler_it - end_ns_.begin()), total);
   }
-  if (died) {
-    // The round itself completed — the barrier never hangs — so the
-    // coordinator unwinds here and the engine's recovery path takes over.
-    throw fault::RecoveryNeeded(std::move(detail));
-  }
-  return timings_;
 }
 
 void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
-                       std::int32_t first_wave) {
+                       Sync sync) {
   TraceSpan span("cluster", "cluster.wave_phase");
   TSG_CHECK(!initial.empty());
   std::string detail;
   bool failed = false;
   {
     std::unique_lock lock(mutex_);
-    TSG_CHECK_MSG(mode_ == Mode::kIdle && outstanding_ == 0,
+    TSG_CHECK_MSG(driver_ == nullptr && outstanding_ == 0,
                   "runWaves() re-entered mid-phase");
     for (PartitionId p = 0; p < dead_.size(); ++p) {
       TSG_CHECK_MSG(dead_[p] == 0,
                     "runWaves() with a dead worker — respawnDead() first");
     }
     driver_ = &driver;
-    mode_ = Mode::kWaves;
-    wave_ = first_wave;
+    sync_ = sync;
+    wave_ = 0;
     phase_done_ = false;
     abort_ = false;
     abort_detail_.clear();
     executing_ = 0;
     idle_since_ns_ = -1;
-    pushTasksLocked(initial, first_wave);
+    std::fill(end_ns_.begin(), end_ns_.end(), -1);
+    std::fill(barrier_wait_ns_.begin(), barrier_wait_ns_.end(), 0);
+    pushTasksLocked(initial, 0);
     work_available_.notify_all();
     phase_done_cv_.wait(lock, [this] { return phase_done_; });
-    mode_ = Mode::kIdle;
     driver_ = nullptr;
     detail = abort_detail_;
     failed = drainFaultsLocked(detail) || abort_;
@@ -213,12 +192,10 @@ void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
 
 std::uint32_t Cluster::respawnDead() {
   std::uint32_t respawned = 0;
-  std::uint64_t resume_round = 0;
   std::vector<PartitionId> to_spawn;
   {
     std::lock_guard lock(mutex_);
-    TSG_CHECK_MSG(mode_ == Mode::kIdle, "respawnDead() mid-phase");
-    resume_round = round_;
+    TSG_CHECK_MSG(driver_ == nullptr, "respawnDead() mid-phase");
     for (PartitionId p = 0; p < dead_.size(); ++p) {
       if (dead_[p] != 0) {
         to_spawn.push_back(p);
@@ -227,10 +204,9 @@ std::uint32_t Cluster::respawnDead() {
   }
   for (const PartitionId p : to_spawn) {
     // The dead thread already exited its loop; join reclaims it, then a
-    // fresh thread takes over the partition from the current round.
+    // fresh thread takes over the partition from the next phase.
     workers_[p].join();
-    workers_[p] =
-        std::thread([this, p, resume_round] { workerLoop(p, resume_round); });
+    workers_[p] = std::thread([this, p] { workerLoop(p); });
     ++respawned;
     m_respawns_.increment();
   }
@@ -252,96 +228,57 @@ std::uint32_t Cluster::aliveWorkers() {
   return alive;
 }
 
-void Cluster::workerLoop(PartitionId p, std::uint64_t start_round) {
+void Cluster::workerLoop(PartitionId p) {
   Tracer::setCurrentThreadName("partition-" + std::to_string(p));
-  std::uint64_t seen_round = start_round;
   while (true) {
     std::unique_lock lock(mutex_);
-    work_available_.wait(lock, [&] {
-      return shutting_down_ || (mode_ == Mode::kWaves && queued_ > 0) ||
-             (mode_ == Mode::kRound && round_ != seen_round);
-    });
+    work_available_.wait(
+        lock, [&] { return shutting_down_ || hasWorkLocked(p); });
     if (shutting_down_) {
       return;
     }
-    if (mode_ == Mode::kRound && round_ != seen_round) {
-      seen_round = round_;
-      const std::function<void(PartitionId)>* job = job_;
-      lock.unlock();
-      // Perturb the release from the round barrier (before timing starts)
-      // and the arrival back at it (after timing ends): under the
-      // determinism harness every run sees a different worker interleaving.
-      perturbPoint(seen_round, p, /*salt=*/0);
-      // Busy = CPU time (workers share cores; wall time would charge a
-      // worker for time spent descheduled while peers ran). End timestamps
-      // stay on the wall clock for barrier-wait (sync) computation.
-      const std::int64_t cpu_start = threadCpuNowNs();
-      bool died = false;
-      std::string fault_detail;
-      {
-        TraceSpan job_span("cluster", "cluster.job", "partition", p);
-        try {
-          (*job)(p);
-        } catch (const fault::WorkerFault& f) {
-          died = true;
-          fault_detail = f.what();
-        }
-      }
-      cpu_busy_ns_[p] = threadCpuNowNs() - cpu_start;
-      end_ns_[p] = steadyNowNs();
-      perturbPoint(seen_round, p, /*salt=*/1);
-      lock.lock();
-      if (died) {
-        dead_[p] = 1;
-        faults_.push_back(FaultRecord{p, std::move(fault_detail)});
-      }
-      if (--round_remaining_ == 0) {
-        phase_done_cv_.notify_all();
-      }
-      if (died) {
-        // The worker is gone until respawnDead(); the thread exits so the
-        // failure is a real thread death, not a flagged skip.
-        return;
-      }
-      continue;
-    }
-    // Wave mode: pick up a task (own deque first, then steal).
     Task task;
     if (!popTaskLocked(p, &task)) {
       continue;  // raced another worker to the last queued task
     }
-    const std::int64_t picked = steadyNowNs();
+    const bool barriered = sync_ == Sync::kBarrier;
+    const std::uint64_t crossing = crossing_;
     TaskInfo info;
     info.wave = task.wave;
     // Charge only spans where ready work sat with nobody executing. Time
     // covered by workers chewing through earlier tasks is utilization, not
     // wait — the whole point of the schedule is converting barrier idling
-    // into stolen work.
-    if (idle_since_ns_ >= 0) {
-      info.ready_wait_ns = picked - std::max(task.push_ns, idle_since_ns_);
+    // into stolen work. A barriered wave's wait is metered at its seal.
+    if (!barriered && idle_since_ns_ >= 0) {
+      info.ready_wait_ns =
+          steadyNowNs() - std::max(task.push_ns, idle_since_ns_);
       idle_since_ns_ = -1;
     }
     info.stolen = task.partition != p;
     ++executing_;
     Driver* driver = driver_;
     lock.unlock();
-    m_ready_wait_ns_.add(static_cast<std::uint64_t>(
-        info.ready_wait_ns > 0 ? info.ready_wait_ns : 0));
-    if (info.stolen) {
-      m_steals_.increment();
-    }
-    if (prof::armed()) [[unlikely]] {
-      // The task that ends an all-idle gap left the scheduler starved for
-      // that long; a steal marks its home partition as overloaded.
-      if (info.ready_wait_ns > 0) {
-        prof::hooks().wait_caused(task.partition, info.ready_wait_ns);
-      }
+    if (!barriered) {
+      m_ready_wait_ns_.add(static_cast<std::uint64_t>(
+          info.ready_wait_ns > 0 ? info.ready_wait_ns : 0));
       if (info.stolen) {
-        prof::hooks().steal_victim(task.partition);
+        m_steals_.increment();
+      }
+      if (prof::armed()) [[unlikely]] {
+        // The task that ends an all-idle gap left the scheduler starved
+        // for that long; a steal marks its home partition as overloaded.
+        if (info.ready_wait_ns > 0) {
+          prof::hooks().wait_caused(task.partition, info.ready_wait_ns);
+        }
+        if (info.stolen) {
+          prof::hooks().steal_victim(task.partition);
+        }
       }
     }
-    perturbPoint(static_cast<std::uint64_t>(task.wave), task.partition,
-                 /*salt=*/0);
+    // Perturb the pickup (before the task's CPU metering starts) and the
+    // arrival at the seal (after its end is stamped): under the
+    // determinism harness every run sees a different worker interleaving.
+    perturbPoint(crossing, task.partition, /*salt=*/0);
     bool died = false;
     bool recover = false;
     std::string fault_detail;
@@ -358,8 +295,10 @@ void Cluster::workerLoop(PartitionId p, std::uint64_t start_round) {
         fault_detail = f.what();
       }
     }
-    perturbPoint(static_cast<std::uint64_t>(task.wave), task.partition,
-                 /*salt=*/1);
+    if (barriered) {
+      end_ns_[task.partition] = steadyNowNs();
+    }
+    perturbPoint(crossing, task.partition, /*salt=*/1);
     lock.lock();
     --executing_;
     updateReadyDepthLocked();
@@ -396,12 +335,16 @@ void Cluster::workerLoop(PartitionId p, std::uint64_t start_round) {
         const std::int32_t sealed_wave = wave_;
         Driver* sealer = driver_;
         lock.unlock();
-        m_waves_.increment();
+        if (barriered) {
+          meterBarrier();
+        } else {
+          m_waves_.increment();
+        }
         std::vector<PartitionId> next;
         bool seal_failed = false;
         std::string seal_detail;
         try {
-          next = sealer->sealWave(sealed_wave);
+          next = sealer->sealWave(sealed_wave, barrier_wait_ns_);
         } catch (const fault::RecoveryNeeded& f) {
           seal_failed = true;
           seal_detail = f.what();

@@ -1,40 +1,42 @@
 // Cluster — the simulated distributed substrate.
 //
 // One long-lived worker thread per partition stands in for the paper's one
-// EC2 VM per partition. The coordinator drives it two ways:
+// EC2 VM per partition. Every phase — BSP and async compute supersteps,
+// Merge-BSP supersteps, end-of-timestep and maintenance — runs through one
+// entry point, runWaves(driver, initial, sync). A wave is the set of
+// partitions that run superstep s; each wave's tasks are dealt to their
+// owning workers' deques. The last task to finish a wave *seals* it — runs
+// the driver's delivery/termination step exclusively — and pushes the next
+// wave's tasks, so there is no coordinator rendezvous per superstep.
 //
-//  * run(job) — a barriered round: job(p) on every worker concurrently,
-//    blocking until all finish, like a BSP compute phase ending at a
-//    barrier. Used for BSP supersteps, end-of-timestep rounds and
-//    maintenance rounds under either schedule. Per partition it records
-//    busy time and barrier (sync) wait — the raw series behind Fig. 7b/7d's
-//    compute / sync split.
-//  * runWaves(driver, initial) — the dependency-driven phase behind
-//    `--schedule=async`. A wave is the set of partitions actually ready for
-//    superstep s (per ReadyTracker). Each wave's tasks are dealt to their
-//    owning workers' steal-deques; an idle worker whose own deque is dry
-//    steals whole partition-tasks from stragglers instead of blocking at a
-//    barrier. The last task to finish a wave *seals* it — runs the driver's
-//    delivery/termination step exclusively — and pushes the next wave's
-//    tasks, so there is no coordinator rendezvous per superstep.
+// The phase's Sync decides what happens between the push and the seal:
+//
+//  * kBarrier — the BSP barrier. Tasks stay on their owners (nothing is
+//    stolen) and the seal is the barrier: the cluster hands it each
+//    partition's barrier wait (the last task's end minus its own end), the
+//    raw series behind Fig. 7b/7d's compute / sync split. One sealed
+//    barriered wave is one cluster.rounds.
+//  * kSteal — the dependency-driven waves behind `--schedule=async`: an
+//    idle worker whose own deque is dry steals whole partition-tasks from
+//    stragglers instead of waiting (cluster.waves, cluster.steals,
+//    engine.ready_wait_ns).
 //
 // Wave tasks are whole (partition, superstep) units — programs are stateful
 // per partition, so a partition's subgraphs must run on one thread, in
 // local order. That granularity also makes async output byte-identical to
 // BSP: one thread replays exactly the BSP send sequence of that partition.
 //
-// Fault model: a job or task that throws fault::WorkerFault kills the
-// executing worker thread (even if the task was stolen — the thief's host
-// dies). A round still completes (the barrier never hangs); a wave phase
-// discards its queued tasks and lets in-flight ones drain. Either entry
-// point then throws fault::RecoveryNeeded, and the coordinator rolls back
-// and calls respawnDead() before the next round.
+// Fault model: a task that throws fault::WorkerFault kills the executing
+// worker thread (even if the task was stolen — the thief's host dies). The
+// phase discards its queued tasks, lets in-flight ones drain and throws
+// fault::RecoveryNeeded; the coordinator rolls back and calls respawnDead()
+// before the next phase.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,36 +49,38 @@ namespace tsg {
 
 class Cluster {
  public:
-  struct RoundTiming {
-    std::int64_t busy_ns = 0;  // CPU time consumed by job(p)
-    std::int64_t sync_ns = 0;  // own finish -> slowest worker's finish (wall)
+  enum class Sync : std::uint8_t {
+    kBarrier,  // owner-only tasks; the seal is a metered barrier
+    kSteal,    // idle workers steal; pickups metered as ready wait
   };
 
   struct TaskInfo {
     std::int32_t wave = 0;
-    // Scheduler gap time ending at this task's pickup: the wall-clock span
-    // during which ready tasks sat queued while NO worker was executing
-    // (zero when some worker was busy the whole time). Time covered by
-    // workers chewing through earlier tasks is utilization, not wait —
-    // that is exactly the barrier wait the async schedule converts into
-    // stolen work. Summed into engine.ready_wait_ns, the async analogue
-    // of cluster.barrier_wait_ns (which likewise counts only idle-at-
-    // barrier time, never between-round wake latency).
+    // kSteal only. Scheduler gap time ending at this task's pickup: the
+    // wall-clock span during which ready tasks sat queued while NO worker
+    // was executing (zero when some worker was busy the whole time). Time
+    // covered by workers chewing through earlier tasks is utilization, not
+    // wait — that is exactly the barrier wait the async schedule converts
+    // into stolen work. Summed into engine.ready_wait_ns, the async
+    // analogue of cluster.barrier_wait_ns (which likewise counts only
+    // idle-at-barrier time, never between-wave wake latency).
     std::int64_t ready_wait_ns = 0;
     bool stolen = false;  // executed by a worker other than the owner
   };
 
-  // The engine side of a wave phase. runTask does the partition's work for
-  // one superstep (and its own CPU metering); sealWave is invoked exactly
-  // once per wave, by the last finisher, with no task running — it
-  // delivers, commits the record and returns the next wave's partitions
-  // (empty = phase complete). Either may throw WorkerFault (runTask only)
-  // or RecoveryNeeded.
+  // The engine side of a phase. runTask does the partition's work for one
+  // superstep (and its own CPU metering); sealWave is invoked exactly once
+  // per wave, by the last finisher, with no task running — it delivers,
+  // commits the record and returns the next wave's partitions (empty =
+  // phase complete). Under kBarrier, barrier_wait_ns[p] is partition p's
+  // wait at this wave's barrier; it is all zero under kSteal. Either may
+  // throw RecoveryNeeded; runTask may also throw WorkerFault.
   class Driver {
    public:
     virtual ~Driver() = default;
     virtual void runTask(PartitionId p, const TaskInfo& info) = 0;
-    virtual std::vector<PartitionId> sealWave(std::int32_t wave) = 0;
+    virtual std::vector<PartitionId> sealWave(
+        std::int32_t wave, std::span<const std::int64_t> barrier_wait_ns) = 0;
   };
 
   explicit Cluster(std::uint32_t num_partitions);
@@ -85,21 +89,15 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Runs job(p) on every partition worker; blocks until the round ends.
-  // The returned reference is valid until the next run() call. All workers
-  // must be alive (respawnDead() after a fault). Throws
-  // fault::RecoveryNeeded if a worker died during the round.
-  const std::vector<RoundTiming>& run(
-      const std::function<void(PartitionId)>& job);
-
-  // Runs waves starting with `initial` at `first_wave` until sealWave
-  // returns empty. Throws fault::RecoveryNeeded if a worker died or
-  // sealWave threw; the engine rolls back and calls respawnDead().
+  // Runs waves starting with `initial` (wave 0) until sealWave returns
+  // empty. All workers must be alive (respawnDead() after a fault). Throws
+  // fault::RecoveryNeeded if a worker died or sealWave threw; the engine
+  // rolls back and calls respawnDead().
   void runWaves(Driver& driver, const std::vector<PartitionId>& initial,
-                std::int32_t first_wave = 0);
+                Sync sync);
 
   // Joins every dead worker thread and spawns a replacement; returns how
-  // many were respawned. Must be called between rounds.
+  // many were respawned. Must be called between phases.
   std::uint32_t respawnDead();
   // Number of workers currently alive (for tests).
   [[nodiscard]] std::uint32_t aliveWorkers();
@@ -111,17 +109,21 @@ class Cluster {
     std::int64_t push_ns = 0;
   };
 
-  enum class Mode : std::uint8_t { kIdle, kRound, kWaves };
-
-  void workerLoop(PartitionId p, std::uint64_t start_round);
+  void workerLoop(PartitionId p);
   // Called with mutex_ held: push one task per partition for `wave`.
   void pushTasksLocked(const std::vector<PartitionId>& parts,
                        std::int32_t wave);
-  // Steal-scan all deques starting at w's own. Mutex must be held.
+  // Whether worker w has a task to pick up. Mutex must be held.
+  bool hasWorkLocked(PartitionId w) const;
+  // Own deque first, then (kSteal only) steal-scan the peers. Mutex must be
+  // held.
   bool popTaskLocked(PartitionId w, Task* out);
   // Refreshes cluster.ready_queue_depth from queued_ + executing_ (tasks
   // admitted to the current wave and not yet completed). Mutex must be held.
   void updateReadyDepthLocked();
+  // kBarrier: fills barrier_wait_ns_ for the sealed wave from end_ns_ and
+  // meters the barrier. Runs in the sealing worker with no task in flight.
+  void meterBarrier();
   // Called with mutex_ held: drains the death records into `detail` (dead_
   // stays set for respawnDead) so a stale record cannot fail the rerun
   // after the engine recovers. Returns whether any worker died.
@@ -136,19 +138,17 @@ class Cluster {
   std::condition_variable work_available_;
   std::condition_variable phase_done_cv_;
 
-  Mode mode_ = Mode::kIdle;
   bool shutting_down_ = false;
   std::vector<std::uint8_t> dead_;   // guarded by mutex_
   std::vector<FaultRecord> faults_;  // guarded by mutex_
 
-  // Round state.
-  const std::function<void(PartitionId)>* job_ = nullptr;
-  std::uint64_t round_ = 0;
-  std::uint32_t round_remaining_ = 0;
-
-  // Wave-phase state.
+  // Phase state (guarded by mutex_). driver_ is non-null while a phase runs.
   Driver* driver_ = nullptr;
+  Sync sync_ = Sync::kBarrier;
   std::int32_t wave_ = 0;
+  // Waves pushed over the Cluster's lifetime: the perturbation key, so each
+  // barrier crossing draws fresh delays across phases and timesteps.
+  std::uint64_t crossing_ = 0;
   std::uint32_t outstanding_ = 0;  // tasks pushed, not yet completed
   std::uint32_t queued_ = 0;       // tasks sitting in deques
   bool phase_done_ = false;
@@ -161,12 +161,15 @@ class Cluster {
   // queued with nobody executing — when that idle span began (-1 = none).
   std::uint32_t executing_ = 0;
   std::int64_t idle_since_ns_ = -1;
+  // Per partition: wall-clock end of its task in the current wave (-1 =
+  // not in the wave), and its wait at the last sealed barrier. Written by
+  // the task's worker, read by the sealer; the completion count under
+  // mutex_ orders the two.
   std::vector<std::int64_t> end_ns_;
-  std::vector<std::int64_t> cpu_busy_ns_;
-  std::vector<RoundTiming> timings_;
+  std::vector<std::int64_t> barrier_wait_ns_;
 
-  // Cached handles: run() executes once per superstep, so it bumps the
-  // cells directly instead of re-doing the registry name lookup.
+  // Cached handles: seals run once per superstep, so they bump the cells
+  // directly instead of re-doing the registry name lookup.
   MetricsRegistry::Counter& m_rounds_;
   MetricsRegistry::Counter& m_barrier_wait_ns_;
   MetricsRegistry::Counter& m_waves_;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -624,6 +626,43 @@ TEST(Engine, ConcurrentTimestepsChargeProviderLoadWithoutShrinkingCompute) {
   }
   EXPECT_EQ(load_ns, FixedLoadProvider::kLoadNs * fx.pg.numPartitions() *
                          result.timesteps_executed);
+}
+
+// compute_ns is CPU time under both temporal modes: a subgraph that sleeps
+// is descheduled, not computing. A temporally concurrent task runs its
+// phases inline and must meter them like the cluster's workers do, so the
+// same program reports the same compute whichever mode runs it.
+TEST(Engine, ComputeNsIsCpuTimeUnderBothTemporalModes) {
+  static constexpr std::int64_t kSleepNs = 20'000'000;
+  constexpr std::uint32_t kTimesteps = 3;
+  EngineFixture fx(2, kTimesteps);
+  const auto factory = factoryOf([](SubgraphContext& ctx) {
+    if (ctx.superstep() == 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(kSleepNs));
+    }
+    ctx.voteToHalt();
+  });
+  const std::int64_t total_sleep_ns = kSleepNs *
+                                      static_cast<std::int64_t>(
+                                          fx.pg.numSubgraphs()) *
+                                      kTimesteps;
+  for (const TemporalMode mode :
+       {TemporalMode::kSerial, TemporalMode::kConcurrent}) {
+    TiBspConfig config;
+    config.pattern = Pattern::kIndependent;
+    config.temporal_mode = mode;
+    TiBspEngine engine(fx.pg, *fx.provider);
+    const auto result = engine.run(factory, config);
+    ASSERT_EQ(result.timesteps_executed, static_cast<Timestep>(kTimesteps));
+    std::int64_t compute_ns = 0;
+    for (const auto& rec : result.stats.supersteps()) {
+      for (const auto& part : rec.parts) {
+        compute_ns += part.compute_ns;
+      }
+    }
+    EXPECT_LT(compute_ns, total_sleep_ns / 4)
+        << (mode == TemporalMode::kSerial ? "serial" : "concurrent");
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,8 +202,12 @@ class ScriptedDriver final : public Cluster::Driver {
     --in_flight_;
   }
 
-  std::vector<PartitionId> sealWave(std::int32_t wave) override {
+  std::vector<PartitionId> sealWave(
+      std::int32_t wave, std::span<const std::int64_t> waits) override {
     std::lock_guard lock(mutex_);
+    for (const std::int64_t w : waits) {
+      EXPECT_EQ(w, 0) << "a steal-mode wave has no barrier wait";
+    }
     EXPECT_EQ(in_flight_, 0) << "seal ran concurrently with a task";
     sealing_ = true;
     seals_.push_back(wave);
@@ -238,7 +243,7 @@ TEST(Cluster, RunsScriptedWavesAndSealsEachExactlyOnce) {
   // Wave 0: everyone. Wave 1: partitions 1 and 3 (0 and 2 "halted").
   // Wave 2: just 3. Then done.
   ScriptedDriver driver({{0, 1, 2, 3}, {1, 3}, {3}});
-  cluster.runWaves(driver, {0, 1, 2, 3});
+  cluster.runWaves(driver, {0, 1, 2, 3}, Cluster::Sync::kSteal);
 
   const auto seals = driver.seals();
   EXPECT_EQ(seals, (std::vector<std::int32_t>{0, 1, 2}));
@@ -267,7 +272,8 @@ class FaultyDriver final : public Cluster::Driver {
     }
     tasks_.fetch_add(1);
   }
-  std::vector<PartitionId> sealWave(std::int32_t wave) override {
+  std::vector<PartitionId> sealWave(
+      std::int32_t wave, std::span<const std::int64_t>) override {
     return wave == 0 ? std::vector<PartitionId>{0, 1, 2}
                      : std::vector<PartitionId>{};
   }
@@ -281,7 +287,7 @@ TEST(Cluster, WaveTaskFaultAbortsPhaseAndRespawnsCleanly) {
   Cluster cluster(3);
   std::atomic<bool> armed{true};
   FaultyDriver driver(&armed);
-  EXPECT_THROW(cluster.runWaves(driver, {0, 1, 2}),
+  EXPECT_THROW(cluster.runWaves(driver, {0, 1, 2}, Cluster::Sync::kSteal),
                fault::RecoveryNeeded);
   EXPECT_LT(cluster.aliveWorkers(), 3u);
   EXPECT_EQ(cluster.respawnDead(), 1u);
@@ -290,7 +296,7 @@ TEST(Cluster, WaveTaskFaultAbortsPhaseAndRespawnsCleanly) {
   // The fault record must have been drained by the failed phase: a clean
   // rerun (fault disarmed) must not re-throw a stale death.
   driver.tasks_.store(0);
-  cluster.runWaves(driver, {0, 1, 2});
+  cluster.runWaves(driver, {0, 1, 2}, Cluster::Sync::kSteal);
   EXPECT_EQ(driver.tasks_.load(), 6);
 }
 
@@ -347,7 +353,7 @@ TEST(AsyncSchedule, TdspDigestMatchesBspExactly) {
   const auto async = runTdspWith(Schedule::kAsync, nullptr, pg, coll, latency);
   EXPECT_EQ(async.digest, bsp.digest);
   EXPECT_GT(async.waves, 0);
-  EXPECT_EQ(bsp.waves, 0);  // BSP never touches the wave scheduler
+  EXPECT_EQ(bsp.waves, 0);  // BSP supersteps are barriered, never stealing
 }
 
 TEST(AsyncSchedule, MemeDigestMatchesBspExactly) {
@@ -371,9 +377,11 @@ TEST(AsyncSchedule, MemeDigestMatchesBspExactly) {
 }
 
 // Every wait a run's records charge to sync_ns is metered in the registry:
-// barrier rounds (BSP supersteps, end-of-timestep and maintenance rounds,
+// barriered waves (BSP supersteps, end-of-timestep and maintenance waves,
 // under either schedule) into cluster.barrier_wait_ns, async wave pickups
-// into engine.ready_wait_ns. Nothing is counted twice or left out.
+// into engine.ready_wait_ns. Nothing is counted twice or left out. And
+// every record is exactly one sealed wave: a barrier (cluster.rounds) or,
+// for async compute and merge supersteps, a stealing wave (cluster.waves).
 TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
   auto tmpl = smallSocial(64);
   PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
@@ -395,7 +403,26 @@ TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
     EXPECT_EQ(sync_ns, metricTotal(stats, "cluster.barrier_wait_ns") +
                            metricTotal(stats, "engine.ready_wait_ns"))
         << (schedule == Schedule::kBsp ? "bsp" : "async");
-    EXPECT_GT(metricTotal(stats, "cluster.rounds"), 0);
+    const auto records =
+        static_cast<std::int64_t>(stats.supersteps().size());
+    std::int64_t maintenance = 0;
+    for (const auto& rec : stats.supersteps()) {
+      maintenance += rec.superstep == -1 ? 1 : 0;
+    }
+    ASSERT_GT(maintenance, 0);
+    // One end-of-timestep record per executed timestep.
+    const std::int64_t end_of_timestep = run.exec.timesteps_executed;
+    if (schedule == Schedule::kBsp) {
+      EXPECT_EQ(metricTotal(stats, "cluster.rounds"), records);
+      EXPECT_EQ(metricTotal(stats, "cluster.waves"), 0);
+      EXPECT_EQ(metricTotal(stats, "cluster.steals"), 0);
+      EXPECT_EQ(metricTotal(stats, "engine.ready_wait_ns"), 0);
+    } else {
+      EXPECT_EQ(metricTotal(stats, "cluster.waves"),
+                records - end_of_timestep - maintenance);
+      EXPECT_EQ(metricTotal(stats, "cluster.rounds"),
+                end_of_timestep + maintenance);
+    }
   }
 }
 
