@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
                             std::to_string(packing);
     GofsOptions gofs;
     gofs.temporal_packing = packing;
-    gofs.subgraph_binning = 5;
     const Status status =
         writeGofsDataset(dir, "ablate", pg, collection, gofs);
     TSG_CHECK_MSG(status.isOk(), status.toString());

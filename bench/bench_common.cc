@@ -193,7 +193,7 @@ TimeSeriesCollection makeCollection(GraphTemplatePtr tmpl,
 GofsDataset openDataset(GraphKind kind, WorkloadKind workload, std::uint32_t k,
                         const BenchConfig& config) {
   const std::string dir =
-      config.data_dir + "/v3_" + kindName(kind) +
+      config.data_dir + "/v4_" + kindName(kind) +
       (workload == WorkloadKind::kRoad ? "_road" : "_tweet") + "_k" +
       std::to_string(k) + "_s" + std::to_string(config.scale_percent) + "_t" +
       std::to_string(config.timesteps);
@@ -210,7 +210,7 @@ GofsDataset openDataset(GraphKind kind, WorkloadKind workload, std::uint32_t k,
   auto pg = unwrapOrDie(PartitionedGraph::build(tmpl, assignment, k),
                         "PartitionedGraph::build");
   const auto collection = makeCollection(tmpl, workload, kind, config);
-  GofsOptions gofs;  // the paper's packing of 10 and binning of 5
+  GofsOptions gofs;  // the paper's temporal packing of 10
   const Status status = writeGofsDataset(dir, kindName(kind), pg, collection,
                                          gofs);
   if (!status.isOk()) {

@@ -65,7 +65,7 @@ TimeSeriesCollection makeCollection(GraphTemplatePtr tmpl,
                                     const BenchConfig& config);
 
 // Builds (or reuses from cache) a GoFS dataset for (kind, workload, k) with
-// the paper's packing of 10 and binning of 5, and opens it.
+// the paper's temporal packing of 10, and opens it.
 GofsDataset openDataset(GraphKind kind, WorkloadKind workload, std::uint32_t k,
                         const BenchConfig& config);
 

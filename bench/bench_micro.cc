@@ -1,11 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths:
 // serialization, attribute gather/scatter, message bus delivery, RNG,
-// partitioning and subgraph decomposition throughput, the subgraph
-// Dijkstra kernel under TDSP, and the cluster's per-barrier cost.
+// partitioning and subgraph decomposition throughput, GoFS pack loads, the
+// subgraph Dijkstra kernel under TDSP, and the cluster's per-barrier cost.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "algorithms/tdsp.h"
@@ -13,6 +17,7 @@
 #include "common/serialize.h"
 #include "generators/instances.h"
 #include "generators/topology.h"
+#include "gofs/dataset.h"
 #include "gofs/instance_provider.h"
 #include "partition/partitioned_graph.h"
 #include "partition/partitioner.h"
@@ -220,6 +225,74 @@ void BM_PartitionGather(benchmark::State& state) {
                           static_cast<std::int64_t>(tmpl->numEdges()));
 }
 BENCHMARK(BM_PartitionGather);
+
+// Loads one 10-step GoFS pack of a 65,536-cell vertex column (a 256x256
+// lattice, one partition, one subgraph) through the lazy provider, cold
+// each iteration: alternating between two packs makes every call a load.
+// A string-list cell is, as in the tweet workload, empty 99% of the time.
+void BM_GofsLoadPack(benchmark::State& state, AttrType type) {
+  constexpr std::uint32_t kSide = 256;
+  constexpr std::size_t kCells = std::size_t{kSide} * kSide;
+  constexpr Timestep kSteps = 10;
+  RoadNetworkOptions options;
+  options.width = kSide;
+  options.height = kSide;
+  options.keep_probability = 1.0;
+  options.diagonal_probability = 0.0;
+  AttributeSchema vertex_schema;
+  vertex_schema.add("value", type);
+  auto built = makeRoadNetwork(options, vertex_schema, AttributeSchema{});
+  TSG_CHECK(built.isOk());
+  auto tmpl = std::make_shared<GraphTemplate>(std::move(built).value());
+  auto pg_result = PartitionedGraph::build(
+      tmpl, PartitionAssignment(tmpl->numVertices(), 0), 1);
+  TSG_CHECK(pg_result.isOk());
+  const auto pg = std::move(pg_result).value();
+
+  TimeSeriesCollection coll(tmpl, 0, 1);
+  Rng rng(3);
+  for (Timestep t = 0; t < 2 * kSteps; ++t) {
+    AttributeColumn& col = coll.appendInstance().vertexCol(0);
+    if (type == AttrType::kDouble) {
+      for (auto& v : col.asDouble()) {
+        v = rng.uniformDouble();
+      }
+    } else {
+      for (auto& list : col.asStringList()) {
+        if (rng.uniformBelow(100) == 0) {
+          list = {"#meme", "#tag" + std::to_string(rng.uniformBelow(50))};
+        }
+      }
+    }
+  }
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("tsg_bench_load_pack_" + std::to_string(::getpid())))
+          .string();
+  const Status written = writeGofsDataset(dir, "pack", pg, coll, {});
+  TSG_CHECK_MSG(written.isOk(), written.toString());
+  {
+    auto ds = GofsDataset::open(dir);
+    TSG_CHECK(ds.isOk());
+    auto provider = ds.value().makeProvider();
+    Timestep t = 0;
+    for (auto _ : state) {
+      const auto& data = provider->instanceFor(0, t);
+      benchmark::DoNotOptimize(&data);
+      t = kSteps - t;
+    }
+  }
+  std::filesystem::remove_all(dir);
+  state.counters["sec_per_cell"] = benchmark::Counter(
+      static_cast<double>(kCells * kSteps),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(BM_GofsLoadPack, double, AttrType::kDouble)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GofsLoadPack, string_list, AttrType::kStringList)
+    ->Unit(benchmark::kMillisecond);
 
 // TDSP on one CARN-like subgraph (a 10k-vertex lattice, one partition) over
 // a few timesteps, with the road workload's latency scale relative to δ:

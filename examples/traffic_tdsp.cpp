@@ -3,7 +3,7 @@
 //
 // Generates a synthetic road network, 24 five-minute traffic snapshots with
 // randomly varying travel times, stores them as a GoFS dataset (temporal
-// packing 10 / subgraph binning 5), then answers: starting from a depot at
+// packing 10), then answers: starting from a depot at
 // t0, what is the earliest arrival at every intersection, and how does the
 // reachable horizon grow per timestep?
 //
@@ -63,7 +63,7 @@ int main() {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "tsg_traffic_example")
           .string();
-  GofsOptions gofs;  // packing 10, binning 5
+  GofsOptions gofs;  // temporal packing 10
   if (const auto status =
           writeGofsDataset(dir, "city", pg_result.value(), collection, gofs);
       !status.isOk()) {

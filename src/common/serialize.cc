@@ -21,23 +21,11 @@ Status BinaryReader::readU8(std::uint8_t& out) {
 }
 
 Status BinaryReader::readVarint(std::uint64_t& out) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (remaining() < 1) {
-      return Status::corruptData("varint truncated");
-    }
-    if (shift >= 64) {
-      return Status::corruptData("varint too long");
-    }
-    const std::uint8_t byte = data_[pos_++];
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      break;
-    }
-    shift += 7;
+  const std::uint8_t* p = data_.data() + pos_;
+  if (!decodeVarint(p, data_.data() + data_.size(), out)) {
+    return Status::corruptData("varint truncated or too long");
   }
-  out = v;
+  pos_ = static_cast<std::size_t>(p - data_.data());
   return Status::ok();
 }
 
@@ -49,6 +37,16 @@ Status BinaryReader::readString(std::string& out) {
   }
   out.assign(reinterpret_cast<const char*>(data_.data() + pos_),
              static_cast<std::size_t>(n));
+  pos_ += static_cast<std::size_t>(n);
+  return Status::ok();
+}
+
+Status BinaryReader::readBytes(std::uint64_t n,
+                               std::span<const std::uint8_t>& out) {
+  if (remaining() < n) {
+    return Status::corruptData("byte block truncated");
+  }
+  out = data_.subspan(pos_, static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return Status::ok();
 }
@@ -84,27 +82,43 @@ Status writeFileBytes(const std::string& path,
 }
 
 Result<std::vector<std::uint8_t>> readFileBytes(const std::string& path) {
+  auto file = FileReader::open(path);
+  if (!file.isOk()) {
+    return file.status();
+  }
+  std::vector<std::uint8_t> data;
+  const Status s = file.value().read(file.value().remaining(), data);
+  if (!s.isOk()) {
+    return Status(s.code(), s.message() + ": " + path);
+  }
+  return data;
+}
+
+Result<FileReader> FileReader::open(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::ioError("cannot open for read: " + path);
   }
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
+  std::fseek(f, 0, SEEK_SET);
   if (size < 0) {
     std::fclose(f);
     return Status::ioError("cannot stat: " + path);
   }
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(size));
-  std::size_t got = 0;
-  if (size > 0) {
-    got = std::fread(data.data(), 1, data.size(), f);
+  return FileReader(f, static_cast<std::uint64_t>(size));
+}
+
+Status FileReader::read(std::uint64_t n, std::vector<std::uint8_t>& buf) {
+  if (n > remaining()) {
+    return Status::corruptData("read past end of file");
   }
-  std::fclose(f);
-  if (got != data.size()) {
-    return Status::ioError("short read: " + path);
+  buf.resize(static_cast<std::size_t>(n));
+  if (n > 0 && std::fread(buf.data(), 1, buf.size(), file_.get()) != n) {
+    return Status::ioError("short read");
   }
-  return data;
+  pos_ += n;
+  return Status::ok();
 }
 
 }  // namespace tsg

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -16,6 +18,25 @@
 #include "common/status.h"
 
 namespace tsg {
+
+// Decodes one varint from the raw span [p, end), advancing p. False on a
+// truncated or over-long varint (p is then unspecified).
+inline bool decodeVarint(const std::uint8_t*& p, const std::uint8_t* end,
+                         std::uint64_t& out) {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (p == end) {
+      return false;
+    }
+    const std::uint8_t byte = *p++;
+    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      out = v;
+      return true;
+    }
+  }
+  return false;
+}
 
 // Append-only encoder into an owned byte buffer.
 class BinaryWriter {
@@ -48,6 +69,14 @@ class BinaryWriter {
     buffer_.insert(buffer_.end(), p, p + n);
   }
 
+  // Grows the buffer by n bytes and returns where they start, for callers
+  // that fill a block in place. Invalidated by the next write.
+  std::uint8_t* appendBytes(std::size_t n) {
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + n);
+    return buffer_.data() + at;
+  }
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void writePodVector(const std::vector<T>& v) {
@@ -71,6 +100,13 @@ class BinaryWriter {
     return std::move(buffer_);
   }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
+  // Overwrites the 8 bytes at `pos` (a placeholder written earlier).
+  void patchU64(std::size_t pos, std::uint64_t v) {
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      buffer_.at(pos + i) = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  // Empties the buffer but keeps its capacity for the next message.
   void clear() { buffer_.clear(); }
 
  private:
@@ -119,7 +155,11 @@ class BinaryReader {
   }
 
   Status readVarint(std::uint64_t& out);
+  // Overwrites `out` in place, so a reused string keeps its capacity.
   Status readString(std::string& out);
+
+  // Borrows the next n bytes; `out` points into the reader's buffer.
+  Status readBytes(std::uint64_t n, std::span<const std::uint8_t>& out);
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -168,5 +208,27 @@ class BinaryReader {
 Status writeFileBytes(const std::string& path,
                       std::span<const std::uint8_t> data);
 Result<std::vector<std::uint8_t>> readFileBytes(const std::string& path);
+
+// Reads a file front to back in caller-sized chunks, each into a buffer the
+// caller reuses (GoFS reads a slice one timestep record at a time).
+class FileReader {
+ public:
+  static Result<FileReader> open(const std::string& path);
+
+  // Reads the next n bytes into `buf`, resized to n (its capacity is kept).
+  // corruptData if fewer than n bytes remain in the file. Messages do not
+  // name the file; callers add the path.
+  Status read(std::uint64_t n, std::vector<std::uint8_t>& buf);
+
+  [[nodiscard]] std::uint64_t remaining() const { return size_ - pos_; }
+
+ private:
+  FileReader(std::FILE* file, std::uint64_t size)
+      : file_(file, &std::fclose), size_(size) {}
+
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file_;
+  std::uint64_t size_ = 0;
+  std::uint64_t pos_ = 0;
+};
 
 }  // namespace tsg

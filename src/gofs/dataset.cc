@@ -18,42 +18,24 @@ namespace {
 
 constexpr std::uint32_t kManifestMagic = 0x4753464D;  // "MFSG"
 constexpr std::uint32_t kSliceMagic = 0x474C5354;     // "TSLG"
-constexpr std::uint8_t kFormatVersion = 1;
-
-// Edges owned by a subgraph: the out-edges of its vertices, in vertex order.
-// This order is a deterministic function of the topology, so writer and
-// reader recompute it identically instead of storing it.
-std::vector<EdgeIndex> subgraphOwnedEdges(const GraphTemplate& tmpl,
-                                          const Subgraph& sg) {
-  std::vector<EdgeIndex> edges;
-  for (const VertexIndex v : sg.vertices) {
-    for (const auto& oe : tmpl.outEdges(v)) {
-      edges.push_back(oe.edge);
-    }
-  }
-  return edges;
-}
-
-std::uint32_t numBins(const Partition& part, std::uint32_t binning) {
-  return static_cast<std::uint32_t>(
-      (part.subgraphs.size() + binning - 1) / binning);
-}
+constexpr std::uint8_t kFormatVersion = 2;
+// magic, version, partition, pack, t_begin, steps.
+constexpr std::size_t kSliceHeaderBytes = 4 + 1 + 4 * 4;
 
 }  // namespace
 
 std::string slicePath(const std::string& dir, PartitionId p,
-                      std::uint32_t pack_index, std::uint32_t bin_index) {
+                      std::uint32_t pack_index) {
   return dir + "/part" + std::to_string(p) + "/slice_p" +
-         std::to_string(pack_index) + "_b" + std::to_string(bin_index) +
-         ".bin";
+         std::to_string(pack_index) + ".bin";
 }
 
 Status writeGofsDataset(const std::string& dir, const std::string& name,
                         const PartitionedGraph& pg,
                         const TimeSeriesCollection& collection,
                         const GofsOptions& options) {
-  if (options.temporal_packing == 0 || options.subgraph_binning == 0) {
-    return Status::invalidArgument("packing and binning must be positive");
+  if (options.temporal_packing == 0) {
+    return Status::invalidArgument("temporal packing must be positive");
   }
   if (collection.templatePtr().get() != &pg.graphTemplate() &&
       !(collection.graphTemplate() == pg.graphTemplate())) {
@@ -82,7 +64,6 @@ Status writeGofsDataset(const std::string& dir, const std::string& name,
     w.writeU32(num_instances);
     w.writeU32(pg.numPartitions());
     w.writeU32(options.temporal_packing);
-    w.writeU32(options.subgraph_binning);
     TSG_RETURN_IF_ERROR(writeFileBytes(dir + "/manifest.bin", w.buffer()));
   }
   // template.bin
@@ -99,10 +80,11 @@ Status writeGofsDataset(const std::string& dir, const std::string& name,
     TSG_RETURN_IF_ERROR(writeFileBytes(dir + "/assignment.bin", w.buffer()));
   }
 
-  // Slices.
+  // Slices. One writer buffer serves every slice: after the first slice it
+  // has the capacity of a slice, so later ones encode without growing it.
   const std::uint32_t packing = options.temporal_packing;
-  const std::uint32_t binning = options.subgraph_binning;
   const std::uint32_t num_packs = (num_instances + packing - 1) / packing;
+  BinaryWriter w;
 
   for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
     const Partition& part = pg.partition(p);
@@ -110,53 +92,34 @@ Status writeGofsDataset(const std::string& dir, const std::string& name,
     if (ec) {
       return Status::ioError("cannot create partition dir");
     }
-    const std::uint32_t bins = numBins(part, binning);
-    // Per-subgraph owned-edge lists, reused across packs.
-    std::vector<std::vector<EdgeIndex>> owned_edges(part.subgraphs.size());
-    for (std::size_t s = 0; s < part.subgraphs.size(); ++s) {
-      owned_edges[s] = subgraphOwnedEdges(tmpl, part.subgraphs[s]);
-    }
-
     for (std::uint32_t pack = 0; pack < num_packs; ++pack) {
       const std::uint32_t t_begin = pack * packing;
       const std::uint32_t t_end = std::min(num_instances, t_begin + packing);
-      for (std::uint32_t bin = 0; bin < bins; ++bin) {
-        const std::size_t sg_begin = static_cast<std::size_t>(bin) * binning;
-        const std::size_t sg_end =
-            std::min(part.subgraphs.size(), sg_begin + binning);
-
-        BinaryWriter w;
-        w.writeU32(kSliceMagic);
-        w.writeU8(kFormatVersion);
-        w.writeU32(p);
-        w.writeU32(pack);
-        w.writeU32(bin);
-        w.writeU32(t_begin);
-        w.writeU32(t_end - t_begin);
-        w.writeVarint(sg_end - sg_begin);
-        for (std::size_t s = sg_begin; s < sg_end; ++s) {
-          w.writeU32(part.subgraphs[s].id);
+      w.clear();
+      w.writeU32(kSliceMagic);
+      w.writeU8(kFormatVersion);
+      w.writeU32(p);
+      w.writeU32(pack);
+      w.writeU32(t_begin);
+      w.writeU32(t_end - t_begin);
+      for (std::uint32_t t = t_begin; t < t_end; ++t) {
+        const GraphInstance& inst =
+            collection.instance(static_cast<Timestep>(t));
+        const std::size_t record_at = w.size();
+        w.writeU64(0);  // the record's byte count, patched below
+        w.writeI32(inst.timestep());
+        w.writeI64(inst.timestamp());
+        w.writeVarint(inst.numVertexAttrs());
+        for (std::size_t a = 0; a < inst.numVertexAttrs(); ++a) {
+          inst.vertexCol(a).serializeAt(part.vertices, w);
         }
-        for (std::uint32_t t = t_begin; t < t_end; ++t) {
-          const GraphInstance& inst =
-              collection.instance(static_cast<Timestep>(t));
-          w.writeI32(inst.timestep());
-          w.writeI64(inst.timestamp());
-          for (std::size_t s = sg_begin; s < sg_end; ++s) {
-            const Subgraph& sg = part.subgraphs[s];
-            w.writeVarint(inst.numVertexAttrs());
-            for (std::size_t a = 0; a < inst.numVertexAttrs(); ++a) {
-              inst.vertexCol(a).gather(sg.vertices).serialize(w);
-            }
-            w.writeVarint(inst.numEdgeAttrs());
-            for (std::size_t a = 0; a < inst.numEdgeAttrs(); ++a) {
-              inst.edgeCol(a).gather(owned_edges[s]).serialize(w);
-            }
-          }
+        w.writeVarint(inst.numEdgeAttrs());
+        for (std::size_t a = 0; a < inst.numEdgeAttrs(); ++a) {
+          inst.edgeCol(a).serializeAt(part.edges, w);
         }
-        TSG_RETURN_IF_ERROR(
-            writeFileBytes(slicePath(dir, p, pack, bin), w.buffer()));
+        w.patchU64(record_at, w.size() - record_at - sizeof(std::uint64_t));
       }
+      TSG_RETURN_IF_ERROR(writeFileBytes(slicePath(dir, p, pack), w.buffer()));
     }
   }
   return Status::ok();
@@ -189,10 +152,8 @@ Result<GofsDataset> GofsDataset::open(const std::string& dir) {
     TSG_RETURN_IF_ERROR(r.readU32(ds.manifest_.num_instances));
     TSG_RETURN_IF_ERROR(r.readU32(ds.manifest_.num_partitions));
     TSG_RETURN_IF_ERROR(r.readU32(ds.manifest_.options.temporal_packing));
-    TSG_RETURN_IF_ERROR(r.readU32(ds.manifest_.options.subgraph_binning));
-    if (ds.manifest_.options.temporal_packing == 0 ||
-        ds.manifest_.options.subgraph_binning == 0) {
-      return Status::corruptData("zero packing/binning in manifest");
+    if (ds.manifest_.options.temporal_packing == 0) {
+      return Status::corruptData("zero temporal packing in manifest");
     }
   }
   // template.bin
@@ -251,52 +212,6 @@ Result<GofsDataset::StorageStats> GofsDataset::storageStats() const {
 
 namespace {
 
-// Estimated heap footprint of one attribute column, for the
-// gofs.resident_bytes gauge. Exact for fixed-width types; strings count
-// payload bytes plus the string object itself (SBO storage is part of the
-// object, so short strings are not double-counted).
-std::int64_t columnBytes(const AttributeColumn& col) {
-  switch (col.type()) {
-    case AttrType::kInt64:
-      return static_cast<std::int64_t>(col.asInt64().size() *
-                                       sizeof(std::int64_t));
-    case AttrType::kDouble:
-      return static_cast<std::int64_t>(col.asDouble().size() * sizeof(double));
-    case AttrType::kBool:
-      return static_cast<std::int64_t>(col.asBool().size());
-    case AttrType::kString: {
-      std::int64_t bytes = 0;
-      for (const auto& s : col.asString()) {
-        bytes += static_cast<std::int64_t>(sizeof(std::string) + s.capacity());
-      }
-      return bytes;
-    }
-    case AttrType::kStringList: {
-      std::int64_t bytes = 0;
-      for (const auto& list : col.asStringList()) {
-        bytes += static_cast<std::int64_t>(sizeof(list));
-        for (const auto& s : list) {
-          bytes +=
-              static_cast<std::int64_t>(sizeof(std::string) + s.capacity());
-        }
-      }
-      return bytes;
-    }
-  }
-  return 0;
-}
-
-std::int64_t instanceBytes(const PartitionInstanceData& data) {
-  std::int64_t bytes = 0;
-  for (const auto& col : data.vertex_cols) {
-    bytes += columnBytes(col);
-  }
-  for (const auto& col : data.edge_cols) {
-    bytes += columnBytes(col);
-  }
-  return bytes;
-}
-
 // Lazy slice-backed provider. Caches one pack per partition; asking for a
 // timestep outside the cached pack loads (and meters) the new pack.
 class GofsInstanceProvider final : public InstanceProvider {
@@ -352,19 +267,15 @@ class GofsInstanceProvider final : public InstanceProvider {
       registry.counter("gofs.load_ns", static_cast<std::int32_t>(p))
           .add(static_cast<std::uint64_t>(state.load_ns - load_ns_before));
       // Residency levels for the telemetry sampler: how many timestep
-      // slices this partition holds in memory and what they weigh. One
-      // gauge write per pack load — nowhere near the hot path.
-      std::int64_t resident_bytes = 0;
-      for (const auto& inst : state.pack_data) {
-        resident_bytes += instanceBytes(inst);
-      }
+      // slices this partition holds in memory and what they weigh (the
+      // heap bytes the decoder reported). One gauge write per pack load.
       registry.gauge("gofs.resident_slices", static_cast<std::int32_t>(p))
           .set(static_cast<std::int64_t>(state.pack_data.size()));
       registry.gauge("gofs.resident_bytes", static_cast<std::int32_t>(p))
-          .set(resident_bytes);
+          .set(state.resident_bytes);
       if (prof::armed()) [[unlikely]] {
         prof::hooks().resident_slice(
-            p, t, static_cast<std::uint64_t>(resident_bytes));
+            p, t, static_cast<std::uint64_t>(state.resident_bytes));
       }
     }
     const std::size_t offset = static_cast<std::uint32_t>(t) % packing;
@@ -380,161 +291,132 @@ class GofsInstanceProvider final : public InstanceProvider {
  private:
   struct PartitionState {
     std::int64_t cached_pack = -1;
+    // The pack's timesteps; their columns are reused from pack to pack.
     std::vector<PartitionInstanceData> pack_data;
+    std::vector<std::uint8_t> record;  // one timestep's slice bytes, reused
+    std::int64_t resident_bytes = 0;  // heap bytes of pack_data's values
     std::int64_t load_ns = 0;
-    // Scatter maps, built on first load: partition-local positions of each
-    // subgraph's vertices and owned edges.
-    bool maps_ready = false;
-    std::vector<std::vector<std::uint32_t>> sg_vertex_pos;
-    std::vector<std::vector<std::uint32_t>> sg_edge_pos;
   };
 
-  void buildScatterMaps(PartitionId p, PartitionState& state) {
-    const Partition& part = pg_->partition(p);
-    const GraphTemplate& tmpl = pg_->graphTemplate();
-    state.sg_vertex_pos.resize(part.subgraphs.size());
-    state.sg_edge_pos.resize(part.subgraphs.size());
-    for (std::size_t s = 0; s < part.subgraphs.size(); ++s) {
-      const Subgraph& sg = part.subgraphs[s];
-      auto& vpos = state.sg_vertex_pos[s];
-      vpos.reserve(sg.vertices.size());
-      for (const VertexIndex v : sg.vertices) {
-        vpos.push_back(pg_->localIndexOfVertex(v));
-      }
-      auto& epos = state.sg_edge_pos[s];
-      for (const EdgeIndex e : subgraphOwnedEdges(tmpl, sg)) {
-        epos.push_back(pg_->localIndexOfEdge(e));
-      }
-    }
-    state.maps_ready = true;
-  }
-
   void loadPack(PartitionId p, std::uint32_t pack, PartitionState& state) {
-    if (!state.maps_ready) {
-      buildScatterMaps(p, state);
-    }
     const Partition& part = pg_->partition(p);
     const GraphTemplate& tmpl = pg_->graphTemplate();
     const std::uint32_t packing = manifest_.options.temporal_packing;
-    const std::uint32_t binning = manifest_.options.subgraph_binning;
     const std::uint32_t t_begin = pack * packing;
     const std::uint32_t t_end =
         std::min(manifest_.num_instances, t_begin + packing);
     const std::uint32_t steps = t_end - t_begin;
 
-    // Fresh, fully allocated partition columns for every step in the pack.
-    state.pack_data.assign(steps, PartitionInstanceData{});
+    // One slot per step. Only slots this partition has not held before get
+    // fresh columns; the rest are overwritten in place by the decoder.
+    const std::size_t shaped = state.pack_data.size();
+    state.pack_data.resize(steps);
     for (std::uint32_t i = 0; i < steps; ++i) {
       auto& data = state.pack_data[i];
+      if (i >= shaped) {
+        for (const auto& def : tmpl.vertexSchema().defs()) {
+          data.vertex_cols.push_back(
+              AttributeColumn::make(def.type, part.vertices.size()));
+        }
+        for (const auto& def : tmpl.edgeSchema().defs()) {
+          data.edge_cols.push_back(
+              AttributeColumn::make(def.type, part.edges.size()));
+        }
+      }
       data.timestep = static_cast<Timestep>(t_begin + i);
       data.timestamp =
           manifest_.t0 + static_cast<std::int64_t>(t_begin + i) *
                              manifest_.delta;
-      for (const auto& def : tmpl.vertexSchema().defs()) {
-        data.vertex_cols.push_back(
-            AttributeColumn::make(def.type, part.vertices.size()));
-      }
-      for (const auto& def : tmpl.edgeSchema().defs()) {
-        data.edge_cols.push_back(
-            AttributeColumn::make(def.type, part.edges.size()));
-      }
     }
 
-    const std::uint32_t bins = numBins(part, binning);
-    for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      const Status s = loadSlice(p, pack, bin, t_begin, steps, state);
-      TSG_CHECK_MSG(s.isOk(), s.toString());
-    }
+    const Status s = loadSlice(p, pack, t_begin, steps, state);
+    TSG_CHECK_MSG(s.isOk(), s.toString());
   }
 
-  Status loadSlice(PartitionId p, std::uint32_t pack, std::uint32_t bin,
-                   std::uint32_t t_begin, std::uint32_t steps,
-                   PartitionState& state) {
-    const std::string path = slicePath(dir_, p, pack, bin);
-    auto bytes = readFileBytes(path);
-    if (!bytes.isOk()) {
-      return bytes.status();
+  // Reads one slice into the shaped pack buffers, one timestep record at a
+  // time through a reused record buffer. Every decode failure names the
+  // slice path.
+  Status loadSlice(PartitionId p, std::uint32_t pack, std::uint32_t t_begin,
+                   std::uint32_t steps, PartitionState& state) {
+    const std::string path = slicePath(dir_, p, pack);
+    auto file = FileReader::open(path);
+    if (!file.isOk()) {
+      return file.status();
     }
-    BinaryReader r(bytes.value());
+    const Status s = decodeSlice(file.value(), p, pack, t_begin, steps, state);
+    if (!s.isOk()) {
+      return Status(s.code(), s.message() + ": " + path);
+    }
+    return Status::ok();
+  }
+
+  Status decodeSlice(FileReader& file, PartitionId p, std::uint32_t pack,
+                     std::uint32_t t_begin, std::uint32_t steps,
+                     PartitionState& state) {
+    TSG_RETURN_IF_ERROR(file.read(kSliceHeaderBytes, state.record));
+    BinaryReader header(state.record);
     std::uint32_t magic = 0;
-    TSG_RETURN_IF_ERROR(r.readU32(magic));
+    TSG_RETURN_IF_ERROR(header.readU32(magic));
     if (magic != kSliceMagic) {
-      return Status::corruptData("bad slice magic: " + path);
+      return Status::corruptData("bad slice magic");
     }
     std::uint8_t version = 0;
-    TSG_RETURN_IF_ERROR(r.readU8(version));
+    TSG_RETURN_IF_ERROR(header.readU8(version));
     if (version != kFormatVersion) {
-      return Status::corruptData("unsupported slice version: " + path);
+      return Status::corruptData("unsupported slice version");
     }
-    std::uint32_t file_p = 0;
-    std::uint32_t file_pack = 0;
-    std::uint32_t file_bin = 0;
-    std::uint32_t file_t_begin = 0;
-    std::uint32_t file_steps = 0;
-    TSG_RETURN_IF_ERROR(r.readU32(file_p));
-    TSG_RETURN_IF_ERROR(r.readU32(file_pack));
-    TSG_RETURN_IF_ERROR(r.readU32(file_bin));
-    TSG_RETURN_IF_ERROR(r.readU32(file_t_begin));
-    TSG_RETURN_IF_ERROR(r.readU32(file_steps));
-    if (file_p != p || file_pack != pack || file_bin != bin ||
-        file_t_begin != t_begin || file_steps != steps) {
-      return Status::corruptData("slice header mismatch: " + path);
-    }
-    std::uint64_t sg_count = 0;
-    TSG_RETURN_IF_ERROR(r.readVarint(sg_count));
-    const std::size_t sg_begin =
-        static_cast<std::size_t>(bin) * manifest_.options.subgraph_binning;
-    for (std::uint64_t s = 0; s < sg_count; ++s) {
-      std::uint32_t sg_id = 0;
-      TSG_RETURN_IF_ERROR(r.readU32(sg_id));
-      const Partition& part = pg_->partition(p);
-      if (sg_begin + s >= part.subgraphs.size() ||
-          part.subgraphs[sg_begin + s].id != sg_id) {
-        return Status::corruptData("slice subgraph id mismatch: " + path);
+    const std::uint32_t expected[] = {p, pack, t_begin, steps};
+    for (const std::uint32_t field : expected) {
+      std::uint32_t stored = 0;
+      TSG_RETURN_IF_ERROR(header.readU32(stored));
+      if (stored != field) {
+        return Status::corruptData("slice header mismatch");
       }
     }
+    std::size_t resident = 0;
+    const auto decodeColumns = [&](BinaryReader& r,
+                                   std::vector<AttributeColumn>& cols) {
+      std::uint64_t count = 0;
+      TSG_RETURN_IF_ERROR(r.readVarint(count));
+      if (count != cols.size()) {
+        return Status::corruptData("slice attr count mismatch");
+      }
+      for (auto& col : cols) {
+        auto bytes = col.deserializeInto(r);
+        if (!bytes.isOk()) {
+          return bytes.status();
+        }
+        resident += bytes.value();
+      }
+      return Status::ok();
+    };
     for (std::uint32_t i = 0; i < steps; ++i) {
       auto& data = state.pack_data[i];
+      TSG_RETURN_IF_ERROR(file.read(sizeof(std::uint64_t), state.record));
+      std::uint64_t record_bytes = 0;
+      TSG_RETURN_IF_ERROR(BinaryReader(state.record).readU64(record_bytes));
+      TSG_RETURN_IF_ERROR(file.read(record_bytes, state.record));
+      BinaryReader r(state.record);
       Timestep ts = 0;
       std::int64_t stamp = 0;
       TSG_RETURN_IF_ERROR(r.readI32(ts));
       TSG_RETURN_IF_ERROR(r.readI64(stamp));
       if (ts != data.timestep) {
-        return Status::corruptData("slice timestep mismatch: " + path);
+        return Status::corruptData("slice timestep mismatch");
       }
-      for (std::uint64_t s = 0; s < sg_count; ++s) {
-        const std::size_t sg_index = sg_begin + s;
-        std::uint64_t num_vattrs = 0;
-        TSG_RETURN_IF_ERROR(r.readVarint(num_vattrs));
-        if (num_vattrs != data.vertex_cols.size()) {
-          return Status::corruptData("slice vertex attr count mismatch");
-        }
-        for (std::uint64_t a = 0; a < num_vattrs; ++a) {
-          auto col = AttributeColumn::deserialize(r);
-          if (!col.isOk()) {
-            return col.status();
-          }
-          data.vertex_cols[a].scatterFrom(col.value(),
-                                          state.sg_vertex_pos[sg_index]);
-        }
-        std::uint64_t num_eattrs = 0;
-        TSG_RETURN_IF_ERROR(r.readVarint(num_eattrs));
-        if (num_eattrs != data.edge_cols.size()) {
-          return Status::corruptData("slice edge attr count mismatch");
-        }
-        for (std::uint64_t a = 0; a < num_eattrs; ++a) {
-          auto col = AttributeColumn::deserialize(r);
-          if (!col.isOk()) {
-            return col.status();
-          }
-          data.edge_cols[a].scatterFrom(col.value(),
-                                        state.sg_edge_pos[sg_index]);
-        }
+      if (stamp != data.timestamp) {
+        return Status::corruptData("slice timestamp mismatch");
+      }
+      TSG_RETURN_IF_ERROR(decodeColumns(r, data.vertex_cols));
+      TSG_RETURN_IF_ERROR(decodeColumns(r, data.edge_cols));
+      if (!r.atEnd()) {
+        return Status::corruptData("trailing bytes in timestep record");
       }
     }
-    if (!r.atEnd()) {
-      return Status::corruptData("trailing bytes in slice: " + path);
+    if (file.remaining() != 0) {
+      return Status::corruptData("trailing bytes in slice");
     }
+    state.resident_bytes = static_cast<std::int64_t>(resident);
     return Status::ok();
   }
 

@@ -1,18 +1,27 @@
 // GoFS — the distributed time-series graph store (our equivalent of the
 // paper's GoFS, §IV-A).
 //
-// On-disk layout of a dataset directory:
-//   manifest.bin    name, t0, δ, instance count, packing, binning, k
+// On-disk layout of a dataset directory (format v2):
+//   manifest.bin    name, t0, δ, instance count, k, packing
 //   template.bin    serialized GraphTemplate
 //   assignment.bin  vertex -> partition map
-//   part<p>/slice_p<pack>_b<bin>.bin
+//   part<p>/slice_p<pack>.bin
 //
 // A slice file holds, for ONE partition, `temporal_packing` consecutive
-// instances of up to `subgraph_binning` subgraphs: this is the paper's
-// "temporal packing of 10 and subgraph binning of 5" — consecutive timesteps
-// of spatially grouped subgraphs are laid out together so that a run over
+// instances: the paper's temporal packing of 10, laid out so that a run over
 // timesteps touches disk only at pack boundaries (the every-10th-timestep
-// spikes of Fig. 6).
+// spikes of Fig. 6). There is no subgraph binning: a pack load always needs
+// every subgraph of its partition, so the partition is one bin.
+//
+// Slice layout: magic, version, header (partition, pack, t_begin, steps),
+// then one record per timestep: its u64 byte count, the timestep and its
+// timestamp (checked against t0 + t·δ), and every vertex then edge
+// attribute column in the AttributeColumn codec. Each column lists the
+// partition's cells in partition-local order (Partition::vertices /
+// Partition::edges), the index order of PartitionInstanceData, so the
+// reader decodes it straight into the partition's pack buffers, which it
+// reuses from one pack to the next. The reader reads one record at a time
+// into a reused buffer, so a load holds one timestep's bytes, not a pack's.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +37,6 @@ namespace tsg {
 
 struct GofsOptions {
   std::uint32_t temporal_packing = 10;  // instances per slice
-  std::uint32_t subgraph_binning = 5;   // subgraphs per slice
 };
 
 struct GofsManifest {
@@ -79,6 +87,6 @@ class GofsDataset {
 
 // Path of one slice file (exposed for tests and tooling).
 std::string slicePath(const std::string& dir, PartitionId p,
-                      std::uint32_t pack_index, std::uint32_t bin_index);
+                      std::uint32_t pack_index);
 
 }  // namespace tsg

@@ -1,6 +1,8 @@
 #include "graph/attribute.h"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 namespace tsg {
 
@@ -189,85 +191,175 @@ void AttributeColumn::scatterFrom(const AttributeColumn& src,
 
 namespace {
 
-constexpr std::uint8_t kColumnFormatVersion = 1;
+constexpr std::uint8_t kColumnFormatVersion = 2;
 
-}  // namespace
-
-void AttributeColumn::serialize(BinaryWriter& writer) const {
-  writer.writeU8(kColumnFormatVersion);
-  writer.writeU8(static_cast<std::uint8_t>(type()));
-  switch (type()) {
-    case AttrType::kInt64:
-      writer.writePodVector(asInt64());
-      break;
-    case AttrType::kDouble:
-      writer.writePodVector(asDouble());
-      break;
-    case AttrType::kBool:
-      writer.writePodVector(asBool());
-      break;
-    case AttrType::kString:
-      writer.writeStringVector(asString());
-      break;
-    case AttrType::kStringList: {
-      const auto& lists = asStringList();
-      writer.writeVarint(lists.size());
-      for (const auto& list : lists) {
-        writer.writeStringVector(list);
-      }
-      break;
+// Writes the column of n values whose i-th is vec[at(i)].
+template <typename Vec, typename At>
+void encodeColumn(AttrType type, const Vec& vec, std::size_t n, At at,
+                  BinaryWriter& w) {
+  using T = typename Vec::value_type;
+  w.writeU8(kColumnFormatVersion);
+  w.writeU8(static_cast<std::uint8_t>(type));
+  w.writeVarint(n);
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    std::uint8_t* dst = w.appendBytes(n * sizeof(T));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(dst + i * sizeof(T), &vec[at(i)], sizeof(T));
     }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    for (std::size_t i = 0; i < n; ++i) {
+      w.writeString(vec[at(i)]);
+    }
+  } else {
+    // One pass over the cells (a gathered column is scattered in memory):
+    // list lengths go to the length stream, strings to a second buffer.
+    BinaryWriter lengths(n);
+    BinaryWriter strings;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& list = vec[at(i)];
+      lengths.writeVarint(list.size());
+      for (const auto& s : list) {
+        strings.writeString(s);
+      }
+    }
+    w.writeVarint(lengths.size());
+    w.writeBytes(lengths.buffer().data(), lengths.size());
+    w.writeBytes(strings.buffer().data(), strings.size());
   }
 }
 
-Result<AttributeColumn> AttributeColumn::deserialize(BinaryReader& reader) {
+// Decodes vec.size() values over vec in place and adds the heap bytes they
+// hold to `heap` (see deserializeInto).
+template <typename Vec>
+Status decodeValues(BinaryReader& r, Vec& vec, std::size_t& heap) {
+  using T = typename Vec::value_type;
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    std::span<const std::uint8_t> block;
+    TSG_RETURN_IF_ERROR(r.readBytes(vec.size() * sizeof(T), block));
+    if (!block.empty()) {
+      std::memcpy(vec.data(), block.data(), block.size());
+    }
+    heap += block.size();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    heap += vec.size() * sizeof(std::string);
+    for (auto& s : vec) {
+      TSG_RETURN_IF_ERROR(r.readString(s));
+      heap += s.size();
+    }
+  } else {
+    std::uint64_t stream_bytes = 0;
+    TSG_RETURN_IF_ERROR(r.readVarint(stream_bytes));
+    std::span<const std::uint8_t> stream;
+    if (!r.readBytes(stream_bytes, stream).isOk()) {
+      return Status::corruptData("string-list length stream truncated");
+    }
+    const std::uint8_t* p = stream.data();
+    const std::uint8_t* const end = p + stream.size();
+    heap += vec.size() * sizeof(T);
+    for (auto& list : vec) {
+      if (p == end) {
+        return Status::corruptData("string-list length stream truncated");
+      }
+      // Nearly every tweet list is empty: one byte, no allocation.
+      if (*p == 0) {
+        ++p;
+        if (!list.empty()) {
+          list.clear();
+        }
+        continue;
+      }
+      std::uint64_t len = 0;
+      if (!decodeVarint(p, end, len)) {
+        return Status::corruptData("string-list length stream truncated");
+      }
+      // Every string takes at least its one-byte length prefix.
+      if (len > r.remaining()) {
+        return Status::corruptData(
+            "string-list length exceeds the bytes remaining");
+      }
+      list.resize(static_cast<std::size_t>(len));
+      for (auto& s : list) {
+        TSG_RETURN_IF_ERROR(r.readString(s));
+        heap += sizeof(std::string) + s.size();
+      }
+    }
+    if (p != end) {
+      return Status::corruptData("trailing bytes in string-list length stream");
+    }
+  }
+  return Status::ok();
+}
+
+// Reads the version, type tag and size that open an encoded column.
+Status readColumnHeader(BinaryReader& r, AttrType& type, std::uint64_t& n) {
   std::uint8_t version = 0;
-  TSG_RETURN_IF_ERROR(reader.readU8(version));
+  TSG_RETURN_IF_ERROR(r.readU8(version));
   if (version != kColumnFormatVersion) {
     return Status::corruptData("unsupported column format version");
   }
   std::uint8_t type_raw = 0;
-  TSG_RETURN_IF_ERROR(reader.readU8(type_raw));
+  TSG_RETURN_IF_ERROR(r.readU8(type_raw));
   if (type_raw > static_cast<std::uint8_t>(AttrType::kStringList)) {
     return Status::corruptData("bad column type tag");
   }
-  const auto type = static_cast<AttrType>(type_raw);
-  AttributeColumn col;
-  switch (type) {
-    case AttrType::kInt64: {
-      Int64Vec v;
-      TSG_RETURN_IF_ERROR(reader.readPodVector(v));
-      col.data_ = std::move(v);
-      break;
-    }
-    case AttrType::kDouble: {
-      DoubleVec v;
-      TSG_RETURN_IF_ERROR(reader.readPodVector(v));
-      col.data_ = std::move(v);
-      break;
-    }
-    case AttrType::kBool: {
-      BoolVec v;
-      TSG_RETURN_IF_ERROR(reader.readPodVector(v));
-      col.data_ = std::move(v);
-      break;
-    }
-    case AttrType::kString: {
-      StringVec v;
-      TSG_RETURN_IF_ERROR(reader.readStringVector(v));
-      col.data_ = std::move(v);
-      break;
-    }
-    case AttrType::kStringList: {
-      std::uint64_t n = 0;
-      TSG_RETURN_IF_ERROR(reader.readVarint(n));
-      StringListVec lists(static_cast<std::size_t>(n));
-      for (auto& list : lists) {
-        TSG_RETURN_IF_ERROR(reader.readStringVector(list));
-      }
-      col.data_ = std::move(lists);
-      break;
-    }
+  type = static_cast<AttrType>(type_raw);
+  return r.readVarint(n);
+}
+
+}  // namespace
+
+void AttributeColumn::serialize(BinaryWriter& writer) const {
+  std::visit(
+      [&](const auto& vec) {
+        encodeColumn(type(), vec, vec.size(), [](std::size_t i) { return i; },
+                     writer);
+      },
+      data_);
+}
+
+void AttributeColumn::serializeAt(std::span<const std::uint32_t> indices,
+                                  BinaryWriter& writer) const {
+  const std::size_t count = size();
+  for (const std::uint32_t i : indices) {
+    TSG_CHECK(i < count);
+  }
+  std::visit(
+      [&](const auto& vec) {
+        encodeColumn(type(), vec, indices.size(),
+                     [&](std::size_t i) { return indices[i]; }, writer);
+      },
+      data_);
+}
+
+Result<std::size_t> AttributeColumn::deserializeInto(BinaryReader& reader) {
+  AttrType encoded_type = AttrType::kInt64;
+  std::uint64_t n = 0;
+  TSG_RETURN_IF_ERROR(readColumnHeader(reader, encoded_type, n));
+  if (encoded_type != type()) {
+    return Status::corruptData("column type tag mismatch");
+  }
+  if (n != size()) {
+    return Status::corruptData("column size mismatch");
+  }
+  std::size_t heap = 0;
+  TSG_RETURN_IF_ERROR(std::visit(
+      [&](auto& vec) { return decodeValues(reader, vec, heap); }, data_));
+  return heap;
+}
+
+Result<AttributeColumn> AttributeColumn::deserialize(BinaryReader& reader) {
+  BinaryReader header = reader;
+  AttrType type = AttrType::kInt64;
+  std::uint64_t n = 0;
+  TSG_RETURN_IF_ERROR(readColumnHeader(header, type, n));
+  // Every value takes at least one encoded byte: bound n before allocating.
+  if (n > header.remaining()) {
+    return Status::corruptData("column size exceeds the bytes remaining");
+  }
+  AttributeColumn col = make(type, static_cast<std::size_t>(n));
+  auto decoded = col.deserializeInto(reader);
+  if (!decoded.isOk()) {
+    return decoded.status();
   }
   return col;
 }

@@ -104,7 +104,26 @@ class AttributeColumn {
   void scatterFrom(const AttributeColumn& src,
                    std::span<const std::uint32_t> indices);
 
+  // Column codec (format v2): u8 version, u8 type tag, varint n, then the
+  // values. Fixed-width types are one raw block of n values; strings are n
+  // length-prefixed strings; a string list is the byte count of a stream of
+  // n varint list lengths (one byte per empty list), that stream, then the
+  // strings of every list in order.
   void serialize(BinaryWriter& writer) const;
+
+  // Encodes the column of values this[indices[0]], this[indices[1]], ...
+  // without materializing it (a GoFS slice's partition-order column).
+  void serializeAt(std::span<const std::uint32_t> indices,
+                   BinaryWriter& writer) const;
+
+  // Decodes an encoded column into this one in place, reusing its storage.
+  // The encoded type and size must equal this column's. Returns the heap
+  // bytes the decoded values hold: n * sizeof(T) for fixed-width types;
+  // for strings, the string objects plus their payload sizes; for string
+  // lists, the list objects plus every string object and payload size.
+  Result<std::size_t> deserializeInto(BinaryReader& reader);
+
+  // make() of the encoded type and size, then deserializeInto().
   static Result<AttributeColumn> deserialize(BinaryReader& reader);
 
   bool operator==(const AttributeColumn&) const = default;

@@ -2,8 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace tsg {
 namespace {
+
+std::vector<std::uint8_t> encode(const AttributeColumn& col) {
+  BinaryWriter w;
+  col.serialize(w);
+  return w.takeBuffer();
+}
+
+// The heap bytes deserializeInto reports, walked independently.
+std::size_t heapBytesOf(const AttributeColumn& col) {
+  switch (col.type()) {
+    case AttrType::kInt64:
+      return col.size() * sizeof(std::int64_t);
+    case AttrType::kDouble:
+      return col.size() * sizeof(double);
+    case AttrType::kBool:
+      return col.size();
+    case AttrType::kString: {
+      std::size_t bytes = col.size() * sizeof(std::string);
+      for (const auto& s : col.asString()) {
+        bytes += s.size();
+      }
+      return bytes;
+    }
+    case AttrType::kStringList: {
+      std::size_t bytes = col.size() * sizeof(std::vector<std::string>);
+      for (const auto& list : col.asStringList()) {
+        for (const auto& s : list) {
+          bytes += sizeof(std::string) + s.size();
+        }
+      }
+      return bytes;
+    }
+  }
+  return 0;
+}
 
 TEST(AttributeSchema, AddAndLookup) {
   AttributeSchema schema;
@@ -149,6 +187,151 @@ TEST(AttributeColumn, DeserializeRejectsBadTypeTag) {
   BinaryReader r(w.buffer());
   auto parsed = AttributeColumn::deserialize(r);
   EXPECT_FALSE(parsed.isOk());
+}
+
+TEST(AttributeColumn, SerializeAtMatchesGatherThenSerialize) {
+  const std::vector<std::uint32_t> indices{3, 0, 2, 2};
+  auto ints = AttributeColumn::make(AttrType::kInt64, 4);
+  ints.asInt64() = {10, 11, 12, 13};
+  auto strings = AttributeColumn::make(AttrType::kString, 4);
+  strings.asString() = {"a", "", "ccc", std::string(200, 'd')};
+  auto lists = AttributeColumn::make(AttrType::kStringList, 4);
+  lists.asStringList() = {{"#a"}, {}, {"#b", "#c"}, {}};
+  for (const auto* col : {&ints, &strings, &lists}) {
+    BinaryWriter at;
+    col->serializeAt(indices, at);
+    EXPECT_EQ(at.buffer(), encode(col->gather(indices)))
+        << attrTypeName(col->type());
+  }
+  BinaryWriter w;
+  EXPECT_DEATH(ints.serializeAt(std::vector<std::uint32_t>{4}, w),
+               "TSG_CHECK");
+}
+
+// A reused column must read exactly what was encoded, whatever it held
+// before: lists that empty out are cleared, lists that refill are rebuilt.
+TEST(AttributeColumn, DeserializeIntoOverwritesStaleCells) {
+  auto lists = AttributeColumn::make(AttrType::kStringList, 3);
+  auto doubles = AttributeColumn::make(AttrType::kDouble, 3);
+  auto strings = AttributeColumn::make(AttrType::kString, 3);
+  const std::vector<AttributeColumn::StringListVec> list_steps{
+      {{"#a", "#b"}, {}, {"#c"}},
+      {{}, {}, {}},
+      {{"#d"}, {"#e", "#f", "#g"}, {}}};
+  for (std::size_t step = 0; step < list_steps.size(); ++step) {
+    auto next_lists = AttributeColumn::make(AttrType::kStringList, 3);
+    next_lists.asStringList() = list_steps[step];
+    auto next_doubles = AttributeColumn::make(AttrType::kDouble, 3);
+    next_doubles.asDouble() = {step + 0.5, -1.0 * step, 1e9 + step};
+    auto next_strings = AttributeColumn::make(AttrType::kString, 3);
+    next_strings.asString() = {std::string(step * 40, 'x'), "", "s"};
+    for (auto [dst, src] : {std::pair{&lists, &next_lists},
+                            std::pair{&doubles, &next_doubles},
+                            std::pair{&strings, &next_strings}}) {
+      const auto bytes = encode(*src);
+      BinaryReader r(bytes);
+      auto heap = dst->deserializeInto(r);
+      ASSERT_TRUE(heap.isOk()) << heap.status().toString();
+      EXPECT_EQ(*dst, *src) << "step " << step;
+      EXPECT_EQ(heap.value(), heapBytesOf(*src));
+      EXPECT_TRUE(r.atEnd());
+    }
+  }
+}
+
+TEST(AttributeColumn, MultiByteVarintLengthsRoundtrip) {
+  auto lists = AttributeColumn::make(AttrType::kStringList, 3);
+  std::vector<std::string> many;
+  for (int i = 0; i < 200; ++i) {
+    many.push_back("#t" + std::to_string(i));
+  }
+  lists.asStringList() = {many, {std::string(300, 'q')}, {}};
+  auto strings = AttributeColumn::make(AttrType::kString, 2);
+  strings.asString() = {std::string(1000, 'z'), "y"};
+  for (const auto* col : {&lists, &strings}) {
+    const auto bytes = encode(*col);
+    BinaryReader r(bytes);
+    auto parsed = AttributeColumn::deserialize(r);
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    EXPECT_EQ(parsed.value(), *col);
+    EXPECT_TRUE(r.atEnd());
+  }
+}
+
+TEST(AttributeColumn, EmptyStringListsCostOneByteEach) {
+  const std::size_t n = 1000;
+  const auto col = AttributeColumn::make(AttrType::kStringList, n);
+  // version + tag + varint n + varint stream size + one byte per list.
+  EXPECT_EQ(encode(col).size(), 2 + 2 + 2 + n);
+  auto reused = AttributeColumn::make(AttrType::kStringList, n);
+  reused.asStringList()[7] = {"#stale"};
+  const auto bytes = encode(col);
+  BinaryReader r(bytes);
+  auto heap = reused.deserializeInto(r);
+  ASSERT_TRUE(heap.isOk());
+  EXPECT_EQ(reused, col);
+  EXPECT_EQ(heap.value(), n * sizeof(std::vector<std::string>));
+}
+
+TEST(AttributeColumn, DeserializeIntoRejectsTypeAndSizeMismatch) {
+  auto lists = AttributeColumn::make(AttrType::kStringList, 4);
+  const auto doubles = encode(AttributeColumn::make(AttrType::kDouble, 4));
+  BinaryReader wrong_type(doubles);
+  auto s = lists.deserializeInto(wrong_type);
+  ASSERT_FALSE(s.isOk());
+  EXPECT_EQ(s.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(s.status().message().find("type tag mismatch"), std::string::npos);
+
+  const auto five = encode(AttributeColumn::make(AttrType::kStringList, 5));
+  BinaryReader wrong_size(five);
+  s = lists.deserializeInto(wrong_size);
+  ASSERT_FALSE(s.isOk());
+  EXPECT_EQ(s.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(s.status().message().find("size mismatch"), std::string::npos);
+}
+
+// Hand-built string-list bodies for three lists; each must fail cleanly.
+TEST(AttributeColumn, MalformedStringListStreamsRejected) {
+  const auto body = [](std::uint64_t stream_bytes,
+                       std::vector<std::uint8_t> stream,
+                       std::vector<std::uint8_t> rest) {
+    BinaryWriter w;
+    w.writeU8(2);  // column format version
+    w.writeU8(static_cast<std::uint8_t>(AttrType::kStringList));
+    w.writeVarint(3);
+    w.writeVarint(stream_bytes);
+    w.writeBytes(stream.data(), stream.size());
+    w.writeBytes(rest.data(), rest.size());
+    return w.takeBuffer();
+  };
+  const std::vector<std::pair<std::vector<std::uint8_t>, std::string>> cases{
+      {body(2, {0, 0}, {}), "length stream truncated"},
+      {body(4, {0, 0}, {}), "length stream truncated"},
+      {body(3, {0, 0x80, 0x80}, {}), "length stream truncated"},
+      {body(4, {0, 0, 0, 0}, {}), "trailing bytes"},
+      {body(3, {0, 5, 0}, {1, 'a'}), "exceeds the bytes remaining"},
+      {body(3, {0, 1, 0}, {4, 'a'}), "truncated"},
+  };
+  for (const auto& [bytes, why] : cases) {
+    auto col = AttributeColumn::make(AttrType::kStringList, 3);
+    BinaryReader r(bytes);
+    auto s = col.deserializeInto(r);
+    ASSERT_FALSE(s.isOk()) << why;
+    EXPECT_EQ(s.status().code(), ErrorCode::kCorruptData) << why;
+    EXPECT_NE(s.status().message().find(why), std::string::npos)
+        << s.status().toString();
+  }
+}
+
+TEST(AttributeColumn, DeserializeBoundsSizeBeforeAllocating) {
+  BinaryWriter w;
+  w.writeU8(2);
+  w.writeU8(static_cast<std::uint8_t>(AttrType::kDouble));
+  w.writeVarint(1ull << 40);  // would be 8 TiB
+  BinaryReader r(w.buffer());
+  auto parsed = AttributeColumn::deserialize(r);
+  ASSERT_FALSE(parsed.isOk());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kCorruptData);
 }
 
 TEST(AttrTypeName, AllNamed) {

@@ -325,7 +325,6 @@ TEST(FaultMatrix, SliceLoadFailuresRetryWithoutRecovery) {
   testing::TempDir tmp("tsg_fault_gofs");
   GofsOptions gofs;
   gofs.temporal_packing = 3;
-  gofs.subgraph_binning = 2;
   ASSERT_TRUE(
       writeGofsDataset(tmp.path(), "fault-mini", env.pg, env.coll, gofs)
           .isOk());

@@ -38,7 +38,6 @@ TEST_F(IntegrationTest, TdspOverGofsMatchesReference) {
 
   GofsOptions gofs;
   gofs.temporal_packing = 10;
-  gofs.subgraph_binning = 5;
   ASSERT_TRUE(writeGofsDataset(dir_, "carn-mini", pg, coll, gofs).isOk());
   auto ds = unwrap(GofsDataset::open(dir_));
   auto provider = ds.makeProvider();
@@ -171,7 +170,6 @@ TEST_F(IntegrationTest, DirectAndGofsProvidersGiveIdenticalResults) {
 
   GofsOptions gofs;
   gofs.temporal_packing = 4;
-  gofs.subgraph_binning = 2;
   ASSERT_TRUE(writeGofsDataset(dir_, "both", pg, coll, gofs).isOk());
   auto ds = unwrap(GofsDataset::open(dir_));
   auto provider = ds.makeProvider();

@@ -183,5 +183,88 @@ TEST(FileBytes, MissingFileIsIoError) {
   EXPECT_EQ(read.status().code(), ErrorCode::kIoError);
 }
 
+TEST(Serialize, DecodeVarintOverRawSpan) {
+  BinaryWriter w;
+  w.writeVarint(0);
+  w.writeVarint(300);
+  w.writeVarint(~0ull);
+  const std::uint8_t* p = w.buffer().data();
+  const std::uint8_t* const end = p + w.size();
+  std::uint64_t v = 1;
+  ASSERT_TRUE(decodeVarint(p, end, v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(decodeVarint(p, end, v));
+  EXPECT_EQ(v, 300u);
+  ASSERT_TRUE(decodeVarint(p, end, v));
+  EXPECT_EQ(v, ~0ull);
+  EXPECT_EQ(p, end);
+  // At the end of the span, and mid-varint, decoding fails without reading
+  // past `end`.
+  EXPECT_FALSE(decodeVarint(p, end, v));
+  const std::uint8_t cut[] = {0x80, 0x80};
+  const std::uint8_t* q = cut;
+  EXPECT_FALSE(decodeVarint(q, cut + 2, v));
+}
+
+TEST(Serialize, ReadBytesBorrowsAndBoundsChecks) {
+  const std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
+  BinaryReader r(data);
+  std::span<const std::uint8_t> block;
+  ASSERT_TRUE(r.readBytes(3, block).isOk());
+  EXPECT_EQ(block.data(), data.data());
+  EXPECT_EQ(block.size(), 3u);
+  EXPECT_EQ(r.remaining(), 2u);
+  const Status s = r.readBytes(3, block);
+  EXPECT_EQ(s.code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(r.remaining(), 2u);
+}
+
+TEST(Serialize, AppendBytesFillsInPlace) {
+  BinaryWriter w;
+  w.writeU8(9);
+  std::uint8_t* dst = w.appendBytes(3);
+  dst[0] = 1;
+  dst[1] = 2;
+  dst[2] = 3;
+  EXPECT_EQ(w.buffer(), (std::vector<std::uint8_t>{9, 1, 2, 3}));
+}
+
+TEST(Serialize, PatchU64OverwritesPlaceholder) {
+  BinaryWriter w;
+  w.writeU8(1);
+  w.writeU64(0);
+  w.writeU8(2);
+  w.patchU64(1, 0x0102030405060708ull);
+  BinaryReader r(w.buffer());
+  std::uint8_t a = 0;
+  std::uint64_t v = 0;
+  std::uint8_t b = 0;
+  ASSERT_TRUE(r.readU8(a).isOk() && r.readU64(v).isOk() && r.readU8(b).isOk());
+  EXPECT_EQ(v, 0x0102030405060708ull);
+  EXPECT_EQ(b, 2);
+}
+
+TEST(Serialize, FileReaderReadsChunksIntoReusedBuffer) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tsg_serialize_chunks.bin")
+          .string();
+  const std::vector<std::uint8_t> data{1, 2, 3, 4, 5, 6};
+  ASSERT_TRUE(writeFileBytes(path, data).isOk());
+  auto file = FileReader::open(path);
+  ASSERT_TRUE(file.isOk());
+  std::vector<std::uint8_t> buf(64, 0xAA);
+  const std::uint8_t* storage = buf.data();
+  ASSERT_TRUE(file.value().read(4, buf).isOk());
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(buf.data(), storage);  // shrinking keeps the allocation
+  EXPECT_EQ(file.value().remaining(), 2u);
+  EXPECT_EQ(file.value().read(3, buf).code(), ErrorCode::kCorruptData);
+  ASSERT_TRUE(file.value().read(2, buf).isOk());
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{5, 6}));
+  EXPECT_EQ(file.value().remaining(), 0u);
+  std::filesystem::remove(path);
+  EXPECT_EQ(FileReader::open(path).status().code(), ErrorCode::kIoError);
+}
+
 }  // namespace
 }  // namespace tsg

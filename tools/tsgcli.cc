@@ -3,7 +3,7 @@
 //   tsgcli generate --out=DIR [--kind=road|social] [--vertices=N]
 //          [--timesteps=T] [--partitions=K] [--workload=road|tweet]
 //          [--seed=S] [--closures=P] [--hit=P] [--background=P]
-//          [--packing=N] [--binning=N]
+//          [--packing=N]
 //   tsgcli inspect DIR
 //   tsgcli tdsp DIR [--source=V] [--no-while] [--closures] [--outputs]
 //   tsgcli meme DIR [--tag=#meme] [--outputs]
@@ -131,7 +131,7 @@ int usage() {
       "  generate --out=DIR [--kind=road|social] [--vertices=N]\n"
       "           [--timesteps=T] [--partitions=K] [--workload=road|tweet]\n"
       "           [--seed=S] [--closures=P] [--hit=P] [--background=P]\n"
-      "           [--packing=N] [--binning=N]\n"
+      "           [--packing=N]\n"
       "  inspect  DIR\n"
       "  tdsp     DIR [--source=V] [--no-while] [--closures] [--outputs]\n"
       "  meme     DIR [--tag=#meme] [--outputs]\n"
@@ -408,7 +408,6 @@ int cmdGenerate(const Args& args) {
 
   GofsOptions gofs;
   gofs.temporal_packing = static_cast<std::uint32_t>(args.getInt("packing", 10));
-  gofs.subgraph_binning = static_cast<std::uint32_t>(args.getInt("binning", 5));
   Stopwatch sw;
   const Status status =
       writeGofsDataset(out, kind, pg.value(), collection.value(), gofs);
@@ -436,9 +435,7 @@ int cmdInspect(const Args& args) {
   std::printf("instances:  %u (t0=%lld, delta=%lld)\n", manifest.num_instances,
               static_cast<long long>(manifest.t0),
               static_cast<long long>(manifest.delta));
-  std::printf("packing:    %u temporal x %u subgraph bins\n",
-              manifest.options.temporal_packing,
-              manifest.options.subgraph_binning);
+  std::printf("packing:    %u temporal\n", manifest.options.temporal_packing);
   std::printf("topology:   %zu vertices, %zu directed edges, %s\n",
               tmpl.numVertices(), tmpl.numEdges(),
               tmpl.directed() ? "directed" : "undirected pairs");
