@@ -22,9 +22,9 @@ struct TopNOptions {
   Timestep first_timestep = 0;
   std::int32_t num_timesteps = -1;
   TemporalMode temporal_mode = TemporalMode::kConcurrent;
-  // Fault tolerance: requires temporal_mode == kSerial (the engine rejects
-  // concurrent checkpointing). Replayed timesteps rewrite their top[] slot
-  // deterministically, so no program state is checkpointed.
+  // Fault tolerance: a store makes the engine run the timesteps serially.
+  // Replayed timesteps rewrite their top[] slot deterministically, so no
+  // program state is checkpointed.
   CheckpointStore* checkpoint_store = nullptr;
   // Superstep scheduling: kBsp (global barrier, the default) or kAsync
   // (dependency-driven waves; identical output, see DESIGN.md).

@@ -963,9 +963,13 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
   Stopwatch wall;
 
   const bool use_async = config.schedule == Schedule::kAsync;
+  // Temporal concurrency applies only to independent timesteps of a batch
+  // run: recovery rolls back to a timestep-boundary checkpoint and a stream
+  // seals timesteps in order, so either one selects the serial mode.
   const bool concurrent =
       config.temporal_mode == TemporalMode::kConcurrent &&
-      config.pattern != Pattern::kSequentiallyDependent;
+      config.pattern != Pattern::kSequentiallyDependent &&
+      config.checkpoint_store == nullptr && config.stream == nullptr;
 
   if (!concurrent) {
     Cluster cluster(k);
@@ -1167,14 +1171,6 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
     // states, programs and bus; its phases run inline on the task's pool
     // thread (runPhase without a cluster). Merge (if any) runs afterwards on
     // a spatial cluster.
-    // Recovery is a serial-mode feature: concurrent tasks have no cluster
-    // to respawn and independent timesteps can simply be re-run whole.
-    TSG_CHECK_MSG(config.checkpoint_store == nullptr,
-                  "checkpointing requires TemporalMode::kSerial");
-    // Streaming seals timesteps in order; concurrent tasks would race
-    // ahead of the watermark.
-    TSG_CHECK_MSG(config.stream == nullptr,
-                  "streaming requires TemporalMode::kSerial");
     std::mutex stats_mutex;
     std::vector<std::vector<std::string>> outputs_by_t(
         static_cast<std::size_t>(count));

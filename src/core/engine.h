@@ -72,8 +72,8 @@ struct TiBspConfig {
   // the sequentially dependent pattern, of every timestep otherwise (§II-D).
   std::vector<Message> input_messages;
 
-  // Fault tolerance (serial temporal mode only; see gofs/checkpoint.h).
-  // When set, the engine writes an initial checkpoint before the timestep
+  // Fault tolerance (see gofs/checkpoint.h). When set, the engine runs the
+  // serial temporal mode, writes an initial checkpoint before the timestep
   // loop, then one per `checkpoint_period` completed timesteps; a worker
   // fault (thrown fault::WorkerFault / fault::RecoveryNeeded) triggers a
   // respawn + rollback to the newest checkpoint instead of an abort. Null
@@ -85,11 +85,12 @@ struct TiBspConfig {
   // to paper over).
   std::int32_t max_recoveries = 8;
 
-  // Streaming ingestion (serial temporal mode only; see src/stream/). When
-  // set, the timestep loop blocks on stream->awaitTimestep(t) before running
-  // t, and subgraphs whose program is skippableWhenClean() are halted at
-  // superstep 0 when they are message-free and stream->subgraphDirty says
-  // nothing of theirs changed. Null (the default) is the batch path.
+  // Streaming ingestion (see src/stream/). When set, the engine runs the
+  // serial temporal mode, the timestep loop blocks on
+  // stream->awaitTimestep(t) before running t, and subgraphs whose program
+  // is skippableWhenClean() are halted at superstep 0 when they are
+  // message-free and stream->subgraphDirty says nothing of theirs changed.
+  // Null (the default) is the batch path.
   TimestepStream* stream = nullptr;
 };
 

@@ -269,5 +269,37 @@ Status IngestThread::join() {
   return status_;
 }
 
+// ---------------------------------------------------------------------------
+// StreamPipeline
+// ---------------------------------------------------------------------------
+
+StreamPipeline::StreamPipeline(const PartitionedGraph& pg,
+                               std::size_t planned_timesteps, std::int64_t t0,
+                               std::int64_t delta, std::size_t queue_capacity,
+                               std::size_t max_staged_cells)
+    : queue_(queue_capacity),
+      ingestor_(pg.templatePtr(), pg, t0, delta, queue_,
+                IngestorOptions{.planned_timesteps = static_cast<std::int32_t>(
+                                    planned_timesteps),
+                                .max_staged_cells = max_staged_cells}),
+      provider_(pg, pg.templatePtr(), planned_timesteps, t0, delta, queue_) {}
+
+Status StreamPipeline::run(EventSource& source, const Consumer& consume) {
+  IngestThread ingest(ingestor_, source);
+  consume(provider_);
+  SealedTimestep leftover;
+  while (queue_.pop(leftover)) {
+  }
+  return ingest.join();
+}
+
+Status StreamPipeline::run(std::vector<GraphEvent> events,
+                           const Consumer& consume) {
+  MemoryEventSource source;
+  source.push(std::move(events));
+  source.close();
+  return run(source, consume);
+}
+
 }  // namespace stream
 }  // namespace tsg

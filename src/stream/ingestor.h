@@ -26,6 +26,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -189,6 +190,34 @@ class IngestThread {
   // must already be alive — a fast-failing ingest would otherwise race
   // its error against status_'s own default construction.
   std::thread thread_;  // NOLINT(tsg-naked-thread)
+};
+
+// One streamed run's pipeline, owned in construction order: seal queue,
+// ingestor, engine-facing provider. run() starts an ingest thread over
+// `source`, hands the provider to `consume`, then drains every seal the
+// consumer never popped (a while-mode early exit, an engine without a
+// timestep loop, an error) so the ingest thread's backpressure block
+// releases, and joins it. Returns the ingest Status.
+class StreamPipeline {
+ public:
+  using Consumer = std::function<void(StreamingInstanceProvider&)>;
+
+  StreamPipeline(const PartitionedGraph& pg, std::size_t planned_timesteps,
+                 std::int64_t t0, std::int64_t delta,
+                 std::size_t queue_capacity, std::size_t max_staged_cells = 0);
+
+  Status run(EventSource& source, const Consumer& consume);
+  // Replays `events` through a closed memory source.
+  Status run(std::vector<GraphEvent> events, const Consumer& consume);
+
+  [[nodiscard]] StreamIngestor& ingestor() { return ingestor_; }
+  [[nodiscard]] StreamingInstanceProvider& provider() { return provider_; }
+  [[nodiscard]] SealQueue& queue() { return queue_; }
+
+ private:
+  SealQueue queue_;
+  StreamIngestor ingestor_;
+  StreamingInstanceProvider provider_;
 };
 
 }  // namespace stream

@@ -12,6 +12,11 @@
 #         [-DUPDATE=ON] -P golden_digests.cmake
 #
 # UPDATE=ON rewrites digests.txt from the current build instead of checking.
+#
+# Outside UPDATE mode it also checks that a checkpointed `check tdsp` run
+# with a worker killed mid-run recovers to the committed digest under both
+# schedules, and that an algorithm without a timestep loop (sssp-vertex) is
+# refused by `stream` but runs batch under `check --stream`.
 
 foreach(var TSGCLI GOLDEN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -71,3 +76,44 @@ if(NOT actual STREQUAL expected)
     "digests differ from ${GOLDEN}\nexpected:\n${expected}actual:\n${actual}")
 endif()
 message(STATUS "all 18 digests match ${GOLDEN}")
+
+# Runs `tsgcli check ARGN` and requires exit 0 and the committed
+# `<algo> <schedule>` digest; the combined stderr lands in `err_out`.
+function(expect_golden_check algo schedule err_out)
+  execute_process(
+    COMMAND "${TSGCLI}" check "${algo}" "${WORK_DIR}/road" ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "check ${algo} ${ARGN} failed (${rc}):\n${out}${err}")
+  endif()
+  if(NOT expected MATCHES "${algo} ${schedule} ([0-9a-f]+)")
+    message(FATAL_ERROR "no committed ${algo} ${schedule} digest")
+  endif()
+  set(want "${CMAKE_MATCH_1}")
+  if(NOT out MATCHES "digest ${want}")
+    message(FATAL_ERROR
+      "check ${algo} ${ARGN} did not reproduce ${want}:\n${out}")
+  endif()
+  set(${err_out} "${err}" PARENT_SCOPE)
+endfunction()
+
+foreach(schedule bsp async)
+  expect_golden_check(tdsp ${schedule} err --runs=2 "--schedule=${schedule}"
+    "--checkpoint=${WORK_DIR}/ckpt_${schedule}"
+    --inject=kill@compute:p1:t2)
+  if(NOT err MATCHES "firing kill@compute")
+    message(FATAL_ERROR
+      "check tdsp --schedule=${schedule}: the injected fault never fired:\n"
+      "${err}")
+  endif()
+endforeach()
+message(STATUS "faulted tdsp runs recover to the committed digests")
+
+execute_process(
+  COMMAND "${TSGCLI}" stream sssp-vertex "${WORK_DIR}/road"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "stream sssp-vertex exited ${rc}, expected 2")
+endif()
+expect_golden_check(sssp-vertex bsp err --runs=1 --stream)
+message(STATUS "sssp-vertex: stream refused, check --stream runs batch")

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "algorithms/codec.h"
+#include "gofs/checkpoint.h"
+#include "runtime/fault_injector.h"
 #include "test_util.h"
 
 namespace tsg {
@@ -358,6 +360,32 @@ TEST(Engine, ConcurrentIndependentMatchesSerialOutputs) {
                                concurrent_result.outputs.end());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 4 * fx.pg.numSubgraphs());
+}
+
+// A checkpoint store selects the serial temporal mode on its own: topn's
+// default (concurrent) options recover from a killed worker to the
+// fault-free digest.
+TEST(Engine, CheckpointStoreSelectsSerialModeAndRecoversTopN) {
+  const AlgorithmEntry& topn = testing::algorithm("topn");
+  const testing::AlgoEnv env = testing::envFor(topn);
+  auto& injector = fault::FaultInjector::global();
+  injector.disarm();
+  const AlgorithmRun baseline = env.run(topn);
+
+  fault::FaultSpec kill;
+  kill.site = fault::Site::kCompute;
+  kill.action = fault::Action::kKill;
+  kill.partition = 1;
+  kill.timestep = 1;
+  MemoryCheckpointStore store;
+  AlgorithmRequest request;
+  request.checkpoint_store = &store;
+  injector.arm({kill}, 7);
+  const AlgorithmRun faulted = env.run(topn, request);
+  injector.disarm();
+  EXPECT_GE(testing::metricTotal(faulted.stats, "engine.recoveries"), 1);
+  EXPECT_GT(store.saves(), 0u);
+  EXPECT_EQ(faulted.digest, baseline.digest);
 }
 
 TEST(Engine, AggregatorVisibleNextTimestep) {

@@ -7,70 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "algorithms/hashtag.h"
-#include "algorithms/meme.h"
-#include "algorithms/pagerank.h"
-#include "algorithms/sssp.h"
-#include "algorithms/tdsp.h"
-#include "algorithms/tdsp_vertex.h"
-#include "algorithms/topn.h"
-#include "algorithms/wcc.h"
-#include "check/digest.h"
 #include "gofs/checkpoint.h"
 #include "gofs/dataset.h"
-#include "gofs/instance_provider.h"
 #include "runtime/fault_injector.h"
-#include "vertexcentric/programs.h"
 #include "test_util.h"
 
 namespace tsg {
 namespace {
 
-using testing::partitionGraph;
-using testing::roadCollection;
-using testing::smallRoad;
-using testing::smallSocial;
-using testing::tweetCollection;
+using testing::AlgoEnv;
+using testing::algorithm;
+using testing::envFor;
+using testing::metricTotal;
 using testing::unwrap;
-
-constexpr std::uint32_t kPartitions = 3;
-constexpr std::uint32_t kTimesteps = 5;
-
-struct RoadEnv {
-  GraphTemplatePtr tmpl = smallRoad(8, 8);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = roadCollection(tmpl, kTimesteps);
-  std::size_t latency_attr = tmpl->edgeSchema().requireIndex("latency");
-};
-
-struct SocialEnv {
-  GraphTemplatePtr tmpl = smallSocial(64);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = tweetCollection(tmpl, kTimesteps);
-  std::size_t tweets_attr = tmpl->vertexSchema().requireIndex("tweets");
-};
-
-std::int64_t metricTotal(const RunStats& stats, const std::string& name) {
-  std::int64_t total = 0;
-  for (const auto& point : stats.metrics()) {
-    if (point.name == name) {
-      total += point.value;
-    }
-  }
-  return total;
-}
-
-// One algorithm run: its canonical output digest plus the recovery count
-// from the run's metrics delta.
-struct MatrixRun {
-  std::string digest;
-  std::int64_t recoveries = 0;
-};
-using Runner = std::function<MatrixRun(CheckpointStore*)>;
 
 // One fault per cell: three kill sites x two victim partitions, plus a
 // dropped delivery batch (delivery faults hit the whole exchange, so the
@@ -97,12 +49,17 @@ std::vector<fault::FaultSpec> cellsFor(Timestep fault_t) {
   return cells;
 }
 
-void expectEveryCellRecovers(const Runner& run, Timestep fault_t) {
+// Each cell arms one fault and runs with a checkpoint store. The fault
+// lands in the second timestep when the fault-free run has one, else in
+// the only one. The single-BSP vertex engine recovers by restarting and
+// ignores the store.
+void expectEveryCellRecovers(const AlgorithmEntry& entry) {
+  const AlgoEnv env = envFor(entry);
   auto& injector = fault::FaultInjector::global();
   injector.disarm();
-  const MatrixRun baseline = run(nullptr);
-  ASSERT_EQ(baseline.recoveries, 0);
-  ASSERT_FALSE(baseline.digest.empty());
+  const AlgorithmRun baseline = env.run(entry);
+  ASSERT_EQ(metricTotal(baseline.stats, "engine.recoveries"), 0);
+  const Timestep fault_t = baseline.stats.numTimesteps() > 1 ? 1 : 0;
 
   for (const fault::FaultSpec& cell : cellsFor(fault_t)) {
     SCOPED_TRACE(std::string(fault::actionName(cell.action)) + "@" +
@@ -110,218 +67,43 @@ void expectEveryCellRecovers(const Runner& run, Timestep fault_t) {
                  std::to_string(cell.partition) + " t=" +
                  std::to_string(cell.timestep));
     MemoryCheckpointStore store;
+    AlgorithmRequest request;
+    request.checkpoint_store = &store;
     injector.arm({cell}, 7);
-    const MatrixRun faulted = run(&store);
+    const AlgorithmRun faulted = env.run(entry, request);
     injector.disarm();
-    EXPECT_GE(faulted.recoveries, 1);
+    EXPECT_GE(metricTotal(faulted.stats, "engine.recoveries"), 1);
     EXPECT_EQ(faulted.digest, baseline.digest);
   }
 }
 
-TEST(FaultMatrix, Tdsp) {
-  RoadEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        TdspOptions options;
-        options.latency_attr = env.latency_attr;
-        options.checkpoint_store = store;
-        const auto run = runTdsp(env.pg, provider, options);
-        check::Digest d;
-        d.addDoubles(run.tdsp);
-        d.addVector(run.finalized_at,
-                    [](check::Digest& dd, Timestep t) { dd.addI64(t); });
-        d.addI64(run.exec.timesteps_executed);
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/1);
-}
-
-TEST(FaultMatrix, Meme) {
-  SocialEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        MemeOptions options;
-        options.tweets_attr = env.tweets_attr;
-        options.checkpoint_store = store;
-        const auto run = runMemeTracking(env.pg, provider, options);
-        check::Digest d;
-        d.addVector(run.colored_at,
-                    [](check::Digest& dd, Timestep t) { dd.addI64(t); });
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/1);
-}
-
-TEST(FaultMatrix, Hashtag) {
-  SocialEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        HashtagOptions options;
-        options.tweets_attr = env.tweets_attr;
-        options.checkpoint_store = store;
-        const auto run = runHashtagAggregation(env.pg, provider, options);
-        check::Digest d;
-        d.addU64s(run.counts);
-        d.addI64s(run.rate_of_change);
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/1);
-}
-
-TEST(FaultMatrix, PageRank) {
-  RoadEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        PageRankOptions options;
-        options.checkpoint_store = store;
-        const auto run = runSubgraphPageRank(env.pg, provider, options);
-        check::Digest d;
-        d.addDoubles(run.ranks);
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/0);
-}
-
-TEST(FaultMatrix, Sssp) {
-  RoadEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        SsspOptions options;
-        options.latency_attr = env.latency_attr;
-        options.checkpoint_store = store;
-        const auto run = runSubgraphSssp(env.pg, provider, options);
-        check::Digest d;
-        d.addDoubles(run.distances);
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/0);
-}
-
-TEST(FaultMatrix, Wcc) {
-  RoadEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        WccOptions options;
-        options.checkpoint_store = store;
-        const auto run = runSubgraphWcc(env.pg, provider, options);
-        check::Digest d;
-        d.addVector(run.component,
-                    [](check::Digest& dd, VertexIndex v) { dd.addU64(v); });
-        d.addU64(run.num_components);
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/0);
-}
-
-TEST(FaultMatrix, TopN) {
-  SocialEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        TopNOptions options;
-        options.tweets_attr = env.tweets_attr;
-        // Checkpointing requires the serial temporal mode; the concurrent
-        // default has no timestep-boundary cut to checkpoint at.
-        options.temporal_mode = TemporalMode::kSerial;
-        options.checkpoint_store = store;
-        const auto run = runTopActiveVertices(env.pg, provider, options);
-        check::Digest d;
-        d.addU64(run.top.size());
-        for (const auto& per_t : run.top) {
-          d.addVector(per_t,
-                      [](check::Digest& dd, VertexIndex v) { dd.addU64(v); });
-        }
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/1);
-}
-
-TEST(FaultMatrix, TdspVertex) {
-  RoadEnv env;
-  expectEveryCellRecovers(
-      [&](CheckpointStore* store) {
-        DirectInstanceProvider provider(env.pg, env.coll);
-        VertexTdspOptions options;
-        options.latency_attr = env.latency_attr;
-        options.checkpoint_store = store;
-        const auto run = runVertexTdsp(env.pg, provider, options);
-        check::Digest d;
-        d.addDoubles(run.tdsp);
-        d.addVector(run.finalized_at,
-                    [](check::Digest& dd, Timestep t) { dd.addI64(t); });
-        return MatrixRun{d.hex(), metricTotal(run.exec.stats,
-                                              "engine.recoveries")};
-      },
-      /*fault_t=*/1);
-}
-
-TEST(FaultMatrix, SsspVertex) {
-  RoadEnv env;
-  // The single-BSP engine recovers by restarting (no checkpoint store);
-  // the store argument is deliberately unused.
-  expectEveryCellRecovers(
-      [&](CheckpointStore*) {
-        vertexcentric::SsspVertexProgram program(0);
-        vertexcentric::VertexCentricEngine engine(env.pg);
-        const auto run =
-            engine.run(program, vertexcentric::VcConfig{},
-                       [](VertexIndex) { return vertexcentric::kInf; });
-        check::Digest d;
-        d.addDoubles(run.values);
-        d.addI64(run.supersteps);
-        return MatrixRun{d.hex(),
-                         metricTotal(run.stats, "engine.recoveries")};
-      },
-      /*fault_t=*/0);
-}
+const bool kFaultMatrix =
+    testing::registerPerAlgorithm("FaultMatrix", "", &expectEveryCellRecovers);
 
 // Transient faults (delays) must be absorbed in place: same digest, zero
 // recoveries, and the straggler sleep shows up in the metrics delta.
 TEST(FaultMatrix, TransientDelaysAreAbsorbedWithoutRecovery) {
-  RoadEnv env;
+  const AlgorithmEntry& tdsp = algorithm("tdsp");
+  const AlgoEnv env = envFor(tdsp);
   auto& injector = fault::FaultInjector::global();
   injector.disarm();
-
-  const auto runOnce = [&]() {
-    DirectInstanceProvider provider(env.pg, env.coll);
-    TdspOptions options;
-    options.latency_attr = env.latency_attr;
-    const auto run = runTdsp(env.pg, provider, options);
-    check::Digest d;
-    d.addDoubles(run.tdsp);
-    d.addI64(run.exec.timesteps_executed);
-    return MatrixRun{d.hex(),
-                     metricTotal(run.exec.stats, "engine.recoveries")};
-  };
-  const MatrixRun baseline = runOnce();
+  const AlgorithmRun baseline = env.run(tdsp);
 
   injector.arm(unwrap(fault::parseFaultPlan(
                    "delay@compute:p1:t1:d500,delay@deliver:t1:d500")),
                7);
-  const MatrixRun delayed = runOnce();
+  const AlgorithmRun delayed = env.run(tdsp);
   EXPECT_GE(injector.totalFired(), 2u);
   injector.disarm();
-  EXPECT_EQ(delayed.recoveries, 0);
+  EXPECT_EQ(metricTotal(delayed.stats, "engine.recoveries"), 0);
   EXPECT_EQ(delayed.digest, baseline.digest);
 }
 
 // Transient GoFS slice-load failures retry with backoff inside the lazy
 // provider — no recovery, same answer, and the retries are counted.
 TEST(FaultMatrix, SliceLoadFailuresRetryWithoutRecovery) {
-  RoadEnv env;
+  const AlgorithmEntry& sssp = algorithm("sssp");
+  const AlgoEnv env = envFor(sssp);
   testing::TempDir tmp("tsg_fault_gofs");
   GofsOptions gofs;
   gofs.temporal_packing = 3;
@@ -334,39 +116,30 @@ TEST(FaultMatrix, SliceLoadFailuresRetryWithoutRecovery) {
   injector.disarm();
   const auto runOnce = [&]() {
     auto provider = ds.makeProvider();
-    SsspOptions options;
-    options.latency_attr = env.latency_attr;
-    const auto run = runSubgraphSssp(ds.partitionedGraph(), *provider,
-                                     options);
-    check::Digest d;
-    d.addDoubles(run.distances);
-    return std::pair<std::string, std::int64_t>(
-        d.hex(), metricTotal(run.exec.stats, "gofs.load_retries"));
+    return unwrap(runAlgorithm(sssp, ds.partitionedGraph(), *provider, {}));
   };
-  const auto baseline = runOnce();
+  const AlgorithmRun baseline = runOnce();
 
   injector.arm(unwrap(fault::parseFaultPlan("fail@slice-load:p0:t0:x2")), 7);
-  const auto faulted = runOnce();
+  const AlgorithmRun faulted = runOnce();
   injector.disarm();
-  EXPECT_EQ(faulted.first, baseline.first);
-  EXPECT_GE(faulted.second, 2);
+  EXPECT_EQ(faulted.digest, baseline.digest);
+  EXPECT_GE(metricTotal(faulted.stats, "gofs.load_retries"), 2);
 }
 
 // Checkpoint cadence: a fault-free run with a store writes the initial
 // (pristine) checkpoint plus one per executed timestep.
 TEST(FaultMatrix, CheckpointCadenceIsOnePerTimestepPlusInitial) {
-  RoadEnv env;
+  const AlgorithmEntry& tdsp = algorithm("tdsp");
+  const AlgoEnv env = envFor(tdsp);
   fault::FaultInjector::global().disarm();
-  DirectInstanceProvider provider(env.pg, env.coll);
   MemoryCheckpointStore store;
-  TdspOptions options;
-  options.latency_attr = env.latency_attr;
-  options.checkpoint_store = &store;
-  const auto run = runTdsp(env.pg, provider, options);
-  EXPECT_EQ(store.saves(),
-            static_cast<std::uint64_t>(run.exec.timesteps_executed) + 1);
-  EXPECT_EQ(metricTotal(run.exec.stats, "engine.checkpoints"),
-            run.exec.timesteps_executed + 1);
+  AlgorithmRequest request;
+  request.checkpoint_store = &store;
+  const AlgorithmRun run = env.run(tdsp, request);
+  const std::int32_t timesteps = run.stats.numTimesteps();
+  EXPECT_EQ(store.saves(), static_cast<std::uint64_t>(timesteps) + 1);
+  EXPECT_EQ(metricTotal(run.stats, "engine.checkpoints"), timesteps + 1);
 }
 
 // Plan-string syntax: round-trip and the loud rejection of combinations no

@@ -9,38 +9,19 @@
 #include <map>
 #include <vector>
 
-#include "algorithms/hashtag.h"
-#include "algorithms/meme.h"
-#include "algorithms/pagerank.h"
-#include "algorithms/sssp.h"
-#include "algorithms/tdsp.h"
-#include "algorithms/tdsp_vertex.h"
-#include "algorithms/topn.h"
-#include "algorithms/wcc.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "gofs/instance_provider.h"
 #include "metrics/report.h"
 #include "profile/advisor.h"
 #include "metrics/attribution.h"
 #include "profile/profiler.h"
 #include "profile/sketch.h"
-#include "vertexcentric/engine.h"
-#include "vertexcentric/programs.h"
 #include "test_util.h"
 
 namespace tsg {
 namespace {
 
-using testing::partitionGraph;
-using testing::roadCollection;
-using testing::smallRoad;
-using testing::smallSocial;
-using testing::tweetCollection;
 using testing::unwrap;
-
-constexpr std::uint32_t kPartitions = 3;
-constexpr std::uint32_t kTimesteps = 5;
 
 // --- SpaceSavingSketch ---------------------------------------------------
 
@@ -332,104 +313,17 @@ void expectReconciles(const RunStats& stats) {
   EXPECT_EQ(in_bytes, out_bytes);
 }
 
-struct RoadEnv {
-  GraphTemplatePtr tmpl = smallRoad(8, 8);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = roadCollection(tmpl, kTimesteps);
-  std::size_t latency_attr = tmpl->edgeSchema().requireIndex("latency");
-};
-
-struct SocialEnv {
-  GraphTemplatePtr tmpl = smallSocial(64);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = tweetCollection(tmpl, kTimesteps);
-  std::size_t tweets_attr = tmpl->vertexSchema().requireIndex("tweets");
-};
-
-TEST(ProfileReconciliation, Tdsp) {
-  RoadEnv env;
+void expectAttributionReconciles(const AlgorithmEntry& entry) {
+  const testing::AlgoEnv env = testing::envFor(entry);
   ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  TdspOptions options;
-  options.latency_attr = env.latency_attr;
-  expectReconciles(runTdsp(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, Meme) {
-  SocialEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  MemeOptions options;
-  options.tweets_attr = env.tweets_attr;
-  expectReconciles(runMemeTracking(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, Hashtag) {
-  SocialEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  HashtagOptions options;
-  options.tweets_attr = env.tweets_attr;
-  expectReconciles(
-      runHashtagAggregation(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, PageRank) {
-  RoadEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  expectReconciles(
-      runSubgraphPageRank(env.pg, provider, PageRankOptions{}).exec.stats);
-}
-
-TEST(ProfileReconciliation, Sssp) {
-  RoadEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  SsspOptions options;
-  options.latency_attr = env.latency_attr;
-  expectReconciles(runSubgraphSssp(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, Wcc) {
-  RoadEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  expectReconciles(
-      runSubgraphWcc(env.pg, provider, WccOptions{}).exec.stats);
-}
-
-TEST(ProfileReconciliation, TopN) {
-  SocialEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  TopNOptions options;
-  options.tweets_attr = env.tweets_attr;
-  expectReconciles(
-      runTopActiveVertices(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, TdspVertex) {
-  RoadEnv env;
-  ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  VertexTdspOptions options;
-  options.latency_attr = env.latency_attr;
-  expectReconciles(runVertexTdsp(env.pg, provider, options).exec.stats);
-}
-
-TEST(ProfileReconciliation, SsspVertex) {
-  RoadEnv env;
-  ArmedProfiler armed;
-  vertexcentric::SsspVertexProgram program(0);
-  vertexcentric::VertexCentricEngine engine(env.pg);
-  const auto run =
-      engine.run(program, vertexcentric::VcConfig{},
-                 [](VertexIndex) { return vertexcentric::kInf; });
+  const AlgorithmRun run = env.run(entry);
   expectReconciles(run.stats);
-
-  // Vertex engines feed the heavy-hitter sketches; at sample_every=1 the
-  // fan-out sketch weight is exactly the total message count.
+  if (entry.has_timestep_loop) {
+    return;
+  }
+  // The plain vertex engine feeds the heavy-hitter sketches; at
+  // sample_every=1 the fan-out sketch weight is exactly the total message
+  // count.
   const AttributionTable& a = run.stats.attribution();
   EXPECT_FALSE(a.hot_compute.empty());
   EXPECT_GT(a.sketch_weight_compute, 0u);
@@ -442,17 +336,17 @@ TEST(ProfileReconciliation, SsspVertex) {
   EXPECT_EQ(a.sketch_weight_fanout, total_msgs);
 }
 
+const bool kProfileReconciliation = testing::registerPerAlgorithm(
+    "ProfileReconciliation", "", &expectAttributionReconciles);
+
 // --- Lifecycle -----------------------------------------------------------
 
 TEST(Profiler, DisarmedRunRecordsNothing) {
   Profiler::global().disarm();
-  SocialEnv env;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  MemeOptions options;
-  options.tweets_attr = env.tweets_attr;
-  const auto run = runMemeTracking(env.pg, provider, options);
+  const AlgorithmEntry& meme = testing::algorithm("meme");
+  const auto run = testing::envFor(meme).run(meme);
   EXPECT_FALSE(Profiler::enabled());
-  EXPECT_FALSE(run.exec.stats.hasAttribution());
+  EXPECT_FALSE(run.stats.hasAttribution());
 }
 
 TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
@@ -472,18 +366,16 @@ TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
 // Attribution survives the full RunStats JSON round trip (what `tsgcli
 // analyze --attrib` consumes from an exported run).
 TEST(Profiler, AttributionRoundTripsThroughRunStatsJson) {
-  SocialEnv env;
+  const AlgorithmEntry& meme = testing::algorithm("meme");
+  const testing::AlgoEnv env = testing::envFor(meme);
   ArmedProfiler armed;
-  DirectInstanceProvider provider(env.pg, env.coll);
-  MemeOptions options;
-  options.tweets_attr = env.tweets_attr;
-  const auto run = runMemeTracking(env.pg, provider, options);
-  ASSERT_TRUE(run.exec.stats.hasAttribution());
+  const auto run = env.run(meme);
+  ASSERT_TRUE(run.stats.hasAttribution());
 
-  const std::string doc = runStatsToJson(run.exec.stats, "profile-test");
+  const std::string doc = runStatsToJson(run.stats, "profile-test");
   const auto loaded = unwrap(runStatsFromJson(doc));
   ASSERT_TRUE(loaded.stats.hasAttribution());
-  const AttributionTable& before = run.exec.stats.attribution();
+  const AttributionTable& before = run.stats.attribution();
   const AttributionTable& after = loaded.stats.attribution();
   EXPECT_EQ(after.numSubgraphs(), before.numSubgraphs());
   EXPECT_EQ(after.num_rows, before.num_rows);

@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "algorithms/meme.h"
-#include "algorithms/tdsp.h"
-#include "check/digest.h"
 #include "common/thread_pool.h"
 #include "gofs/checkpoint.h"
 #include "gofs/instance_provider.h"
@@ -29,9 +27,8 @@
 namespace tsg {
 namespace {
 
+using testing::metricTotal;
 using testing::partitionGraph;
-using testing::roadCollection;
-using testing::smallRoad;
 using testing::smallSocial;
 using testing::tweetCollection;
 
@@ -307,73 +304,29 @@ TEST(Cluster, WaveTaskFaultAbortsPhaseAndRespawnsCleanly) {
 constexpr std::uint32_t kPartitions = 3;
 constexpr std::uint32_t kTimesteps = 5;
 
-std::int64_t metricTotal(const RunStats& stats, const std::string& name) {
-  std::int64_t total = 0;
-  for (const auto& point : stats.metrics()) {
-    if (point.name == name) {
-      total += point.value;
-    }
-  }
-  return total;
-}
-
-struct TdspDigestRun {
-  std::string digest;
-  std::int64_t recoveries = 0;
-  std::int64_t waves = 0;
-};
-
-TdspDigestRun runTdspWith(Schedule schedule, CheckpointStore* store,
-                          const PartitionedGraph& pg,
-                          const TimeSeriesCollection& coll,
-                          std::size_t latency_attr) {
-  DirectInstanceProvider provider(pg, coll);
-  TdspOptions options;
-  options.latency_attr = latency_attr;
-  options.schedule = schedule;
-  options.checkpoint_store = store;
-  const auto run = runTdsp(pg, provider, options);
-  check::Digest d;
-  d.addDoubles(run.tdsp);
-  d.addVector(run.finalized_at,
-              [](check::Digest& dd, Timestep t) { dd.addI64(t); });
-  d.addI64(run.exec.timesteps_executed);
-  return TdspDigestRun{d.hex(),
-                       metricTotal(run.exec.stats, "engine.recoveries"),
-                       metricTotal(run.exec.stats, "cluster.waves")};
-}
-
-TEST(AsyncSchedule, TdspDigestMatchesBspExactly) {
-  auto tmpl = smallRoad(8, 8);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = roadCollection(tmpl, kTimesteps);
-  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
-
-  const auto bsp = runTdspWith(Schedule::kBsp, nullptr, pg, coll, latency);
-  const auto async = runTdspWith(Schedule::kAsync, nullptr, pg, coll, latency);
+// Every algorithm, in-process: the async digest is the BSP digest. BSP
+// supersteps are barriered and never stealing.
+void expectAsyncMatchesBsp(const AlgorithmEntry& entry) {
+  const testing::AlgoEnv env = testing::envFor(entry);
+  AlgorithmRequest async_request;
+  async_request.schedule = Schedule::kAsync;
+  const AlgorithmRun bsp = env.run(entry);
+  const AlgorithmRun async = env.run(entry, async_request);
   EXPECT_EQ(async.digest, bsp.digest);
-  EXPECT_GT(async.waves, 0);
-  EXPECT_EQ(bsp.waves, 0);  // BSP supersteps are barriered, never stealing
+  EXPECT_EQ(metricTotal(bsp.stats, "cluster.waves"), 0);
 }
 
-TEST(AsyncSchedule, MemeDigestMatchesBspExactly) {
-  auto tmpl = smallSocial(64);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = tweetCollection(tmpl, kTimesteps);
-  const std::size_t tweets = tmpl->vertexSchema().requireIndex("tweets");
+const bool kAsyncMatchesBsp = testing::registerPerAlgorithm(
+    "AsyncSchedule", "DigestMatchesBspExactly", &expectAsyncMatchesBsp);
 
-  auto digestOf = [&](Schedule schedule) {
-    DirectInstanceProvider provider(pg, coll);
-    MemeOptions options;
-    options.tweets_attr = tweets;
-    options.schedule = schedule;
-    const auto run = runMemeTracking(pg, provider, options);
-    check::Digest d;
-    d.addVector(run.colored_at,
-                [](check::Digest& dd, Timestep t) { dd.addI64(t); });
-    return d.hex();
-  };
-  EXPECT_EQ(digestOf(Schedule::kAsync), digestOf(Schedule::kBsp));
+// Async supersteps are stealing waves (topn's concurrent timesteps run
+// their phases inline, so tdsp is the witness).
+TEST(AsyncSchedule, TdspRunsStealingWaves) {
+  const AlgorithmEntry& tdsp = testing::algorithm("tdsp");
+  AlgorithmRequest async_request;
+  async_request.schedule = Schedule::kAsync;
+  const AlgorithmRun async = testing::envFor(tdsp).run(tdsp, async_request);
+  EXPECT_GT(metricTotal(async.stats, "cluster.waves"), 0);
 }
 
 // Every wait a run's records charge to sync_ns is metered in the registry:
@@ -428,53 +381,39 @@ TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
 
 // Async × fault recovery: a worker killed mid-compute and a dropped
 // delivery batch must both recover to the fault-free BSP digest.
-TEST(AsyncSchedule, RecoversFromKillAtComputeToBspDigest) {
-  auto tmpl = smallRoad(8, 8);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = roadCollection(tmpl, kTimesteps);
-  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
-
+void expectAsyncRecoversToBspDigest(const fault::FaultSpec& spec) {
+  const AlgorithmEntry& tdsp = testing::algorithm("tdsp");
+  const testing::AlgoEnv env = testing::envFor(tdsp);
   auto& injector = fault::FaultInjector::global();
   injector.disarm();
-  const auto baseline =
-      runTdspWith(Schedule::kBsp, nullptr, pg, coll, latency);
+  const AlgorithmRun baseline = env.run(tdsp);
 
+  MemoryCheckpointStore store;
+  AlgorithmRequest request;
+  request.schedule = Schedule::kAsync;
+  request.checkpoint_store = &store;
+  injector.arm({spec}, 7);
+  const AlgorithmRun faulted = env.run(tdsp, request);
+  injector.disarm();
+  EXPECT_GE(metricTotal(faulted.stats, "engine.recoveries"), 1);
+  EXPECT_EQ(faulted.digest, baseline.digest);
+}
+
+TEST(AsyncSchedule, RecoversFromKillAtComputeToBspDigest) {
   fault::FaultSpec kill;
   kill.site = fault::Site::kCompute;
   kill.action = fault::Action::kKill;
   kill.partition = 1;
   kill.timestep = 1;
-  MemoryCheckpointStore store;
-  injector.arm({kill}, 7);
-  const auto faulted =
-      runTdspWith(Schedule::kAsync, &store, pg, coll, latency);
-  injector.disarm();
-  EXPECT_GE(faulted.recoveries, 1);
-  EXPECT_EQ(faulted.digest, baseline.digest);
+  expectAsyncRecoversToBspDigest(kill);
 }
 
 TEST(AsyncSchedule, RecoversFromDroppedDeliveryToBspDigest) {
-  auto tmpl = smallRoad(8, 8);
-  PartitionedGraph pg = partitionGraph(tmpl, kPartitions);
-  TimeSeriesCollection coll = roadCollection(tmpl, kTimesteps);
-  const std::size_t latency = tmpl->edgeSchema().requireIndex("latency");
-
-  auto& injector = fault::FaultInjector::global();
-  injector.disarm();
-  const auto baseline =
-      runTdspWith(Schedule::kBsp, nullptr, pg, coll, latency);
-
   fault::FaultSpec drop;
   drop.site = fault::Site::kDeliver;
   drop.action = fault::Action::kDrop;
   drop.timestep = 1;
-  MemoryCheckpointStore store;
-  injector.arm({drop}, 7);
-  const auto faulted =
-      runTdspWith(Schedule::kAsync, &store, pg, coll, latency);
-  injector.disarm();
-  EXPECT_GE(faulted.recoveries, 1);
-  EXPECT_EQ(faulted.digest, baseline.digest);
+  expectAsyncRecoversToBspDigest(drop);
 }
 
 }  // namespace

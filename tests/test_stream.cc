@@ -37,60 +37,37 @@ using testing::tinyTemplate;
 using testing::tweetCollection;
 using testing::unwrap;
 
-// Bundles queue + ingestor + provider in construction order and drives the
-// whole pipeline: ingest thread pushing seals, this thread awaiting them.
-class StreamHarness {
+// A pipeline whose consumer awaits every planned timestep in order, as an
+// engine would; `await_delay_us` slows the consumer down.
+class StreamHarness : public stream::StreamPipeline {
  public:
   StreamHarness(const PartitionedGraph& pg, std::size_t planned,
                 std::int64_t t0, std::int64_t delta,
                 std::size_t queue_cap = 2, std::size_t max_staged = 0)
-      : queue_(queue_cap),
-        ingestor_(pg.templatePtr(), pg, t0, delta, queue_,
-                  makeOptions(planned, max_staged)),
-        provider_(pg, pg.templatePtr(), planned, t0, delta, queue_) {}
+      : StreamPipeline(pg, planned, t0, delta, queue_cap, max_staged) {}
 
   Status run(std::vector<GraphEvent> events, std::int64_t await_delay_us = 0) {
-    stream::MemoryEventSource source;
-    source.push(std::move(events));
-    source.close();
-    return run(source, await_delay_us);
+    return StreamPipeline::run(std::move(events), awaitAll(await_delay_us));
   }
-
   Status run(stream::EventSource& source, std::int64_t await_delay_us = 0) {
-    stream::IngestThread thread(ingestor_, source);
-    for (Timestep t = 0;
-         t < static_cast<Timestep>(provider_.numInstances()); ++t) {
-      if (await_delay_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(await_delay_us));
-      }
-      if (!provider_.awaitTimestep(t)) {
-        break;
-      }
-    }
-    // Drain any seals the engine side never consumed (aborted stream) so
-    // the ingest thread's backpressure block releases before the join.
-    stream::SealedTimestep leftover;
-    while (queue_.pop(leftover)) {
-    }
-    return thread.join();
+    return StreamPipeline::run(source, awaitAll(await_delay_us));
   }
-
-  stream::StreamIngestor& ingestor() { return ingestor_; }
-  stream::StreamingInstanceProvider& provider() { return provider_; }
-  stream::SealQueue& queue() { return queue_; }
 
  private:
-  static stream::IngestorOptions makeOptions(std::size_t planned,
-                                             std::size_t max_staged) {
-    stream::IngestorOptions options;
-    options.planned_timesteps = static_cast<std::int32_t>(planned);
-    options.max_staged_cells = max_staged;
-    return options;
+  static Consumer awaitAll(std::int64_t await_delay_us) {
+    return [await_delay_us](stream::StreamingInstanceProvider& provider) {
+      for (Timestep t = 0;
+           t < static_cast<Timestep>(provider.numInstances()); ++t) {
+        if (await_delay_us > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(await_delay_us));
+        }
+        if (!provider.awaitTimestep(t)) {
+          break;
+        }
+      }
+    };
   }
-
-  stream::SealQueue queue_;
-  stream::StreamIngestor ingestor_;
-  stream::StreamingInstanceProvider provider_;
 };
 
 // Events of one timestep share a timestamp and arrive contiguously from

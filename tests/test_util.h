@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "algorithms/registry.h"
 #include "common/rng.h"
 #include "generators/instances.h"
 #include "generators/topology.h"
@@ -169,6 +170,100 @@ inline TimeSeriesCollection tweetCollection(GraphTemplatePtr tmpl,
   options.seed = seed;
   options.num_seed_vertices = 2;
   return unwrap(makeSirTweetInstances(std::move(tmpl), options));
+}
+
+// Sums a counter across partitions in a run's metrics delta.
+inline std::int64_t metricTotal(const RunStats& stats,
+                                const std::string& name) {
+  std::int64_t total = 0;
+  for (const auto& point : stats.metrics()) {
+    if (point.name == name) {
+      total += point.value;
+    }
+  }
+  return total;
+}
+
+// --- Per-algorithm matrices ----------------------------------------------
+
+// The registry entry named `name`.
+inline const AlgorithmEntry& algorithm(std::string_view name) {
+  const AlgorithmEntry* entry = findAlgorithm(name);
+  if (entry == nullptr) {
+    ADD_FAILURE() << "no registry entry " << name;
+    abort();
+  }
+  return *entry;
+}
+
+// A small fixed dataset plus the run helper the matrices share.
+struct AlgoEnv {
+  GraphTemplatePtr tmpl;
+  PartitionedGraph pg;
+  TimeSeriesCollection coll;
+
+  // One batch run of `entry` over the collection.
+  [[nodiscard]] AlgorithmRun run(const AlgorithmEntry& entry,
+                                 const AlgorithmRequest& request = {}) const {
+    DirectInstanceProvider provider(pg, coll);
+    return unwrap(runAlgorithm(entry, pg, provider, request));
+  }
+};
+
+// Five timesteps over three partitions: the tweet graph for algorithms
+// that read tweets, the road network otherwise.
+inline AlgoEnv envFor(const AlgorithmEntry& entry) {
+  const bool tweets = entry.needs == NeededAttr::kTweetsVertex;
+  GraphTemplatePtr tmpl = tweets ? smallSocial(64) : smallRoad(8, 8);
+  PartitionedGraph pg = partitionGraph(tmpl, 3);
+  TimeSeriesCollection coll =
+      tweets ? tweetCollection(tmpl, 5) : roadCollection(tmpl, 5);
+  return AlgoEnv{std::move(tmpl), std::move(pg), std::move(coll)};
+}
+
+// "tdsp-vertex" -> "TdspVertex".
+inline std::string camelName(std::string_view name) {
+  std::string out;
+  bool upper = true;
+  for (const char c : name) {
+    if (c == '-') {
+      upper = true;
+      continue;
+    }
+    out += upper ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+                 : c;
+    upper = false;
+  }
+  return out;
+}
+
+// Registers one test `<suite>.<CamelName><suffix>` per registry entry that
+// runs `body(entry)`, so every per-algorithm matrix covers a new entry
+// without an edit. Call at namespace scope:
+//   const bool kRegistered = registerPerAlgorithm("Suite", "", &body);
+using AlgorithmTestBody = void (*)(const AlgorithmEntry&);
+
+class PerAlgorithmTest : public ::testing::Test {
+ public:
+  PerAlgorithmTest(AlgorithmTestBody body, const AlgorithmEntry& entry)
+      : body_(body), entry_(entry) {}
+  void TestBody() override { body_(entry_); }
+
+ private:
+  AlgorithmTestBody body_;
+  const AlgorithmEntry& entry_;
+};
+
+inline bool registerPerAlgorithm(const char* suite, const std::string& suffix,
+                                 AlgorithmTestBody body) {
+  for (const AlgorithmEntry& entry : algorithms()) {
+    ::testing::RegisterTest(
+        suite, (camelName(entry.name) + suffix).c_str(), nullptr, nullptr,
+        __FILE__, __LINE__, [body, &entry]() -> ::testing::Test* {
+          return new PerAlgorithmTest(body, entry);
+        });
+  }
+  return true;
 }
 
 // --- Hand-computed straggler fixture ------------------------------------

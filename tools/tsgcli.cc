@@ -1,32 +1,19 @@
-// tsgcli — command-line front end for the tsgraph library.
+// tsgcli — command-line front end for the tsgraph library. Run it without
+// arguments for usage.
 //
-//   tsgcli generate --out=DIR [--kind=road|social] [--vertices=N]
-//          [--timesteps=T] [--partitions=K] [--workload=road|tweet]
-//          [--seed=S] [--closures=P] [--hit=P] [--background=P]
-//          [--packing=N]
-//   tsgcli inspect DIR
-//   tsgcli tdsp DIR [--source=V] [--no-while] [--closures] [--outputs]
-//   tsgcli meme DIR [--tag=#meme] [--outputs]
-//   tsgcli hashtag DIR [--tag=#meme]
-//   tsgcli pagerank DIR [--iters=N] [--top=N]
-//   tsgcli wcc DIR
-//   tsgcli check ALGO DIR [--runs=N] [--seed=S] [--stream]
-//   tsgcli stream ALGO DIR [--events=FILE] [--verify]
-//   tsgcli analyze RUN.json
-//   tsgcli compare BASE.json CANDIDATE.json [--max-regress=PCT]
-//
-// Every analysis command prints the result summary plus the run's
-// utilization split (the Fig. 7b-style table). All analysis commands also
-// accept --trace=PATH (Perfetto/Chrome trace-event JSON of the run) and
-// --json=PATH (machine-readable RunStats export). `analyze` and `compare`
-// consume those --json exports: analyze prints the critical-path /
-// straggler breakdown, compare is the regression gate CI runs against a
-// committed baseline. Fault tolerance: --checkpoint=DIR persists a
-// recovery point at every timestep boundary and --inject=PLAN (or
-// TSG_INJECT) arms the fault injector; analyze reports any recoveries a
-// run survived. Log verbosity comes from the TSG_LOG_LEVEL
-// environment variable (debug|info|warn|error) or the --log-level= flag
-// (the flag wins).
+// Every algorithm in the registry (algorithms/registry.h) is a run verb
+// (`tsgcli ALGO DIR [flags]`) and a `check`, `stream` and `top` target;
+// each prints the result summary plus the run's utilization split (the
+// Fig. 7b-style table). All analysis commands also accept --trace=PATH
+// (Perfetto/Chrome trace-event JSON of the run) and --json=PATH
+// (machine-readable RunStats export). `analyze` and `compare` consume those
+// --json exports: analyze prints the critical-path / straggler breakdown,
+// compare is the regression gate CI runs against a committed baseline.
+// Fault tolerance: --checkpoint=DIR persists a recovery point at every
+// timestep boundary and --inject=PLAN (or TSG_INJECT) arms the fault
+// injector; analyze reports any recoveries a run survived. Log verbosity
+// comes from the TSG_LOG_LEVEL environment variable
+// (debug|info|warn|error) or the --log-level= flag (the flag wins).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -36,21 +23,14 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "algorithms/hashtag.h"
-#include "algorithms/meme.h"
-#include "algorithms/pagerank.h"
-#include "algorithms/sssp.h"
-#include "algorithms/tdsp.h"
-#include "algorithms/tdsp_vertex.h"
-#include "algorithms/topn.h"
-#include "algorithms/wcc.h"
+#include "algorithms/registry.h"
 #include "check/bsp_checker.h"
 #include "check/determinism.h"
-#include "check/digest.h"
 #include "common/log.h"
 #include "common/serialize.h"
 #include "common/stopwatch.h"
@@ -72,7 +52,6 @@
 #include "stream/source.h"
 #include "telemetry/run_telemetry.h"
 #include "telemetry/timeline.h"
-#include "vertexcentric/programs.h"
 
 #ifdef __linux__
 #include <unistd.h>
@@ -82,29 +61,43 @@ namespace {
 
 using namespace tsg;
 
-// --key=value / --flag argument map plus positional arguments.
+// --key=value / --flag arguments plus positional arguments. Numeric reads
+// parse strictly; a malformed value yields the fallback and is remembered
+// in flagError(), which every command checks before doing any work.
 struct Args {
   std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
+  FlagMap flags;
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+    return flags.get(key, fallback);
   }
   [[nodiscard]] std::int64_t getInt(const std::string& key,
                                     std::int64_t fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoll(it->second.c_str());
+    return valueOr(flags.getInt(key, fallback), fallback);
   }
   [[nodiscard]] double getDouble(const std::string& key,
                                  double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return valueOr(flags.getDouble(key, fallback), fallback);
   }
   [[nodiscard]] bool has(const std::string& key) const {
-    return options.count(key) > 0;
+    return flags.has(key);
   }
+  [[nodiscard]] const Status& flagError() const { return flag_error_; }
+
+ private:
+  template <typename T>
+  T valueOr(Result<T> parsed, T fallback) const {
+    if (parsed.isOk()) {
+      return parsed.value();
+    }
+    if (flag_error_.isOk()) {
+      flag_error_ = parsed.status();
+    }
+    return fallback;
+  }
+
+  mutable Status flag_error_;
 };
 
 Args parseArgs(int argc, char** argv) {
@@ -114,9 +107,9 @@ Args parseArgs(int argc, char** argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        args.options[arg.substr(2)] = "1";
+        args.flags.set(arg.substr(2), "1");
       } else {
-        args.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        args.flags.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
       }
     } else {
       args.positional.push_back(std::move(arg));
@@ -133,23 +126,26 @@ int usage() {
       "           [--seed=S] [--closures=P] [--hit=P] [--background=P]\n"
       "           [--packing=N]\n"
       "  inspect  DIR\n"
-      "  tdsp     DIR [--source=V] [--no-while] [--closures] [--outputs]\n"
-      "  meme     DIR [--tag=#meme] [--outputs]\n"
-      "  hashtag  DIR [--tag=#meme]\n"
-      "  pagerank DIR [--iters=N] [--top=N]\n"
-      "  wcc      DIR\n"
+      "algorithms (each is also a command: ALGO DIR [flags]):\n",
+      stderr);
+  for (const AlgorithmEntry& entry : algorithms()) {
+    std::fprintf(stderr, "  %-11.*s DIR%s%.*s\n",
+                 static_cast<int>(entry.name.size()), entry.name.data(),
+                 entry.flags.empty() ? "" : " ",
+                 static_cast<int>(entry.flags.size()), entry.flags.data());
+  }
+  std::fputs(
       "  check    ALGO DIR [--runs=N] [--seed=S] [--schedule=bsp|async]\n"
-      "           [--json=PATH]  (stats of the last run; with --profile,\n"
-      "            the vertex engines' attribution reaches `analyze`)\n"
-      "           ALGO: tdsp|meme|hashtag|pagerank|sssp|wcc|topn|\n"
-      "                 tdsp-vertex|sssp-vertex\n"
+      "           [--stream] [--json=PATH]  (stats of the last run; with\n"
+      "            --profile, the vertex engines' attribution reaches\n"
+      "            `analyze`)\n"
       "           runs ALGO N times under perturbed worker schedules with\n"
       "           the BSP protocol checker on; exit 1 if outputs diverge\n"
       "           (with --schedule=async, also runs the BSP reference once\n"
-      "            and requires the async digests to match it; with\n"
-      "            --stream, every run replays the dataset through the\n"
-      "            streaming ingest pipeline and must match the cold batch\n"
-      "            BSP reference)\n"
+      "            after the harness and requires the async digests to\n"
+      "            match it; with --stream, every run replays the dataset\n"
+      "            through the streaming ingest pipeline and must match the\n"
+      "            cold batch BSP reference)\n"
       "  stream   ALGO DIR [--events=FILE [--follow]] [--queue=N]\n"
       "           [--max-staged=N] [--schedule=bsp|async] [--verify]\n"
       "           continuous ingestion: replays an append-only event stream\n"
@@ -203,6 +199,13 @@ int fail(const Status& status) {
   return 1;
 }
 
+// A malformed flag (invalidArgument) is a usage error and exits 2; any
+// other failure exits 1.
+int failArgs(const Status& status) {
+  fail(status);
+  return status.code() == ErrorCode::kInvalidArgument ? 2 : 1;
+}
+
 // Opens the dataset named by the first positional argument.
 Result<GofsDataset> openFrom(const Args& args) {
   if (args.positional.empty()) {
@@ -214,16 +217,6 @@ Result<GofsDataset> openFrom(const Args& args) {
 // Set from --json=PATH before the command runs; printRunFooter exports the
 // run's stats there (every analysis command funnels through it).
 std::string g_json_path;
-
-// Builds the store named by --checkpoint=DIR; null (no checkpointing) when
-// the flag is absent. The caller owns the store for the run's duration.
-std::unique_ptr<CheckpointStore> makeCheckpointStore(const Args& args) {
-  const std::string dir = args.get("checkpoint", "");
-  if (dir.empty()) {
-    return nullptr;
-  }
-  return std::make_unique<FileCheckpointStore>(dir);
-}
 
 // Parses --schedule=bsp|async into *out; returns false (after printing the
 // diagnostic) on an unknown value.
@@ -310,19 +303,24 @@ void printAttributionSummary(const RunStats& stats) {
               table.render().c_str());
 }
 
+void writeJsonStats(const RunStats& stats, const std::string& label) {
+  if (g_json_path.empty()) {
+    return;
+  }
+  if (writeTextFile(g_json_path, runStatsToJson(stats, label))) {
+    std::printf("wrote run stats: %s\n", g_json_path.c_str());
+  } else {
+    std::fprintf(stderr, "tsgcli: cannot write %s\n", g_json_path.c_str());
+  }
+}
+
 void printRunFooter(const RunStats& stats) {
   printFaultSummary(stats);
   printAttributionSummary(stats);
   std::fputs(summarizeRun(stats, "run").c_str(), stdout);
   std::fputc('\n', stdout);
   std::fputs(renderUtilization(stats, "per-partition split").c_str(), stdout);
-  if (!g_json_path.empty()) {
-    if (writeTextFile(g_json_path, runStatsToJson(stats, "run"))) {
-      std::printf("wrote run stats: %s\n", g_json_path.c_str());
-    } else {
-      std::fprintf(stderr, "tsgcli: cannot write %s\n", g_json_path.c_str());
-    }
-  }
+  writeJsonStats(stats, "run");
 }
 
 int cmdGenerate(const Args& args) {
@@ -342,6 +340,12 @@ int cmdGenerate(const Args& args) {
       static_cast<std::uint32_t>(args.getInt("partitions", 4));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   const double closures = args.getDouble("closures", 0.0);
+  const double hit = args.getDouble("hit", 0.1);
+  const double background = args.getDouble("background", 0.01);
+  const auto packing = static_cast<std::uint32_t>(args.getInt("packing", 10));
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
 
   AttributeSchema vertex_schema;
   AttributeSchema edge_schema;
@@ -391,8 +395,8 @@ int cmdGenerate(const Args& args) {
     SirTweetOptions options;
     options.num_timesteps = timesteps;
     options.seed = seed + 1;
-    options.hit_probability = args.getDouble("hit", 0.1);
-    options.background_probability = args.getDouble("background", 0.01);
+    options.hit_probability = hit;
+    options.background_probability = background;
     collection = makeSirTweetInstances(tmpl, options);
   }
   if (!collection.isOk()) {
@@ -407,7 +411,7 @@ int cmdGenerate(const Args& args) {
   }
 
   GofsOptions gofs;
-  gofs.temporal_packing = static_cast<std::uint32_t>(args.getInt("packing", 10));
+  gofs.temporal_packing = packing;
   Stopwatch sw;
   const Status status =
       writeGofsDataset(out, kind, pg.value(), collection.value(), gofs);
@@ -480,187 +484,102 @@ int cmdInspect(const Args& args) {
   return 0;
 }
 
-int cmdTdsp(const Args& args) {
-  auto ds = openFrom(args);
+// What every algorithm command shares: the registry entry, the dataset and
+// the request built from the command line (--schedule, --checkpoint=DIR and
+// the per-algorithm flags, which the entry reads itself).
+struct AlgoCommand {
+  const AlgorithmEntry* entry = nullptr;
+  std::optional<GofsDataset> ds;
+  std::unique_ptr<CheckpointStore> store;
+  AlgorithmRequest request;
+
+  [[nodiscard]] const PartitionedGraph& pg() const {
+    return ds->partitionedGraph();
+  }
+
+  // One run reading every timestep straight from the dataset.
+  [[nodiscard]] Result<AlgorithmRun> runBatch(
+      const AlgorithmRequest& req) const {
+    auto provider = ds->makeProvider();
+    return runAlgorithm(*entry, pg(), *provider, req);
+  }
+
+  // One run over the streaming pipeline, fed from `source`.
+  [[nodiscard]] Result<AlgorithmRun> runStreamed(
+      stream::StreamPipeline& pipeline, stream::EventSource& source,
+      AlgorithmRequest req) const {
+    Result<AlgorithmRun> run = Status::internal("streamed run did not start");
+    const Status ingest = pipeline.run(
+        source, [&](stream::StreamingInstanceProvider& provider) {
+          req.stream = &provider;
+          run = runAlgorithm(*entry, pg(), provider, req);
+        });
+    TSG_RETURN_IF_ERROR(ingest);
+    return run;
+  }
+
+  [[nodiscard]] stream::StreamPipeline makePipeline(
+      std::size_t queue_capacity, std::size_t max_staged_cells = 0) const {
+    const auto batch = ds->makeProvider();
+    return stream::StreamPipeline(pg(), batch->numInstances(), batch->t0(),
+                                  batch->delta(), queue_capacity,
+                                  max_staged_cells);
+  }
+};
+
+// Resolves ALGO and DIR and builds the request. Returns the exit code
+// (after printing the diagnostic) of an unknown algorithm, an unreadable
+// dataset or a bad flag; 0 when `out` is ready.
+int prepare(const Args& args, const std::string& algo, const std::string& dir,
+            AlgoCommand* out) {
+  out->entry = findAlgorithm(algo);
+  if (out->entry == nullptr) {
+    std::string names;
+    for (const AlgorithmEntry& entry : algorithms()) {
+      names += (names.empty() ? "" : "|") + std::string(entry.name);
+    }
+    std::fprintf(stderr, "tsgcli: unknown algorithm '%s' (expected %s)\n",
+                 algo.c_str(), names.c_str());
+    return 2;
+  }
+  if (!parseSchedule(args, &out->request.schedule)) {
+    return 2;
+  }
+  auto ds = GofsDataset::open(dir);
   if (!ds.isOk()) {
     return fail(ds.status());
   }
-  const auto& pg = ds.value().partitionedGraph();
-  const auto& schema = pg.graphTemplate().edgeSchema();
-  if (schema.indexOf(kLatencyAttr) == AttributeSchema::npos) {
-    return fail(Status::failedPrecondition(
-        "dataset has no 'latency' edge attribute — generate with "
-        "--workload=road"));
+  out->ds.emplace(std::move(ds).value());
+  const std::string checkpoint_dir = args.get("checkpoint", "");
+  if (!checkpoint_dir.empty()) {
+    out->store = std::make_unique<FileCheckpointStore>(checkpoint_dir);
   }
-  auto provider = ds.value().makeProvider();
-  TdspOptions options;
-  options.source = static_cast<VertexIndex>(args.getInt("source", 0));
-  options.latency_attr = schema.requireIndex(kLatencyAttr);
-  options.while_mode = !args.has("no-while");
-  options.emit_outputs = args.has("outputs");
-  if (args.has("closures")) {
-    if (schema.indexOf(kExistsAttr) == AttributeSchema::npos) {
-      return fail(Status::failedPrecondition(
-          "dataset has no 'exists' edge attribute — generate with "
-          "--closures=P"));
-    }
-    options.exists_attr = schema.requireIndex(kExistsAttr);
-  }
-  const auto store = makeCheckpointStore(args);
-  options.checkpoint_store = store.get();
-  if (!parseSchedule(args, &options.schedule)) {
+  out->request.checkpoint_store = out->store.get();
+  out->request.params = args.flags;
+  return 0;
+}
+
+// `tsgcli ALGO DIR [flags]`: one batch run, its result summary, any output
+// lines it was asked for, and the run footer.
+int cmdRun(const std::string& algo, const Args& args) {
+  if (args.positional.empty()) {
+    std::fprintf(stderr, "tsgcli %s: missing dataset directory argument\n",
+                 algo.c_str());
     return 2;
   }
-  const auto run = runTdsp(pg, *provider, options);
-
-  std::uint64_t reached = 0;
-  double worst = 0;
-  for (VertexIndex v = 0; v < run.tdsp.size(); ++v) {
-    if (run.finalized_at[v] >= 0) {
-      ++reached;
-      worst = std::max(worst, run.tdsp[v]);
-    }
+  AlgoCommand cmd;
+  if (const int rc = prepare(args, algo, args.positional[0], &cmd); rc != 0) {
+    return rc;
   }
-  std::printf("tdsp: reached %llu / %zu vertices in %d timesteps; latest "
-              "arrival %.2f\n",
-              static_cast<unsigned long long>(reached), run.tdsp.size(),
-              run.exec.timesteps_executed, worst);
-  for (const auto& line : run.exec.outputs) {
+  const auto run = cmd.runBatch(cmd.request);
+  if (!run.isOk()) {
+    return failArgs(run.status());
+  }
+  std::fputs(run.value().summary.c_str(), stdout);
+  for (const auto& line : run.value().outputs) {
     std::puts(line.c_str());
   }
-  printRunFooter(run.exec.stats);
-  return 0;
-}
-
-int cmdMeme(const Args& args) {
-  auto ds = openFrom(args);
-  if (!ds.isOk()) {
-    return fail(ds.status());
-  }
-  const auto& pg = ds.value().partitionedGraph();
-  const auto& schema = pg.graphTemplate().vertexSchema();
-  if (schema.indexOf(kTweetsAttr) == AttributeSchema::npos) {
-    return fail(Status::failedPrecondition(
-        "dataset has no 'tweets' vertex attribute — generate with "
-        "--workload=tweet"));
-  }
-  auto provider = ds.value().makeProvider();
-  MemeOptions options;
-  options.meme = args.get("tag", "#meme");
-  options.tweets_attr = schema.requireIndex(kTweetsAttr);
-  options.emit_outputs = args.has("outputs");
-  const auto store = makeCheckpointStore(args);
-  options.checkpoint_store = store.get();
-  if (!parseSchedule(args, &options.schedule)) {
-    return 2;
-  }
-  const auto run = runMemeTracking(pg, *provider, options);
-
-  std::uint64_t colored = 0;
-  for (const auto t : run.colored_at) {
-    colored += t >= 0 ? 1 : 0;
-  }
-  std::printf("meme %s: reached %llu / %zu vertices over %d timesteps\n",
-              options.meme.c_str(),
-              static_cast<unsigned long long>(colored), run.colored_at.size(),
-              run.exec.timesteps_executed);
-  std::fputs(renderCounterSeries(run.exec.stats, kMemeColoredCounter,
-                                 "newly colored")
-                 .c_str(),
-             stdout);
-  for (const auto& line : run.exec.outputs) {
-    std::puts(line.c_str());
-  }
-  printRunFooter(run.exec.stats);
-  return 0;
-}
-
-int cmdHashtag(const Args& args) {
-  auto ds = openFrom(args);
-  if (!ds.isOk()) {
-    return fail(ds.status());
-  }
-  const auto& pg = ds.value().partitionedGraph();
-  const auto& schema = pg.graphTemplate().vertexSchema();
-  if (schema.indexOf(kTweetsAttr) == AttributeSchema::npos) {
-    return fail(Status::failedPrecondition(
-        "dataset has no 'tweets' vertex attribute"));
-  }
-  auto provider = ds.value().makeProvider();
-  HashtagOptions options;
-  options.tag = args.get("tag", "#meme");
-  options.tweets_attr = schema.requireIndex(kTweetsAttr);
-  const auto store = makeCheckpointStore(args);
-  options.checkpoint_store = store.get();
-  if (!parseSchedule(args, &options.schedule)) {
-    return 2;
-  }
-  const auto run = runHashtagAggregation(pg, *provider, options);
-
-  TextTable table({"timestep", "count", "rate of change"});
-  for (std::size_t t = 0; t < run.counts.size(); ++t) {
-    table.addRow({std::to_string(t), std::to_string(run.counts[t]),
-                  std::to_string(run.rate_of_change[t])});
-  }
-  std::fputs(table.render().c_str(), stdout);
-  printRunFooter(run.exec.stats);
-  return 0;
-}
-
-int cmdPageRank(const Args& args) {
-  auto ds = openFrom(args);
-  if (!ds.isOk()) {
-    return fail(ds.status());
-  }
-  const auto& pg = ds.value().partitionedGraph();
-  auto provider = ds.value().makeProvider();
-  PageRankOptions options;
-  options.iterations = static_cast<std::int32_t>(args.getInt("iters", 30));
-  const auto store = makeCheckpointStore(args);
-  options.checkpoint_store = store.get();
-  if (!parseSchedule(args, &options.schedule)) {
-    return 2;
-  }
-  const auto run = runSubgraphPageRank(pg, *provider, options);
-
-  const auto top_n = static_cast<std::size_t>(args.getInt("top", 10));
-  std::vector<VertexIndex> order(run.ranks.size());
-  for (VertexIndex v = 0; v < order.size(); ++v) {
-    order[v] = v;
-  }
-  const std::size_t keep = std::min(top_n, order.size());
-  std::partial_sort(order.begin(), order.begin() + keep, order.end(),
-                    [&](VertexIndex a, VertexIndex b) {
-                      return run.ranks[a] > run.ranks[b];
-                    });
-  TextTable table({"rank", "vertex id", "pagerank"});
-  for (std::size_t i = 0; i < keep; ++i) {
-    table.addRow({std::to_string(i + 1),
-                  std::to_string(pg.graphTemplate().vertexId(order[i])),
-                  TextTable::fmtDouble(run.ranks[order[i]], 6)});
-  }
-  std::fputs(table.render().c_str(), stdout);
-  printRunFooter(run.exec.stats);
-  return 0;
-}
-
-int cmdWcc(const Args& args) {
-  auto ds = openFrom(args);
-  if (!ds.isOk()) {
-    return fail(ds.status());
-  }
-  const auto& pg = ds.value().partitionedGraph();
-  auto provider = ds.value().makeProvider();
-  WccOptions options;
-  const auto store = makeCheckpointStore(args);
-  options.checkpoint_store = store.get();
-  if (!parseSchedule(args, &options.schedule)) {
-    return 2;
-  }
-  const auto run = runSubgraphWcc(pg, *provider, options);
-  std::printf("weakly connected components: %zu (over %zu vertices)\n",
-              run.num_components, run.component.size());
-  printRunFooter(run.exec.stats);
+  printRunFooter(run.value().stats);
   return 0;
 }
 
@@ -847,171 +766,6 @@ int cmdAnalyze(const Args& args) {
 // check — BSP protocol checking + determinism harness over an algorithm.
 // ---------------------------------------------------------------------------
 
-// Digests an algorithm's semantic outputs for one run. Each branch hashes
-// exactly the values a user would consume — never timings or metrics.
-// `stats_out`, when non-null, receives the run's RunStats (including any
-// armed attribution) so `check --json=` can persist a vertex-engine run —
-// the only CLI path that exercises the vertex-centric engines.
-Result<std::string> runAlgoDigestOn(const std::string& algo,
-                                    const PartitionedGraph& pg,
-                                    InstanceProvider& provider,
-                                    Schedule schedule,
-                                    TimestepStream* stream = nullptr,
-                                    RunStats* stats_out = nullptr) {
-  const auto& vertex_schema = pg.graphTemplate().vertexSchema();
-  const auto& edge_schema = pg.graphTemplate().edgeSchema();
-  check::Digest d;
-
-  if (algo == "tdsp" || algo == "sssp" || algo == "tdsp-vertex") {
-    if (edge_schema.indexOf(kLatencyAttr) == AttributeSchema::npos) {
-      return Status::failedPrecondition(
-          "dataset has no 'latency' edge attribute — generate with "
-          "--workload=road");
-    }
-  }
-  if (algo == "meme" || algo == "hashtag" || algo == "topn") {
-    if (vertex_schema.indexOf(kTweetsAttr) == AttributeSchema::npos) {
-      return Status::failedPrecondition(
-          "dataset has no 'tweets' vertex attribute — generate with "
-          "--workload=tweet");
-    }
-  }
-
-  if (algo == "tdsp") {
-    TdspOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    options.latency_attr = edge_schema.requireIndex(kLatencyAttr);
-    const auto run = runTdsp(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addDoubles(run.tdsp);
-    d.addVector(run.finalized_at, [](check::Digest& dd, Timestep t) {
-      dd.addI64(t);
-    });
-    d.addI64(run.exec.timesteps_executed);
-  } else if (algo == "meme") {
-    MemeOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    options.tweets_attr = vertex_schema.requireIndex(kTweetsAttr);
-    const auto run = runMemeTracking(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addVector(run.colored_at, [](check::Digest& dd, Timestep t) {
-      dd.addI64(t);
-    });
-  } else if (algo == "hashtag") {
-    HashtagOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    options.tweets_attr = vertex_schema.requireIndex(kTweetsAttr);
-    const auto run = runHashtagAggregation(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addU64s(run.counts);
-    d.addI64s(run.rate_of_change);
-  } else if (algo == "pagerank") {
-    PageRankOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    const auto run = runSubgraphPageRank(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addDoubles(run.ranks);
-  } else if (algo == "sssp") {
-    SsspOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    options.latency_attr = edge_schema.requireIndex(kLatencyAttr);
-    const auto run = runSubgraphSssp(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addDoubles(run.distances);
-  } else if (algo == "wcc") {
-    WccOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    const auto run = runSubgraphWcc(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addVector(run.component, [](check::Digest& dd, VertexIndex v) {
-      dd.addU64(v);
-    });
-    d.addU64(run.num_components);
-  } else if (algo == "topn") {
-    TopNOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    if (stream != nullptr) {
-      // Streaming serializes the timestep loop: sealed instances arrive in
-      // order, so the concurrent temporal mode cannot apply.
-      options.temporal_mode = TemporalMode::kSerial;
-    }
-    options.tweets_attr = vertex_schema.requireIndex(kTweetsAttr);
-    const auto run = runTopActiveVertices(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addU64(run.top.size());
-    for (const auto& per_t : run.top) {
-      d.addVector(per_t, [](check::Digest& dd, VertexIndex v) {
-        dd.addU64(v);
-      });
-    }
-  } else if (algo == "tdsp-vertex") {
-    VertexTdspOptions options;
-    options.schedule = schedule;
-    options.stream = stream;
-    options.latency_attr = edge_schema.requireIndex(kLatencyAttr);
-    const auto run = runVertexTdsp(pg, provider, options);
-    if (stats_out != nullptr) {
-      *stats_out = run.exec.stats;
-    }
-    d.addDoubles(run.tdsp);
-    d.addVector(run.finalized_at, [](check::Digest& dd, Timestep t) {
-      dd.addI64(t);
-    });
-  } else if (algo == "sssp-vertex") {
-    // The plain (non-temporal) vertex-centric engine has no timestep loop
-    // and therefore no wave schedule; it always runs barriered BSP. The
-    // flag is accepted so sweeps can pass a uniform --schedule=async.
-    vertexcentric::SsspVertexProgram program(0);
-    vertexcentric::VertexCentricEngine engine(pg);
-    const auto run = engine.run(program, vertexcentric::VcConfig{},
-                                [](VertexIndex) {
-                                  return vertexcentric::kInf;
-                                });
-    if (stats_out != nullptr) {
-      *stats_out = run.stats;
-    }
-    d.addDoubles(run.values);
-    d.addI64(run.supersteps);
-  } else {
-    return Status::invalidArgument("unknown algorithm '" + algo +
-                                   "' (expected tdsp, meme, hashtag, "
-                                   "pagerank, sssp, wcc, topn, tdsp-vertex "
-                                   "or sssp-vertex)");
-  }
-  return d.hex();
-}
-
-// Batch entry point: reads every timestep straight from the dataset.
-Result<std::string> runAlgoDigest(const std::string& algo,
-                                  const GofsDataset& ds,
-                                  Schedule schedule,
-                                  RunStats* stats_out = nullptr) {
-  auto provider = ds.makeProvider();
-  return runAlgoDigestOn(algo, ds.partitionedGraph(), *provider, schedule,
-                         /*stream=*/nullptr, stats_out);
-}
-
 // Reassembles the dataset's instances into full-graph form and diffs them
 // into the append-only event stream a live ingestor would have consumed.
 Result<std::vector<stream::GraphEvent>> datasetEvents(const GofsDataset& ds) {
@@ -1027,49 +781,6 @@ Result<std::vector<stream::GraphEvent>> datasetEvents(const GofsDataset& ds) {
   return stream::eventsFromCollection(coll);
 }
 
-// Streamed entry point: replays `events` through an ingest thread and the
-// bounded SealQueue; the engine blocks on each timestep's seal and skips
-// clean subgraphs incrementally. sssp-vertex has no timestep loop (nothing
-// to stream), so it falls through to the batch path — harness sweeps can
-// still pass a uniform --stream.
-Result<std::string> runAlgoDigestStreamed(
-    const std::string& algo, const GofsDataset& ds, Schedule schedule,
-    const std::vector<stream::GraphEvent>& events,
-    RunStats* stats_out = nullptr) {
-  if (algo == "sssp-vertex") {
-    return runAlgoDigest(algo, ds, schedule, stats_out);
-  }
-  const auto& pg = ds.partitionedGraph();
-  auto batch = ds.makeProvider();
-  const std::size_t planned = batch->numInstances();
-
-  stream::SealQueue queue(4);
-  stream::IngestorOptions opts;
-  opts.planned_timesteps = static_cast<std::int32_t>(planned);
-  stream::StreamIngestor ingestor(pg.templatePtr(), pg, batch->t0(),
-                                  batch->delta(), queue, opts);
-  stream::StreamingInstanceProvider sp(pg, pg.templatePtr(), planned,
-                                       batch->t0(), batch->delta(), queue);
-  stream::MemoryEventSource source;
-  source.push(events);
-  source.close();
-
-  stream::IngestThread ingest(ingestor, source);
-  auto digest =
-      runAlgoDigestOn(algo, pg, sp, schedule, &sp, stats_out);
-  // tdsp's while-mode can stop before the planned horizon: drain whatever
-  // the ingest thread is still sealing so its backpressure block releases
-  // and the join below cannot deadlock.
-  stream::SealedTimestep leftover;
-  while (queue.pop(leftover)) {
-  }
-  const Status ingest_status = ingest.join();
-  if (!ingest_status.isOk()) {
-    return ingest_status;
-  }
-  return digest;
-}
-
 int cmdCheck(const Args& args) {
   if (args.positional.size() < 2) {
     std::fputs("tsgcli check: need <algo> and <dataset dir> arguments\n",
@@ -1077,81 +788,66 @@ int cmdCheck(const Args& args) {
     return 2;
   }
   const std::string& algo = args.positional[0];
-  auto ds = GofsDataset::open(args.positional[1]);
-  if (!ds.isOk()) {
-    return fail(ds.status());
+  AlgoCommand cmd;
+  if (const int rc = prepare(args, algo, args.positional[1], &cmd); rc != 0) {
+    return rc;
   }
-  Schedule schedule = Schedule::kBsp;
-  if (!parseSchedule(args, &schedule)) {
+  check::DeterminismOptions options;
+  options.runs = static_cast<std::int32_t>(args.getInt("runs", 3));
+  options.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
+  if (options.runs < 1) {
+    std::fputs("tsgcli check: --runs must be >= 1\n", stderr);
     return 2;
   }
+  // --stream: every harness run replays the dataset's event stream through
+  // the ingest pipeline instead of reading the dataset directly. The
+  // events are diffed once up front so all runs see identical input. An
+  // algorithm without a timestep loop has nothing to stream and runs
+  // batch, so harness sweeps can pass a uniform --stream.
   const bool streamed = args.has("stream");
-
-  // Protocol checking is on for every harness run; a violation prints its
-  // diagnostic (rule, partition, superstep, flow) and aborts the process.
-  check::setEnabled(true);
-
-  // --stream: every harness run replays this event stream through the
-  // ingest pipeline instead of reading the dataset directly. The events are
-  // diffed once up front so all runs see identical input.
   std::vector<stream::GraphEvent> events;
   if (streamed) {
-    auto ev = datasetEvents(ds.value());
+    auto ev = datasetEvents(*cmd.ds);
     if (!ev.isOk()) {
       return fail(ev.status());
     }
     events = std::move(ev).value();
   }
 
-  check::DeterminismOptions options;
-  options.runs = static_cast<std::int32_t>(args.getInt("runs", 3));
-  options.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-  if (options.runs < 1) {
-    std::fputs("tsgcli check: --runs must be >= 1\n", stderr);
-    return 2;
-  }
-
-  // The async schedule's contract is digest-identity with BSP, and the
-  // streamed pipeline's contract is digest-identity with the cold batch
-  // run: compute the unperturbed batch BSP reference once and require
-  // every harness run to reproduce its digest exactly.
-  std::string bsp_reference;
-  if (schedule == Schedule::kAsync || streamed) {
-    auto reference = runAlgoDigest(algo, ds.value(), Schedule::kBsp);
-    if (!reference.isOk()) {
-      return fail(reference.status());
-    }
-    bsp_reference = std::move(reference).value();
-  }
+  // Protocol checking is on for every harness run; a violation prints its
+  // diagnostic (rule, partition, superstep, flow) and aborts the process.
+  check::setEnabled(true);
 
   Status failed = Status::ok();
   RunStats last_stats;
   const auto report = check::checkDeterminism(
       options, [&](std::int32_t) -> std::string {
-        auto digest =
-            streamed ? runAlgoDigestStreamed(algo, ds.value(), schedule,
-                                             events, &last_stats)
-                     : runAlgoDigest(algo, ds.value(), schedule, &last_stats);
-        if (!digest.isOk()) {
-          failed = digest.status();
+        Result<AlgorithmRun> run = Status::internal("unset");
+        if (streamed && cmd.entry->has_timestep_loop) {
+          auto pipeline = cmd.makePipeline(/*queue_capacity=*/4);
+          stream::MemoryEventSource source;
+          source.push(events);
+          source.close();
+          run = cmd.runStreamed(pipeline, source, cmd.request);
+        } else {
+          run = cmd.runBatch(cmd.request);
+        }
+        if (!run.isOk()) {
+          failed = run.status();
           return "";
         }
-        return std::move(digest).value();
+        last_stats = std::move(run.value().stats);
+        return std::move(run.value().digest);
       });
   if (!failed.isOk()) {
-    return fail(failed);
+    return failArgs(failed);
   }
-  // --json= persists the last harness run's stats. This is the only CLI
-  // route into the vertex-centric engines, so it is also how their
-  // attribution tables (per-vertex heavy-hitter sketches) reach `analyze`.
-  if (!g_json_path.empty()) {
-    if (writeTextFile(g_json_path,
-                      runStatsToJson(last_stats, "check " + algo))) {
-      std::printf("wrote run stats: %s\n", g_json_path.c_str());
-    } else {
-      std::fprintf(stderr, "tsgcli: cannot write %s\n", g_json_path.c_str());
-    }
-  }
+  // --json= persists the last harness run's stats (with --profile, the
+  // vertex engines' attribution tables reach `analyze` this way too).
+  writeJsonStats(last_stats, "check " + algo);
   std::fputs(
       check::renderDeterminismReport(report, algo + " on " +
                                                  args.positional[1])
@@ -1160,22 +856,34 @@ int cmdCheck(const Args& args) {
   if (!report.deterministic) {
     return 1;
   }
-  const bool gated = schedule == Schedule::kAsync || streamed;
+  // The async schedule's contract is digest-identity with BSP, and the
+  // streamed pipeline's contract is digest-identity with the cold batch
+  // run: every harness run must reproduce the unperturbed batch BSP
+  // reference exactly. The reference runs after the harness, so a one-shot
+  // injected fault lands in a harness run under either schedule.
+  if (cmd.request.schedule == Schedule::kBsp && !streamed) {
+    return 0;
+  }
+  AlgorithmRequest reference_request = cmd.request;
+  reference_request.schedule = Schedule::kBsp;
+  const auto reference = cmd.runBatch(reference_request);
+  if (!reference.isOk()) {
+    return failArgs(reference.status());
+  }
+  const std::string& bsp_reference = reference.value().digest;
   const char* variant =
-      streamed ? (schedule == Schedule::kAsync ? "streamed async" : "streamed")
+      streamed ? (cmd.request.schedule == Schedule::kAsync ? "streamed async"
+                                                           : "streamed")
                : "async";
-  if (gated && !report.runs.empty() &&
-      report.runs.front().digest != bsp_reference) {
+  if (report.runs.front().digest != bsp_reference) {
     std::printf("%s run DIVERGES from the batch BSP reference:\n"
                 "  batch bsp  %s\n  %-10s %s\n",
                 variant, bsp_reference.c_str(), variant,
                 report.runs.front().digest.c_str());
     return 1;
   }
-  if (gated) {
-    std::printf("%s digest matches the batch BSP reference (%s)\n", variant,
-                bsp_reference.c_str());
-  }
+  std::printf("%s digest matches the batch BSP reference (%s)\n", variant,
+              bsp_reference.c_str());
   return 0;
 }
 
@@ -1191,35 +899,23 @@ int cmdStream(const Args& args) {
     return 2;
   }
   const std::string& algo = args.positional[0];
-  auto ds = GofsDataset::open(args.positional[1]);
-  if (!ds.isOk()) {
-    return fail(ds.status());
+  AlgoCommand cmd;
+  if (const int rc = prepare(args, algo, args.positional[1], &cmd); rc != 0) {
+    return rc;
   }
-  Schedule schedule = Schedule::kBsp;
-  if (!parseSchedule(args, &schedule)) {
+  if (!cmd.entry->has_timestep_loop) {
+    std::fprintf(stderr, "tsgcli stream: %s has no timestep loop to stream\n",
+                 algo.c_str());
     return 2;
   }
-  if (algo == "sssp-vertex") {
-    std::fputs("tsgcli stream: sssp-vertex has no timestep loop to stream\n",
-               stderr);
-    return 2;
-  }
-
-  const auto& pg = ds.value().partitionedGraph();
-  auto batch = ds.value().makeProvider();
-  const std::size_t planned = batch->numInstances();
-
   const auto queue_cap = static_cast<std::size_t>(
       std::max<std::int64_t>(1, args.getInt("queue", 4)));
-  stream::SealQueue queue(queue_cap);
-  stream::IngestorOptions opts;
-  opts.planned_timesteps = static_cast<std::int32_t>(planned);
-  opts.max_staged_cells = static_cast<std::size_t>(
+  const auto max_staged = static_cast<std::size_t>(
       std::max<std::int64_t>(0, args.getInt("max-staged", 0)));
-  stream::StreamIngestor ingestor(pg.templatePtr(), pg, batch->t0(),
-                                  batch->delta(), queue, opts);
-  stream::StreamingInstanceProvider sp(pg, pg.templatePtr(), planned,
-                                       batch->t0(), batch->delta(), queue);
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
+  auto pipeline = cmd.makePipeline(queue_cap, max_staged);
 
   // Event source: --events=FILE replays a TSEV frame file (--follow keeps
   // polling as a writer appends — a live tail). Without --events, the
@@ -1231,7 +927,7 @@ int cmdStream(const Args& args) {
     source = std::make_unique<stream::FileTailSource>(events_path,
                                                       args.has("follow"));
   } else {
-    auto replay = datasetEvents(ds.value());
+    auto replay = datasetEvents(*cmd.ds);
     if (!replay.isOk()) {
       return fail(replay.status());
     }
@@ -1246,30 +942,23 @@ int cmdStream(const Args& args) {
           .counter("engine.subgraphs_skipped_incremental")
           .value();
   Stopwatch sw;
-  stream::IngestThread ingest(ingestor, *source);
-  RunStats stats;
-  auto digest = runAlgoDigestOn(algo, pg, sp, schedule, &sp, &stats);
-  // Release the ingest thread's backpressure block if the run stopped
-  // before the planned horizon (tdsp while-mode, engine error).
-  stream::SealedTimestep leftover;
-  while (queue.pop(leftover)) {
-  }
-  const Status ingest_status = ingest.join();
-  if (!ingest_status.isOk()) {
-    return fail(ingest_status);
-  }
-  if (!digest.isOk()) {
-    return fail(digest.status());
+  const auto run = cmd.runStreamed(pipeline, *source, cmd.request);
+  if (!run.isOk()) {
+    return failArgs(run.status());
   }
   const std::uint64_t skipped =
       MetricsRegistry::global()
           .counter("engine.subgraphs_skipped_incremental")
           .value() -
       skipped_before;
+  const std::string& digest = run.value().digest;
+  const auto& ingestor = pipeline.ingestor();
+  const auto& queue = pipeline.queue();
 
   std::printf("streamed %s over %s: %zu/%zu timesteps sealed (%.1f s)\n",
-              algo.c_str(), args.positional[1].c_str(), sp.sealedCount(),
-              planned, sw.elapsedSec());
+              algo.c_str(), args.positional[1].c_str(),
+              pipeline.provider().sealedCount(),
+              pipeline.provider().numInstances(), sw.elapsedSec());
   // Machine-parseable block — ci/check_stream.py consumes it verbatim.
   std::printf("stream summary:\n");
   std::printf("  events_ingested: %llu\n",
@@ -1282,16 +971,18 @@ int cmdStream(const Args& args) {
   std::printf("  seal_queue_capacity: %zu\n", queue.capacity());
   std::printf("  subgraphs_skipped_incremental: %llu\n",
               static_cast<unsigned long long>(skipped));
-  std::printf("  digest: %s\n", digest.value().c_str());
+  std::printf("  digest: %s\n", digest.c_str());
 
   int rc = 0;
   if (args.has("verify")) {
-    auto reference = runAlgoDigest(algo, ds.value(), Schedule::kBsp);
+    AlgorithmRequest reference_request = cmd.request;
+    reference_request.schedule = Schedule::kBsp;
+    const auto reference = cmd.runBatch(reference_request);
     if (!reference.isOk()) {
-      return fail(reference.status());
+      return failArgs(reference.status());
     }
-    const bool match = reference.value() == digest.value();
-    std::printf("  batch_digest: %s\n", reference.value().c_str());
+    const bool match = reference.value().digest == digest;
+    std::printf("  batch_digest: %s\n", reference.value().digest.c_str());
     std::printf("  digest_match: %s\n", match ? "yes" : "no");
     if (!match) {
       std::fputs("tsgcli stream: streamed digest DIVERGES from the cold "
@@ -1300,7 +991,7 @@ int cmdStream(const Args& args) {
       rc = 1;
     }
   }
-  printRunFooter(stats);
+  printRunFooter(run.value().stats);
   return rc;
 }
 
@@ -1413,34 +1104,33 @@ int cmdTop(const Args& args) {
     return 2;
   }
   const std::string& algo = args.positional[0];
-  auto ds = GofsDataset::open(args.positional[1]);
-  if (!ds.isOk()) {
-    return fail(ds.status());
+  AlgoCommand cmd;
+  if (const int rc = prepare(args, algo, args.positional[1], &cmd); rc != 0) {
+    return rc;
   }
-  Schedule schedule = Schedule::kBsp;
-  if (!parseSchedule(args, &schedule)) {
-    return 2;
-  }
-  const auto num_partitions = ds.value().partitionedGraph().numPartitions();
+  const auto num_partitions = cmd.pg().numPartitions();
 
   TelemetryOptions sampler_options;
   sampler_options.sample_ms =
       static_cast<int>(args.getInt("sample-ms", 20));
+  const auto refresh =
+      std::chrono::milliseconds(args.getInt("refresh-ms", 200));
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
   sampler_options.label = "top " + algo;
   TelemetrySampler sampler(sampler_options);
   sampler.start();
 
   // The job runs on its own thread so this one can keep redrawing. The
   // digest result is only read after join().
-  Result<std::string> digest = Status::internal("job did not run");
+  Result<AlgorithmRun> run = Status::internal("job did not run");
   std::atomic<bool> done{false};
   std::thread job([&] {  // NOLINT(tsg-naked-thread)
-    digest = runAlgoDigest(algo, ds.value(), schedule);
+    run = cmd.runBatch(cmd.request);
     done.store(true, std::memory_order_release);  // tsg:mo(release publishes the digest to the polling loop)
   });
 
-  const auto refresh =
-      std::chrono::milliseconds(args.getInt("refresh-ms", 200));
 #ifdef __linux__
   const bool tty = isatty(fileno(stdout)) != 0;
 #else
@@ -1484,11 +1174,11 @@ int cmdTop(const Args& args) {
               static_cast<unsigned long long>(sampler.ring().produced()),
               static_cast<unsigned long long>(sampler.ring().droppedSamples()),
               static_cast<unsigned long long>(sampler.missedTicks()));
-  if (!digest.isOk()) {
-    return fail(digest.status());
+  if (!run.isOk()) {
+    return failArgs(run.status());
   }
   std::printf("done in %.1f s; digest %s\n", elapsed_s,
-              digest.value().c_str());
+              run.value().digest.c_str());
   return 0;
 }
 
@@ -1510,6 +1200,9 @@ int cmdCompare(const Args& args) {
   }
   CompareThresholds thresholds;
   thresholds.max_regress_pct = args.getDouble("max-regress", 10.0);
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
   const auto result =
       compareRuns(base.value(), candidate.value(), thresholds);
   std::fputs(renderCompare(result).c_str(), stdout);
@@ -1525,21 +1218,6 @@ int dispatch(const std::string& command, const Args& args) {
   if (command == "inspect") {
     return cmdInspect(args);
   }
-  if (command == "tdsp") {
-    return cmdTdsp(args);
-  }
-  if (command == "meme") {
-    return cmdMeme(args);
-  }
-  if (command == "hashtag") {
-    return cmdHashtag(args);
-  }
-  if (command == "pagerank") {
-    return cmdPageRank(args);
-  }
-  if (command == "wcc") {
-    return cmdWcc(args);
-  }
   if (command == "check") {
     return cmdCheck(args);
   }
@@ -1554,6 +1232,9 @@ int dispatch(const std::string& command, const Args& args) {
   }
   if (command == "top") {
     return cmdTop(args);
+  }
+  if (findAlgorithm(command) != nullptr) {
+    return cmdRun(command, args);
   }
   std::fprintf(stderr, "tsgcli: unknown command '%s'\n", command.c_str());
   return usage();
@@ -1626,10 +1307,11 @@ int main(int argc, char** argv) {
           ? static_cast<int>(args.getInt("prom-port", 0))
           : -1;
   telemetry_options.label = command;
-  const bool run_command = command == "tdsp" || command == "meme" ||
-                           command == "hashtag" || command == "pagerank" ||
-                           command == "wcc" || command == "check" ||
-                           command == "stream";
+  if (!args.flagError().isOk()) {
+    return failArgs(args.flagError());
+  }
+  const bool run_command = findAlgorithm(command) != nullptr ||
+                           command == "check" || command == "stream";
   RunTelemetry telemetry(run_command ? telemetry_options
                                      : RunTelemetryOptions{});
   if (telemetry.armed()) {
