@@ -1,20 +1,24 @@
 // Whole-network structural analysis + cluster right-sizing.
 //
 // Combines the topology-level algorithms (weakly connected components,
-// subgraph-centric PageRank) with the §IV-E rebalancing planner: analyze a
-// network, find its influential vertices, then inspect the run's metering
-// and let the planner propose subgraph migrations for the next run.
+// subgraph-centric PageRank) with the §IV-E partition-quality advisor:
+// analyze a network, find its influential vertices, then hand the run's
+// measured per-subgraph compute to the advisor and let it propose subgraph
+// migrations for the next run, with the edge cut they would cost.
 //
-// Demonstrates: WCC, PageRank, run metering, planRebalance.
+// Demonstrates: WCC, PageRank, the cost-attribution profiler,
+// advisePartitioning.
 #include <algorithm>
 #include <cstdio>
 
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
-#include "core/rebalance.h"
 #include "generators/topology.h"
 #include "gofs/instance_provider.h"
+#include "metrics/analysis.h"
 #include "partition/partitioner.h"
+#include "profile/advisor.h"
+#include "profile/profiler.h"
 
 using namespace tsg;
 
@@ -73,10 +77,13 @@ int main() {
               "satellite rings)\n",
               tmpl->numVertices(), wcc.num_components);
 
-  // 2. Influence ranking.
+  // 2. Influence ranking, with the cost-attribution profiler armed so the
+  // run records each subgraph's measured compute.
   PageRankOptions pr_options;
   pr_options.iterations = 25;
+  Profiler::global().arm(ProfileOptions{});
   const auto pr = runSubgraphPageRank(pg, provider, pr_options);
+  Profiler::global().disarm();
   std::vector<VertexIndex> order(tmpl->numVertices());
   for (VertexIndex v = 0; v < order.size(); ++v) {
     order[v] = v;
@@ -93,22 +100,20 @@ int main() {
   }
   std::printf("\n");
 
-  // 3. Right-size the placement from the observed metering (§IV-E).
-  const auto plan_result = planRebalance(pg, pr.exec.stats);
-  if (!plan_result.isOk()) {
+  // 3. Right-size the placement from the measured per-subgraph compute
+  // (§IV-E), weighing the suggested moves against the edge cut they cost.
+  if (!pr.exec.stats.hasAttribution()) {
     return 1;
   }
-  const auto& plan = plan_result.value();
-  std::printf(
-      "rebalance plan: %zu subgraph moves; compute imbalance %.2f -> %.2f; "
-      "edge cut %.2f%% -> %.2f%%\n",
-      plan.moves.size(), plan.imbalance_before, plan.imbalance_after,
-      plan.cut_fraction_before * 100.0, plan.cut_fraction_after * 100.0);
-  for (const auto& move : plan.moves) {
-    std::printf("  move subgraph %u: partition %u -> %u (load %.1f%%)\n",
-                move.subgraph, move.from, move.to,
-                move.load * 100.0 /
-                    std::max(1.0, plan.imbalance_before));
-  }
+  const auto analysis = analyzeCriticalPath(pr.exec.stats);
+  const auto advice =
+      advisePartitioning(pr.exec.stats.attribution(), &analysis);
+  std::fputs(renderAdvisorReport(advice).c_str(), stdout);
+  const double cut_before =
+      evaluatePartition(*tmpl, pg.assignment(), 4).cut_fraction;
+  const double cut_after =
+      evaluatePartition(*tmpl, advisedAssignment(pg, advice), 4).cut_fraction;
+  std::printf("edge cut %.2f%% -> %.2f%%\n", cut_before * 100.0,
+              cut_after * 100.0);
   return wcc.num_components == 4 ? 0 : 1;
 }

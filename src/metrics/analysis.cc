@@ -1,8 +1,6 @@
 #include "metrics/analysis.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/stopwatch.h"
@@ -215,132 +213,6 @@ std::string renderCriticalPath(const CriticalPathAnalysis& analysis,
     out << "-- worst supersteps by imposed barrier wait --\n"
         << table.render();
   }
-  return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Run comparison.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Sum of a counter across all partitions in a run's registry delta (0 when
-// the run predates the counter or never touched it).
-std::int64_t metricTotal(const RunStats& stats, std::string_view name) {
-  std::int64_t total = 0;
-  for (const auto& point : stats.metrics()) {
-    if (point.name == name && !point.is_gauge) {
-      total += point.value;
-    }
-  }
-  return total;
-}
-
-MetricComparison compareMetric(std::string name, std::int64_t base,
-                               std::int64_t candidate, bool gated,
-                               double max_regress_pct) {
-  MetricComparison cmp;
-  cmp.metric = std::move(name);
-  cmp.base = base;
-  cmp.candidate = candidate;
-  if (base != 0) {
-    cmp.delta_pct = (static_cast<double>(candidate - base) /
-                     static_cast<double>(base)) *
-                    100.0;
-  } else if (candidate != 0) {
-    cmp.delta_pct = std::numeric_limits<double>::infinity();
-  }
-  cmp.gated = gated;
-  cmp.regressed = gated && cmp.delta_pct > max_regress_pct;
-  return cmp;
-}
-
-}  // namespace
-
-CompareResult compareRuns(const LoadedRunStats& base,
-                          const LoadedRunStats& candidate,
-                          const CompareThresholds& thresholds) {
-  CompareResult result;
-  result.base_label = base.label;
-  result.candidate_label = candidate.label;
-  const double pct = thresholds.max_regress_pct;
-
-  auto add = [&result](MetricComparison cmp) {
-    result.pass = result.pass && !cmp.regressed;
-    result.metrics.push_back(std::move(cmp));
-  };
-
-  // The primary gate: modelled parallel time as stamped by the writer (the
-  // paper's critical-path metric, and deterministic enough at bench-smoke
-  // scale because the barrier model dominates).
-  add(compareMetric("modelled_parallel_ns", base.modelled_parallel_ns,
-                    candidate.modelled_parallel_ns, /*gated=*/true, pct));
-  // Work-shape gates: for seeded runs these are exactly reproducible, so
-  // any above-threshold growth is a real algorithmic regression.
-  add(compareMetric(
-      "supersteps", static_cast<std::int64_t>(base.stats.totalSupersteps()),
-      static_cast<std::int64_t>(candidate.stats.totalSupersteps()),
-      /*gated=*/true, pct));
-  add(compareMetric(
-      "delivered_messages",
-      static_cast<std::int64_t>(base.stats.totalMessages()),
-      static_cast<std::int64_t>(candidate.stats.totalMessages()),
-      /*gated=*/true, pct));
-  add(compareMetric("delivered_bytes",
-                    static_cast<std::int64_t>(base.stats.totalBytes()),
-                    static_cast<std::int64_t>(candidate.stats.totalBytes()),
-                    /*gated=*/true, pct));
-  add(compareMetric(
-      "cross_partition_messages",
-      static_cast<std::int64_t>(base.stats.totalCrossPartitionMessages()),
-      static_cast<std::int64_t>(
-          candidate.stats.totalCrossPartitionMessages()),
-      /*gated=*/true, pct));
-  add(compareMetric(
-      "cross_partition_bytes",
-      static_cast<std::int64_t>(base.stats.totalCrossPartitionBytes()),
-      static_cast<std::int64_t>(candidate.stats.totalCrossPartitionBytes()),
-      /*gated=*/true, pct));
-  // Informational: wall clock on a shared CI runner is too noisy to gate.
-  add(compareMetric("wall_clock_ns", base.stats.wallClockNs(),
-                    candidate.stats.wallClockNs(), /*gated=*/false, pct));
-  // Scheduler wait attribution, also informational (timing-derived): the
-  // barrier wait a BSP run paid vs the ready wait an async run paid, plus
-  // the async schedule's work-stealing and skip activity. Comparing a BSP
-  // base against an async candidate, these rows show where the barrier
-  // time went.
-  for (const char* name :
-       {"cluster.barrier_wait_ns", "engine.ready_wait_ns", "cluster.steals",
-        "cluster.barrier_skips"}) {
-    const std::int64_t base_total = metricTotal(base.stats, name);
-    const std::int64_t cand_total = metricTotal(candidate.stats, name);
-    if (base_total != 0 || cand_total != 0) {
-      add(compareMetric(name, base_total, cand_total, /*gated=*/false, pct));
-    }
-  }
-  return result;
-}
-
-std::string renderCompare(const CompareResult& result) {
-  std::ostringstream out;
-  out << "== compare: base '" << result.base_label << "' vs candidate '"
-      << result.candidate_label << "' ==\n";
-  TextTable table({"metric", "base", "candidate", "delta", "gate"});
-  for (const auto& cmp : result.metrics) {
-    std::string delta;
-    if (std::isinf(cmp.delta_pct)) {
-      delta = "+inf%";
-    } else {
-      delta = (cmp.delta_pct >= 0 ? "+" : "") +
-              TextTable::fmtDouble(cmp.delta_pct, 2) + "%";
-    }
-    const std::string gate =
-        !cmp.gated ? "info" : (cmp.regressed ? "REGRESSED" : "ok");
-    table.addRow({cmp.metric, std::to_string(cmp.base),
-                  std::to_string(cmp.candidate), delta, gate});
-  }
-  out << table.render();
-  out << (result.pass ? "PASS" : "FAIL") << "\n";
   return out.str();
 }
 

@@ -1,8 +1,7 @@
 // Post-run analysis over RunStats — the "why was it slow" layer on top of
 // the raw telemetry (PR 2) that the paper's evaluation implies: critical-path
 // decomposition per superstep (which partition the barrier waited on),
-// barrier-wait attribution per partition, a skew index, and a run-vs-run
-// comparator over the runStatsToJson schema used as a CI regression gate.
+// barrier-wait attribution per partition and a skew index.
 //
 // The decomposition uses the same busy definition as
 // RunStats::modelledParallelNs (busy = compute + send + load), so the
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/report.h"
 #include "metrics/stats.h"
 
 namespace tsg {
@@ -80,37 +78,5 @@ CriticalPathAnalysis analyzeCriticalPath(const RunStats& stats,
 // table, per-timestep straggler histogram and the worst supersteps.
 std::string renderCriticalPath(const CriticalPathAnalysis& analysis,
                                const std::string& label);
-
-// --- Run-vs-run comparison (the CI regression gate) -----------------------
-
-struct CompareThresholds {
-  // A gated metric regresses when candidate > base by more than this many
-  // percent. Count metrics (messages, bytes, supersteps) are deterministic
-  // for seeded runs; modelled_parallel_ns is dominated by the deterministic
-  // barrier model, so a generous threshold still catches real regressions.
-  double max_regress_pct = 10.0;
-};
-
-struct MetricComparison {
-  std::string metric;
-  std::int64_t base = 0;
-  std::int64_t candidate = 0;
-  double delta_pct = 0.0;  // +inf when base == 0 and candidate > 0
-  bool gated = false;      // informational rows never fail the gate
-  bool regressed = false;
-};
-
-struct CompareResult {
-  std::string base_label;
-  std::string candidate_label;
-  std::vector<MetricComparison> metrics;
-  bool pass = true;  // no gated metric regressed
-};
-
-CompareResult compareRuns(const LoadedRunStats& base,
-                          const LoadedRunStats& candidate,
-                          const CompareThresholds& thresholds = {});
-
-std::string renderCompare(const CompareResult& result);
 
 }  // namespace tsg

@@ -123,6 +123,16 @@ Status parseNumberArray(const JsonValue* v, std::vector<T>& out) {
   return Status::ok();
 }
 
+Status checkCount(const std::string& field, std::size_t got,
+                  std::size_t want) {
+  if (got == want) {
+    return Status::ok();
+  }
+  return Status::corruptData("attribution: " + field + " has " +
+                             std::to_string(got) + " entries, expected " +
+                             std::to_string(want));
+}
+
 }  // namespace
 
 void attributionToJson(JsonWriter& w, const AttributionTable& table) {
@@ -213,6 +223,13 @@ Result<AttributionTable> attributionFromJson(const JsonValue& v) {
     m.vertices = static_cast<std::uint64_t>(e.intOr("vertices", 0));
     m.local_edges = static_cast<std::uint64_t>(e.intOr("local_edges", 0));
     m.remote_edges = static_cast<std::uint64_t>(e.intOr("remote_edges", 0));
+    if (m.partition >= table.num_partitions) {
+      return Status::corruptData(
+          "attribution: subgraph " + std::to_string(table.subgraphs.size()) +
+          " has partition " + std::to_string(m.partition) +
+          ", not below num_partitions " +
+          std::to_string(table.num_partitions));
+    }
     table.subgraphs.push_back(m);
   }
 
@@ -253,6 +270,27 @@ Result<AttributionTable> attributionFromJson(const JsonValue& v) {
   if (!s.isOk()) return s;
   s = parseNumberArray(v.find("steal_victims"), table.steal_victims);
   if (!s.isOk()) return s;
+
+  // Readers index rows by row and subgraph, the inbound arrays by subgraph
+  // and the blame arrays by partition, so the shapes must agree.
+  const std::size_t n = table.subgraphs.size();
+  if (table.num_rows < 0 ||
+      table.rows.size() != static_cast<std::size_t>(table.num_rows)) {
+    return Status::corruptData(
+        "attribution: rows has " + std::to_string(table.rows.size()) +
+        " entries but num_rows is " + std::to_string(table.num_rows));
+  }
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    TSG_RETURN_IF_ERROR(checkCount("rows[" + std::to_string(r) + "]",
+                                   table.rows[r].size(), n));
+  }
+  TSG_RETURN_IF_ERROR(checkCount("msgs_in", table.msgs_in.size(), n));
+  TSG_RETURN_IF_ERROR(checkCount("bytes_in", table.bytes_in.size(), n));
+  TSG_RETURN_IF_ERROR(checkCount("sched_wait_caused_ns",
+                                 table.sched_wait_caused_ns.size(),
+                                 table.num_partitions));
+  TSG_RETURN_IF_ERROR(checkCount("steal_victims", table.steal_victims.size(),
+                                 table.num_partitions));
 
   auto hot_compute = parseHotList(v.find("hot_compute"));
   if (!hot_compute.isOk()) return hot_compute.status();

@@ -126,7 +126,9 @@ struct AttributionTable {
 void attributionToJson(JsonWriter& w, const AttributionTable& table);
 
 // Parses what attributionToJson wrote (the "attribution" member of a
-// RunStats document).
+// RunStats document). Fails with CorruptData naming the field unless rows,
+// msgs_in and bytes_in match num_rows and the subgraph count, the blame
+// arrays match num_partitions, and every subgraph's partition is in range.
 Result<AttributionTable> attributionFromJson(const JsonValue& v);
 
 }  // namespace tsg

@@ -284,7 +284,6 @@ Result<LoadedRunStats> runStatsFromJson(std::string_view text) {
 
   LoadedRunStats loaded;
   loaded.label = doc.stringOr("label", "");
-  loaded.modelled_parallel_ns = doc.intOr("modelled_parallel_ns", 0);
   loaded.stats =
       RunStats(static_cast<std::uint32_t>(doc.intOr("num_partitions", 0)));
   loaded.stats.setWallClockNs(doc.intOr("wall_clock_ns", 0));

@@ -47,14 +47,10 @@ std::string runStatsToJson(const RunStats& stats, const std::string& label,
 
 // A run re-loaded from a runStatsToJson document. `stats` carries the
 // superstep records, counters and wall clock, so every RunStats aggregation
-// (modelledParallelNs, partitionUtilization, ...) works on it;
-// `modelled_parallel_ns` is the value stamped by the writer (computed under
-// the writer's NetworkModel, which comparisons should trust over a
-// recomputation).
+// (modelledParallelNs, partitionUtilization, ...) works on it.
 struct LoadedRunStats {
   std::string label;
   RunStats stats;
-  std::int64_t modelled_parallel_ns = 0;
 };
 
 // Parses a runStatsToJson document. Fails with CorruptData on malformed

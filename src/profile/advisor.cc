@@ -8,6 +8,11 @@
 namespace tsg {
 namespace {
 
+// The advisor suggests at most this many moves, and only moves that cut
+// the modelled makespan by at least kMinGainPct percent each.
+constexpr std::int32_t kMaxMoves = 3;
+constexpr double kMinGainPct = 2.0;
+
 std::string fmtMs(std::int64_t ns) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f ms",
@@ -32,8 +37,7 @@ std::int64_t makespan(const std::vector<std::int64_t>& loads) {
 }  // namespace
 
 AdvisorReport advisePartitioning(const AttributionTable& table,
-                                 const CriticalPathAnalysis* analysis,
-                                 const AdvisorOptions& options) {
+                                 const CriticalPathAnalysis* analysis) {
   AdvisorReport report;
   report.suggested_subgraph_partition.resize(table.numSubgraphs());
   for (std::size_t sg = 0; sg < table.numSubgraphs(); ++sg) {
@@ -55,7 +59,7 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
   }
 
   std::vector<bool> moved(table.numSubgraphs(), false);
-  for (std::int32_t step = 0; step < options.max_moves; ++step) {
+  for (std::int32_t step = 0; step < kMaxMoves; ++step) {
     const std::int64_t current = makespan(loads);
     const PartitionId straggler = static_cast<PartitionId>(
         std::max_element(loads.begin(), loads.end()) - loads.begin());
@@ -95,7 +99,7 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
     const double gain_pct =
         100.0 * static_cast<double>(current - best_makespan) /
         static_cast<double>(current);
-    if (gain_pct < options.min_gain_pct) {
+    if (gain_pct < kMinGainPct) {
       break;
     }
 
@@ -141,7 +145,7 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
     report.findings.push_back(
         "partitioning looks balanced: no single-subgraph move improves the "
         "modelled makespan by >= " +
-        fmtPct(options.min_gain_pct));
+        fmtPct(kMinGainPct));
   }
 
   // Scheduler-blame corroboration: name the partition the schedulers blame
@@ -162,6 +166,19 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
     }
   }
   return report;
+}
+
+PartitionAssignment advisedAssignment(const PartitionedGraph& pg,
+                                      const AdvisorReport& report) {
+  const GraphTemplate& tmpl = pg.graphTemplate();
+  PartitionAssignment assignment(tmpl.numVertices());
+  for (VertexIndex v = 0; v < tmpl.numVertices(); ++v) {
+    const SubgraphId sg = pg.subgraphOfVertex(v);
+    TSG_CHECK(static_cast<std::size_t>(sg) <
+              report.suggested_subgraph_partition.size());
+    assignment[v] = report.suggested_subgraph_partition[sg];
+  }
+  return assignment;
 }
 
 std::string renderAdvisorReport(const AdvisorReport& report) {

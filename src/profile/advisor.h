@@ -28,6 +28,7 @@
 
 #include "metrics/analysis.h"
 #include "metrics/attribution.h"
+#include "partition/partitioned_graph.h"
 
 namespace tsg {
 
@@ -61,18 +62,18 @@ struct AdvisorReport {
   }
 };
 
-struct AdvisorOptions {
-  std::int32_t max_moves = 3;
-  // A move must improve the modelled makespan by at least this much.
-  double min_gain_pct = 2.0;
-};
-
-// `analysis` is optional (pass nullptr when no superstep records are at
-// hand); when present, findings note whether compute skew and barrier-wait
-// blame point at the same partition.
+// Suggests at most 3 moves, each improving the modelled makespan by at
+// least 2%. `analysis` is optional (pass nullptr when no superstep records
+// are at hand); when present, findings note whether compute skew and
+// barrier-wait blame point at the same partition.
 AdvisorReport advisePartitioning(const AttributionTable& table,
-                                 const CriticalPathAnalysis* analysis,
-                                 const AdvisorOptions& options = {});
+                                 const CriticalPathAnalysis* analysis);
+
+// Expands `report.suggested_subgraph_partition` to a per-vertex assignment
+// of `pg`'s template, ready for PartitionedGraph::build. `report` must come
+// from an attribution table recorded over `pg`.
+PartitionAssignment advisedAssignment(const PartitionedGraph& pg,
+                                      const AdvisorReport& report);
 
 // Renders the findings as an indented text block for tsgcli.
 std::string renderAdvisorReport(const AdvisorReport& report);

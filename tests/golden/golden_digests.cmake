@@ -1,6 +1,11 @@
 # Golden-digest gate: generates a small fixed-seed road dataset and a small
 # fixed-seed tweet dataset, runs every `tsgcli check` algorithm under both
-# schedules and compares each digest with the committed digests.txt.
+# schedules and compares each digest with the committed digests.txt. It
+# also runs each (algorithm, schedule) pair as `tsgcli ALGO DIR` and
+# compares the work counts of its `run:` line (supersteps, delivered
+# messages and bytes, cross-partition messages and bytes) with the
+# committed counts.txt: seeded runs reproduce them exactly, so any change
+# in the work an algorithm does fails here.
 #
 # Every other digest gate compares one execution mode with another (async
 # with BSP, streamed with batch, recovered with fault-free); this one pins
@@ -8,17 +13,19 @@
 # any answer -- including sssp-vertex's superstep count, which is part of
 # its digest -- fails here.
 #
-#   cmake -DTSGCLI=<tsgcli> -DGOLDEN=<digests.txt> -DWORK_DIR=<scratch dir>
-#         [-DUPDATE=ON] -P golden_digests.cmake
+#   cmake -DTSGCLI=<tsgcli> -DGOLDEN=<digests.txt> -DCOUNTS=<counts.txt>
+#         -DWORK_DIR=<scratch dir> [-DUPDATE=ON] -P golden_digests.cmake
 #
-# UPDATE=ON rewrites digests.txt from the current build instead of checking.
+# UPDATE=ON rewrites digests.txt and counts.txt from the current build
+# instead of checking.
 #
 # Outside UPDATE mode it also checks that a checkpointed `check tdsp` run
 # with a worker killed mid-run recovers to the committed digest under both
-# schedules, and that an algorithm without a timestep loop (sssp-vertex) is
-# refused by `stream` but runs batch under `check --stream`.
+# schedules, that an algorithm without a timestep loop (sssp-vertex) is
+# refused by `stream` but runs batch under `check --stream`, and that
+# `analyze --attrib` rejects a malformed attribution block with exit 2.
 
-foreach(var TSGCLI GOLDEN WORK_DIR)
+foreach(var TSGCLI GOLDEN COUNTS WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_digests.cmake: -D${var}= is required")
   endif()
@@ -60,13 +67,27 @@ foreach(dataset road social)
         message(FATAL_ERROR "no digest in check ${algo} output:\n${out}")
       endif()
       string(APPEND actual "${algo} ${schedule} ${CMAKE_MATCH_1}\n")
+
+      execute_process(
+        COMMAND "${TSGCLI}" "${algo}" "${WORK_DIR}/${dataset}"
+                "--schedule=${schedule}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+          "${algo} --schedule=${schedule} failed (${rc}):\n${out}${err}")
+      endif()
+      if(NOT out MATCHES "run: [^\n]*(supersteps=[0-9]+ messages=[0-9]+ bytes=[0-9]+ xpart_messages=[0-9]+ xpart_bytes=[0-9]+)")
+        message(FATAL_ERROR "no work counts in ${algo} output:\n${out}")
+      endif()
+      string(APPEND actual_counts "${algo} ${schedule} ${CMAKE_MATCH_1}\n")
     endforeach()
   endforeach()
 endforeach()
 
 if(UPDATE)
   file(WRITE "${GOLDEN}" "${actual}")
-  message(STATUS "wrote ${GOLDEN}")
+  file(WRITE "${COUNTS}" "${actual_counts}")
+  message(STATUS "wrote ${GOLDEN} and ${COUNTS}")
   return()
 endif()
 
@@ -76,6 +97,13 @@ if(NOT actual STREQUAL expected)
     "digests differ from ${GOLDEN}\nexpected:\n${expected}actual:\n${actual}")
 endif()
 message(STATUS "all 18 digests match ${GOLDEN}")
+file(READ "${COUNTS}" expected_counts)
+if(NOT actual_counts STREQUAL expected_counts)
+  message(FATAL_ERROR
+    "work counts differ from ${COUNTS}\nexpected:\n${expected_counts}"
+    "actual:\n${actual_counts}")
+endif()
+message(STATUS "all 18 work-count lines match ${COUNTS}")
 
 # Runs `tsgcli check ARGN` and requires exit 0 and the committed
 # `<algo> <schedule>` digest; the combined stderr lands in `err_out`.
@@ -117,3 +145,27 @@ if(NOT rc EQUAL 2)
 endif()
 expect_golden_check(sssp-vertex bsp err --runs=1 --stream)
 message(STATUS "sssp-vertex: stream refused, check --stream runs batch")
+
+# A run whose attribution block claims more rows than it holds must end in
+# a clean error naming the field (exit 2), not a crash in the report.
+execute_process(
+  COMMAND "${TSGCLI}" meme "${WORK_DIR}/social" --profile=64
+          "--json=${WORK_DIR}/profiled.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "profiled meme run failed (${rc}): ${err}")
+endif()
+file(READ "${WORK_DIR}/profiled.json" doc)
+string(JSON rows GET "${doc}" attribution num_rows)
+math(EXPR rows "${rows} + 5")
+string(JSON doc SET "${doc}" attribution num_rows "${rows}")
+file(WRITE "${WORK_DIR}/malformed.json" "${doc}")
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/malformed.json" --attrib
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "num_rows")
+  message(FATAL_ERROR
+    "analyze --attrib on a malformed attribution block exited ${rc}, "
+    "expected 2 naming num_rows:\n${err}")
+endif()
+message(STATUS "analyze --attrib rejects a malformed attribution block")

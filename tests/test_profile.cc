@@ -7,10 +7,14 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "algorithms/tdsp.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "gofs/instance_provider.h"
+#include "metrics/analysis.h"
 #include "metrics/report.h"
 #include "profile/advisor.h"
 #include "metrics/attribution.h"
@@ -162,13 +166,59 @@ TEST(Attribution, JsonRoundTrip) {
   EXPECT_EQ(back.sketch_weight_fanout, t.sketch_weight_fanout);
 }
 
+// Writes `t` and parses it back; the parse must fail with CorruptData whose
+// message names `field`.
+void expectRejected(const AttributionTable& t, const std::string& field) {
+  JsonWriter w;
+  attributionToJson(w, t);
+  const auto result =
+      attributionFromJson(unwrap(JsonValue::parse(w.str())));
+  ASSERT_FALSE(result.isOk()) << field;
+  EXPECT_EQ(result.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(result.status().message().find(field), std::string::npos)
+      << result.status().toString();
+}
+
 TEST(Attribution, RejectsUnknownSchemaVersion) {
   AttributionTable t = sampleTable();
   t.schema_version = 999;
-  JsonWriter w;
-  attributionToJson(w, t);
-  const auto parsed = unwrap(JsonValue::parse(w.str()));
-  EXPECT_FALSE(attributionFromJson(parsed).isOk());
+  expectRejected(t, "schema_version");
+}
+
+TEST(Attribution, RejectsRowCountOtherThanNumRows) {
+  AttributionTable t = sampleTable();
+  t.num_rows = 5;
+  expectRejected(t, "num_rows");
+}
+
+TEST(Attribution, RejectsRowWithoutOneCellPerSubgraph) {
+  AttributionTable t = sampleTable();
+  t.rows[1].pop_back();
+  expectRejected(t, "rows[1]");
+}
+
+TEST(Attribution, RejectsInboundTrafficShorterThanSubgraphs) {
+  AttributionTable t = sampleTable();
+  t.msgs_in.pop_back();
+  expectRejected(t, "msgs_in");
+  t = sampleTable();
+  t.bytes_in.pop_back();
+  expectRejected(t, "bytes_in");
+}
+
+TEST(Attribution, RejectsBlameArraysNotOnePerPartition) {
+  AttributionTable t = sampleTable();
+  t.sched_wait_caused_ns.push_back(0);
+  expectRejected(t, "sched_wait_caused_ns");
+  t = sampleTable();
+  t.steal_victims.pop_back();
+  expectRejected(t, "steal_victims");
+}
+
+TEST(Attribution, RejectsSubgraphPartitionOutOfRange) {
+  AttributionTable t = sampleTable();
+  t.subgraphs[2].partition = 2;
+  expectRejected(t, "num_partitions");
 }
 
 TEST(Attribution, GiniCoefficient) {
@@ -243,6 +293,39 @@ TEST(Advisor, BalancedTableSuggestsNothing) {
     EXPECT_EQ(report.suggested_subgraph_partition[sg],
               t.subgraphs[sg].partition);
   }
+}
+
+TEST(Advisor, SinglePartitionIsNoop) {
+  AttributionTable t = imbalancedTable();
+  t.num_partitions = 1;
+  for (auto& meta : t.subgraphs) {
+    meta.partition = 0;
+  }
+  const AdvisorReport report = advisePartitioning(t, nullptr);
+  EXPECT_FALSE(report.hasSuggestions());
+  EXPECT_EQ(report.suggested_subgraph_partition,
+            std::vector<PartitionId>(t.subgraphs.size(), 0));
+}
+
+TEST(Advisor, RespectsMaxMoves) {
+  // p0 owns ten equal subgraphs and p1 one idle one: every move of a p0
+  // subgraph to p1 up to the fifth cuts the makespan by >= 10%, so only
+  // the advisor's cap of 3 moves stops it.
+  AttributionTable t;
+  t.num_partitions = 2;
+  t.num_rows = 1;
+  t.rows.resize(1);
+  for (SubgraphId sg = 0; sg <= 10; ++sg) {
+    t.subgraphs.push_back({sg, sg < 10 ? 0u : 1u, 10, 0, 0});
+    t.rows[0].push_back({sg < 10 ? 100000 : 0, 1, 0, 0, 0});
+  }
+  const AdvisorReport report = advisePartitioning(t, nullptr);
+  ASSERT_EQ(report.moves.size(), 3u);
+  for (const AdvisorMove& move : report.moves) {
+    EXPECT_EQ(move.from, 0u);
+    EXPECT_EQ(move.to, 1u);
+  }
+  EXPECT_EQ(report.makespan_after_ns, 700000);
 }
 
 // --- Conservation invariant across all nine algorithms -------------------
@@ -381,6 +464,40 @@ TEST(Profiler, AttributionRoundTripsThroughRunStatsJson) {
   EXPECT_EQ(after.num_rows, before.num_rows);
   EXPECT_EQ(after.subgraphTotals().size(), before.subgraphTotals().size());
   EXPECT_EQ(after.partitionComputeNs(), before.partitionComputeNs());
+}
+
+// --- Advisor replay ------------------------------------------------------
+
+// Placement is transparent to results: rebuilding the partitioned graph
+// from the advisor's suggestion after a real profiled run must reproduce
+// TDSP exactly.
+TEST(Advisor, EndToEndAfterRealRun) {
+  // Hash placement shatters the lattice into many subgraphs per partition,
+  // so the advisor has movable ones; TDSP from a corner skews the work.
+  auto tmpl = testing::smallRoad(10, 10);
+  const auto pg = unwrap(
+      PartitionedGraph::build(tmpl, HashPartitioner().assign(*tmpl, 4), 4));
+  const auto coll = testing::roadCollection(tmpl, 10);
+  TdspOptions options;
+  options.source = 0;
+  options.latency_attr = 0;
+  DirectInstanceProvider provider(pg, coll);
+  const TdspRun run = [&] {
+    ArmedProfiler armed;
+    return runTdsp(pg, provider, options);
+  }();
+  ASSERT_TRUE(run.exec.stats.hasAttribution());
+
+  const auto analysis = analyzeCriticalPath(run.exec.stats);
+  const AdvisorReport report =
+      advisePartitioning(run.exec.stats.attribution(), &analysis);
+  ASSERT_EQ(report.suggested_subgraph_partition.size(), pg.numSubgraphs());
+  const auto advised = unwrap(
+      PartitionedGraph::build(tmpl, advisedAssignment(pg, report), 4));
+  DirectInstanceProvider advised_provider(advised, coll);
+  const TdspRun replay = runTdsp(advised, advised_provider, options);
+  EXPECT_EQ(run.finalized_at, replay.finalized_at);
+  EXPECT_EQ(run.tdsp, replay.tdsp);
 }
 
 }  // namespace

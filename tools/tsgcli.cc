@@ -6,9 +6,8 @@
 // each prints the result summary plus the run's utilization split (the
 // Fig. 7b-style table). All analysis commands also accept --trace=PATH
 // (Perfetto/Chrome trace-event JSON of the run) and --json=PATH
-// (machine-readable RunStats export). `analyze` and `compare` consume those
-// --json exports: analyze prints the critical-path / straggler breakdown,
-// compare is the regression gate CI runs against a committed baseline.
+// (machine-readable RunStats export). `analyze` consumes those --json
+// exports and prints the critical-path / straggler breakdown.
 // Fault tolerance: --checkpoint=DIR persists a recovery point at every
 // timestep boundary and --inject=PLAN (or TSG_INJECT) arms the fault
 // injector; analyze reports any recoveries a run survived. Log verbosity
@@ -157,7 +156,6 @@ int usage() {
       "  analyze  RUN.json [--attrib] | --timeline=TIMELINE.json\n"
       "           --attrib: render the cost-attribution report (per-subgraph\n"
       "           table, hot vertices, per-timestep skew, partition advisor)\n"
-      "  compare  BASE.json CANDIDATE.json [--max-regress=PCT]\n"
       "  top      ALGO DIR [--schedule=bsp|async] [--sample-ms=N]\n"
       "           [--refresh-ms=N]\n"
       "           runs ALGO with the telemetry sampler on and renders a\n"
@@ -739,7 +737,9 @@ int cmdAnalyze(const Args& args) {
   }
   auto loaded = loadRunStatsFile(args.positional[0]);
   if (!loaded.isOk()) {
-    return fail(loaded.status());
+    // An unreadable or malformed RUN.json is a bad argument.
+    fail(loaded.status());
+    return 2;
   }
   const auto& run = loaded.value();
   const std::string label =
@@ -1182,33 +1182,6 @@ int cmdTop(const Args& args) {
   return 0;
 }
 
-int cmdCompare(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fputs("tsgcli compare: need BASE.json and CANDIDATE.json\n", stderr);
-    return 2;
-  }
-  auto base = loadRunStatsFile(args.positional[0]);
-  if (!base.isOk()) {
-    std::fprintf(stderr, "tsgcli: %s\n", base.status().toString().c_str());
-    return 2;
-  }
-  auto candidate = loadRunStatsFile(args.positional[1]);
-  if (!candidate.isOk()) {
-    std::fprintf(stderr, "tsgcli: %s\n",
-                 candidate.status().toString().c_str());
-    return 2;
-  }
-  CompareThresholds thresholds;
-  thresholds.max_regress_pct = args.getDouble("max-regress", 10.0);
-  if (!args.flagError().isOk()) {
-    return failArgs(args.flagError());
-  }
-  const auto result =
-      compareRuns(base.value(), candidate.value(), thresholds);
-  std::fputs(renderCompare(result).c_str(), stdout);
-  return result.pass ? 0 : 1;
-}
-
 }  // namespace
 
 int dispatch(const std::string& command, const Args& args) {
@@ -1226,9 +1199,6 @@ int dispatch(const std::string& command, const Args& args) {
   }
   if (command == "analyze") {
     return cmdAnalyze(args);
-  }
-  if (command == "compare") {
-    return cmdCompare(args);
   }
   if (command == "top") {
     return cmdTop(args);
@@ -1293,8 +1263,8 @@ int main(int argc, char** argv) {
     Tracer::instance().start();
   }
   // Live telemetry wraps the run commands only: `analyze` reads --timeline=
-  // instead of writing it, `top` drives its own sampler, and compare /
-  // generate / inspect have nothing to sample.
+  // instead of writing it, `top` drives its own sampler, and generate /
+  // inspect have nothing to sample.
   RunTelemetryOptions telemetry_options;
   telemetry_options.sample_ms =
       args.has("sample-ms")
