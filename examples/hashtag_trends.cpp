@@ -3,15 +3,13 @@
 // merged into a global series, plus the rate of change ("is it trending?").
 //
 // Demonstrates: eventually dependent pattern (per-instance Compute +
-// Merge BSP with a master subgraph), temporal concurrency (the optimization
-// the paper points out GoFFish left unexploited), and the independent
-// pattern via per-timestep Top-N.
+// Merge BSP with a master subgraph) and the independent pattern via
+// per-timestep Top-N.
 #include <algorithm>
 #include <cstdio>
 
 #include "algorithms/hashtag.h"
 #include "algorithms/topn.h"
-#include "common/stopwatch.h"
 #include "generators/instances.h"
 #include "generators/topology.h"
 #include "gofs/instance_provider.h"
@@ -74,13 +72,12 @@ int main() {
   const auto& pg = pg_result.value();
   DirectInstanceProvider provider(pg, collection);
 
-  // Aggregate both tags; time serial vs temporally concurrent execution.
+  // Aggregate both tags.
   std::printf("tag        | peak count | peak t | trending span (rate>0)\n");
   for (const std::string tag : {"#breaking", "#slowburn"}) {
     HashtagOptions options;
     options.tag = tag;
     options.tweets_attr = tweets_attr;
-    options.temporal_mode = TemporalMode::kConcurrent;
     const auto run = runHashtagAggregation(pg, provider, options);
 
     const auto peak_it =

@@ -103,7 +103,6 @@ int main() {
   topn.n = 5;
   topn.first_timestep = static_cast<Timestep>(peak_t);
   topn.num_timesteps = 1;
-  topn.temporal_mode = TemporalMode::kSerial;
   const auto top = runTopActiveVertices(pg, provider, topn);
   std::printf("top spreader candidates at the peak:");
   for (const auto v : top.top.at(0)) {

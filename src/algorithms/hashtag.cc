@@ -83,7 +83,6 @@ HashtagRun runHashtagAggregation(const PartitionedGraph& pg,
 
   TiBspConfig config;
   config.pattern = Pattern::kEventuallyDependent;
-  config.temporal_mode = options.temporal_mode;
   config.first_timestep = options.first_timestep;
   config.num_timesteps = options.num_timesteps;
   config.maintenance_period = options.maintenance_period;

@@ -21,10 +21,9 @@ struct HashtagOptions {
   std::size_t tweets_attr = 0;
   Timestep first_timestep = 0;
   std::int32_t num_timesteps = -1;  // -1 = all instances
-  TemporalMode temporal_mode = TemporalMode::kSerial;
   std::int32_t maintenance_period = 0;
-  // Fault tolerance (serial mode only): checkpoints every timestep boundary,
-  // including the accumulated merge pool (gofs/checkpoint.h).
+  // Fault tolerance: checkpoints every timestep boundary, including the
+  // accumulated merge pool (gofs/checkpoint.h).
   CheckpointStore* checkpoint_store = nullptr;
   // Superstep scheduling: kBsp (global barrier, the default) or kAsync
   // (dependency-driven waves; identical output, see DESIGN.md).

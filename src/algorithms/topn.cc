@@ -61,8 +61,8 @@ class TopNProgram final : public TiBspProgram {
 
  private:
   const TopNOptions& options_;
-  // Indexed by (timestep - first); each concurrent timestep task writes a
-  // distinct slot, so no lock is needed.
+  // Indexed by (timestep - first); only the master subgraph writes a slot,
+  // from its partition's worker thread, so no lock is needed.
   std::vector<std::vector<VertexIndex>>& top_;
   SubgraphId master_;
 };
@@ -83,7 +83,6 @@ TopNRun runTopActiveVertices(const PartitionedGraph& pg,
 
   TiBspConfig config;
   config.pattern = Pattern::kIndependent;
-  config.temporal_mode = options.temporal_mode;
   config.first_timestep = options.first_timestep;
   config.num_timesteps = options.num_timesteps;
   config.checkpoint_store = options.checkpoint_store;

@@ -5,8 +5,7 @@
 // Every timestep runs a self-contained two-superstep BSP: subgraphs compute
 // local candidates (activity = out-degree × (1 + tweet count)), ship them to
 // the largest subgraph of partition 0, which selects the global Top-N for
-// that instance. With TemporalMode::kConcurrent the timesteps execute in
-// parallel.
+// that instance. The timesteps run one after another.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +20,8 @@ struct TopNOptions {
   std::size_t n = 10;
   Timestep first_timestep = 0;
   std::int32_t num_timesteps = -1;
-  TemporalMode temporal_mode = TemporalMode::kConcurrent;
-  // Fault tolerance: a store makes the engine run the timesteps serially.
-  // Replayed timesteps rewrite their top[] slot deterministically, so no
-  // program state is checkpointed.
+  // Fault tolerance: replayed timesteps rewrite their top[] slot
+  // deterministically, so no program state is checkpointed.
   CheckpointStore* checkpoint_store = nullptr;
   // Superstep scheduling: kBsp (global barrier, the default) or kAsync
   // (dependency-driven waves; identical output, see DESIGN.md).

@@ -110,9 +110,8 @@ void checkTraceLiteral(const SourceFile& f, std::vector<Diagnostic>& out) {
 // --------------------------------------------------------------- thread ---
 
 void checkNakedThread(const SourceFile& f, std::vector<Diagnostic>& out) {
-  if (startsWith(f.path, "src/runtime/") ||
-      startsWith(f.path, "src/common/thread_pool.") ||
-      startsWith(f.path, "tests/") || startsWith(f.path, "bench/")) {
+  if (startsWith(f.path, "src/runtime/") || startsWith(f.path, "tests/") ||
+      startsWith(f.path, "bench/")) {
     return;
   }
   const auto& tokens = f.lex.tokens;
@@ -121,8 +120,8 @@ void checkNakedThread(const SourceFile& f, std::vector<Diagnostic>& out) {
         (isIdent(tokens[i + 2], "thread") ||
          isIdent(tokens[i + 2], "jthread"))) {
       emit(f, tokens[i].line, "naked-thread",
-           "spawn workers via runtime/Cluster (wave phases) or "
-           "common/ThreadPool, not std::thread",
+           "spawn workers via runtime/Cluster (wave phases), not "
+           "std::thread",
            out);
     }
   }

@@ -2,8 +2,8 @@
 // schedules and compares canonical output digests (see digest.h).
 //
 // Every run executes with schedule perturbation enabled under a distinct
-// derived seed (base seed + run index), so worker release order, barrier
-// arrival order and parallelFor dispatch order all differ between runs.
+// derived seed (base seed + run index), so worker release order and
+// barrier arrival order differ between runs.
 // A digest divergence means the job's output depends on scheduling — a
 // violation of the TI-BSP determinism guarantee that no sanitizer can see,
 // because order-sensitivity needs no data race.

@@ -32,10 +32,5 @@ std::uint64_t perturbDelayNs(std::uint64_t crossing, std::uint32_t partition,
   return mix.next() % 200'000;
 }
 
-std::uint64_t perturbRank(std::uint64_t index) {
-  SplitMix64 mix(perturbSeed() ^ (index + 0x632BE59BD9B4E019ULL));
-  return mix.next();
-}
-
 }  // namespace check
 }  // namespace tsg

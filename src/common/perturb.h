@@ -5,11 +5,9 @@
 // under N different perturbed schedules: when perturbation is enabled the
 // Cluster staggers each wave task's pickup and its arrival at the wave's
 // seal with deterministic per-(seed, barrier crossing, partition) delays —
-// a seeded stand-in
-// for "randomized barrier release order" — and the ThreadPool dispatches
-// parallelFor indices in a seeded shuffled order instead of 0..n-1. Any
-// output divergence between two seeds is a schedule-dependence bug (the
-// class TSan cannot see, because nothing races — the program is simply
+// a seeded stand-in for "randomized barrier release order". Any output
+// divergence between two seeds is a schedule-dependence bug (the class TSan
+// cannot see, because nothing races — the program is simply
 // order-sensitive).
 //
 // Cost when off: one relaxed load + branch at each hook site.
@@ -29,8 +27,8 @@ inline bool perturbEnabled() {
   return perturb_detail::g_perturb_enabled.load(std::memory_order_relaxed);  // tsg:mo(gate read; perturbation is configured before workers start)
 }
 
-// Enables perturbation with the given seed (affects Cluster waves and
-// ThreadPool::parallelFor dispatch from the next wave on).
+// Enables perturbation with the given seed (affects Cluster waves from the
+// next wave on).
 void setPerturbation(std::uint64_t seed);
 void clearPerturbation();
 [[nodiscard]] std::uint64_t perturbSeed();
@@ -41,10 +39,6 @@ void clearPerturbation();
 [[nodiscard]] std::uint64_t perturbDelayNs(std::uint64_t crossing,
                                            std::uint32_t partition,
                                            std::uint64_t salt = 0);
-
-// Deterministic permutation value used to shuffle dispatch order: a hash
-// the scheduler sorts indices by.
-[[nodiscard]] std::uint64_t perturbRank(std::uint64_t index);
 
 }  // namespace check
 }  // namespace tsg

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <span>
 #include <string>
@@ -25,7 +24,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "gofs/checkpoint.h"
 #include "profile/profiler.h"
@@ -94,10 +92,6 @@ class WorkerState {
   // Metering accumulators, drained per superstep.
   std::int64_t send_ns = 0;
   std::int64_t load_ns = 0;
-  // Load time spent before the phase started (a temporally concurrent task
-  // copies its instance out of the shared provider first); charged to the
-  // next record's load_ns without being subtracted from its compute_ns.
-  std::int64_t untimed_load_ns = 0;
   std::uint64_t msgs_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t subgraphs_computed = 0;
@@ -107,7 +101,7 @@ class WorkerState {
   std::vector<std::pair<std::string, std::uint64_t>> counter_events;
 
   // Aggregators: events raised this timestep; snapshot of last timestep's
-  // sums (coordinator-maintained; serial temporal mode only).
+  // sums (coordinator-maintained).
   std::vector<std::pair<std::string, std::uint64_t>> agg_events;
   std::map<std::string, std::uint64_t> agg_prev;
 };
@@ -372,16 +366,13 @@ void distributeInbox(WorkerState& st) {
   inbox.clear();
 }
 
-// Drains per-superstep meters from a state into a stats record entry. Load
-// time spent before the phase (untimed_load_ns) is charged as load but not
-// subtracted from compute, because the task's timing never contained it.
+// Drains per-superstep meters from a state into a stats record entry.
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
                          const PartitionTiming& timing) {
   ps.send_ns = std::exchange(st.send_ns, 0);
   ps.load_ns = std::exchange(st.load_ns, 0);
   ps.compute_ns =
       std::max<std::int64_t>(0, timing.busy_ns - ps.send_ns - ps.load_ns);
-  ps.load_ns += std::exchange(st.untimed_load_ns, 0);
   ps.sync_ns = timing.sync_ns;
   ps.messages_sent = std::exchange(st.msgs_sent, 0);
   ps.bytes_sent = std::exchange(st.bytes_sent, 0);
@@ -399,13 +390,10 @@ struct ExecEnv {
   const TiBspConfig& config;
   std::vector<std::unique_ptr<WorkerState>>& states;
   MessageBus& bus;
-  // Null inside a temporally concurrent task: its phases run inline on the
-  // task's pool thread.
-  Cluster* cluster;
+  Cluster& cluster;
   // Compute and merge supersteps run as stealing, readiness-gated waves.
   bool async;
   RunStats& stats;
-  std::mutex* stats_mutex;  // null when single coordinator thread
   check::BspChecker* checker;  // null when protocol checking is off
 };
 
@@ -443,12 +431,7 @@ void commitRecord(ExecEnv& env, SuperstepRecord rec, Timestep counter_t) {
     }
   }
 
-  // Flush counters alongside the record; the lock covers temporally
-  // concurrent tasks appending out of order.
-  std::unique_lock<std::mutex> lock;
-  if (env.stats_mutex != nullptr) {
-    lock = std::unique_lock(*env.stats_mutex);
-  }
+  // Flush counters alongside the record.
   for (auto& st_ptr : env.states) {
     auto& st = *st_ptr;
     for (const auto& [name, value] : st.counter_events) {
@@ -613,23 +596,12 @@ void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
   }
 }
 
-// Runs one phase through `driver`, starting with every partition: on the
-// cluster's workers, or — inside a temporally concurrent task — inline on
-// the task's pool thread, each wave's partitions in order, then its seal.
+// Runs one phase through `driver` on the cluster's workers, starting with
+// every partition.
 void runPhase(ExecEnv& env, Cluster::Driver& driver, Cluster::Sync sync) {
   std::vector<PartitionId> wave(env.states.size());
   std::iota(wave.begin(), wave.end(), PartitionId{0});
-  if (env.cluster != nullptr) {
-    env.cluster->runWaves(driver, wave, sync);
-    return;
-  }
-  const std::vector<std::int64_t> no_wait(wave.size(), 0);
-  for (std::int32_t w = 0; !wave.empty(); ++w) {
-    for (const PartitionId p : wave) {
-      driver.runTask(p, Cluster::TaskInfo{.wave = w});
-    }
-    wave = driver.sealWave(w, no_wait);
-  }
+  env.cluster.runWaves(driver, wave, sync);
 }
 
 // ---------------------------------------------------------------------------
@@ -883,41 +855,16 @@ void runMaintenance(ExecEnv& env, Timestep t) {
   commitRecord(env, std::move(rec), t);
 }
 
-// One worker state per partition over `bus`, each served by a fresh program
-// from the factory.
-struct Workers {
-  std::vector<std::unique_ptr<TiBspProgram>> programs;
-  std::vector<std::unique_ptr<WorkerState>> states;
-};
-
-Workers makeWorkers(const PartitionedGraph& pg, MessageBus& bus,
-                    const TiBspConfig& config, std::size_t planned,
-                    const InstanceProvider& provider,
-                    const ProgramFactory& factory) {
-  Workers w;
-  for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
-    w.programs.push_back(factory(p));
-    TSG_CHECK(w.programs.back() != nullptr);
-    w.states.push_back(std::make_unique<WorkerState>(
-        pg, p, bus, config.pattern, planned, provider.t0(), provider.delta()));
-    w.states.back()->program = w.programs.back().get();
-  }
-  return w;
-}
-
-// Protocol checker for one bus (null when checking is off). Registry
+// Protocol checker for the run's bus (null when checking is off). Registry
 // reconciliation is only valid while no other bus is live.
 std::unique_ptr<check::BspChecker> attachChecker(MessageBus& bus,
                                                  std::uint32_t k,
-                                                 bool async_mode,
-                                                 bool reconcile) {
+                                                 bool async_mode) {
   if (!check::enabled()) {
     return nullptr;
   }
   auto checker = std::make_unique<check::BspChecker>(k);
-  if (reconcile) {
-    checker->enableRegistryReconciliation();
-  }
+  checker->enableRegistryReconciliation();
   if (async_mode) {
     checker->enableAsyncMode();
   }
@@ -963,327 +910,198 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
   Stopwatch wall;
 
   const bool use_async = config.schedule == Schedule::kAsync;
-  // Temporal concurrency applies only to independent timesteps of a batch
-  // run: recovery rolls back to a timestep-boundary checkpoint and a stream
-  // seals timesteps in order, so either one selects the serial mode.
-  const bool concurrent =
-      config.temporal_mode == TemporalMode::kConcurrent &&
-      config.pattern != Pattern::kSequentiallyDependent &&
-      config.checkpoint_store == nullptr && config.stream == nullptr;
+  Cluster cluster(k);
+  MessageBus bus(k);
+  // One worker state per partition, each served by a fresh program.
+  std::vector<std::unique_ptr<TiBspProgram>> programs;
+  std::vector<std::unique_ptr<WorkerState>> states;
+  for (PartitionId p = 0; p < k; ++p) {
+    programs.push_back(factory(p));
+    TSG_CHECK(programs.back() != nullptr);
+    states.push_back(std::make_unique<WorkerState>(
+        pg_, p, bus, config.pattern, static_cast<std::size_t>(count),
+        provider_.t0(), provider_.delta()));
+    states.back()->program = programs.back().get();
+  }
+  // Protocol checking: one checker per run, attached to the sole bus.
+  const auto checker = attachChecker(bus, k, use_async);
+  ExecEnv env{pg_,
+              provider_,
+              config,
+              states,
+              bus,
+              cluster,
+              use_async,
+              result.stats,
+              checker.get()};
 
-  if (!concurrent) {
-    Cluster cluster(k);
-    MessageBus bus(k);
-    Workers workers = makeWorkers(pg_, bus, config,
-                                  static_cast<std::size_t>(count), provider_,
-                                  factory);
-    auto& programs = workers.programs;
-    auto& states = workers.states;
-    // Protocol checking: one checker per run, attached to the sole bus.
-    const auto checker = attachChecker(bus, k, use_async, /*reconcile=*/true);
-    ExecEnv env{pg_,
-                provider_,
-                config,
-                states,
-                bus,
-                &cluster,
-                use_async,
-                result.stats,
-                nullptr,
-                checker.get()};
+  std::vector<Message> pending_next;
+  std::vector<Message> merge_pool;
+  CheckpointStore* const store = config.checkpoint_store;
+  std::int32_t recoveries = 0;
 
-    std::vector<Message> pending_next;
-    std::vector<Message> merge_pool;
-    CheckpointStore* const store = config.checkpoint_store;
-    std::int32_t recoveries = 0;
-
-    // Snapshot the consistent cut after `completed` finished (workers parked,
-    // fabric empty): program state, outputs, carried messages, aggregates.
-    const auto saveCheckpoint = [&](Timestep completed,
-                                    std::int32_t executed) {
-      TraceSpan ckpt_span("tibsp", "tibsp.checkpoint", "t", completed);
-      Checkpoint ckpt;
-      ckpt.timestep = completed;
-      ckpt.timesteps_executed = executed;
-      ckpt.partitions.resize(k);
-      for (PartitionId p = 0; p < k; ++p) {
-        BinaryWriter w;
-        states[p]->program->saveState(w);
-        ckpt.partitions[p].program_state = w.takeBuffer();
-        ckpt.partitions[p].outputs = states[p]->outputs;
-      }
-      ckpt.pending_next = pending_next;
-      ckpt.merge_pool = merge_pool;
-      ckpt.aggregates = states[0]->agg_prev;
-      const Status saved = store->save(ckpt);
-      TSG_CHECK_MSG(saved.isOk(), saved.toString());
-      MetricsRegistry::global().counter("engine.checkpoints").increment();
-    };
-
-    std::int32_t i = 0;
-    bool stop = false;   // While-mode requested an early end
-    bool done = false;
-    if (store != nullptr) {
-      TSG_CHECK_MSG(config.checkpoint_period > 0,
-                    "checkpoint_period must be >= 1");
-      // Initial checkpoint (pristine programs, timestep first-1): every
-      // recovery uniformly loads a checkpoint — no "restart from scratch"
-      // special case, which would silently mis-restore stateful programs.
-      saveCheckpoint(first - 1, 0);
+  // Snapshot the consistent cut after `completed` finished (workers parked,
+  // fabric empty): program state, outputs, carried messages, aggregates.
+  const auto saveCheckpoint = [&](Timestep completed, std::int32_t executed) {
+    TraceSpan ckpt_span("tibsp", "tibsp.checkpoint", "t", completed);
+    Checkpoint ckpt;
+    ckpt.timestep = completed;
+    ckpt.timesteps_executed = executed;
+    ckpt.partitions.resize(k);
+    for (PartitionId p = 0; p < k; ++p) {
+      BinaryWriter w;
+      states[p]->program->saveState(w);
+      ckpt.partitions[p].program_state = w.takeBuffer();
+      ckpt.partitions[p].outputs = states[p]->outputs;
     }
-    while (!done) {
-      try {
-        while (i < count && !stop) {
-          const Timestep t = first + i;
-          // Streaming: block until timestep t is sealed. A false return
-          // means the source ended early — finish with what we have.
-          // Re-entry after a fault rollback is safe: already-sealed
-          // timesteps return true immediately.
-          if (config.stream != nullptr && !config.stream->awaitTimestep(t)) {
-            break;
-          }
-          if (config.maintenance_period > 0 && i > 0 &&
-              i % config.maintenance_period == 0) {
-            runMaintenance(env, t);
-          }
-          std::vector<Message> seed;
-          if (config.pattern == Pattern::kSequentiallyDependent) {
-            seed = std::move(pending_next);
-            pending_next.clear();
-            if (i == 0) {
-              seed.insert(seed.end(), config.input_messages.begin(),
-                          config.input_messages.end());
-            }
-          } else {
-            seed = config.input_messages;  // every instance gets the inputs
-          }
-          const bool all_halt_timestep =
-              runOneTimestep(env, t, std::move(seed));
-          ++result.timesteps_executed;
+    ckpt.pending_next = pending_next;
+    ckpt.merge_pool = merge_pool;
+    ckpt.aggregates = states[0]->agg_prev;
+    const Status saved = store->save(ckpt);
+    TSG_CHECK_MSG(saved.isOk(), saved.toString());
+    MetricsRegistry::global().counter("engine.checkpoints").increment();
+  };
 
-          std::map<std::string, std::uint64_t> agg_now;
-          for (auto& st_ptr : states) {
-            auto& st = *st_ptr;
-            std::move(st.next_msgs.begin(), st.next_msgs.end(),
-                      std::back_inserter(pending_next));
-            st.next_msgs.clear();
-            std::move(st.merge_msgs.begin(), st.merge_msgs.end(),
-                      std::back_inserter(merge_pool));
-            st.merge_msgs.clear();
-            for (const auto& [name, value] : st.agg_events) {
-              agg_now[name] += value;
-            }
-            st.agg_events.clear();
-          }
-          for (auto& st_ptr : states) {
-            st_ptr->agg_prev = agg_now;
-          }
-
-          if (config.pattern == Pattern::kSequentiallyDependent &&
-              config.while_mode && all_halt_timestep &&
-              pending_next.empty()) {
-            stop = true;
-          }
-          if (store != nullptr &&
-              ((i + 1) % config.checkpoint_period == 0 || i == count - 1 ||
-               stop)) {
-            saveCheckpoint(t, result.timesteps_executed);
-          }
-          ++i;
+  std::int32_t i = 0;
+  bool stop = false;   // While-mode requested an early end
+  bool done = false;
+  if (store != nullptr) {
+    TSG_CHECK_MSG(config.checkpoint_period > 0,
+                  "checkpoint_period must be >= 1");
+    // Initial checkpoint (pristine programs, timestep first-1): every
+    // recovery uniformly loads a checkpoint — no "restart from scratch"
+    // special case, which would silently mis-restore stateful programs.
+    saveCheckpoint(first - 1, 0);
+  }
+  while (!done) {
+    try {
+      while (i < count && !stop) {
+        const Timestep t = first + i;
+        // Streaming: block until timestep t is sealed. A false return
+        // means the source ended early — finish with what we have.
+        // Re-entry after a fault rollback is safe: already-sealed
+        // timesteps return true immediately.
+        if (config.stream != nullptr && !config.stream->awaitTimestep(t)) {
+          break;
         }
-
-        if (config.pattern == Pattern::kEventuallyDependent) {
-          runMergePhase(env, std::move(merge_pool), first + count);
+        if (config.maintenance_period > 0 && i > 0 &&
+            i % config.maintenance_period == 0) {
+          runMaintenance(env, t);
         }
-        done = true;
-      } catch (const fault::RecoveryNeeded& fault_cause) {
-        // Rollback: respawn dead workers, forgive in-flight traffic, reload
-        // every partition from the newest checkpoint (all partitions mutate
-        // mid-timestep, so a partial rollback would be inconsistent), then
-        // resume from the timestep after the cut.
-        TSG_CHECK_MSG(store != nullptr,
-                      std::string("worker fault without a checkpoint "
-                                  "store: ") +
-                          fault_cause.what());
-        ++recoveries;
-        TSG_CHECK_MSG(recoveries <= config.max_recoveries,
-                      "recovery limit exhausted; last fault: " +
-                          std::string(fault_cause.what()));
-        TraceSpan rec_span("tibsp", "tibsp.recovery");
-        TSG_LOG(Warn) << "recovering from fault (" << recoveries << "/"
-                      << config.max_recoveries
-                      << "): " << fault_cause.what();
-        MetricsRegistry::global().counter("engine.recoveries").increment();
-        if (checker != nullptr) {
-          checker->onRecovery();
+        std::vector<Message> seed;
+        if (config.pattern == Pattern::kSequentiallyDependent) {
+          seed = std::move(pending_next);
+          pending_next.clear();
+          if (i == 0) {
+            seed.insert(seed.end(), config.input_messages.begin(),
+                        config.input_messages.end());
+          }
+        } else {
+          seed = config.input_messages;  // every instance gets the inputs
         }
-        bus.clearAll();
-        cluster.respawnDead();
+        const bool all_halt_timestep = runOneTimestep(env, t, std::move(seed));
+        ++result.timesteps_executed;
 
-        auto loaded = store->loadLatest();
-        TSG_CHECK_MSG(loaded.isOk(), loaded.status().toString());
-        Checkpoint ckpt = std::move(loaded).value();
-        TSG_CHECK(ckpt.partitions.size() == k);
-        for (PartitionId p = 0; p < k; ++p) {
-          programs[p] = factory(p);
-          TSG_CHECK(programs[p] != nullptr);
-          auto& st = *states[p];
-          st.program = programs[p].get();
-          BinaryReader state_reader(ckpt.partitions[p].program_state);
-          const Status restored = st.program->loadState(state_reader);
-          TSG_CHECK_MSG(restored.isOk(), restored.toString());
-          st.outputs = std::move(ckpt.partitions[p].outputs);
+        std::map<std::string, std::uint64_t> agg_now;
+        for (auto& st_ptr : states) {
+          auto& st = *st_ptr;
+          std::move(st.next_msgs.begin(), st.next_msgs.end(),
+                    std::back_inserter(pending_next));
           st.next_msgs.clear();
+          std::move(st.merge_msgs.begin(), st.merge_msgs.end(),
+                    std::back_inserter(merge_pool));
           st.merge_msgs.clear();
-          st.agg_events.clear();
-          st.counter_events.clear();
-          for (auto& q : st.sg_inbox) {
-            q.clear();
+          for (const auto& [name, value] : st.agg_events) {
+            agg_now[name] += value;
           }
-          st.send_ns = 0;
-          st.load_ns = 0;
-          st.untimed_load_ns = 0;
-          st.msgs_sent = 0;
-          st.bytes_sent = 0;
-          st.subgraphs_computed = 0;
-          st.agg_prev = ckpt.aggregates;
-          st.instance = nullptr;
+          st.agg_events.clear();
         }
-        pending_next = std::move(ckpt.pending_next);
-        merge_pool = std::move(ckpt.merge_pool);
-        result.timesteps_executed = ckpt.timesteps_executed;
-        if (Profiler::enabled()) {
-          // Rolled-back timesteps re-run from the cut; drop their rows so
-          // attributed costs are not double-counted on the replay.
-          Profiler::global().resetRowsFrom(ckpt.timestep + 1);
+        for (auto& st_ptr : states) {
+          st_ptr->agg_prev = agg_now;
         }
-        i = (ckpt.timestep - first) + 1;
-        stop = false;
-      }
-    }
-    detachChecker(bus, checker.get());
-    for (const auto& st_ptr : states) {
-      result.outputs.insert(result.outputs.end(), st_ptr->outputs.begin(),
-                            st_ptr->outputs.end());
-    }
-  } else {
-    // Temporal concurrency: each timestep runs as one task with its own
-    // states, programs and bus; its phases run inline on the task's pool
-    // thread (runPhase without a cluster). Merge (if any) runs afterwards on
-    // a spatial cluster.
-    std::mutex stats_mutex;
-    std::vector<std::vector<std::string>> outputs_by_t(
-        static_cast<std::size_t>(count));
-    std::vector<std::vector<Message>> merge_by_t(
-        static_cast<std::size_t>(count));
-    std::mutex provider_mutex;  // providers are not concurrent-safe
 
-    // A private provider view is not available per task; serialize access
-    // and copy the data out under the lock.
-    ThreadPool pool(k);
-    const auto run_timestep_task = [&](std::size_t i) {
-      const Timestep t = first + static_cast<Timestep>(i);
-      MessageBus bus(k);
-      Workers workers = makeWorkers(pg_, bus, config,
-                                    static_cast<std::size_t>(count),
-                                    provider_, factory);
-      auto& states = workers.states;
-      // Copy this timestep's partition data under the provider lock, then
-      // serve it from the copy. The load happens before the task's timed
-      // waves, so it is charged to superstep 0 as untimed load.
-      std::vector<PartitionInstanceData> local_data(k);
-      {
-        std::lock_guard lock(provider_mutex);
-        for (PartitionId p = 0; p < k; ++p) {
-          local_data[p] = provider_.instanceFor(p, t);
-          states[p]->untimed_load_ns = provider_.takeLoadNs(p);
+        if (config.pattern == Pattern::kSequentiallyDependent &&
+            config.while_mode && all_halt_timestep && pending_next.empty()) {
+          stop = true;
         }
-      }
-      struct LocalProvider final : InstanceProvider {
-        std::vector<PartitionInstanceData>* data;
-        std::size_t n;
-        std::int64_t t0_v, delta_v;
-        std::size_t numInstances() const override { return n; }
-        std::int64_t t0() const override { return t0_v; }
-        std::int64_t delta() const override { return delta_v; }
-        const PartitionInstanceData& instanceFor(PartitionId p,
-                                                 Timestep) override {
-          return (*data)[p];
+        if (store != nullptr &&
+            ((i + 1) % config.checkpoint_period == 0 || i == count - 1 ||
+             stop)) {
+          saveCheckpoint(t, result.timesteps_executed);
         }
-        std::int64_t takeLoadNs(PartitionId) override { return 0; }
-      };
-      LocalProvider local;
-      local.data = &local_data;
-      local.n = provider_.numInstances();
-      local.t0_v = provider_.t0();
-      local.delta_v = provider_.delta();
-
-      // Per-task checker: several buses are live at once, so no registry
-      // reconciliation (the process-wide counters mix all tasks' traffic).
-      const auto task_checker =
-          attachChecker(bus, k, /*async_mode=*/false, /*reconcile=*/false);
-      ExecEnv env{pg_,
-                  local,
-                  config,
-                  states,
-                  bus,
-                  /*cluster=*/nullptr,
-                  /*async=*/false,
-                  result.stats,
-                  &stats_mutex,
-                  task_checker.get()};
-      (void)runOneTimestep(env, t, config.input_messages);
-      detachChecker(bus, task_checker.get());
-
-      auto& out = outputs_by_t[i];
-      for (auto& st_ptr : states) {
-        auto& st = *st_ptr;
-        std::move(st.outputs.begin(), st.outputs.end(),
-                  std::back_inserter(out));
-        std::move(st.merge_msgs.begin(), st.merge_msgs.end(),
-                  std::back_inserter(merge_by_t[i]));
-        TSG_CHECK_MSG(st.next_msgs.empty(),
-                      "inter-timestep messages in a temporally concurrent run");
-        TSG_CHECK_MSG(st.agg_events.empty(),
-                      "aggregators require the serial temporal mode");
+        ++i;
       }
-    };
-    pool.parallelFor(static_cast<std::size_t>(count), run_timestep_task);
-    result.timesteps_executed = count;
-    for (auto& out : outputs_by_t) {
-      std::move(out.begin(), out.end(), std::back_inserter(result.outputs));
+
+      if (config.pattern == Pattern::kEventuallyDependent) {
+        runMergePhase(env, std::move(merge_pool), first + count);
+      }
+      done = true;
+    } catch (const fault::RecoveryNeeded& fault_cause) {
+      // Rollback: respawn dead workers, forgive in-flight traffic, reload
+      // every partition from the newest checkpoint (all partitions mutate
+      // mid-timestep, so a partial rollback would be inconsistent), then
+      // resume from the timestep after the cut.
+      TSG_CHECK_MSG(store != nullptr,
+                    std::string("worker fault without a checkpoint store: ") +
+                        fault_cause.what());
+      ++recoveries;
+      TSG_CHECK_MSG(recoveries <= config.max_recoveries,
+                    "recovery limit exhausted; last fault: " +
+                        std::string(fault_cause.what()));
+      TraceSpan rec_span("tibsp", "tibsp.recovery");
+      TSG_LOG(Warn) << "recovering from fault (" << recoveries << "/"
+                    << config.max_recoveries << "): " << fault_cause.what();
+      MetricsRegistry::global().counter("engine.recoveries").increment();
+      if (checker != nullptr) {
+        checker->onRecovery();
+      }
+      bus.clearAll();
+      cluster.respawnDead();
+
+      auto loaded = store->loadLatest();
+      TSG_CHECK_MSG(loaded.isOk(), loaded.status().toString());
+      Checkpoint ckpt = std::move(loaded).value();
+      TSG_CHECK(ckpt.partitions.size() == k);
+      for (PartitionId p = 0; p < k; ++p) {
+        programs[p] = factory(p);
+        TSG_CHECK(programs[p] != nullptr);
+        auto& st = *states[p];
+        st.program = programs[p].get();
+        BinaryReader state_reader(ckpt.partitions[p].program_state);
+        const Status restored = st.program->loadState(state_reader);
+        TSG_CHECK_MSG(restored.isOk(), restored.toString());
+        st.outputs = std::move(ckpt.partitions[p].outputs);
+        st.next_msgs.clear();
+        st.merge_msgs.clear();
+        st.agg_events.clear();
+        st.counter_events.clear();
+        for (auto& q : st.sg_inbox) {
+          q.clear();
+        }
+        st.send_ns = 0;
+        st.load_ns = 0;
+        st.msgs_sent = 0;
+        st.bytes_sent = 0;
+        st.subgraphs_computed = 0;
+        st.agg_prev = ckpt.aggregates;
+        st.instance = nullptr;
+      }
+      pending_next = std::move(ckpt.pending_next);
+      merge_pool = std::move(ckpt.merge_pool);
+      result.timesteps_executed = ckpt.timesteps_executed;
+      if (Profiler::enabled()) {
+        // Rolled-back timesteps re-run from the cut; drop their rows so
+        // attributed costs are not double-counted on the replay.
+        Profiler::global().resetRowsFrom(ckpt.timestep + 1);
+      }
+      i = (ckpt.timestep - first) + 1;
+      stop = false;
     }
-
-    if (config.pattern == Pattern::kEventuallyDependent) {
-      std::vector<Message> merge_pool;
-      for (auto& msgs : merge_by_t) {
-        std::move(msgs.begin(), msgs.end(), std::back_inserter(merge_pool));
-      }
-      Cluster cluster(k);
-      MessageBus bus(k);
-      Workers workers = makeWorkers(pg_, bus, config,
-                                    static_cast<std::size_t>(count),
-                                    provider_, factory);
-      auto& states = workers.states;
-      const auto merge_checker =
-          attachChecker(bus, k, use_async, /*reconcile=*/false);
-      ExecEnv env{pg_,
-                  provider_,
-                  config,
-                  states,
-                  bus,
-                  &cluster,
-                  use_async,
-                  result.stats,
-                  nullptr,
-                  merge_checker.get()};
-      runMergePhase(env, std::move(merge_pool), first + count);
-      detachChecker(bus, merge_checker.get());
-      for (const auto& st_ptr : states) {
-        result.outputs.insert(result.outputs.end(), st_ptr->outputs.begin(),
-                              st_ptr->outputs.end());
-      }
-    }
+  }
+  detachChecker(bus, checker.get());
+  for (const auto& st_ptr : states) {
+    result.outputs.insert(result.outputs.end(), st_ptr->outputs.begin(),
+                          st_ptr->outputs.end());
   }
 
   result.stats.setWallClockNs(wall.elapsedNs());

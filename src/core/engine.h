@@ -8,9 +8,8 @@
 //     sent with SendToNextTimestep arrive at superstep 0 of the next
 //     timestep. Optional While-mode stops when every subgraph
 //     VoteToHaltTimestep()s and no inter-timestep messages are in flight.
-//   * kIndependent — each timestep's BSP is self-contained; with
-//     TemporalMode::kConcurrent, timesteps execute in parallel ("pleasingly
-//     temporally parallel", §II-B).
+//   * kIndependent — each timestep's BSP is self-contained. Timesteps still
+//     run one after another, as in GoFFish (§IV-B).
 //   * kEventuallyDependent — like kIndependent plus a Merge BSP after all
 //     timesteps, seeded with SendMessageToMerge traffic.
 #pragma once
@@ -33,11 +32,6 @@ enum class Pattern : std::uint8_t {
   kSequentiallyDependent,
 };
 
-enum class TemporalMode : std::uint8_t {
-  kSerial,      // timesteps one after another (what GoFFish did; §IV-B)
-  kConcurrent,  // temporal parallelism for independent/eventually patterns
-};
-
 enum class Schedule : std::uint8_t {
   // Global per-superstep barrier (the paper's model; the checked reference).
   kBsp,
@@ -51,7 +45,6 @@ enum class Schedule : std::uint8_t {
 
 struct TiBspConfig {
   Pattern pattern = Pattern::kSequentiallyDependent;
-  TemporalMode temporal_mode = TemporalMode::kSerial;
   Schedule schedule = Schedule::kBsp;
 
   Timestep first_timestep = 0;
@@ -72,12 +65,12 @@ struct TiBspConfig {
   // the sequentially dependent pattern, of every timestep otherwise (§II-D).
   std::vector<Message> input_messages;
 
-  // Fault tolerance (see gofs/checkpoint.h). When set, the engine runs the
-  // serial temporal mode, writes an initial checkpoint before the timestep
-  // loop, then one per `checkpoint_period` completed timesteps; a worker
-  // fault (thrown fault::WorkerFault / fault::RecoveryNeeded) triggers a
-  // respawn + rollback to the newest checkpoint instead of an abort. Null
-  // (the default) keeps the hot path fault-oblivious: faults abort.
+  // Fault tolerance (see gofs/checkpoint.h). When set, the engine writes an
+  // initial checkpoint before the timestep loop, then one per
+  // `checkpoint_period` completed timesteps; a worker fault (thrown
+  // fault::WorkerFault / fault::RecoveryNeeded) triggers a respawn +
+  // rollback to the newest checkpoint instead of an abort. Null (the
+  // default) keeps the hot path fault-oblivious: faults abort.
   CheckpointStore* checkpoint_store = nullptr;
   std::int32_t checkpoint_period = 1;
   // Hard cap on rollbacks per run; exceeding it is a contract failure (a
@@ -85,11 +78,11 @@ struct TiBspConfig {
   // to paper over).
   std::int32_t max_recoveries = 8;
 
-  // Streaming ingestion (see src/stream/). When set, the engine runs the
-  // serial temporal mode, the timestep loop blocks on
-  // stream->awaitTimestep(t) before running t, and subgraphs whose program
-  // is skippableWhenClean() are halted at superstep 0 when they are
-  // message-free and stream->subgraphDirty says nothing of theirs changed.
+  // Streaming ingestion (see src/stream/). When set, the timestep loop
+  // blocks on stream->awaitTimestep(t) before running t, and subgraphs
+  // whose program is skippableWhenClean() are halted at superstep 0 when
+  // they are message-free and stream->subgraphDirty says nothing of theirs
+  // changed.
   // Null (the default) is the batch path.
   TimestepStream* stream = nullptr;
 };
@@ -108,8 +101,7 @@ class TiBspEngine {
   TiBspEngine(const PartitionedGraph& pg, InstanceProvider& provider);
 
   // Runs one application to completion. The factory is called once per
-  // partition (serial/seq-dep) or once per (timestep, partition) when
-  // temporally concurrent.
+  // partition, and again for every partition on each fault rollback.
   TiBspResult run(const ProgramFactory& factory, const TiBspConfig& config);
 
  private:

@@ -15,9 +15,9 @@
 //
 // One program instance is created per partition (see ProgramFactory) and
 // handles all subgraphs of that partition, so per-partition algorithm state
-// (e.g. TDSP labels) lives naturally in program members. Sequentially
-// dependent runs keep program instances alive across all timesteps;
-// temporally concurrent runs create them per timestep.
+// (e.g. TDSP labels) lives naturally in program members. Program instances
+// stay alive across all timesteps of a run (a fault rollback replaces them
+// with fresh ones restored from the checkpoint).
 #pragma once
 
 #include <cstdint>
@@ -103,7 +103,7 @@ class SubgraphContext {
   void output(std::string line);  // the paper's Output/PrintHorizon
   void addCounter(std::string_view name, std::uint64_t value);
 
-  // --- aggregators (Pregel-style, serial temporal mode only) ---
+  // --- aggregators (Pregel-style) ---
   // Values aggregated (summed) during timestep t are readable by every
   // subgraph during timestep t+1. TDSP uses this for While-mode global
   // termination ("have all |V̂| vertices been finalized?").

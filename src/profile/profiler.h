@@ -15,9 +15,9 @@
 // reproduces those totals exactly; tests/test_profile.cc asserts it for
 // all nine shipped algorithms.
 //
-// Concurrency: cells are relaxed atomics because the temporally-concurrent
-// mode runs several timesteps' workers at once, and inbound charges
-// (recordSend's destination side) cross partitions. take() runs after the
+// Concurrency: cells are relaxed atomics because inbound charges
+// (recordSend's destination side) cross partitions, so several partition
+// workers may update one subgraph's cells at once. take() runs after the
 // engine joined its workers, so it reads a quiesced table. Per-vertex
 // sketch offers are serialized by a per-partition mutex taken only on the
 // sampled (every Nth vertex) path.

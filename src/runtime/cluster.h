@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
+#include "common/steal_deque.h"
 #include "graph/types.h"
 
 namespace tsg {

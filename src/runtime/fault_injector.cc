@@ -256,24 +256,27 @@ Result<std::vector<FaultSpec>> parseFaultPlan(const std::string& text) {
   return plan;
 }
 
-bool armFromEnv() {
+Status armFromEnv() {
   const char* plan_text = std::getenv("TSG_INJECT");
   if (plan_text == nullptr || plan_text[0] == '\0') {
-    return false;
+    return Status::ok();
   }
   auto plan = parseFaultPlan(plan_text);
-  TSG_CHECK_MSG(plan.isOk(), plan.status().toString());
-  std::uint64_t seed = 42;
+  if (!plan.isOk()) {
+    return Status::invalidArgument("TSG_INJECT: " + plan.status().message());
+  }
+  std::int64_t seed = 42;
   if (const char* seed_text = std::getenv("TSG_INJECT_SEED")) {
-    std::int64_t parsed = 0;
-    if (parseNumber(seed_text, parsed)) {
-      seed = static_cast<std::uint64_t>(parsed);
+    if (!parseNumber(seed_text, seed)) {
+      return Status::invalidArgument(
+          "TSG_INJECT_SEED: not an integer: '" + std::string(seed_text) + "'");
     }
   }
-  FaultInjector::global().arm(std::move(plan).value(), seed);
+  FaultInjector::global().arm(std::move(plan).value(),
+                              static_cast<std::uint64_t>(seed));
   TSG_LOG(Info) << "fault injector armed from TSG_INJECT='" << plan_text
                 << "'";
-  return true;
+  return Status::ok();
 }
 
 }  // namespace fault

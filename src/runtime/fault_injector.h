@@ -143,10 +143,11 @@ class FaultInjector {
 // xN (fire budget), dN (delay microseconds).
 Result<std::vector<FaultSpec>> parseFaultPlan(const std::string& text);
 
-// Arms the global injector from TSG_INJECT (and TSG_INJECT_SEED) if set.
-// Returns true when a plan was armed; aborts on a malformed plan so a typo
-// never silently runs fault-free.
-bool armFromEnv();
+// Arms the global injector from TSG_INJECT (and TSG_INJECT_SEED, default
+// 42) if TSG_INJECT is set. A malformed plan or a non-integer seed is an
+// InvalidArgument naming the variable, and nothing is armed, so a typo never
+// silently runs fault-free.
+Status armFromEnv();
 
 }  // namespace fault
 }  // namespace tsg

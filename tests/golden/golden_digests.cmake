@@ -22,8 +22,9 @@
 # Outside UPDATE mode it also checks that a checkpointed `check tdsp` run
 # with a worker killed mid-run recovers to the committed digest under both
 # schedules, that an algorithm without a timestep loop (sssp-vertex) is
-# refused by `stream` but runs batch under `check --stream`, and that
-# `analyze --attrib` rejects a malformed attribution block with exit 2.
+# refused by `stream` but runs batch under `check --stream`, that
+# `analyze --attrib` rejects a malformed attribution block with exit 2, and
+# that a malformed TSG_INJECT or TSG_INJECT_SEED exits 2 naming the value.
 
 foreach(var TSGCLI GOLDEN COUNTS WORK_DIR)
   if(NOT DEFINED ${var})
@@ -169,3 +170,26 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "num_rows")
     "expected 2 naming num_rows:\n${err}")
 endif()
 message(STATUS "analyze --attrib rejects a malformed attribution block")
+
+# The environment's fault plan gets the same validation as --inject: a
+# typo is a usage error (exit 2 naming the bad value), not an abort, and
+# never a silent fault-free run or a silently replaced seed.
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env TSG_INJECT=garbage
+          "${TSGCLI}" topn "${WORK_DIR}/social"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "TSG_INJECT: bad fault plan 'garbage'")
+  message(FATAL_ERROR
+    "TSG_INJECT=garbage topn exited ${rc}, expected 2 naming the plan:\n"
+    "${err}")
+endif()
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env TSG_INJECT=kill@compute:p1:t2
+          TSG_INJECT_SEED=abc "${TSGCLI}" topn "${WORK_DIR}/social"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "TSG_INJECT_SEED: not an integer: 'abc'")
+  message(FATAL_ERROR
+    "TSG_INJECT_SEED=abc topn exited ${rc}, expected 2 naming the seed:\n"
+    "${err}")
+endif()
+message(STATUS "a malformed TSG_INJECT or TSG_INJECT_SEED exits 2")

@@ -5,7 +5,7 @@
 namespace fixture {
 
 void spawnDirectly() {
-  std::thread worker([] {});  // violation: bypasses Cluster/ThreadPool
+  std::thread worker([] {});  // violation: bypasses Cluster
   worker.join();
 }
 

@@ -391,42 +391,6 @@ TEST(BspChecker, CleanTiBspRunHasNoViolations) {
   }
 }
 
-TEST(BspChecker, CleanTemporallyConcurrentRunHasNoViolations) {
-  ViolationCollector collector;
-  auto tmpl = smallRoad(4, 4);
-  auto pg = partitionGraph(tmpl, 2);
-  TimeSeriesCollection collection(tmpl, /*t0=*/0, /*delta=*/5);
-  for (int t = 0; t < 3; ++t) {
-    collection.appendInstance();
-  }
-  DirectInstanceProvider provider(pg, collection);
-
-  class Chatter final : public TiBspProgram {
-   public:
-    void compute(SubgraphContext& ctx) override {
-      if (ctx.superstep() == 0) {
-        const SubgraphId peer = (ctx.subgraphId() + 1) %
-                                ctx.partitionedGraph().numSubgraphs();
-        ctx.sendToSubgraph(peer, {1});
-      }
-      ctx.voteToHalt();
-    }
-    void endOfTimestep(SubgraphContext&) override {}
-    void merge(SubgraphContext&) override {}
-  };
-
-  TiBspConfig config;
-  config.pattern = Pattern::kIndependent;
-  config.temporal_mode = TemporalMode::kConcurrent;
-  TiBspEngine engine(pg, provider);
-  const auto result = engine.run(
-      [](PartitionId) { return std::make_unique<Chatter>(); }, config);
-  EXPECT_EQ(result.timesteps_executed, 3);
-  for (const auto& v : collector.violations()) {
-    ADD_FAILURE() << "unexpected violation: " << v.detail;
-  }
-}
-
 TEST(BspChecker, CleanVertexCentricRunHasNoViolations) {
   ViolationCollector collector;
   auto tmpl = smallRoad(4, 4);

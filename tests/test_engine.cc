@@ -333,39 +333,9 @@ TEST(Engine, EventuallyDependentMergeReceivesOriginTimesteps) {
   }
 }
 
-TEST(Engine, ConcurrentIndependentMatchesSerialOutputs) {
-  EngineFixture fx(2, 4);
-  auto make_factory = [&] {
-    return factoryOf([](SubgraphContext& ctx) {
-      if (ctx.superstep() == 0) {
-        ctx.output(std::to_string(ctx.timestep()) + ":" +
-                   std::to_string(ctx.subgraphId()));
-      }
-      ctx.voteToHalt();
-    });
-  };
-  TiBspConfig serial;
-  serial.pattern = Pattern::kIndependent;
-  serial.temporal_mode = TemporalMode::kSerial;
-  TiBspConfig concurrent = serial;
-  concurrent.temporal_mode = TemporalMode::kConcurrent;
-
-  TiBspEngine engine(fx.pg, *fx.provider);
-  auto serial_result = engine.run(make_factory(), serial);
-  auto concurrent_result = engine.run(make_factory(), concurrent);
-
-  std::multiset<std::string> a(serial_result.outputs.begin(),
-                               serial_result.outputs.end());
-  std::multiset<std::string> b(concurrent_result.outputs.begin(),
-                               concurrent_result.outputs.end());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 4 * fx.pg.numSubgraphs());
-}
-
-// A checkpoint store selects the serial temporal mode on its own: topn's
-// default (concurrent) options recover from a killed worker to the
-// fault-free digest.
-TEST(Engine, CheckpointStoreSelectsSerialModeAndRecoversTopN) {
+// An independent-pattern program with per-timestep results (topn, through
+// the registry) recovers from a killed worker to the fault-free digest.
+TEST(Engine, CheckpointStoreRecoversTopN) {
   const AlgorithmEntry& topn = testing::algorithm("topn");
   const testing::AlgoEnv env = testing::envFor(topn);
   auto& injector = fault::FaultInjector::global();
@@ -386,6 +356,24 @@ TEST(Engine, CheckpointStoreSelectsSerialModeAndRecoversTopN) {
   EXPECT_GE(testing::metricTotal(faulted.stats, "engine.recoveries"), 1);
   EXPECT_GT(store.saves(), 0u);
   EXPECT_EQ(faulted.digest, baseline.digest);
+}
+
+// Without a checkpoint store a killed worker ends the run with the engine's
+// own diagnostic, never by an exception escaping a worker thread.
+TEST(Engine, KillWithoutCheckpointStoreFailsWithEngineMessage) {
+  const AlgorithmEntry& topn = testing::algorithm("topn");
+  const testing::AlgoEnv env = testing::envFor(topn);
+  fault::FaultSpec kill;
+  kill.site = fault::Site::kCompute;
+  kill.action = fault::Action::kKill;
+  kill.partition = 1;
+  kill.timestep = 2;
+  EXPECT_DEATH(
+      {
+        fault::FaultInjector::global().arm({kill}, 7);
+        (void)env.run(topn);
+      },
+      "worker fault without a checkpoint store");
 }
 
 TEST(Engine, AggregatorVisibleNextTimestep) {
@@ -626,17 +614,14 @@ class FixedLoadProvider final : public InstanceProvider {
   std::vector<std::int64_t> pending_;
 };
 
-// A temporally concurrent timestep task copies each instance out of the
-// provider before the timestep's timed rounds start. That load must be
-// charged to superstep 0's load_ns, and must not be subtracted from its
-// compute_ns: taking an hour off a microsecond round would clamp compute to
-// zero.
-TEST(Engine, ConcurrentTimestepsChargeProviderLoadWithoutShrinkingCompute) {
+// Each partition loads its instance inside superstep 0's wave task, so every
+// load the provider reports is charged to that superstep's load_ns, once per
+// (partition, timestep), and to no other record.
+TEST(Engine, ChargesProviderLoadToSuperstepZero) {
   EngineFixture fx(2, 4);
   FixedLoadProvider provider(*fx.provider, fx.pg.numPartitions());
   TiBspConfig config;
   config.pattern = Pattern::kIndependent;
-  config.temporal_mode = TemporalMode::kConcurrent;
   TiBspEngine engine(fx.pg, provider);
   const auto result = engine.run(
       factoryOf([](SubgraphContext& ctx) { ctx.voteToHalt(); }), config);
@@ -646,21 +631,18 @@ TEST(Engine, ConcurrentTimestepsChargeProviderLoadWithoutShrinkingCompute) {
   for (const auto& rec : result.stats.supersteps()) {
     for (const auto& part : rec.parts) {
       load_ns += part.load_ns;
-      if (rec.superstep == 0) {
-        EXPECT_EQ(part.load_ns, FixedLoadProvider::kLoadNs);
-        EXPECT_GT(part.compute_ns, 0);
-      }
+      EXPECT_EQ(part.load_ns,
+                rec.superstep == 0 ? FixedLoadProvider::kLoadNs : 0)
+          << "t=" << rec.timestep << " s=" << rec.superstep;
     }
   }
   EXPECT_EQ(load_ns, FixedLoadProvider::kLoadNs * fx.pg.numPartitions() *
                          result.timesteps_executed);
 }
 
-// compute_ns is CPU time under both temporal modes: a subgraph that sleeps
-// is descheduled, not computing. A temporally concurrent task runs its
-// phases inline and must meter them like the cluster's workers do, so the
-// same program reports the same compute whichever mode runs it.
-TEST(Engine, ComputeNsIsCpuTimeUnderBothTemporalModes) {
+// compute_ns is CPU time: a subgraph that sleeps is descheduled, not
+// computing.
+TEST(Engine, ComputeNsIsCpuTime) {
   static constexpr std::int64_t kSleepNs = 20'000'000;
   constexpr std::uint32_t kTimesteps = 3;
   EngineFixture fx(2, kTimesteps);
@@ -674,23 +656,18 @@ TEST(Engine, ComputeNsIsCpuTimeUnderBothTemporalModes) {
                                       static_cast<std::int64_t>(
                                           fx.pg.numSubgraphs()) *
                                       kTimesteps;
-  for (const TemporalMode mode :
-       {TemporalMode::kSerial, TemporalMode::kConcurrent}) {
-    TiBspConfig config;
-    config.pattern = Pattern::kIndependent;
-    config.temporal_mode = mode;
-    TiBspEngine engine(fx.pg, *fx.provider);
-    const auto result = engine.run(factory, config);
-    ASSERT_EQ(result.timesteps_executed, static_cast<Timestep>(kTimesteps));
-    std::int64_t compute_ns = 0;
-    for (const auto& rec : result.stats.supersteps()) {
-      for (const auto& part : rec.parts) {
-        compute_ns += part.compute_ns;
-      }
+  TiBspConfig config;
+  config.pattern = Pattern::kIndependent;
+  TiBspEngine engine(fx.pg, *fx.provider);
+  const auto result = engine.run(factory, config);
+  ASSERT_EQ(result.timesteps_executed, static_cast<Timestep>(kTimesteps));
+  std::int64_t compute_ns = 0;
+  for (const auto& rec : result.stats.supersteps()) {
+    for (const auto& part : rec.parts) {
+      compute_ns += part.compute_ns;
     }
-    EXPECT_LT(compute_ns, total_sleep_ns / 4)
-        << (mode == TemporalMode::kSerial ? "serial" : "concurrent");
   }
+  EXPECT_LT(compute_ns, total_sleep_ns / 4);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,38 @@ TEST(FaultMatrix, ParseFaultPlanValidatesActionSiteCombinations) {
   EXPECT_FALSE(fault::parseFaultPlan("drop@compute").isOk());
   EXPECT_FALSE(fault::parseFaultPlan("fail@barrier").isOk());
   EXPECT_FALSE(fault::parseFaultPlan("").isOk());
+}
+
+// TSG_INJECT / TSG_INJECT_SEED get the same validation as --inject: a typo
+// is an InvalidArgument naming the variable, and nothing is armed.
+TEST(FaultMatrix, ArmFromEnvRejectsMalformedPlanAndSeed) {
+  auto& injector = fault::FaultInjector::global();
+  injector.disarm();
+
+  ::setenv("TSG_INJECT", "garbage", 1);
+  ::setenv("TSG_INJECT_SEED", "abc", 1);
+  Status armed = fault::armFromEnv();
+  EXPECT_EQ(armed.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(armed.message().find("TSG_INJECT: bad fault plan 'garbage'"),
+            std::string::npos)
+      << armed.toString();
+  EXPECT_FALSE(injector.armed());
+
+  ::setenv("TSG_INJECT", "kill@compute:p1:t2", 1);
+  armed = fault::armFromEnv();
+  EXPECT_EQ(armed.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(armed.message().find("TSG_INJECT_SEED: not an integer: 'abc'"),
+            std::string::npos)
+      << armed.toString();
+  EXPECT_FALSE(injector.armed());
+
+  ::setenv("TSG_INJECT_SEED", "9", 1);
+  EXPECT_TRUE(fault::armFromEnv().isOk());
+  EXPECT_TRUE(injector.armed());
+
+  injector.disarm();
+  ::unsetenv("TSG_INJECT");
+  ::unsetenv("TSG_INJECT_SEED");
 }
 
 }  // namespace

@@ -14,14 +14,13 @@ using testing::partitionGraph;
 using testing::smallSocial;
 using testing::tweetCollection;
 
-// Parameterized over (graph size, partitions, temporal mode): the merged
-// counts must equal a direct sequential count.
+// Parameterized over (graph size, partitions): the merged counts must equal
+// a direct sequential count.
 class HashtagProperty
-    : public ::testing::TestWithParam<
-          std::tuple<int, std::uint32_t, TemporalMode>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
 
 TEST_P(HashtagProperty, CountsMatchDirectTally) {
-  const auto [n, k, mode] = GetParam();
+  const auto [n, k] = GetParam();
   auto tmpl = smallSocial(n);
   const auto pg = partitionGraph(tmpl, k);
   const auto coll = tweetCollection(tmpl, 10, 0.3);
@@ -30,7 +29,6 @@ TEST_P(HashtagProperty, CountsMatchDirectTally) {
   HashtagOptions options;
   options.tag = "#meme";
   options.tweets_attr = 0;
-  options.temporal_mode = mode;
   const auto run = runHashtagAggregation(pg, provider, options);
 
   const auto expected = reference::hashtagCounts(coll, 0, "#meme");
@@ -41,14 +39,10 @@ TEST_P(HashtagProperty, CountsMatchDirectTally) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, HashtagProperty,
     ::testing::Combine(::testing::Values(50, 150),
-                       ::testing::Values(1u, 2u, 4u),
-                       ::testing::Values(TemporalMode::kSerial,
-                                         TemporalMode::kConcurrent)),
+                       ::testing::Values(1u, 2u, 4u)),
     [](const auto& param_info) {
       return "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-             std::to_string(std::get<1>(param_info.param)) +
-             (std::get<2>(param_info.param) == TemporalMode::kSerial ? "_serial"
-                                                               : "_conc");
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Hashtag, RateOfChangeIsFirstDifference) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "algorithms/meme.h"
-#include "common/thread_pool.h"
+#include "common/steal_deque.h"
 #include "gofs/checkpoint.h"
 #include "gofs/instance_provider.h"
 #include "runtime/cluster.h"

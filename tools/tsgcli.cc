@@ -170,7 +170,7 @@ int usage() {
       "  --prom=PATH    rewrite a Prometheus text exposition during the run\n"
       "  --prom-port=N  serve the exposition over HTTP (0 = ephemeral port)\n"
       "  --checkpoint=DIR  checkpoint each timestep to DIR and recover from\n"
-      "                    injected worker faults (serial temporal mode)\n"
+      "                    injected worker faults\n"
       "  --schedule=bsp|async  superstep scheduling: global barrier (bsp,\n"
       "                        default) or dependency-driven waves with\n"
       "                        work stealing (async; identical output)\n"
@@ -1240,8 +1240,8 @@ int main(int argc, char** argv) {
     fault::FaultInjector::global().arm(
         std::move(plan).value(),
         static_cast<std::uint64_t>(args.getInt("inject-seed", 42)));
-  } else {
-    fault::armFromEnv();
+  } else if (const Status armed = fault::armFromEnv(); !armed.isOk()) {
+    return failArgs(armed);
   }
   // Cost-attribution profiler: armed process-wide before any engine runs;
   // the engines attach the table to RunStats and the footers render it.
