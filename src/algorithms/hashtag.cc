@@ -1,7 +1,6 @@
 #include "algorithms/hashtag.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "algorithms/codec.h"
 
@@ -11,10 +10,9 @@ namespace {
 class HashtagProgram final : public TiBspProgram {
  public:
   HashtagProgram(const PartitionedGraph& pg, const HashtagOptions& options,
-                 std::vector<std::uint64_t>& counts, std::mutex& counts_mutex)
+                 std::vector<std::uint64_t>& counts)
       : options_(options),
         counts_(counts),
-        counts_mutex_(counts_mutex),
         master_(pg.largestSubgraphOf(0)) {}
 
   void compute(SubgraphContext& ctx) override {
@@ -52,10 +50,9 @@ class HashtagProgram final : public TiBspProgram {
           total[i] += series[i];
         }
       }
-      {
-        std::lock_guard lock(counts_mutex_);
-        counts_ = total;
-      }
+      // Only the master writes counts_, once per merge; the coordinator
+      // reads it after engine.run returns, ordered by the wave join.
+      counts_ = total;
       for (std::size_t i = 0; i < total.size(); ++i) {
         ctx.output("hashtag," + options_.tag + "," +
                    std::to_string(options_.first_timestep +
@@ -69,7 +66,6 @@ class HashtagProgram final : public TiBspProgram {
  private:
   const HashtagOptions& options_;
   std::vector<std::uint64_t>& counts_;
-  std::mutex& counts_mutex_;
   SubgraphId master_;
 };
 
@@ -79,7 +75,6 @@ HashtagRun runHashtagAggregation(const PartitionedGraph& pg,
                                  InstanceProvider& provider,
                                  const HashtagOptions& options) {
   HashtagRun run;
-  std::mutex counts_mutex;
 
   TiBspConfig config;
   config.pattern = Pattern::kEventuallyDependent;
@@ -93,8 +88,7 @@ HashtagRun runHashtagAggregation(const PartitionedGraph& pg,
   TiBspEngine engine(pg, provider);
   run.exec = engine.run(
       [&](PartitionId) {
-        return std::make_unique<HashtagProgram>(pg, options, run.counts,
-                                                counts_mutex);
+        return std::make_unique<HashtagProgram>(pg, options, run.counts);
       },
       config);
 

@@ -64,6 +64,7 @@ InstanceBuilder::InstanceBuilder(GraphTemplatePtr tmpl, std::int64_t t0,
     : tmpl_(std::move(tmpl)), t0_(t0), delta_(delta), open_(first_timestep) {
   TSG_CHECK(tmpl_ != nullptr);
   TSG_CHECK_MSG(delta_ > 0, "period delta must be positive");
+  live_ = GraphInstance(*tmpl_, open_, t0_);  // zero cells: the first base
 }
 
 Timestep InstanceBuilder::timestepOf(std::int64_t timestamp) const {
@@ -113,33 +114,23 @@ Status InstanceBuilder::stage(const GraphEvent& ev) {
 
 InstanceBuilder::Sealed InstanceBuilder::seal() {
   Sealed out;
-  GraphInstance next(*tmpl_, open_, t0_ + static_cast<std::int64_t>(open_) *
-                                             delta_);
-  if (have_prev_) {
-    for (std::size_t a = 0; a < next.numVertexAttrs(); ++a) {
-      next.vertexCol(a) = prev_.vertexCol(a);
-    }
-    for (std::size_t a = 0; a < next.numEdgeAttrs(); ++a) {
-      next.edgeCol(a) = prev_.edgeCol(a);
-    }
-  }
-  for (const auto& [key, winner] : staged_) {
+  out.timestep = open_;
+  out.timestamp = t0_ + static_cast<std::int64_t>(open_) * delta_;
+  for (auto& [key, winner] : staged_) {
     const auto [target, attr, index] = key;
-    if (target == static_cast<std::uint8_t>(EventTarget::kVertex)) {
-      if (applyCell(next.vertexCol(attr), index, winner.value)) {
-        out.dirty_vertices.push_back(index);
-      }
-    } else {
-      if (applyCell(next.edgeCol(attr), index, winner.value)) {
-        out.dirty_edges.push_back(index);
-      }
+    const bool vertex =
+        target == static_cast<std::uint8_t>(EventTarget::kVertex);
+    if (applyCell(vertex ? live_.vertexCol(attr) : live_.edgeCol(attr), index,
+                  winner.value)) {
+      out.changes.push_back(CellChange{
+          .target = static_cast<EventTarget>(target),
+          .attr = attr,
+          .index = index,
+          .value = std::move(winner.value)});
     }
   }
   staged_.clear();
-  prev_ = next;
-  have_prev_ = true;
   ++open_;
-  out.instance = std::move(next);
   return out;
 }
 

@@ -1,16 +1,17 @@
-// InstanceBuilder — accumulates staged events into the next GraphInstance.
+// InstanceBuilder — accumulates staged events into the next timestep.
 //
-// The streaming model is carry-forward: the instance for timestep t starts
-// as a copy of t-1 (for the first timestep, the zero/empty instance) and
-// each staged event overwrites one attribute cell. Within a timestep the
+// The streaming model is carry-forward: the instance for timestep t is the
+// instance of t-1 (for the first timestep, the zero/empty instance) with
+// each staged event overwriting one attribute cell. Within a timestep the
 // stream is unordered, so conflicting writes to one cell resolve by a total
 // order independent of arrival: the winner is the lexicographically largest
 // (timestamp, canonical value bytes) pair. Duplicates are idempotent by the
 // same rule.
 //
-// seal() applies the winners and reports exactly which cells changed value
-// versus the carried base — the raw material of the dirty-subgraph tracking
-// that powers incremental recomputation.
+// The builder holds one live instance. seal() writes the winners into it in
+// place and reports exactly the cells that changed value, with their new
+// values: the delta that travels to the workers, and the raw material of
+// the dirty-subgraph tracking that powers incremental recomputation.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,21 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/collection.h"
 #include "graph/graph_instance.h"
 #include "graph/graph_template.h"
 #include "stream/event.h"
 
 namespace tsg {
 namespace stream {
+
+// One changed attribute cell and its new value. `index` is a dense template
+// index out of the builder and a partition-local one after routing.
+struct CellChange {
+  EventTarget target = EventTarget::kVertex;
+  std::uint32_t attr = 0;
+  std::uint32_t index = 0;
+  AttrValue value;
+};
 
 class InstanceBuilder {
  public:
@@ -48,15 +57,17 @@ class InstanceBuilder {
   Status stage(const GraphEvent& ev);
 
   struct Sealed {
-    GraphInstance instance;
-    // Dense template indices whose cells changed value vs. the carried
-    // base. Unsorted, may repeat (one entry per changed cell).
-    std::vector<VertexIndex> dirty_vertices;
-    std::vector<EdgeIndex> dirty_edges;
+    Timestep timestep = 0;
+    std::int64_t timestamp = 0;
+    // Every cell whose value changed vs. the previous timestep, with its
+    // new value, at its dense template index; one entry per cell, in
+    // (target, attr, index) order.
+    std::vector<CellChange> changes;
   };
 
-  // Seals the open timestep: carried copy of the previous instance plus
-  // staged winners. Advances the open timestep by one and clears staging.
+  // Seals the open timestep: applies the staged winners to the live
+  // instance and reports the cells they changed. Advances the open
+  // timestep by one and clears staging.
   Sealed seal();
 
  private:
@@ -64,8 +75,7 @@ class InstanceBuilder {
   std::int64_t t0_;
   std::int64_t delta_;
   Timestep open_;
-  bool have_prev_ = false;
-  GraphInstance prev_;  // last sealed instance (carry-forward base)
+  GraphInstance live_;  // last sealed values (carry-forward base)
 
   struct Winner {
     std::int64_t timestamp = 0;

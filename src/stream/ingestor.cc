@@ -1,5 +1,6 @@
 #include "stream/ingestor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -85,26 +86,40 @@ StreamIngestor::StreamIngestor(GraphTemplatePtr tmpl,
 }
 
 void StreamIngestor::sealOpen(bool size_triggered) {
+  const std::int64_t seal_start = steadyNowNs();
   auto sealed = builder_.seal();
   SealedTimestep item;
-  item.timestep = sealed.instance.timestep();
-  item.subgraph_dirty.assign(pg_.numSubgraphs(), 0);
-  for (const VertexIndex v : sealed.dirty_vertices) {
-    item.subgraph_dirty[pg_.subgraphOfVertex(v)] = 1;
+  item.timestep = sealed.timestep;
+  item.changes.resize(pg_.numPartitions());
+  for (CellChange& change : sealed.changes) {
+    VertexIndex owner = change.index;
+    if (change.target == EventTarget::kVertex) {
+      item.dirty_subgraphs.push_back(pg_.subgraphOfVertex(owner));
+      change.index = pg_.localIndexOfVertex(owner);
+    } else {
+      // An edge-cell change dirties both endpoint subgraphs: edge values are
+      // readable from whichever side owns the slot, so stay conservative.
+      const EdgeIndex e = change.index;
+      owner = tmpl_->edgeSrc(e);
+      item.dirty_subgraphs.push_back(pg_.subgraphOfVertex(owner));
+      item.dirty_subgraphs.push_back(pg_.subgraphOfVertex(tmpl_->edgeDst(e)));
+      change.index = pg_.localIndexOfEdge(e);
+    }
+    item.changes[pg_.partitionOfVertex(owner)].push_back(std::move(change));
   }
-  for (const EdgeIndex e : sealed.dirty_edges) {
-    // An edge-cell change dirties both endpoint subgraphs: edge values are
-    // readable from whichever side owns the slot, so stay conservative.
-    item.subgraph_dirty[pg_.subgraphOfVertex(tmpl_->edgeSrc(e))] = 1;
-    item.subgraph_dirty[pg_.subgraphOfVertex(tmpl_->edgeDst(e))] = 1;
-  }
-  item.instance = std::move(sealed.instance);
+  std::sort(item.dirty_subgraphs.begin(), item.dirty_subgraphs.end());
+  item.dirty_subgraphs.erase(
+      std::unique(item.dirty_subgraphs.begin(), item.dirty_subgraphs.end()),
+      item.dirty_subgraphs.end());
 
   auto& registry = MetricsRegistry::global();
+  const std::int64_t now = steadyNowNs();
+  registry.histogram("stream.seal_ns")
+      .record(static_cast<std::uint64_t>(now - seal_start));
   registry.counter("stream.sealed_timesteps").increment();
   registry.histogram("stream.seal_lag_ns")
       .record(static_cast<std::uint64_t>(
-          std::max<std::int64_t>(0, steadyNowNs() - open_since_ns_)));
+          std::max<std::int64_t>(0, now - open_since_ns_)));
   ++sealed_timesteps_;
   last_seal_size_triggered_ = size_triggered;
 
@@ -190,66 +205,116 @@ StreamingInstanceProvider::StreamingInstanceProvider(
       t0_(t0),
       delta_(delta),
       queue_(queue),
-      load_ns_(pg.numPartitions(), 0) {
+      parts_(pg.numPartitions()) {
   TSG_CHECK(tmpl_ != nullptr);
+  // Zero-initialised columns, like the builder's first carry-forward base.
+  const AttributeSchema& vschema = tmpl_->vertexSchema();
+  const AttributeSchema& eschema = tmpl_->edgeSchema();
+  for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
+    PartitionInstanceData& live = parts_[p].live;
+    for (std::size_t a = 0; a < vschema.size(); ++a) {
+      live.vertex_cols.push_back(AttributeColumn::make(
+          vschema.at(a).type, pg.partition(p).numVertices()));
+    }
+    for (std::size_t a = 0; a < eschema.size(); ++a) {
+      live.edge_cols.push_back(AttributeColumn::make(
+          eschema.at(a).type, pg.partition(p).numEdges()));
+    }
+  }
 }
+
+namespace {
+
+// Exchanges the record's value with its cell. Applied to a column holding
+// t-1 it yields t, and applied again it yields t-1: one record serves redo
+// and undo. A timestep names each cell at most once, so the records of one
+// timestep may be swapped in any order.
+void swapCell(PartitionInstanceData& data, CellChange& change) {
+  AttributeColumn& col = change.target == EventTarget::kVertex
+                             ? data.vertex_cols[change.attr]
+                             : data.edge_cols[change.attr];
+  AttrValue& value = change.value;
+  switch (col.type()) {
+    case AttrType::kInt64:
+      std::swap(col.asInt64()[change.index], value.i64);
+      break;
+    case AttrType::kDouble:
+      std::swap(col.asDouble()[change.index], value.f64);
+      break;
+    case AttrType::kBool: {
+      auto& cell = col.asBool()[change.index];
+      const bool old = cell != 0;
+      cell = value.flag ? 1 : 0;
+      value.flag = old;
+      break;
+    }
+    case AttrType::kString:
+      col.asString()[change.index].swap(value.str);
+      break;
+    case AttrType::kStringList:
+      col.asStringList()[change.index].swap(value.list);
+      break;
+  }
+}
+
+}  // namespace
 
 const PartitionInstanceData& StreamingInstanceProvider::instanceFor(
     PartitionId p, Timestep t) {
-  TSG_CHECK_MSG(t >= 0 &&
-                    static_cast<std::size_t>(t) < materialized_.size(),
+  PartitionCursor& part = parts_[p];
+  TSG_CHECK_MSG(t >= 0 && static_cast<std::size_t>(t) < part.log.size(),
                 "instanceFor before awaitTimestep sealed timestep " +
                     std::to_string(t));
-  return materialized_[static_cast<std::size_t>(t)]->parts[p];
+  if (part.at != t) {
+    const std::int64_t start = steadyNowNs();
+    while (part.at != t) {
+      // Forward applies log[at + 1]; backward undoes log[at].
+      const Timestep step = part.at < t ? ++part.at : part.at--;
+      for (CellChange& change : part.log[static_cast<std::size_t>(step)]) {
+        swapCell(part.live, change);
+      }
+    }
+    part.live.timestep = t;
+    part.live.timestamp = t0_ + static_cast<std::int64_t>(t) * delta_;
+    part.load_ns += steadyNowNs() - start;
+  }
+  return part.live;
 }
 
 std::int64_t StreamingInstanceProvider::takeLoadNs(PartitionId p) {
-  return std::exchange(load_ns_[p], 0);
+  return std::exchange(parts_[p].load_ns, 0);
 }
 
 bool StreamingInstanceProvider::awaitTimestep(Timestep t) {
   TSG_CHECK(t >= 0);
-  while (materialized_.size() <= static_cast<std::size_t>(t)) {
+  while (dirty_.size() <= static_cast<std::size_t>(t)) {
     SealedTimestep sealed;
     if (!queue_.pop(sealed)) {
       break;  // stream ended (or aborted) before t
     }
-    // The ingestor seals in timestep order from 0; the provider's dense
-    // vector indexing depends on it.
-    TSG_CHECK_MSG(static_cast<std::size_t>(sealed.timestep) ==
-                      materialized_.size(),
+    // The ingestor seals in timestep order from 0; the logs' dense
+    // indexing depends on it.
+    TSG_CHECK_MSG(static_cast<std::size_t>(sealed.timestep) == dirty_.size(),
                   "seal queue delivered timesteps out of order");
-    auto mat = std::make_unique<MaterializedTimestep>();
-    mat->subgraph_dirty = std::move(sealed.subgraph_dirty);
-    mat->parts.reserve(pg_.numPartitions());
-    for (PartitionId p = 0; p < pg_.numPartitions(); ++p) {
-      const std::int64_t start = steadyNowNs();
-      mat->parts.push_back(
-          gatherPartitionInstance(pg_, p, sealed.instance));
-      load_ns_[p] += steadyNowNs() - start;
+    TSG_CHECK(sealed.changes.size() == parts_.size());
+    for (std::size_t p = 0; p < parts_.size(); ++p) {
+      parts_[p].log.push_back(std::move(sealed.changes[p]));
     }
-    mat->instance = std::move(sealed.instance);
-    materialized_.push_back(std::move(mat));
+    dirty_.push_back(std::move(sealed.dirty_subgraphs));
   }
-  return materialized_.size() > static_cast<std::size_t>(t);
+  return dirty_.size() > static_cast<std::size_t>(t);
 }
 
 bool StreamingInstanceProvider::subgraphDirty(Timestep t,
                                               SubgraphId sg) const {
-  if (t < 0 || static_cast<std::size_t>(t) >= materialized_.size()) {
+  if (t < 0 || static_cast<std::size_t>(t) >= dirty_.size()) {
     return true;  // conservative: unknown timesteps are dirty
   }
   if (t == 0) {
     return true;  // no previous timestep to be clean against
   }
-  const auto& dirty = materialized_[static_cast<std::size_t>(t)]->subgraph_dirty;
-  return sg >= dirty.size() || dirty[sg] != 0;
-}
-
-const GraphInstance& StreamingInstanceProvider::sealedInstance(
-    Timestep t) const {
-  TSG_CHECK(t >= 0 && static_cast<std::size_t>(t) < materialized_.size());
-  return materialized_[static_cast<std::size_t>(t)]->instance;
+  const auto& dirty = dirty_[static_cast<std::size_t>(t)];
+  return std::binary_search(dirty.begin(), dirty.end(), sg);
 }
 
 // ---------------------------------------------------------------------------

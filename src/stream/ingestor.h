@@ -1,4 +1,4 @@
-// StreamIngestor — the streaming front door (ROADMAP item 2).
+// StreamIngestor — the streaming front door.
 //
 // Pipeline:   EventSource → StreamIngestor → SealQueue → engine
 //              (ingest thread)                (bounded)   (coordinator)
@@ -8,26 +8,29 @@
 // window), when the staged-cell count hits a configured cap (memory guard),
 // or when the source ends (remaining planned timesteps seal as carried
 // copies so a streamed run covers the same horizon as its batch twin).
-// Sealed instances travel through the bounded SealQueue: a full queue
-// blocks the ingest thread — backpressure — so an engine that falls behind
-// bounds memory instead of ballooning it.
+// A sealed timestep travels as its changed cells only, already routed to
+// their owning partitions at partition-local indices. It goes through the
+// bounded SealQueue: a full queue blocks the ingest thread — backpressure —
+// so an engine that falls behind bounds memory instead of ballooning it.
 //
 // StreamingInstanceProvider is the engine-facing end: an InstanceProvider
-// whose awaitTimestep (TimestepStream) pops the queue, materializes the
-// per-partition slices and answers the dirty-subgraph queries that drive
-// the incremental skip. Sealed timesteps are retained for the run's
-// lifetime so a fault rollback can replay them.
+// whose awaitTimestep (TimestepStream) pops the queue into per-partition
+// change logs and answers the dirty-subgraph queries that drive the
+// incremental skip. Each partition holds one set of live columns; its
+// worker's instanceFor(p, t) patches them to timestep t by swapping log
+// records with their cells, forward or backward, so a fault rollback can
+// replay earlier timesteps. The logs grow with the changed cells of the
+// stream, not with the graph times the timesteps.
 //
 // Counters: stream.events_ingested, stream.late_events,
-// stream.sealed_timesteps, stream.seal_lag_ns (histogram),
-// stream.seal_queue_depth (gauge).
+// stream.sealed_timesteps, stream.seal_lag_ns and stream.seal_ns
+// (histograms), stream.seal_queue_depth (gauge).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,9 +47,11 @@ namespace stream {
 // One sealed timestep in flight between ingest and execute.
 struct SealedTimestep {
   Timestep timestep = 0;
-  GraphInstance instance;
-  // Indexed by SubgraphId: 1 if any cell of the subgraph changed.
-  std::vector<std::uint8_t> subgraph_dirty;
+  // Indexed by PartitionId: the partition's cells that changed value, at
+  // partition-local indices (an edge belongs to its source's partition).
+  std::vector<std::vector<CellChange>> changes;
+  // Subgraphs with a changed cell, sorted and unique.
+  std::vector<SubgraphId> dirty_subgraphs;
 };
 
 // Bounded MPSC-ish handoff (in practice one producer, one consumer).
@@ -123,8 +128,9 @@ class StreamIngestor {
 };
 
 // Engine-facing end of the pipeline: numInstances() is the planned count
-// (so batch and streamed runs agree on the horizon), instanceFor serves
-// materialized per-partition slices, awaitTimestep pops the seal queue.
+// (so batch and streamed runs agree on the horizon), awaitTimestep pops the
+// seal queue into the change logs, and instanceFor patches partition p's
+// live columns to the requested timestep (metered as p's load time).
 class StreamingInstanceProvider final : public InstanceProvider,
                                         public TimestepStream {
  public:
@@ -145,17 +151,20 @@ class StreamingInstanceProvider final : public InstanceProvider,
   bool awaitTimestep(Timestep t) override;
   [[nodiscard]] bool subgraphDirty(Timestep t, SubgraphId sg) const override;
 
-  // Full-instance view of a sealed timestep (result reassembly, digests).
-  [[nodiscard]] const GraphInstance& sealedInstance(Timestep t) const;
-  [[nodiscard]] std::size_t sealedCount() const {
-    return materialized_.size();
-  }
+  [[nodiscard]] std::size_t sealedCount() const { return dirty_.size(); }
 
  private:
-  struct MaterializedTimestep {
-    GraphInstance instance;
-    std::vector<PartitionInstanceData> parts;  // by PartitionId
-    std::vector<std::uint8_t> subgraph_dirty;  // by SubgraphId
+  // Partition p's live columns and change log, touched only by p's worker
+  // (instanceFor) and by the coordinator while the workers are parked
+  // (awaitTimestep appends to the log).
+  struct PartitionCursor {
+    PartitionInstanceData live;  // holds timestep `at`
+    // -1: the zero columns that precede the first sealed timestep.
+    Timestep at = -1;
+    // log[t] moves the columns between t-1 and t: each record holds the
+    // value its cell lacks, so swapping it in steps either way.
+    std::vector<std::vector<CellChange>> log;
+    std::int64_t load_ns = 0;
   };
 
   const PartitionedGraph& pg_;
@@ -164,10 +173,8 @@ class StreamingInstanceProvider final : public InstanceProvider,
   std::int64_t t0_;
   std::int64_t delta_;
   SealQueue& queue_;
-  // unique_ptr elements: push_back must not invalidate references handed
-  // out by instanceFor.
-  std::vector<std::unique_ptr<MaterializedTimestep>> materialized_;
-  std::vector<std::int64_t> load_ns_;  // per partition
+  std::vector<PartitionCursor> parts_;          // by PartitionId
+  std::vector<std::vector<SubgraphId>> dirty_;  // by sealed timestep
 };
 
 // RAII ingest thread: runs ingestor.run(source) and joins on destruction.

@@ -75,22 +75,25 @@ void diffColumn(const AttributeColumn& prev, const AttributeColumn& cur,
 
 }  // namespace
 
+void appendInstanceDiff(const GraphInstance& prev, const GraphInstance& cur,
+                        std::vector<GraphEvent>& out) {
+  for (std::uint32_t a = 0; a < cur.numVertexAttrs(); ++a) {
+    diffColumn(prev.vertexCol(a), cur.vertexCol(a), EventTarget::kVertex, a,
+               cur.timestamp(), out);
+  }
+  for (std::uint32_t a = 0; a < cur.numEdgeAttrs(); ++a) {
+    diffColumn(prev.edgeCol(a), cur.edgeCol(a), EventTarget::kEdge, a,
+               cur.timestamp(), out);
+  }
+}
+
 std::vector<GraphEvent> eventsFromCollection(
     const TimeSeriesCollection& coll) {
   std::vector<GraphEvent> out;
-  const GraphTemplate& tmpl = coll.graphTemplate();
-  const GraphInstance zero(tmpl, 0, coll.t0());
+  const GraphInstance zero(coll.graphTemplate(), 0, coll.t0());
   for (Timestep t = 0; t < static_cast<Timestep>(coll.numInstances()); ++t) {
-    const GraphInstance& cur = coll.instance(t);
-    const GraphInstance& prev = t == 0 ? zero : coll.instance(t - 1);
-    for (std::uint32_t a = 0; a < cur.numVertexAttrs(); ++a) {
-      diffColumn(prev.vertexCol(a), cur.vertexCol(a), EventTarget::kVertex, a,
-                 cur.timestamp(), out);
-    }
-    for (std::uint32_t a = 0; a < cur.numEdgeAttrs(); ++a) {
-      diffColumn(prev.edgeCol(a), cur.edgeCol(a), EventTarget::kEdge, a,
-                 cur.timestamp(), out);
-    }
+    appendInstanceDiff(t == 0 ? zero : coll.instance(t - 1), coll.instance(t),
+                       out);
   }
   return out;
 }

@@ -4,12 +4,15 @@
 // that, ingested under carry-forward semantics, reproduces each instance
 // exactly: instance t is diffed against t-1 (t=0 against the zero/empty
 // instance) and every changed cell becomes one event stamped with the
-// instance's timestamp. This is how tsgcli streams a generated dataset and
-// how the equivalence tests get a ground-truth stream for any collection.
+// instance's timestamp. appendInstanceDiff is that diff for one pair of
+// consecutive instances, so a caller reading instances one at a time
+// (tsgcli streaming a GoFS dataset) keeps only two of them resident. This is
+// how tsgcli streams a generated dataset and how the equivalence tests get a
+// ground-truth stream for any collection.
 //
-// assembleInstance inverts gatherPartitionInstance: it scatters every
-// partition's slice of a provider-served timestep back into one full
-// GraphInstance (digests, output comparison).
+// assembleInstance scatters every partition's slice of a provider-served
+// timestep back into one full GraphInstance (digests, output comparison,
+// and the history the stream tests read back).
 #pragma once
 
 #include <string>
@@ -23,6 +26,11 @@
 
 namespace tsg {
 namespace stream {
+
+// Appends one event per cell where `cur` differs from `prev`, stamped with
+// cur's timestamp, in (target, attr, index) order.
+void appendInstanceDiff(const GraphInstance& prev, const GraphInstance& cur,
+                        std::vector<GraphEvent>& out);
 
 // Per-cell diff of consecutive instances, in deterministic (timestep,
 // target, attr, index) order. Shuffling within one timestep must not change

@@ -79,9 +79,25 @@ ProcStats readProcStats() {
   return stats;
 }
 
+std::int64_t readPeakRssBytes() {
+  char buf[4096];
+  if (readProcFile("/proc/self/status", buf, sizeof(buf)) == 0) {
+    return 0;
+  }
+  // "VmHWM:\t  123456 kB"
+  const char* line = std::strstr(buf, "VmHWM:");
+  long long kb = 0;
+  if (line == nullptr || std::sscanf(line, "VmHWM: %lld", &kb) != 1) {
+    return 0;
+  }
+  return static_cast<std::int64_t>(kb) * 1024;
+}
+
 #else  // !__linux__
 
 ProcStats readProcStats() { return ProcStats{}; }
+
+std::int64_t readPeakRssBytes() { return 0; }
 
 #endif
 

@@ -1,8 +1,9 @@
 // Process-level resource stats for the telemetry sampler.
 //
 // Read from /proc/self on Linux (statm for resident set, stat for CPU time
-// and thread count). On platforms without procfs every field stays zero and
-// `valid` is false — the sampler simply omits the process.* series.
+// and thread count, status for the resident high-water mark). On platforms
+// without procfs every field stays zero and `valid` is false — the sampler
+// simply omits the process.* series.
 #pragma once
 
 #include <cstdint>
@@ -19,5 +20,9 @@ struct ProcStats {
 // One read of /proc/self/statm + /proc/self/stat. Cheap (two small reads,
 // no allocation beyond a stack buffer) — safe at a 10 ms cadence.
 ProcStats readProcStats();
+
+// Peak resident set size of the process so far (VmHWM in
+// /proc/self/status); 0 where procfs is unavailable.
+std::int64_t readPeakRssBytes();
 
 }  // namespace tsg

@@ -5,12 +5,16 @@
 // stream and worker-kill recovery while the stream is live.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "check/digest.h"
 #include "common/metrics.h"
+#include "core/engine.h"
 #include "gofs/checkpoint.h"
 #include "runtime/fault_injector.h"
 #include "stream/ingestor.h"
@@ -99,9 +103,10 @@ TEST(IncrementalSkip, BatchRunsNeverSkip) {
 
 TEST(IncrementalFaultRecovery, KillAtComputeMidStreamRecoversAndMatches) {
   // A worker dies at the compute site while later timesteps are still
-  // streaming in. The rollback replays from the checkpoint; the provider
-  // retains sealed timesteps, so the replayed awaits are re-entrant and
-  // the digest stays byte-identical to the fault-free batch run. The
+  // streaming in. The rollback replays from the checkpoint; re-awaiting a
+  // sealed timestep returns at once and the provider steps its columns
+  // back through its swap log, so the digest stays byte-identical to the
+  // fault-free batch run. The
   // skippable program (meme) recovers too: skipped subgraphs voted halt
   // before the kill, and the replay re-derives the same skips.
   auto& injector = fault::FaultInjector::global();
@@ -125,6 +130,83 @@ TEST(IncrementalFaultRecovery, KillAtComputeMidStreamRecoversAndMatches) {
       injector.disarm();
       EXPECT_EQ(digest, baseline);
     }
+  }
+}
+
+// Outputs every subgraph's sum of its owned edges' latencies at each
+// timestep: any stale or mis-patched instance cell changes a line.
+class LatencySumProgram final : public TiBspProgram {
+ public:
+  void compute(SubgraphContext& ctx) override {
+    if (ctx.superstep() == 0) {
+      const GraphTemplate& tmpl = ctx.graphTemplate();
+      double sum = 0.0;
+      for (const VertexIndex v : ctx.subgraph().vertices) {
+        for (const auto& out : tmpl.outEdges(v)) {
+          sum += ctx.edgeDouble(0, out.edge);
+        }
+      }
+      ctx.output(std::to_string(ctx.timestep()) + "," +
+                 std::to_string(ctx.subgraphId()) + "," + std::to_string(sum));
+    }
+    ctx.voteToHalt();
+  }
+};
+
+std::string latencyDigest(const PartitionedGraph& pg,
+                          InstanceProvider& provider, const TiBspConfig& config) {
+  TiBspEngine engine(pg, provider);
+  auto outputs =
+      engine
+          .run([](PartitionId) { return std::make_unique<LatencySumProgram>(); },
+               config)
+          .outputs;
+  std::sort(outputs.begin(), outputs.end());
+  check::Digest d;
+  d.addStrings(outputs);
+  return d.hex();
+}
+
+TEST(IncrementalFaultRecovery, RollbackAcrossSeveralTimestepsRewindsTheLogs) {
+  // Checkpoints land after timesteps 2 and 5. A kill at timestep 5, before
+  // its checkpoint, rolls back to the one after timestep 2: every partition
+  // already patched its columns to 5 and must step them back to 3, two
+  // timesteps, then forward again.
+  auto tmpl = testing::smallRoad(8, 8);
+  const auto pg = testing::partitionGraph(tmpl, 3);
+  const auto coll = testing::roadCollection(tmpl, 8);
+  TiBspConfig config;
+  config.pattern = Pattern::kIndependent;
+  DirectInstanceProvider direct(pg, coll);
+  const std::string baseline = latencyDigest(pg, direct, config);
+
+  auto& injector = fault::FaultInjector::global();
+  injector.disarm();
+  for (const Schedule schedule : {Schedule::kBsp, Schedule::kAsync}) {
+    SCOPED_TRACE(schedule == Schedule::kBsp ? "bsp" : "async");
+    fault::FaultSpec kill;
+    kill.site = fault::Site::kCompute;
+    kill.action = fault::Action::kKill;
+    kill.partition = 1;
+    kill.timestep = 5;
+    MemoryCheckpointStore store;
+    TiBspConfig streamed = config;
+    streamed.schedule = schedule;
+    streamed.checkpoint_store = &store;
+    streamed.checkpoint_period = 3;
+    stream::StreamPipeline pipeline(pg, coll.numInstances(), coll.t0(),
+                                    coll.delta(), /*queue_capacity=*/2);
+    std::string digest;
+    injector.arm({kill}, 7);
+    const Status ingest = pipeline.run(
+        stream::eventsFromCollection(coll),
+        [&](stream::StreamingInstanceProvider& provider) {
+          streamed.stream = &provider;
+          digest = latencyDigest(pg, provider, streamed);
+        });
+    injector.disarm();
+    EXPECT_TRUE(ingest.isOk());
+    EXPECT_EQ(digest, baseline);
   }
 }
 

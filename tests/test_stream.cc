@@ -1,7 +1,9 @@
 // Streaming front door: property tests (arrival-order independence of the
-// sealed instances), boundary cases of the seal triggers, source behavior
-// (tail, truncation) and fuzzing of the TSEV wire codec. The streamed ==
-// batch algorithm matrix lives in test_incremental.cc.
+// sealed instances), boundary cases of the seal triggers, the provider's
+// swap log read out of order, source behavior (tail, truncation) and
+// fuzzing of the TSEV wire codec. Sealed instances are rebuilt from the
+// provider with stream::assembleInstance. The streamed == batch algorithm
+// matrix lives in test_incremental.cc.
 #include "stream/ingestor.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "graph/collection.h"
@@ -44,13 +47,19 @@ class StreamHarness : public stream::StreamPipeline {
   StreamHarness(const PartitionedGraph& pg, std::size_t planned,
                 std::int64_t t0, std::int64_t delta,
                 std::size_t queue_cap = 2, std::size_t max_staged = 0)
-      : StreamPipeline(pg, planned, t0, delta, queue_cap, max_staged) {}
+      : StreamPipeline(pg, planned, t0, delta, queue_cap, max_staged),
+        pg_(pg) {}
 
   Status run(std::vector<GraphEvent> events, std::int64_t await_delay_us = 0) {
     return StreamPipeline::run(std::move(events), awaitAll(await_delay_us));
   }
   Status run(stream::EventSource& source, std::int64_t await_delay_us = 0) {
     return StreamPipeline::run(source, awaitAll(await_delay_us));
+  }
+
+  // Full instance of sealed timestep t, patched from the provider's logs.
+  GraphInstance assembled(Timestep t) {
+    return stream::assembleInstance(pg_, pg_.graphTemplate(), provider(), t);
   }
 
  private:
@@ -68,6 +77,8 @@ class StreamHarness : public stream::StreamPipeline {
       }
     };
   }
+
+  const PartitionedGraph& pg_;
 };
 
 // Events of one timestep share a timestamp and arrive contiguously from
@@ -133,7 +144,7 @@ TEST(StreamPipeline, ShuffledAndDuplicatedEventsSealIdenticalInstances) {
     EXPECT_EQ(h.ingestor().lateEvents(), 0u);
     for (Timestep t = 0; t < static_cast<Timestep>(coll.numInstances());
          ++t) {
-      EXPECT_EQ(h.provider().sealedInstance(t), coll.instance(t))
+      EXPECT_EQ(h.assembled(t), coll.instance(t))
           << "t=" << t;
     }
     EXPECT_LE(h.queue().maxDepth(), h.queue().capacity());
@@ -161,7 +172,7 @@ TEST(StreamPipeline, EventFileRoundtripMatchesMemoryReplay) {
   ASSERT_TRUE(h.run(source).isOk());
   ASSERT_EQ(h.provider().sealedCount(), coll.numInstances());
   for (Timestep t = 0; t < static_cast<Timestep>(coll.numInstances()); ++t) {
-    EXPECT_EQ(h.provider().sealedInstance(t), coll.instance(t)) << "t=" << t;
+    EXPECT_EQ(h.assembled(t), coll.instance(t)) << "t=" << t;
   }
 }
 
@@ -178,10 +189,10 @@ TEST(StreamPipeline, EmptyTimestepSealsCarriedCopy) {
   ASSERT_TRUE(
       h.run({activeEvent(0, 0, true), activeEvent(25, 1, true)}).isOk());
   ASSERT_EQ(h.provider().sealedCount(), 4u);
-  const auto& i0 = h.provider().sealedInstance(0);
-  const auto& i1 = h.provider().sealedInstance(1);
-  const auto& i2 = h.provider().sealedInstance(2);
-  const auto& i3 = h.provider().sealedInstance(3);
+  const auto i0 = h.assembled(0);
+  const auto i1 = h.assembled(1);
+  const auto i2 = h.assembled(2);
+  const auto i3 = h.assembled(3);
   EXPECT_EQ(i1.timestep(), 1);
   EXPECT_EQ(i1.timestamp(), 10);
   EXPECT_EQ(i1.vertexCol(1), i0.vertexCol(1));  // carried, not zeroed
@@ -197,7 +208,7 @@ TEST(StreamPipeline, SingleEventStream) {
   ASSERT_TRUE(h.run({activeEvent(3, 0, true)}).isOk());
   ASSERT_EQ(h.provider().sealedCount(), 1u);
   EXPECT_EQ(h.ingestor().eventsIngested(), 1u);
-  EXPECT_EQ(h.provider().sealedInstance(0).vertexCol(1).asBool()[0], 1u);
+  EXPECT_EQ(h.assembled(0).vertexCol(1).asBool()[0], 1u);
 }
 
 TEST(StreamPipeline, SizeTriggerSealsExactlyAtThresholdAndRollsForward) {
@@ -212,13 +223,13 @@ TEST(StreamPipeline, SizeTriggerSealsExactlyAtThresholdAndRollsForward) {
                   .isOk());
   ASSERT_EQ(h.provider().sealedCount(), 3u);
   EXPECT_EQ(h.ingestor().lateEvents(), 0u);
-  const auto& i0 = h.provider().sealedInstance(0);
+  const auto i0 = h.assembled(0);
   EXPECT_EQ(i0.vertexCol(1).asBool()[0], 1u);  // sealed with exactly the
   EXPECT_EQ(i0.vertexCol(1).asBool()[1], 1u);  // two threshold cells
-  const auto& i1 = h.provider().sealedInstance(1);
+  const auto i1 = h.assembled(1);
   EXPECT_EQ(i1.vertexCol(1).asBool()[0], 0u);  // straggler rolled forward
   EXPECT_EQ(i1.vertexCol(1).asBool()[1], 1u);
-  EXPECT_EQ(h.provider().sealedInstance(2).vertexCol(1).asBool()[1], 0u);
+  EXPECT_EQ(h.assembled(2).vertexCol(1).asBool()[1], 0u);
 }
 
 TEST(StreamPipeline, WatermarkDropsCrossTimestepStragglers) {
@@ -233,7 +244,7 @@ TEST(StreamPipeline, WatermarkDropsCrossTimestepStragglers) {
   ASSERT_EQ(h.provider().sealedCount(), 3u);
   EXPECT_EQ(h.ingestor().lateEvents(), 1u);
   // The dropped write never lands: vertex 0 stays at its carried value.
-  EXPECT_EQ(h.provider().sealedInstance(2).vertexCol(1).asBool()[0], 1u);
+  EXPECT_EQ(h.assembled(2).vertexCol(1).asBool()[0], 1u);
 }
 
 TEST(StreamPipeline, BackpressureBoundsQueueDepth) {
@@ -292,6 +303,83 @@ TEST(StreamPipeline, DirtyBitmapTracksActualChangesOnly) {
   // timesteps stay conservatively dirty.
   EXPECT_TRUE(h.provider().subgraphDirty(0, changed_sg));
   EXPECT_TRUE(h.provider().subgraphDirty(99, changed_sg));
+}
+
+// --- Delta path: the provider patches live columns in place --------------
+
+// Eight vertices on a directed path with a string-list and a bool vertex
+// attribute and a double edge attribute, over six timesteps. Each timestep
+// rewrites a rotating third of the tweets, flips `active` by parity and, on
+// even timesteps only, rewrites every latency; odd timesteps carry the
+// latencies forward.
+TimeSeriesCollection pathCollection(const GraphTemplatePtr& tmpl) {
+  TimeSeriesCollection coll(tmpl, /*t0=*/0, /*delta=*/10);
+  for (Timestep t = 0; t < 6; ++t) {
+    GraphInstance& inst = coll.appendInstance();
+    auto& tweets = inst.vertexCol(0).asStringList();
+    auto& active = inst.vertexCol(1).asBool();
+    auto& latency = inst.edgeCol(0).asDouble();
+    if (t > 0) {
+      const GraphInstance& prev = coll.instance(t - 1);
+      tweets = prev.vertexCol(0).asStringList();
+      latency = prev.edgeCol(0).asDouble();
+    }
+    const auto step = static_cast<std::uint32_t>(t);
+    for (std::uint32_t v = 0; v < tweets.size(); ++v) {
+      if ((v + step) % 3 == 0) {
+        tweets[v] = {"#t" + std::to_string(t), "#v" + std::to_string(v)};
+      }
+      active[v] = static_cast<std::uint8_t>((v * step) % 2);
+    }
+    if (t % 2 == 0) {
+      for (std::uint32_t e = 0; e < latency.size(); ++e) {
+        latency[e] = 1.0 + e + 0.5 * t;
+      }
+    }
+  }
+  return coll;
+}
+
+TEST(StreamPipeline, OutOfOrderReadsStepTheLogBackAndForth) {
+  GraphTemplateBuilder builder(/*directed=*/true);
+  builder.vertexSchema().add("tweets", AttrType::kStringList);
+  builder.vertexSchema().add("active", AttrType::kBool);
+  builder.edgeSchema().add("latency", AttrType::kDouble);
+  for (VertexId v = 0; v < 8; ++v) {
+    builder.addVertex(v);
+  }
+  for (VertexId v = 0; v + 1 < 8; ++v) {
+    builder.addEdge(v, v, v + 1);
+  }
+  auto tmpl = testing::share(unwrap(builder.build()));
+  const auto pg = partitionGraph(tmpl, 2);
+  // Both partitions own vertex and edge cells, so every change is routed
+  // through both branches of the ingestor into both partitions' logs.
+  for (PartitionId p = 0; p < 2; ++p) {
+    ASSERT_GT(pg.partition(p).numVertices(), 0u);
+    ASSERT_GT(pg.partition(p).numEdges(), 0u);
+  }
+  const auto coll = pathCollection(tmpl);
+  StreamHarness h(pg, coll.numInstances(), coll.t0(), coll.delta());
+  ASSERT_TRUE(h.run(stream::eventsFromCollection(coll)).isOk());
+
+  // Last, first, middle, last again: forward over the whole log, back to
+  // the start, and forward once more, each step swapping every record.
+  const auto last = static_cast<Timestep>(coll.numInstances()) - 1;
+  for (const Timestep t : {last, Timestep{0}, last / 2, last}) {
+    EXPECT_EQ(h.assembled(t), coll.instance(t)) << "t=" << t;
+  }
+}
+
+TEST(StreamPipeline, SealTimeIsRecordedOncePerSeal) {
+  auto tmpl = smallSocial(32);
+  const auto pg = partitionGraph(tmpl, 2);
+  const auto coll = tweetCollection(tmpl, 6);
+  auto& seal_ns = MetricsRegistry::global().histogram("stream.seal_ns");
+  const std::uint64_t before = seal_ns.count();
+  StreamHarness h(pg, coll.numInstances(), coll.t0(), coll.delta());
+  ASSERT_TRUE(h.run(stream::eventsFromCollection(coll)).isOk());
+  EXPECT_EQ(seal_ns.count() - before, h.ingestor().sealedTimesteps());
 }
 
 // --- Wire-format fuzzing -------------------------------------------------
@@ -527,7 +615,7 @@ TEST(StreamSource, FollowModeTailsFramesAppendedByAWriter) {
   ASSERT_TRUE(status.isOk());
   EXPECT_EQ(h.ingestor().eventsIngested(), events.size());
   EXPECT_EQ(h.ingestor().sealedTimesteps(), 3u);
-  EXPECT_EQ(h.provider().sealedInstance(2).vertexCol(1).asBool()[0], 0u);
+  EXPECT_EQ(h.assembled(2).vertexCol(1).asBool()[0], 0u);
 }
 
 }  // namespace

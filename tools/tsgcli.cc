@@ -49,6 +49,7 @@
 #include "stream/ingestor.h"
 #include "stream/replay.h"
 #include "stream/source.h"
+#include "telemetry/proc_stats.h"
 #include "telemetry/run_telemetry.h"
 #include "telemetry/timeline.h"
 
@@ -766,19 +767,22 @@ int cmdAnalyze(const Args& args) {
 // check — BSP protocol checking + determinism harness over an algorithm.
 // ---------------------------------------------------------------------------
 
-// Reassembles the dataset's instances into full-graph form and diffs them
-// into the append-only event stream a live ingestor would have consumed.
-Result<std::vector<stream::GraphEvent>> datasetEvents(const GofsDataset& ds) {
+// Reassembles the dataset's instances into full-graph form one at a time
+// and diffs each against its predecessor into the append-only event stream
+// a live ingestor would have consumed. Two instances are resident at once.
+std::vector<stream::GraphEvent> datasetEvents(const GofsDataset& ds) {
   const auto& pg = ds.partitionedGraph();
   auto provider = ds.makeProvider();
-  TimeSeriesCollection coll(pg.templatePtr(), provider->t0(),
-                            provider->delta());
+  std::vector<stream::GraphEvent> events;
+  GraphInstance prev(pg.graphTemplate(), 0, provider->t0());
   for (Timestep t = 0; t < static_cast<Timestep>(provider->numInstances());
        ++t) {
-    TSG_RETURN_IF_ERROR(coll.appendInstance(
-        stream::assembleInstance(pg, pg.graphTemplate(), *provider, t)));
+    GraphInstance cur =
+        stream::assembleInstance(pg, pg.graphTemplate(), *provider, t);
+    stream::appendInstanceDiff(prev, cur, events);
+    prev = std::move(cur);
   }
-  return stream::eventsFromCollection(coll);
+  return events;
 }
 
 int cmdCheck(const Args& args) {
@@ -810,11 +814,7 @@ int cmdCheck(const Args& args) {
   const bool streamed = args.has("stream");
   std::vector<stream::GraphEvent> events;
   if (streamed) {
-    auto ev = datasetEvents(*cmd.ds);
-    if (!ev.isOk()) {
-      return fail(ev.status());
-    }
-    events = std::move(ev).value();
+    events = datasetEvents(*cmd.ds);
   }
 
   // Protocol checking is on for every harness run; a violation prints its
@@ -927,12 +927,8 @@ int cmdStream(const Args& args) {
     source = std::make_unique<stream::FileTailSource>(events_path,
                                                       args.has("follow"));
   } else {
-    auto replay = datasetEvents(*cmd.ds);
-    if (!replay.isOk()) {
-      return fail(replay.status());
-    }
     auto mem = std::make_unique<stream::MemoryEventSource>();
-    mem->push(std::move(replay).value());
+    mem->push(datasetEvents(*cmd.ds));
     mem->close();
     source = std::move(mem);
   }
@@ -972,6 +968,9 @@ int cmdStream(const Args& args) {
   std::printf("  subgraphs_skipped_incremental: %llu\n",
               static_cast<unsigned long long>(skipped));
   std::printf("  digest: %s\n", digest.c_str());
+  // Read before --verify's batch run, which would otherwise set the peak.
+  std::printf("  peak_rss_mb: %.1f\n",
+              static_cast<double>(readPeakRssBytes()) / (1024.0 * 1024.0));
 
   int rc = 0;
   if (args.has("verify")) {
