@@ -10,6 +10,11 @@ and on (--run, produced with --profile=) and checks:
     subgraphs reproduces the engine meters recorded per superstep
     (subgraphs_computed, messages_sent, bytes_sent) exactly, and inbound
     totals equal outbound totals;
+  * scheduler blame conserves the scheduler meters in the run's `metrics`
+    delta: the per-partition sched_wait_caused_ns sum to
+    cluster.barrier_wait_ns + engine.ready_wait_ns, and steal_victims sum
+    to cluster.steals (an async run steals, so this covers the steal
+    path that small test graphs may never take);
   * sketch sanity: every heavy hitter's error is bounded by its weight and
     by the sketch's total weight;
   * profiler overhead: the wall-clock delta between the two runs must stay
@@ -62,6 +67,12 @@ def partition_attrib_sums(attrib):
     return computes, msgs, bytes_
 
 
+def metric_total(doc, name):
+    """A counter summed over partitions in the run's metrics delta."""
+    return sum(m.get("value", 0) for m in doc.get("metrics", [])
+               if m.get("name") == name)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--base-run", required=True,
@@ -112,6 +123,19 @@ def main():
     if in_bytes != out_bytes:
         errors.append(f"inbound bytes {in_bytes} != outbound {out_bytes}")
 
+    blamed_ns = sum(attrib.get("sched_wait_caused_ns", []))
+    waited_ns = (metric_total(run, "cluster.barrier_wait_ns") +
+                 metric_total(run, "engine.ready_wait_ns"))
+    if blamed_ns != waited_ns:
+        errors.append(
+            f"scheduler blame {blamed_ns} ns != barrier + ready wait "
+            f"{waited_ns} ns in the metrics delta"
+        )
+    victims = sum(attrib.get("steal_victims", []))
+    steals = metric_total(run, "cluster.steals")
+    if victims != steals:
+        errors.append(f"steal victims {victims} != cluster.steals {steals}")
+
     for name, weight_key in (("hot_compute", "sketch_weight_compute"),
                              ("hot_fanout", "sketch_weight_fanout")):
         total = attrib.get(weight_key, 0)
@@ -145,6 +169,8 @@ def main():
             f"exceeds the {args.overhead_floor_ms:.0f} ms noise floor)"
         )
 
+    print(f"scheduler blame: {blamed_ns / 1e6:.1f} ms of wait, "
+          f"{victims} steal victims")
     print(
         f"attribution: {len(attrib.get('subgraphs', []))} subgraphs, "
         f"{attrib.get('num_rows', 0)} rows, "

@@ -1,7 +1,7 @@
 // tsg-layering: the module DAG declared in tools/layers.txt is enforced
 // against the actual #include graph, and the declaration itself must be
-// acyclic. Not suppressible — a back-edge means the dependency gets
-// inverted (see common/prof_hooks.h for the pattern), not waived.
+// acyclic. Not suppressible — a back-edge means the call moves to the
+// layer that may make it, not that the rule is waived.
 //
 // Declaration grammar (one module per line, '#' comments):
 //   <module>: <dep> <dep> ...     may include only itself and <dep>s

@@ -224,7 +224,8 @@ void SubgraphContext::sendToSubgraph(SubgraphId dst, PayloadBuffer payload) {
   ++st.msgs_sent;
   st.bytes_sent += msg.byteSize();
   if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(msg.src, dst, st.timestep, msg.byteSize());
+    Profiler::global().recordSend(st.partition_, msg.src, dst, st.timestep,
+                                  msg.byteSize());
   }
   st.bus_.send(st.partition_, st.pg_.partitionOfSubgraph(dst), std::move(msg));
 }
@@ -249,7 +250,8 @@ void SubgraphContext::sendToSubgraphInNextTimestep(SubgraphId dst,
   ++st.msgs_sent;
   st.bytes_sent += msg.byteSize();
   if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(msg.src, dst, st.timestep, msg.byteSize());
+    Profiler::global().recordSend(st.partition_, msg.src, dst, st.timestep,
+                                  msg.byteSize());
   }
   st.next_msgs.push_back(std::move(msg));
 }
@@ -269,8 +271,8 @@ void SubgraphContext::sendMessageToMerge(PayloadBuffer payload) {
   ++st.msgs_sent;
   st.bytes_sent += msg.byteSize();
   if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(msg.src, msg.dst, st.timestep,
-                                  msg.byteSize());
+    Profiler::global().recordSend(st.partition_, msg.src, msg.dst,
+                                  st.timestep, msg.byteSize());
   }
   st.merge_msgs.push_back(std::move(msg));
 }
@@ -596,6 +598,20 @@ void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
   }
 }
 
+// Profiler blame for a barriered wave: its straggler — the first partition
+// that waited for no one — caused every other partition's barrier wait.
+// Runs in the seal, from the waits the cluster hands WaveDriver/OneWave.
+void chargeBarrierBlame(std::span<const std::int64_t> barrier_wait_ns) {
+  const auto straggler =
+      std::find(barrier_wait_ns.begin(), barrier_wait_ns.end(), 0);
+  if (straggler != barrier_wait_ns.end()) {
+    Profiler::global().recordWaitCaused(
+        static_cast<PartitionId>(straggler - barrier_wait_ns.begin()),
+        std::accumulate(barrier_wait_ns.begin(), barrier_wait_ns.end(),
+                        std::int64_t{0}));
+  }
+}
+
 // Runs one phase through `driver` on the cluster's workers, starting with
 // every partition.
 void runPhase(ExecEnv& env, Cluster::Driver& driver, Cluster::Sync sync) {
@@ -633,6 +649,14 @@ class WaveDriver final : public Cluster::Driver {
   [[nodiscard]] std::int32_t wavesRun() const { return waves_run_; }
 
   void runTask(PartitionId p, const Cluster::TaskInfo& info) override {
+    if (Profiler::enabled()) [[unlikely]] {
+      // A task that ends an all-idle gap left the scheduler starved for its
+      // ready wait; a stolen task marks its home partition as overloaded.
+      Profiler::global().recordWaitCaused(p, info.ready_wait_ns);
+      if (info.stolen) {
+        Profiler::global().recordStealVictim(p);
+      }
+    }
     const std::int64_t cpu_start = threadCpuNowNs();
     runPartitionSuperstep(env_, p, t_, info.wave, phase_);
     timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
@@ -644,6 +668,9 @@ class WaveDriver final : public Cluster::Driver {
     const auto k = static_cast<std::uint32_t>(env_.states.size());
     for (PartitionId p = 0; p < k; ++p) {
       timings_[p].sync_ns += barrier_wait_ns[p];
+    }
+    if (Profiler::enabled()) [[unlikely]] {
+      chargeBarrierBlame(barrier_wait_ns);
     }
     sealSuperstep(env_, t_, s, phase_, timings_);
     std::fill(timings_.begin(), timings_.end(), PartitionTiming{});
@@ -732,6 +759,9 @@ std::vector<PartitionTiming> runBarrierWave(
         std::int32_t, std::span<const std::int64_t> barrier_wait_ns) override {
       for (std::size_t p = 0; p < timings_.size(); ++p) {
         timings_[p].sync_ns = barrier_wait_ns[p];
+      }
+      if (Profiler::enabled()) [[unlikely]] {
+        chargeBarrierBlame(barrier_wait_ns);
       }
       return {};
     }

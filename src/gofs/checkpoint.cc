@@ -155,9 +155,11 @@ Status FileCheckpointStore::save(const Checkpoint& ckpt) {
     return Status::ioError("cannot rename checkpoint pack: " + path);
   }
 
-  // Append the manifest record only after the pack is durably in place, so
-  // a crash between the two leaves at worst an unreferenced pack (harmless)
-  // — never a manifest entry pointing at a missing or partial pack.
+  // Append the manifest record only after the pack is renamed into place,
+  // so a process crash between the two leaves at worst an unreferenced pack
+  // (harmless) — never a manifest entry pointing at a missing or partial
+  // pack. Process-crash consistent; not power-loss durable: nothing here
+  // is fsync'd, so the OS may persist the manifest before the pack.
   BinaryWriter w;
   w.writeI32(ckpt.timestep);
   w.writeU64(pack.size());

@@ -22,6 +22,10 @@
 //                             checksum}; a torn tail or a corrupt pack is
 //                             detected and loadLatest() falls back to the
 //                             newest intact checkpoint with a diagnostic.
+//     The store is process-crash consistent; not power-loss durable (no
+//     fsync): a killed process loses at most the save in progress, but
+//     after a power loss the OS may have persisted the manifest record
+//     without its pack, which loadLatest() then skips as corrupt.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,7 @@
 #include "common/serialize.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "common/prof_hooks.h"
+#include "profile/profiler.h"
 #include "runtime/fault_injector.h"
 
 namespace tsg {
@@ -273,8 +273,8 @@ class GofsInstanceProvider final : public InstanceProvider {
           .set(static_cast<std::int64_t>(state.pack_data.size()));
       registry.gauge("gofs.resident_bytes", static_cast<std::int32_t>(p))
           .set(state.resident_bytes);
-      if (prof::armed()) [[unlikely]] {
-        prof::hooks().resident_slice(
+      if (Profiler::enabled()) [[unlikely]] {
+        Profiler::global().recordResidentSlice(
             p, t, static_cast<std::uint64_t>(state.resident_bytes));
       }
     }

@@ -6,14 +6,19 @@
 // invocations, and outbound message traffic that subgraph caused, plus the
 // resident attribute bytes its slice of the loaded instance occupies. Run
 // totals add inbound traffic per subgraph and the scheduler blame series
-// (barrier/ready wait and steal victimhood per partition).
+// (barrier/ready wait and steal victimhood per partition). The engine
+// charges everything but resident bytes, which the GoFS provider charges
+// on each pack load; profile/profiler.h says who writes which cell.
 //
-// Conservation invariant (asserted in tests/test_profile.cc): summing
-// `computes`, `msgs_out` and `bytes_out` over a partition's subgraphs
-// reproduces the engine meters exactly — the same values RunStats records
-// per superstep and the MetricsRegistry accumulates per partition — because
-// the profiler hooks sit adjacent to the very increments that feed those
-// meters. `compute_ns` is a timed-span measurement (a subset of CPU busy
+// Conservation invariants (asserted in tests/test_profile.cc under both
+// schedules): summing `computes`, `msgs_out` and `bytes_out` over a
+// partition's subgraphs reproduces the engine meters exactly — the same
+// values RunStats records per superstep and the MetricsRegistry
+// accumulates per partition — because the profiler hooks sit adjacent to
+// the very increments that feed those meters. Likewise the blame series
+// sum to the scheduler's meters: Σ sched_wait_caused_ns =
+// cluster.barrier_wait_ns + engine.ready_wait_ns and Σ steal_victims =
+// cluster.steals. `compute_ns` is a timed-span measurement (a subset of CPU busy
 // time), so it is comparable but not bit-identical to busy_ns.
 //
 // Row layout: `num_rows = num_timesteps + 1`; row `t - first_timestep`

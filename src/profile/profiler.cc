@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/prof_hooks.h"
-
 namespace tsg {
 
 std::atomic<bool> Profiler::armed_{false};
@@ -17,31 +15,18 @@ Profiler& Profiler::global() {
 void Profiler::arm(const ProfileOptions& options) {
   options_ = options;
   sample_every_ = std::max<std::uint32_t>(1, options.sample_every);
-  // The scheduler and storage layers sit below profile/ in the module DAG,
-  // so they reach the recorder through the common/prof_hooks table instead
-  // of including this header (see tools/layers.txt).
-  prof::Hooks hooks;
-  hooks.wait_caused = [](std::uint32_t p, std::int64_t ns) {
-    Profiler::global().recordWaitCaused(p, ns);
-  };
-  hooks.steal_victim = [](std::uint32_t p) {
-    Profiler::global().recordStealVictim(p);
-  };
-  hooks.resident_slice = [](std::uint32_t p, std::int32_t t,
-                            std::uint64_t bytes) {
-    Profiler::global().recordResidentSlice(p, t, bytes);
-  };
-  prof::install(hooks);
-  // tsg:mo(gate flag only; hook sites re-check run_active_ with acquire
-  // before touching the grid)
-  armed_.store(true, std::memory_order_relaxed);
+  armed_.store(true, std::memory_order_relaxed);  // tsg:mo(gate flag only; arming publishes no data)
 }
 
 void Profiler::disarm() {
-  prof::uninstall();
-  // tsg:mo(gate flags; no grid state is published by disarming)
-  armed_.store(false, std::memory_order_relaxed);
-  run_active_.store(false, std::memory_order_relaxed);  // tsg:mo(gate flag; teardown publishes nothing here)
+  armed_.store(false, std::memory_order_relaxed);  // tsg:mo(gate flag; disarming publishes nothing)
+  pg_ = nullptr;
+  table_ = AttributionTable{};
+  shards_.clear();
+}
+
+std::size_t Profiler::sketchCapacity() const {
+  return std::max<std::size_t>(8, options_.sketch_capacity);
 }
 
 void Profiler::beginRun(const PartitionedGraph& pg, Timestep first_timestep,
@@ -50,88 +35,55 @@ void Profiler::beginRun(const PartitionedGraph& pg, Timestep first_timestep,
     return;
   }
   pg_ = &pg;
-  first_timestep_ = first_timestep;
-  num_rows_ = std::max<std::int32_t>(0, num_timesteps) + 1;  // + merge row
-  num_subgraphs_ = static_cast<std::uint32_t>(pg.numSubgraphs());
-  cells_ = std::vector<Cell>(static_cast<std::size_t>(num_rows_) *
-                             num_subgraphs_);
-  msgs_in_ = std::vector<std::atomic<std::uint64_t>>(num_subgraphs_);
-  bytes_in_ = std::vector<std::atomic<std::uint64_t>>(num_subgraphs_);
-  wait_caused_ns_ =
-      std::vector<std::atomic<std::int64_t>>(pg.numPartitions());
-  steal_victims_ =
-      std::vector<std::atomic<std::uint64_t>>(pg.numPartitions());
-  shards_.clear();
-  const std::size_t capacity = std::max<std::size_t>(8, options_.sketch_capacity);
-  for (std::uint32_t p = 0; p < pg.numPartitions(); ++p) {
-    shards_.push_back(std::make_unique<SketchShard>(capacity));
-  }
-  run_active_.store(true, std::memory_order_release);  // tsg:mo(release publishes the grid built above to hook threads)
-}
-
-AttributionTable Profiler::take() {
-  AttributionTable table;
-  if (!run_active_.exchange(false, std::memory_order_acq_rel) ||  // tsg:mo(acq_rel closes the gate and orders hook writes before reads)
-      pg_ == nullptr) {
-    return table;
-  }
-  const PartitionedGraph& pg = *pg_;
-  table.num_partitions = pg.numPartitions();
-  table.first_timestep = first_timestep_;
-  table.num_rows = num_rows_;
-  table.sample_every = sample_every_;
-
-  table.subgraphs.resize(num_subgraphs_);
-  for (SubgraphId sg = 0; sg < num_subgraphs_; ++sg) {
+  table_ = AttributionTable{};
+  table_.num_partitions = pg.numPartitions();
+  table_.first_timestep = first_timestep;
+  table_.num_rows = std::max<std::int32_t>(0, num_timesteps) + 1;  // + merge
+  table_.sample_every = sample_every_;
+  const std::size_t num_subgraphs = pg.numSubgraphs();
+  table_.subgraphs.resize(num_subgraphs);
+  for (SubgraphId sg = 0; sg < num_subgraphs; ++sg) {
     const Subgraph& s = pg.subgraph(sg);
-    SubgraphMeta& m = table.subgraphs[sg];
+    SubgraphMeta& m = table_.subgraphs[sg];
     m.id = sg;
     m.partition = s.partition;
     m.vertices = s.numVertices();
     m.local_edges = s.num_local_edges;
     m.remote_edges = s.remote_edges.size();
   }
+  table_.rows.assign(static_cast<std::size_t>(table_.num_rows),
+                     std::vector<SubgraphCosts>(num_subgraphs));
+  shards_.clear();
+  shards_.reserve(pg.numPartitions());
+  for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
+    shards_.emplace_back(num_subgraphs, sketchCapacity());
+  }
+}
 
-  table.rows.resize(static_cast<std::size_t>(num_rows_));
-  for (std::int32_t row = 0; row < num_rows_; ++row) {
-    auto& out = table.rows[static_cast<std::size_t>(row)];
-    out.resize(num_subgraphs_);
-    for (SubgraphId sg = 0; sg < num_subgraphs_; ++sg) {
-      const Cell& c =
-          cells_[static_cast<std::size_t>(row) * num_subgraphs_ + sg];
-      SubgraphCosts& dst = out[sg];
-      dst.compute_ns = c.compute_ns.load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-      dst.computes = c.computes.load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-      dst.msgs_out = c.msgs_out.load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-      dst.bytes_out = c.bytes_out.load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-      dst.resident_bytes = c.resident_bytes.load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
+AttributionTable Profiler::take() {
+  if (pg_ == nullptr) {
+    return {};
+  }
+  const PartitionedGraph& pg = *std::exchange(pg_, nullptr);
+  AttributionTable table = std::exchange(table_, AttributionTable{});
+  const std::vector<Shard> shards = std::exchange(shards_, {});
+
+  const std::size_t num_subgraphs = table.numSubgraphs();
+  table.msgs_in.assign(num_subgraphs, 0);
+  table.bytes_in.assign(num_subgraphs, 0);
+  SpaceSavingSketch compute_sketch(sketchCapacity());
+  SpaceSavingSketch fanout_sketch(sketchCapacity());
+  for (const Shard& shard : shards) {
+    for (std::size_t sg = 0; sg < num_subgraphs; ++sg) {
+      table.msgs_in[sg] += shard.msgs_in[sg];
+      table.bytes_in[sg] += shard.bytes_in[sg];
     }
+    table.sched_wait_caused_ns.push_back(shard.wait_caused_ns);
+    table.steal_victims.push_back(shard.steal_victims);
+    compute_sketch.merge(shard.compute);
+    fanout_sketch.merge(shard.fanout);
   }
 
-  table.msgs_in.resize(num_subgraphs_);
-  table.bytes_in.resize(num_subgraphs_);
-  for (SubgraphId sg = 0; sg < num_subgraphs_; ++sg) {
-    table.msgs_in[sg] = msgs_in_[sg].load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-    table.bytes_in[sg] = bytes_in_[sg].load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-  }
-  table.sched_wait_caused_ns.resize(wait_caused_ns_.size());
-  table.steal_victims.resize(steal_victims_.size());
-  for (std::size_t p = 0; p < wait_caused_ns_.size(); ++p) {
-    table.sched_wait_caused_ns[p] =
-        wait_caused_ns_[p].load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-    table.steal_victims[p] =
-        steal_victims_[p].load(std::memory_order_relaxed);  // tsg:mo(read after take() closed the gate; writers done)
-  }
-
-  const std::size_t capacity =
-      std::max<std::size_t>(8, options_.sketch_capacity);
-  SpaceSavingSketch compute_sketch(capacity);
-  SpaceSavingSketch fanout_sketch(capacity);
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    compute_sketch.merge(shard->compute);
-    fanout_sketch.merge(shard->fanout);
-  }
   const auto to_hot = [&pg](const SpaceSavingSketch::Entry& e) {
     HotVertex h;
     h.vertex = e.key;
@@ -151,68 +103,46 @@ AttributionTable Profiler::take() {
   }
   table.sketch_weight_compute = compute_sketch.totalWeight();
   table.sketch_weight_fanout = fanout_sketch.totalWeight();
-
-  pg_ = nullptr;
-  cells_.clear();
-  msgs_in_.clear();
-  bytes_in_.clear();
-  wait_caused_ns_.clear();
-  steal_victims_.clear();
-  shards_.clear();
   return table;
 }
 
 // tsg:hot — hook fires after every subgraph compute call.
 void Profiler::recordCompute(SubgraphId sg, Timestep t, std::int64_t ns) {
-  if (!run_active_.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with arm()'s release of the grid)
-    return;
+  if (SubgraphCosts* cell = cellAt(rowOf(t), sg)) {
+    cell->compute_ns += ns;
+    ++cell->computes;
   }
-  Cell* cell = cellAt(rowOf(t), sg);
-  if (cell == nullptr) {
-    return;
-  }
-  cell->compute_ns.fetch_add(ns, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
-  cell->computes.fetch_add(1, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
 }
 
 // tsg:hot — hook fires once per message send.
-void Profiler::recordSend(SubgraphId src, SubgraphId dst, Timestep t,
-                          std::uint64_t bytes) {
-  if (!run_active_.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with arm()'s release of the grid)
-    return;
+void Profiler::recordSend(PartitionId p, SubgraphId src, SubgraphId dst,
+                          Timestep t, std::uint64_t bytes) {
+  if (SubgraphCosts* cell = cellAt(rowOf(t), src)) {
+    ++cell->msgs_out;
+    cell->bytes_out += bytes;
   }
-  if (Cell* cell = cellAt(rowOf(t), src)) {
-    cell->msgs_out.fetch_add(1, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
-    cell->bytes_out.fetch_add(bytes, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
-  }
-  if (dst < msgs_in_.size()) {
-    msgs_in_[dst].fetch_add(1, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
-    bytes_in_[dst].fetch_add(bytes, std::memory_order_relaxed);  // tsg:mo(cost tally; reconciled when take() closes the gate)
+  if (p < shards_.size() && dst < shards_[p].msgs_in.size()) {
+    ++shards_[p].msgs_in[dst];
+    shards_[p].bytes_in[dst] += bytes;
   }
 }
 
 void Profiler::recordVertexSample(PartitionId p, VertexIndex vertex,
                                   std::uint64_t ns, std::uint64_t fanout) {
-  if (!run_active_.load(std::memory_order_acquire) || p >= shards_.size()) {  // tsg:mo(acquire pairs with arm()'s release of the grid)
+  if (p >= shards_.size()) {
     return;
   }
   const std::uint64_t scale = sample_every_;
-  SketchShard& shard = *shards_[p];
-  std::lock_guard lock(shard.mutex);
-  shard.compute.offer(vertex, ns * scale);
+  shards_[p].compute.offer(vertex, ns * scale);
   if (fanout > 0) {
-    shard.fanout.offer(vertex, fanout * scale);
+    shards_[p].fanout.offer(vertex, fanout * scale);
   }
 }
 
 void Profiler::recordResidentSlice(PartitionId p, Timestep t,
                                    std::uint64_t bytes) {
-  if (!run_active_.load(std::memory_order_acquire) || pg_ == nullptr ||  // tsg:mo(acquire pairs with arm()'s release of the grid)
-      p >= pg_->numPartitions()) {
-    return;
-  }
   const std::int32_t row = rowOf(t);
-  if (row < 0) {
+  if (pg_ == nullptr || p >= pg_->numPartitions() || row < 0) {
     return;
   }
   const Partition& part = pg_->partition(p);
@@ -221,47 +151,31 @@ void Profiler::recordResidentSlice(PartitionId p, Timestep t,
     return;
   }
   for (const Subgraph& sg : part.subgraphs) {
-    Cell* cell = cellAt(row, sg.id);
-    if (cell == nullptr) {
-      continue;
+    if (SubgraphCosts* cell = cellAt(row, sg.id)) {
+      // An occupancy level, not a flow: the latest load for this row wins.
+      cell->resident_bytes = bytes * sg.numVertices() / part_vertices;
     }
-    const std::uint64_t share =
-        bytes * sg.numVertices() / part_vertices;
-    // An occupancy level, not a flow: the latest load for this row wins.
-    cell->resident_bytes.store(share, std::memory_order_relaxed);  // tsg:mo(occupancy gauge; the latest value wins)
   }
 }
 
 void Profiler::recordWaitCaused(PartitionId p, std::int64_t ns) {
-  if (!run_active_.load(std::memory_order_acquire) ||  // tsg:mo(acquire pairs with arm()'s release of the grid)
-      p >= wait_caused_ns_.size() || ns <= 0) {
-    return;
+  if (p < shards_.size() && ns > 0) {
+    shards_[p].wait_caused_ns += ns;
   }
-  wait_caused_ns_[p].fetch_add(ns, std::memory_order_relaxed);  // tsg:mo(wait tally; reconciled when take() closes the gate)
 }
 
 void Profiler::recordStealVictim(PartitionId p) {
-  if (!run_active_.load(std::memory_order_acquire) ||  // tsg:mo(acquire pairs with arm()'s release of the grid)
-      p >= steal_victims_.size()) {
-    return;
+  if (p < shards_.size()) {
+    ++shards_[p].steal_victims;
   }
-  steal_victims_[p].fetch_add(1, std::memory_order_relaxed);  // tsg:mo(steal tally; reconciled when take() closes the gate)
 }
 
 void Profiler::resetRowsFrom(Timestep t) {
-  if (!run_active_.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with arm()'s release of the grid)
-    return;
-  }
-  const std::int32_t first_row = std::max(0, t - first_timestep_);
-  for (std::int32_t row = first_row; row < num_rows_; ++row) {
-    for (SubgraphId sg = 0; sg < num_subgraphs_; ++sg) {
-      Cell* cell = cellAt(row, sg);
-      cell->compute_ns.store(0, std::memory_order_relaxed);  // tsg:mo(rebaseline reset; the engine is between timesteps)
-      cell->computes.store(0, std::memory_order_relaxed);  // tsg:mo(rebaseline reset; the engine is between timesteps)
-      cell->msgs_out.store(0, std::memory_order_relaxed);  // tsg:mo(rebaseline reset; the engine is between timesteps)
-      cell->bytes_out.store(0, std::memory_order_relaxed);  // tsg:mo(rebaseline reset; the engine is between timesteps)
-      cell->resident_bytes.store(0, std::memory_order_relaxed);  // tsg:mo(rebaseline reset; the engine is between timesteps)
-    }
+  const std::int32_t first_row = std::max(0, t - table_.first_timestep);
+  for (std::int32_t row = first_row; row < table_.num_rows; ++row) {
+    std::fill(table_.rows[static_cast<std::size_t>(row)].begin(),
+              table_.rows[static_cast<std::size_t>(row)].end(),
+              SubgraphCosts{});
   }
 }
 

@@ -4,8 +4,15 @@
 // Cost model mirrors the tracer and the protocol checker: disarmed (the
 // default), every hook call site is one relaxed atomic load plus an
 // untaken branch — no allocation, no locks, nothing observable. Armed, the
-// engines bracket a run with beginRun()/take(); in between, hooks charge
-// costs into a preallocated [row][subgraph] grid of atomic cells.
+// engine brackets a run with beginRun()/take(); in between, hooks charge
+// costs into a preallocated [row][subgraph] grid of plain integers.
+//
+// Who charges what. The subgraph-centric engine (core/engine.cc) is the
+// only caller outside this module and GoFS: it charges compute, sends and
+// scheduler blame, the last from the timings the cluster already hands its
+// wave driver (a task's ready wait and steal flag, a barriered wave's
+// per-partition barrier waits). The GoFS provider charges resident slice
+// bytes on each pack load; the vertex engines feed the vertex sketches.
 //
 // Hook placement contract (the reconciliation invariant depends on it):
 // recordCompute / recordSend calls sit immediately adjacent to the engine
@@ -13,20 +20,22 @@
 // feed SuperstepRecord parts and the per-partition MetricsRegistry
 // counters. Summing the table over a partition's subgraphs therefore
 // reproduces those totals exactly; tests/test_profile.cc asserts it for
-// all nine shipped algorithms.
+// all nine shipped algorithms under both schedules.
 //
-// Concurrency: cells are relaxed atomics because inbound charges
-// (recordSend's destination side) cross partitions, so several partition
-// workers may update one subgraph's cells at once. take() runs after the
-// engine joined its workers, so it reads a quiesced table. Per-vertex
-// sketch offers are serialized by a per-partition mutex taken only on the
-// sampled (every Nth vertex) path.
+// Concurrency: no cell is shared, so none needs an atomic or a lock. Every
+// hook writes only state of the partition whose task is running — its
+// subgraphs' cells, and its own shard (blame, sketches, and the inbound
+// traffic it sent, kept per destination and folded by take()) — or runs in
+// a wave's seal, which is exclusive. A partition's task runs at most once
+// per wave and waves are ordered by the cluster's mutex, so each write
+// happens-before the next one to the same integer. beginRun() and take()
+// run on the coordinator before the cluster starts and after it joins.
+// Outside that window the grid is empty and every hook's bounds check
+// makes it a no-op.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "partition/partitioned_graph.h"
@@ -55,25 +64,29 @@ class Profiler {
   }
 
   // Arms/disarms the profiler process-wide (tsgcli --profile=, benches).
+  // Coordinator-only, never during a run.
   void arm(const ProfileOptions& options);
   void disarm();
   [[nodiscard]] std::uint32_t sampleEvery() const { return sample_every_; }
 
   // Engine lifecycle: beginRun preallocates the [num_timesteps + 1 rows]
   // x [subgraphs] grid (the extra row holds the Merge BSP, stamped
-  // timestep `first + count` like its RunStats records); take() freezes
-  // the table, merges the sketches and ends the recording window. Both run
-  // on the engine's coordinator thread. `pg` must stay alive until take().
+  // timestep `first + count` like its RunStats records); take() folds the
+  // partition shards into the table and empties the grid. Both run on the
+  // engine's coordinator thread. `pg` must stay alive until take().
   void beginRun(const PartitionedGraph& pg, Timestep first_timestep,
                 std::int32_t num_timesteps);
   [[nodiscard]] AttributionTable take();
 
   // --- recording hooks (no-ops unless a run window is open) ---
+  // Each is called by the task of the partition it charges (the owner of
+  // `sg`/`src`, or `p`) or by an exclusive wave seal.
 
   // One program compute invocation on subgraph sg at timestep t.
   void recordCompute(SubgraphId sg, Timestep t, std::int64_t ns);
-  // One message: outbound charged to (src, t), inbound to dst's run total.
-  void recordSend(SubgraphId src, SubgraphId dst, Timestep t,
+  // One message sent by partition p: outbound charged to (src, t), inbound
+  // to dst's run total.
+  void recordSend(PartitionId p, SubgraphId src, SubgraphId dst, Timestep t,
                   std::uint64_t bytes);
   // One sampled vertex compute (vertex-centric engines); `ns` and `fanout`
   // are the raw sampled measurements — the profiler scales by sampleEvery().
@@ -83,8 +96,8 @@ class Profiler {
   // t, distributed across p's subgraphs proportional to vertex count.
   void recordResidentSlice(PartitionId p, Timestep t, std::uint64_t bytes);
   // Scheduler blame: wall-clock other partitions spent waiting because of
-  // p (BSP barrier wait behind the round's straggler; async ready-queue
-  // gap ended by p's task).
+  // p (BSP barrier wait behind the wave's straggler; async ready-queue gap
+  // ended by p's task).
   void recordWaitCaused(PartitionId p, std::int64_t ns);
   // p's task was stolen by another worker (p is the straggling victim).
   void recordStealVictim(PartitionId p);
@@ -98,51 +111,42 @@ class Profiler {
  private:
   Profiler() = default;
 
-  struct Cell {
-    std::atomic<std::int64_t> compute_ns{0};
-    std::atomic<std::uint64_t> computes{0};
-    std::atomic<std::uint64_t> msgs_out{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> resident_bytes{0};
-  };
-  struct SketchShard {
-    std::mutex mutex;
+  // What partition p's task writes outside its subgraphs' cells.
+  struct Shard {
+    std::vector<std::uint64_t> msgs_in;   // [dst subgraph]: sent by p
+    std::vector<std::uint64_t> bytes_in;  // [dst subgraph]
+    std::int64_t wait_caused_ns = 0;
+    std::uint64_t steal_victims = 0;
     SpaceSavingSketch compute;
     SpaceSavingSketch fanout;
-    SketchShard(std::size_t capacity) : compute(capacity), fanout(capacity) {}
+    Shard(std::size_t subgraphs, std::size_t capacity)
+        : msgs_in(subgraphs), bytes_in(subgraphs), compute(capacity),
+          fanout(capacity) {}
   };
 
   // Row index for timestep t, or -1 when outside the run window.
   [[nodiscard]] std::int32_t rowOf(Timestep t) const {
-    const std::int32_t row = t - first_timestep_;
-    return row >= 0 && row < num_rows_ ? row : -1;
+    const std::int32_t row = t - table_.first_timestep;
+    return row >= 0 && row < table_.num_rows ? row : -1;
   }
-  [[nodiscard]] Cell* cellAt(std::int32_t row, SubgraphId sg) {
-    if (row < 0 || sg >= num_subgraphs_) {
+  [[nodiscard]] SubgraphCosts* cellAt(std::int32_t row, SubgraphId sg) {
+    if (row < 0 || sg >= table_.numSubgraphs()) {
       return nullptr;
     }
-    return &cells_[static_cast<std::size_t>(row) * num_subgraphs_ + sg];
+    return &table_.rows[static_cast<std::size_t>(row)][sg];
   }
+  [[nodiscard]] std::size_t sketchCapacity() const;
 
   static std::atomic<bool> armed_;
-
-  // Run-window gate for hooks (beginRun sets, take clears). Separate from
-  // armed_ so scheduler/gofs activity outside a run charges nothing.
-  std::atomic<bool> run_active_{false};
 
   ProfileOptions options_;
   std::uint32_t sample_every_ = 8;
 
+  // The run being recorded; empty (no rows, no shards) outside beginRun ..
+  // take(), which is what makes every hook a no-op there.
   const PartitionedGraph* pg_ = nullptr;
-  Timestep first_timestep_ = 0;
-  std::int32_t num_rows_ = 0;
-  std::uint32_t num_subgraphs_ = 0;
-  std::vector<Cell> cells_;  // [row * num_subgraphs + sg]
-  std::vector<std::atomic<std::uint64_t>> msgs_in_;
-  std::vector<std::atomic<std::uint64_t>> bytes_in_;
-  std::vector<std::atomic<std::int64_t>> wait_caused_ns_;
-  std::vector<std::atomic<std::uint64_t>> steal_victims_;
-  std::vector<std::unique_ptr<SketchShard>> shards_;  // per partition
+  AttributionTable table_;
+  std::vector<Shard> shards_;  // per partition
 };
 
 }  // namespace tsg

@@ -11,8 +11,8 @@
 //   * error <= W / k, so any key whose true weight exceeds W / k is
 //     guaranteed to be monitored (asserted in tests/test_profile.cc).
 //
-// Not thread-safe; the Profiler serializes offers behind a per-partition
-// mutex taken only on the sampled (every Nth vertex) path.
+// Not thread-safe; the Profiler keeps one sketch pair per partition,
+// offered to only by that partition's task, and merges them at take().
 #pragma once
 
 #include <algorithm>

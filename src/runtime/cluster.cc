@@ -8,7 +8,6 @@
 
 #include "common/metrics.h"
 #include "common/perturb.h"
-#include "common/prof_hooks.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -135,10 +134,10 @@ bool Cluster::drainFaultsLocked(std::string& detail) {
 }
 
 void Cluster::meterBarrier() {
-  // The slowest task's end is the barrier instant; it is the wave's
-  // straggler, and every other partition's wait traces back to it.
-  const auto straggler_it = std::max_element(end_ns_.begin(), end_ns_.end());
-  const std::int64_t barrier = *straggler_it;
+  // The slowest task's end is the barrier instant: every other
+  // partition's wait runs from its own end to there.
+  const std::int64_t barrier =
+      *std::max_element(end_ns_.begin(), end_ns_.end());
   std::int64_t total = 0;
   for (std::size_t p = 0; p < end_ns_.size(); ++p) {
     barrier_wait_ns_[p] = end_ns_[p] < 0 ? 0 : barrier - end_ns_[p];
@@ -147,10 +146,6 @@ void Cluster::meterBarrier() {
   }
   m_rounds_.increment();
   m_barrier_wait_ns_.add(static_cast<std::uint64_t>(total));
-  if (prof::armed()) [[unlikely]] {
-    prof::hooks().wait_caused(
-        static_cast<PartitionId>(straggler_it - end_ns_.begin()), total);
-  }
 }
 
 void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
@@ -263,16 +258,6 @@ void Cluster::workerLoop(PartitionId p) {
           info.ready_wait_ns > 0 ? info.ready_wait_ns : 0));
       if (info.stolen) {
         m_steals_.increment();
-      }
-      if (prof::armed()) [[unlikely]] {
-        // The task that ends an all-idle gap left the scheduler starved
-        // for that long; a steal marks its home partition as overloaded.
-        if (info.ready_wait_ns > 0) {
-          prof::hooks().wait_caused(task.partition, info.ready_wait_ns);
-        }
-        if (info.stolen) {
-          prof::hooks().steal_victim(task.partition);
-        }
       }
     }
     // Perturb the pickup (before the task's CPU metering starts) and the

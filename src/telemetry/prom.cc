@@ -190,14 +190,15 @@ void PromHttpListener::stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  // Closing the listening socket unblocks accept() with an error, which the
-  // loop reads as shutdown.
+  // Shutting the listening socket down unblocks accept() with an error,
+  // which the loop reads as shutdown. The descriptor is closed and cleared
+  // only after the join: the accept thread reads it until it exits.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   if (thread_.joinable()) {
     thread_.join();
   }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   port_ = 0;
 }
 

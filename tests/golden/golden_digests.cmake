@@ -23,8 +23,10 @@
 # with a worker killed mid-run recovers to the committed digest under both
 # schedules, that an algorithm without a timestep loop (sssp-vertex) is
 # refused by `stream` but runs batch under `check --stream`, that
-# `analyze --attrib` rejects a malformed attribution block with exit 2, and
-# that a malformed TSG_INJECT or TSG_INJECT_SEED exits 2 naming the value.
+# `analyze --attrib` rejects a malformed attribution block with exit 2,
+# that an out-of-range --profile= or --profile-sample= exits 2 naming the
+# flag, and that a malformed TSG_INJECT or TSG_INJECT_SEED exits 2 naming
+# the value.
 
 foreach(var TSGCLI GOLDEN COUNTS WORK_DIR)
   if(NOT DEFINED ${var})
@@ -170,6 +172,30 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "num_rows")
     "expected 2 naming num_rows:\n${err}")
 endif()
 message(STATUS "analyze --attrib rejects a malformed attribution block")
+
+# The profiler flags are range-checked like every numeric flag: an
+# out-of-range value exits 2 naming the flag instead of silently arming the
+# default (or, past 2^32, a truncated) setting. The bare flag still arms it.
+foreach(flag --profile=0 --profile=-5 --profile-sample=0 --profile-sample=-3
+        --profile-sample=4294967297)
+  execute_process(
+    COMMAND "${TSGCLI}" meme "${WORK_DIR}/social" "${flag}"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag} is out of range")
+    message(FATAL_ERROR
+      "meme ${flag} exited ${rc}, expected 2 naming the flag:\n${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${TSGCLI}" meme "${WORK_DIR}/social" --profile
+          "--json=${WORK_DIR}/profiled_bare.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "meme --profile failed (${rc}): ${err}")
+endif()
+file(READ "${WORK_DIR}/profiled_bare.json" doc)
+string(JSON rows GET "${doc}" attribution num_rows)
+message(STATUS "out-of-range profiler flags exit 2; bare --profile arms it")
 
 # The environment's fault plan gets the same validation as --inject: a
 # typo is a usage error (exit 2 naming the bad value), not an abort, and

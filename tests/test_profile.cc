@@ -13,6 +13,7 @@
 #include "algorithms/tdsp.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "gofs/dataset.h"
 #include "gofs/instance_provider.h"
 #include "metrics/analysis.h"
 #include "metrics/report.h"
@@ -20,6 +21,7 @@
 #include "metrics/attribution.h"
 #include "profile/profiler.h"
 #include "profile/sketch.h"
+#include "runtime/fault_injector.h"
 #include "test_util.h"
 
 namespace tsg {
@@ -396,11 +398,39 @@ void expectReconciles(const RunStats& stats) {
   EXPECT_EQ(in_bytes, out_bytes);
 }
 
-void expectAttributionReconciles(const AlgorithmEntry& entry) {
+// Scheduler blame conserves the scheduler's own meters: every nanosecond
+// of barrier and ready wait is charged to exactly one partition, and every
+// steal to exactly one victim. A barrier never steals.
+void expectBlameReconciles(const RunStats& stats, Schedule schedule) {
+  const AttributionTable& a = stats.attribution();
+  std::int64_t blamed_ns = 0;
+  for (const std::int64_t ns : a.sched_wait_caused_ns) {
+    blamed_ns += ns;
+  }
+  std::int64_t victims = 0;
+  for (const std::uint64_t n : a.steal_victims) {
+    victims += static_cast<std::int64_t>(n);
+  }
+  EXPECT_EQ(blamed_ns,
+            testing::metricTotal(stats, "cluster.barrier_wait_ns") +
+                testing::metricTotal(stats, "engine.ready_wait_ns"));
+  const std::int64_t steals = testing::metricTotal(stats, "cluster.steals");
+  EXPECT_EQ(victims, steals);
+  if (schedule == Schedule::kBsp) {
+    EXPECT_EQ(steals, 0);
+    EXPECT_EQ(victims, 0);
+  }
+}
+
+void expectAttributionReconcilesUnder(const AlgorithmEntry& entry,
+                                      Schedule schedule) {
   const testing::AlgoEnv env = testing::envFor(entry);
   ArmedProfiler armed;
-  const AlgorithmRun run = env.run(entry);
+  AlgorithmRequest request;
+  request.schedule = schedule;
+  const AlgorithmRun run = env.run(entry, request);
   expectReconciles(run.stats);
+  expectBlameReconciles(run.stats, schedule);
   if (entry.has_timestep_loop) {
     return;
   }
@@ -420,7 +450,13 @@ void expectAttributionReconciles(const AlgorithmEntry& entry) {
 }
 
 const bool kProfileReconciliation = testing::registerPerAlgorithm(
-    "ProfileReconciliation", "", &expectAttributionReconciles);
+    "ProfileReconciliation", "", [](const AlgorithmEntry& entry) {
+      expectAttributionReconcilesUnder(entry, Schedule::kBsp);
+    });
+const bool kProfileReconciliationAsync = testing::registerPerAlgorithm(
+    "ProfileReconciliation", "Async", [](const AlgorithmEntry& entry) {
+      expectAttributionReconcilesUnder(entry, Schedule::kAsync);
+    });
 
 // --- Lifecycle -----------------------------------------------------------
 
@@ -436,7 +472,7 @@ TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
   ArmedProfiler armed;
   // Armed but no beginRun(): every hook must be a harmless no-op.
   Profiler::global().recordCompute(0, 0, 100);
-  Profiler::global().recordSend(0, 1, 0, 8);
+  Profiler::global().recordSend(0, 0, 1, 0, 8);
   Profiler::global().recordVertexSample(0, 3, 50, 2);
   Profiler::global().recordResidentSlice(0, 0, 4096);
   Profiler::global().recordWaitCaused(0, 10);
@@ -444,6 +480,87 @@ TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
   Profiler::global().resetRowsFrom(0);
   const AttributionTable t = Profiler::global().take();
   EXPECT_TRUE(t.empty());
+}
+
+// A barriered wave's wait is blamed on its straggler: with partition 1
+// sleeping in every compute superstep, most of the run's barrier wait
+// lands on it.
+TEST(Profiler, BarrierBlameLandsOnTheStraggler) {
+  const AlgorithmEntry& tdsp = testing::algorithm("tdsp");
+  const testing::AlgoEnv env = testing::envFor(tdsp);
+  auto& injector = fault::FaultInjector::global();
+  injector.arm(unwrap(fault::parseFaultPlan("delay@compute:p1:x1000:d3000")),
+               7);
+  const AlgorithmRun run = [&] {
+    ArmedProfiler armed;
+    return env.run(tdsp);
+  }();
+  injector.disarm();
+  ASSERT_TRUE(run.stats.hasAttribution());
+  const auto& blame = run.stats.attribution().sched_wait_caused_ns;
+  ASSERT_EQ(blame.size(), 3u);
+  EXPECT_GT(blame[1], blame[0] + blame[2]);
+}
+
+// GoFS charges a partition's resident slice bytes on every pack load, and
+// only then: each pack-load row holds the partition's resident bytes split
+// across its subgraphs by vertex share (floor division), and the rows that
+// reuse a cached pack hold none.
+TEST(Profiler, GofsPackLoadsChargeResidentBytes) {
+  testing::TempDir tmp("tsg_profile_gofs");
+  auto tmpl = testing::smallRoad(8, 8);
+  const auto written = testing::partitionGraph(tmpl, 3);
+  const auto coll = testing::roadCollection(tmpl, 12);
+  GofsOptions gofs;
+  gofs.temporal_packing = 3;
+  ASSERT_TRUE(
+      writeGofsDataset(tmp.path(), "road", written, coll, gofs).isOk());
+  const auto ds = unwrap(GofsDataset::open(tmp.path()));
+  const PartitionedGraph& pg = ds.partitionedGraph();
+  const auto provider = ds.makeProvider();
+  TdspOptions options;
+  options.source = 0;
+  options.latency_attr = 0;
+  options.while_mode = false;
+  const TdspRun run = [&] {
+    ArmedProfiler armed;
+    return runTdsp(pg, *provider, options);
+  }();
+  const RunStats& stats = run.exec.stats;
+  ASSERT_TRUE(stats.hasAttribution());
+  const AttributionTable& a = stats.attribution();
+  ASSERT_EQ(a.num_rows, 13);
+  std::int32_t last_load_row = -1;
+  for (std::int32_t row = 0; row < a.num_rows; ++row) {
+    std::uint64_t resident = 0;
+    for (const SubgraphCosts& c : a.rows[static_cast<std::size_t>(row)]) {
+      resident += c.resident_bytes;
+    }
+    const bool pack_load = row < 12 && row % 3 == 0;
+    EXPECT_EQ(resident > 0, pack_load) << "row " << row;
+    if (pack_load) {
+      last_load_row = row;
+    }
+  }
+  ASSERT_EQ(last_load_row, 9);
+  for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
+    std::int64_t gauge = -1;
+    for (const auto& point : stats.metrics()) {
+      if (point.name == "gofs.resident_bytes" &&
+          point.partition == static_cast<std::int32_t>(p)) {
+        gauge = point.value;
+      }
+    }
+    ASSERT_GT(gauge, 0) << "partition " << p;
+    const Partition& part = pg.partition(p);
+    for (const Subgraph& sg : part.subgraphs) {
+      EXPECT_EQ(a.rows[static_cast<std::size_t>(last_load_row)][sg.id]
+                    .resident_bytes,
+                static_cast<std::uint64_t>(gauge) * sg.numVertices() /
+                    part.numVertices())
+          << "partition " << p << " subgraph " << sg.id;
+    }
+  }
 }
 
 // Attribution survives the full RunStats JSON round trip (what `tsgcli

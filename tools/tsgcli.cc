@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -72,9 +73,11 @@ struct Args {
                                 const std::string& fallback) const {
     return flags.get(key, fallback);
   }
-  [[nodiscard]] std::int64_t getInt(const std::string& key,
-                                    std::int64_t fallback) const {
-    return valueOr(flags.getInt(key, fallback), fallback);
+  [[nodiscard]] std::int64_t getInt(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const {
+    return valueOr(flags.getInt(key, fallback, min, max), fallback);
   }
   [[nodiscard]] double getDouble(const std::string& key,
                                  double fallback) const {
@@ -117,6 +120,9 @@ Args parseArgs(int argc, char** argv) {
   }
   return args;
 }
+
+// --profile=TOPK's ceiling: the sketches preallocate TOPK entries each.
+constexpr std::int64_t kMaxProfileTopK = std::int64_t{1} << 20;
 
 int usage() {
   std::fputs(
@@ -177,9 +183,9 @@ int usage() {
       "                        work stealing (async; identical output)\n"
       "  --profile[=TOPK]   arm the cost-attribution profiler (per-subgraph\n"
       "                     accounting + top-K heavy-hitter sketches;\n"
-      "                     TOPK defaults to 64)\n"
+      "                     TOPK in [1, 1048576], default 64)\n"
       "  --profile-sample=N time every Nth vertex in the vertex-centric\n"
-      "                     engines (default 8; implies --profile)\n"
+      "                     engines (N >= 1, default 8; implies --profile)\n"
       "all commands take:\n"
       "  --log-level=debug|info|warn|error (overrides TSG_LOG_LEVEL)\n"
       "  --inject=PLAN  arm the fault injector, e.g.\n"
@@ -262,9 +268,9 @@ void printFaultSummary(const RunStats& stats) {
   }
 }
 
-// Short attribution footer for run commands (full report: analyze --attrib):
-// the heaviest subgraphs by attributed compute, plus the scheduler blame
-// line when any wait was charged.
+// Short attribution footer for run commands: the heaviest subgraphs by
+// attributed compute. Scheduler blame, the per-timestep skew and the
+// placement advice are in the full report, `analyze RUN.json --attrib`.
 void printAttributionSummary(const RunStats& stats) {
   if (!stats.hasAttribution() || stats.attribution().empty()) {
     return;
@@ -1244,15 +1250,18 @@ int main(int argc, char** argv) {
   }
   // Cost-attribution profiler: armed process-wide before any engine runs;
   // the engines attach the table to RunStats and the footers render it.
+  // A bare --profile reads as 1 and keeps the default capacity.
   if (args.has("profile") || args.has("profile-sample")) {
     ProfileOptions profile_options;
-    const std::int64_t topk = args.getInt("profile", 0);
+    const std::int64_t topk = args.getInt("profile", 1, 1, kMaxProfileTopK);
     if (topk > 1) {
       profile_options.sketch_capacity = static_cast<std::size_t>(topk);
     }
-    const std::int64_t sample = args.getInt("profile-sample", 0);
-    if (sample > 0) {
-      profile_options.sample_every = static_cast<std::uint32_t>(sample);
+    profile_options.sample_every = static_cast<std::uint32_t>(
+        args.getInt("profile-sample", profile_options.sample_every, 1,
+                    std::numeric_limits<std::uint32_t>::max()));
+    if (!args.flagError().isOk()) {
+      return failArgs(args.flagError());
     }
     Profiler::global().arm(profile_options);
   }
