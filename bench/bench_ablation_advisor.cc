@@ -18,7 +18,6 @@
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "generators/topology.h"
-#include "metrics/analysis.h"
 #include "partition/partitioner.h"
 #include "profile/advisor.h"
 #include "profile/profiler.h"
@@ -95,8 +94,8 @@ int main(int argc, char** argv) {
 
   const auto before = observe(pg, collection, latency_attr);
 
-  const auto analysis = analyzeCriticalPath(before.stats);
-  const auto report = advisePartitioning(before.attrib, &analysis);
+  const auto report =
+      advisePartitioning(before.attrib, before.stats.partitionUtilization());
 
   // Replay: rebuild the decomposition from the suggested assignment.
   const PartitionAssignment replay = advisedAssignment(pg, report);

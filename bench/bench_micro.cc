@@ -8,7 +8,6 @@
 
 #include <filesystem>
 #include <numeric>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -342,9 +341,8 @@ class EmptyWaves final : public Cluster::Driver {
     std::iota(all_.begin(), all_.end(), PartitionId{0});
   }
   void runTask(PartitionId, const Cluster::TaskInfo&) override {}
-  std::vector<PartitionId> sealWave(std::int32_t wave,
-                                    std::span<const std::int64_t>) override {
-    return wave + 1 < waves_ ? all_ : std::vector<PartitionId>{};
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
+    return seal.wave + 1 < waves_ ? all_ : std::vector<PartitionId>{};
   }
   void runPhase(Cluster& cluster) {
     cluster.runWaves(*this, all_, Cluster::Sync::kBarrier);

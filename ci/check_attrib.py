@@ -10,11 +10,11 @@ and on (--run, produced with --profile=) and checks:
     subgraphs reproduces the engine meters recorded per superstep
     (subgraphs_computed, messages_sent, bytes_sent) exactly, and inbound
     totals equal outbound totals;
-  * scheduler blame conserves the scheduler meters in the run's `metrics`
-    delta: the per-partition sched_wait_caused_ns sum to
-    cluster.barrier_wait_ns + engine.ready_wait_ns, and steal_victims sum
-    to cluster.steals (an async run steals, so this covers the steal
-    path that small test graphs may never take);
+  * the measured wait blame in the superstep records conserves the
+    scheduler meters in the run's `metrics` delta: the parts'
+    wait_caused_ns sum to cluster.barrier_wait_ns + engine.ready_wait_ns
+    + cluster.seal_wait_ns, and their `stolen` flags sum to cluster.steals (an async run steals,
+    so this covers the steal path that small test graphs may never take);
   * sketch sanity: every heavy hitter's error is bounded by its weight and
     by the sketch's total weight;
   * profiler overhead: the wall-clock delta between the two runs must stay
@@ -30,7 +30,8 @@ import argparse
 import json
 import sys
 
-SUPPORTED_SCHEMA = 1
+RUN_SCHEMA = 2  # runStatsToJson's schema_version
+SUPPORTED_SCHEMA = 2  # the attribution block's schema_version
 
 
 def partition_meter_sums(doc, num_partitions):
@@ -46,6 +47,17 @@ def partition_meter_sums(doc, num_partitions):
             msgs[p] += part.get("messages_sent", 0)
             bytes_[p] += part.get("bytes_sent", 0)
     return computes, msgs, bytes_
+
+
+def blame_totals(doc):
+    """Run totals of (wait caused ns, stolen tasks) over the records' parts."""
+    caused = 0
+    stolen = 0
+    for rec in doc.get("supersteps", []):
+        for part in rec.get("parts", []):
+            caused += part["wait_caused_ns"]
+            stolen += part["stolen"]
+    return caused, stolen
 
 
 def partition_attrib_sums(attrib):
@@ -91,6 +103,10 @@ def main():
 
     errors = []
 
+    if run.get("schema_version") != RUN_SCHEMA:
+        print(f"check_attrib: FAIL: run schema_version "
+              f"{run.get('schema_version')} != {RUN_SCHEMA}")
+        return 1
     attrib = run.get("attribution")
     if attrib is None:
         print("check_attrib: FAIL: profiler-on run has no attribution block")
@@ -123,18 +139,19 @@ def main():
     if in_bytes != out_bytes:
         errors.append(f"inbound bytes {in_bytes} != outbound {out_bytes}")
 
-    blamed_ns = sum(attrib.get("sched_wait_caused_ns", []))
+    blamed_ns, victims = blame_totals(run)
     waited_ns = (metric_total(run, "cluster.barrier_wait_ns") +
-                 metric_total(run, "engine.ready_wait_ns"))
+                 metric_total(run, "engine.ready_wait_ns") +
+                 metric_total(run, "cluster.seal_wait_ns"))
     if blamed_ns != waited_ns:
         errors.append(
-            f"scheduler blame {blamed_ns} ns != barrier + ready wait "
-            f"{waited_ns} ns in the metrics delta"
+            f"wait caused {blamed_ns} ns in the records != barrier + ready "
+            f"+ seal wait {waited_ns} ns in the metrics delta"
         )
-    victims = sum(attrib.get("steal_victims", []))
     steals = metric_total(run, "cluster.steals")
     if victims != steals:
-        errors.append(f"steal victims {victims} != cluster.steals {steals}")
+        errors.append(f"stolen tasks {victims} in the records != "
+                      f"cluster.steals {steals}")
 
     for name, weight_key in (("hot_compute", "sketch_weight_compute"),
                              ("hot_fanout", "sketch_weight_fanout")):
@@ -169,8 +186,8 @@ def main():
             f"exceeds the {args.overhead_floor_ms:.0f} ms noise floor)"
         )
 
-    print(f"scheduler blame: {blamed_ns / 1e6:.1f} ms of wait, "
-          f"{victims} steal victims")
+    print(f"measured blame: {blamed_ns / 1e6:.1f} ms of wait caused, "
+          f"{victims} stolen tasks")
     print(
         f"attribution: {len(attrib.get('subgraphs', []))} subgraphs, "
         f"{attrib.get('num_rows', 0)} rows, "

@@ -15,7 +15,6 @@
 #include "algorithms/wcc.h"
 #include "generators/topology.h"
 #include "gofs/instance_provider.h"
-#include "metrics/analysis.h"
 #include "partition/partitioner.h"
 #include "profile/advisor.h"
 #include "profile/profiler.h"
@@ -105,9 +104,8 @@ int main() {
   if (!pr.exec.stats.hasAttribution()) {
     return 1;
   }
-  const auto analysis = analyzeCriticalPath(pr.exec.stats);
-  const auto advice =
-      advisePartitioning(pr.exec.stats.attribution(), &analysis);
+  const auto advice = advisePartitioning(
+      pr.exec.stats.attribution(), pr.exec.stats.partitionUtilization());
   std::fputs(renderAdvisorReport(advice).c_str(), stdout);
   const double cut_before =
       evaluatePartition(*tmpl, pg.assignment(), 4).cut_fraction;

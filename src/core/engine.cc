@@ -312,11 +312,14 @@ namespace {
 
 // One partition's share of a wave: the CPU time its task consumed (workers
 // share cores; wall time would charge a worker for time spent descheduled
-// while peers ran) and its wait at the seal — barrier wait under BSP, ready
-// wait for an async superstep.
+// while peers ran), its wait — barrier wait under BSP, ready wait plus
+// seal wait for an async superstep — and the wait it caused (see
+// PartitionSuperstepStats::wait_caused_ns) and whether its task was stolen.
 struct PartitionTiming {
   std::int64_t busy_ns = 0;
   std::int64_t sync_ns = 0;
+  std::int64_t wait_caused_ns = 0;
+  std::uint64_t stolen = 0;
 };
 
 void routeBySubgraphPartition(const PartitionedGraph& pg,
@@ -376,6 +379,8 @@ void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
   ps.compute_ns =
       std::max<std::int64_t>(0, timing.busy_ns - ps.send_ns - ps.load_ns);
   ps.sync_ns = timing.sync_ns;
+  ps.wait_caused_ns = timing.wait_caused_ns;
+  ps.stolen = timing.stolen;
   ps.messages_sent = std::exchange(st.msgs_sent, 0);
   ps.bytes_sent = std::exchange(st.bytes_sent, 0);
   ps.subgraphs_computed = std::exchange(st.subgraphs_computed, 0);
@@ -598,17 +603,20 @@ void warnSuperstepCap(Timestep t, std::int32_t s, ExecPhase phase) {
   }
 }
 
-// Profiler blame for a barriered wave: its straggler — the first partition
-// that waited for no one — caused every other partition's barrier wait.
-// Runs in the seal, from the waits the cluster hands WaveDriver/OneWave.
-void chargeBarrierBlame(std::span<const std::int64_t> barrier_wait_ns) {
-  const auto straggler =
-      std::find(barrier_wait_ns.begin(), barrier_wait_ns.end(), 0);
-  if (straggler != barrier_wait_ns.end()) {
-    Profiler::global().recordWaitCaused(
-        static_cast<PartitionId>(straggler - barrier_wait_ns.begin()),
-        std::accumulate(barrier_wait_ns.begin(), barrier_wait_ns.end(),
-                        std::int64_t{0}));
+// Books a sealed wave's waits: each worker's own wait (barrier wait, or an
+// async wave's seal wait) into its partition's sync_ns, and the sum of
+// all of them as wait caused by the straggler — the partition whose task
+// ended last. Runs in the seal, from what the cluster hands
+// WaveDriver/OneWave.
+void chargeSealWaits(const Cluster::Seal& seal,
+                     std::vector<PartitionTiming>& timings) {
+  std::int64_t total = 0;
+  for (std::size_t p = 0; p < timings.size(); ++p) {
+    timings[p].sync_ns += seal.wait_ns[p];
+    total += seal.wait_ns[p];
+  }
+  if (seal.straggler < timings.size()) {
+    timings[seal.straggler].wait_caused_ns += total;
   }
 }
 
@@ -649,29 +657,21 @@ class WaveDriver final : public Cluster::Driver {
   [[nodiscard]] std::int32_t wavesRun() const { return waves_run_; }
 
   void runTask(PartitionId p, const Cluster::TaskInfo& info) override {
-    if (Profiler::enabled()) [[unlikely]] {
-      // A task that ends an all-idle gap left the scheduler starved for its
-      // ready wait; a stolen task marks its home partition as overloaded.
-      Profiler::global().recordWaitCaused(p, info.ready_wait_ns);
-      if (info.stolen) {
-        Profiler::global().recordStealVictim(p);
-      }
-    }
     const std::int64_t cpu_start = threadCpuNowNs();
     runPartitionSuperstep(env_, p, t_, info.wave, phase_);
-    timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
-    timings_[p].sync_ns = info.ready_wait_ns;
+    auto& timing = timings_[p];
+    timing.busy_ns = threadCpuNowNs() - cpu_start;
+    timing.sync_ns = info.ready_wait_ns;
+    // A task that ends an all-idle gap left the scheduler starved for its
+    // ready wait; a stolen task marks its home partition as overloaded.
+    timing.wait_caused_ns = std::max<std::int64_t>(0, info.ready_wait_ns);
+    timing.stolen = info.stolen ? 1 : 0;
   }
 
-  std::vector<PartitionId> sealWave(
-      std::int32_t s, std::span<const std::int64_t> barrier_wait_ns) override {
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
     const auto k = static_cast<std::uint32_t>(env_.states.size());
-    for (PartitionId p = 0; p < k; ++p) {
-      timings_[p].sync_ns += barrier_wait_ns[p];
-    }
-    if (Profiler::enabled()) [[unlikely]] {
-      chargeBarrierBlame(barrier_wait_ns);
-    }
+    const std::int32_t s = seal.wave;
+    chargeSealWaits(seal, timings_);
     sealSuperstep(env_, t_, s, phase_, timings_);
     std::fill(timings_.begin(), timings_.end(), PartitionTiming{});
     waves_run_ = s + 1;
@@ -742,8 +742,8 @@ std::int32_t runSupersteps(ExecEnv& env, Timestep t, ExecPhase phase) {
 
 // A one-wave barriered phase under either schedule — end-of-timestep and
 // maintenance: `job` runs once on every partition, all partitions take
-// part regardless of halt state. Returns each partition's CPU busy time
-// and barrier wait.
+// part regardless of halt state. Returns each partition's CPU busy time,
+// barrier wait and caused wait.
 std::vector<PartitionTiming> runBarrierWave(
     ExecEnv& env, const std::function<void(PartitionId)>& job) {
   class OneWave final : public Cluster::Driver {
@@ -755,14 +755,8 @@ std::vector<PartitionTiming> runBarrierWave(
       job_(p);
       timings_[p].busy_ns = threadCpuNowNs() - cpu_start;
     }
-    std::vector<PartitionId> sealWave(
-        std::int32_t, std::span<const std::int64_t> barrier_wait_ns) override {
-      for (std::size_t p = 0; p < timings_.size(); ++p) {
-        timings_[p].sync_ns = barrier_wait_ns[p];
-      }
-      if (Profiler::enabled()) [[unlikely]] {
-        chargeBarrierBlame(barrier_wait_ns);
-      }
+    std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
+      chargeSealWaits(seal, timings_);
       return {};
     }
     const std::function<void(PartitionId)>& job_;
@@ -881,6 +875,7 @@ void runMaintenance(ExecEnv& env, Timestep t) {
   for (PartitionId p = 0; p < k; ++p) {
     rec.parts[p].compute_ns = timings[p].busy_ns;
     rec.parts[p].sync_ns = timings[p].sync_ns;
+    rec.parts[p].wait_caused_ns = timings[p].wait_caused_ns;
   }
   commitRecord(env, std::move(rec), t);
 }

@@ -1,12 +1,16 @@
 // InstanceProvider — the runtime's source of per-partition instance data.
 //
 // A TI-BSP worker for partition p asks for the attribute values of its own
-// vertices/edges at timestep t. Two implementations exist:
+// vertices/edges at timestep t. Three implementations serve instances:
 //  * DirectInstanceProvider — wraps an in-memory TimeSeriesCollection
 //    (everything resident; no load spikes).
 //  * GofsInstanceProvider (gofs/dataset.h) — lazily loads slice files with
 //    temporal packing, reproducing the paper's every-10th-timestep load
 //    spikes (Fig. 6).
+//  * StreamingInstanceProvider (stream/ingestor.h) — serves timesteps as
+//    the ingest pipeline seals them, patching each partition's live
+//    columns through a swap log.
+// (The vertex-centric engine's EmptyInstanceProvider serves no values.)
 //
 // Threading contract: instanceFor(p, t) is only ever called by the worker
 // thread of partition p; implementations keep per-partition state with no

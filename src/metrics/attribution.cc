@@ -179,10 +179,6 @@ void attributionToJson(JsonWriter& w, const AttributionTable& table) {
   writeNumberArray(w, table.msgs_in);
   w.key("bytes_in");
   writeNumberArray(w, table.bytes_in);
-  w.key("sched_wait_caused_ns");
-  writeNumberArray(w, table.sched_wait_caused_ns);
-  w.key("steal_victims");
-  writeNumberArray(w, table.steal_victims);
 
   w.key("hot_compute");
   writeHotList(w, table.hot_compute);
@@ -265,14 +261,9 @@ Result<AttributionTable> attributionFromJson(const JsonValue& v) {
   if (!s.isOk()) return s;
   s = parseNumberArray(v.find("bytes_in"), table.bytes_in);
   if (!s.isOk()) return s;
-  s = parseNumberArray(v.find("sched_wait_caused_ns"),
-                       table.sched_wait_caused_ns);
-  if (!s.isOk()) return s;
-  s = parseNumberArray(v.find("steal_victims"), table.steal_victims);
-  if (!s.isOk()) return s;
 
-  // Readers index rows by row and subgraph, the inbound arrays by subgraph
-  // and the blame arrays by partition, so the shapes must agree.
+  // Readers index rows by row and subgraph and the inbound arrays by
+  // subgraph, so the shapes must agree.
   const std::size_t n = table.subgraphs.size();
   if (table.num_rows < 0 ||
       table.rows.size() != static_cast<std::size_t>(table.num_rows)) {
@@ -286,11 +277,6 @@ Result<AttributionTable> attributionFromJson(const JsonValue& v) {
   }
   TSG_RETURN_IF_ERROR(checkCount("msgs_in", table.msgs_in.size(), n));
   TSG_RETURN_IF_ERROR(checkCount("bytes_in", table.bytes_in.size(), n));
-  TSG_RETURN_IF_ERROR(checkCount("sched_wait_caused_ns",
-                                 table.sched_wait_caused_ns.size(),
-                                 table.num_partitions));
-  TSG_RETURN_IF_ERROR(checkCount("steal_victims", table.steal_victims.size(),
-                                 table.num_partitions));
 
   auto hot_compute = parseHotList(v.find("hot_compute"));
   if (!hot_compute.isOk()) return hot_compute.status();

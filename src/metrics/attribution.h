@@ -1,25 +1,23 @@
 // AttributionTable — the cost-attribution profiler's output: who consumed
 // what, at subgraph granularity, per timestep.
 //
-// The PR-3 analyzer names the straggler *partition*; this table explains it:
-// each (timestep row, subgraph) cell accounts the compute time, compute
-// invocations, and outbound message traffic that subgraph caused, plus the
-// resident attribute bytes its slice of the loaded instance occupies. Run
-// totals add inbound traffic per subgraph and the scheduler blame series
-// (barrier/ready wait and steal victimhood per partition). The engine
-// charges everything but resident bytes, which the GoFS provider charges
-// on each pack load; profile/profiler.h says who writes which cell.
+// The superstep records name the straggler *partition* (the wait each
+// partition caused); this table explains it: each (timestep row, subgraph)
+// cell accounts the compute time, compute invocations, and outbound message
+// traffic that subgraph caused, plus the resident attribute bytes its slice
+// of the loaded instance occupies. Run totals add inbound traffic per
+// subgraph. The engine charges everything but resident bytes, which the
+// GoFS provider charges on each pack load; profile/profiler.h says who
+// writes which cell.
 //
 // Conservation invariants (asserted in tests/test_profile.cc under both
 // schedules): summing `computes`, `msgs_out` and `bytes_out` over a
 // partition's subgraphs reproduces the engine meters exactly — the same
 // values RunStats records per superstep and the MetricsRegistry
 // accumulates per partition — because the profiler hooks sit adjacent to
-// the very increments that feed those meters. Likewise the blame series
-// sum to the scheduler's meters: Σ sched_wait_caused_ns =
-// cluster.barrier_wait_ns + engine.ready_wait_ns and Σ steal_victims =
-// cluster.steals. `compute_ns` is a timed-span measurement (a subset of CPU busy
-// time), so it is comparable but not bit-identical to busy_ns.
+// the very increments that feed those meters. `compute_ns` is a timed-span
+// measurement (a subset of CPU busy time), so it is comparable but not
+// bit-identical to busy_ns.
 //
 // Row layout: `num_rows = num_timesteps + 1`; row `t - first_timestep`
 // holds timestep t, and the final row holds the Merge BSP of eventually
@@ -37,7 +35,7 @@
 
 namespace tsg {
 
-inline constexpr std::int32_t kAttributionSchemaVersion = 1;
+inline constexpr std::int32_t kAttributionSchemaVersion = 2;
 
 // One (timestep, subgraph) accounting cell.
 struct SubgraphCosts {
@@ -89,15 +87,9 @@ struct AttributionTable {
   std::vector<std::vector<SubgraphCosts>> rows;  // [row][subgraph id]
 
   // Run totals, per subgraph: inbound traffic charged at send time to the
-  // destination (covers all three engine families' send paths).
+  // destination (by the engine's send paths, which every algorithm shares).
   std::vector<std::uint64_t> msgs_in;
   std::vector<std::uint64_t> bytes_in;
-
-  // Scheduler blame, per partition: BSP barrier wait charged to the round's
-  // straggler, async ready-wait charged to the task that ended the gap, and
-  // how often each partition's tasks were stolen from it.
-  std::vector<std::int64_t> sched_wait_caused_ns;
-  std::vector<std::uint64_t> steal_victims;
 
   // Heavy hitters over per-vertex compute-ns and message fan-out (vertex-
   // centric engines only; the subgraph-centric engine's unit of heat is the

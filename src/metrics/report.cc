@@ -58,9 +58,13 @@ std::string renderCounterSeries(const RunStats& stats,
 
 std::string renderUtilization(const RunStats& stats,
                               const std::string& label) {
-  TextTable table(
-      {"partition", "compute", "partition_oh", "sync_oh", "load"});
+  TextTable table({"partition", "compute", "partition_oh", "sync_oh", "load",
+                   "caused_ms", "caused_share", "steals"});
   const auto util = stats.partitionUtilization();
+  std::int64_t caused_ns = 0;
+  for (const auto& u : util) {
+    caused_ns += u.wait_caused_ns;
+  }
   for (PartitionId p = 0; p < util.size(); ++p) {
     const auto& u = util[p];
     const auto total = static_cast<double>(u.totalNs());
@@ -69,11 +73,48 @@ std::string renderUtilization(const RunStats& stats,
                  ? std::string("0%")
                  : TextTable::fmtPercent(static_cast<double>(ns) / total, 1);
     };
-    table.addRow({std::to_string(p), pct(u.compute_ns), pct(u.send_ns),
-                  pct(u.sync_ns), pct(u.load_ns)});
+    table.addRow(
+        {std::to_string(p), pct(u.compute_ns), pct(u.send_ns),
+         pct(u.sync_ns), pct(u.load_ns),
+         TextTable::fmtDouble(nsToMs(u.wait_caused_ns), 3),
+         caused_ns > 0
+             ? TextTable::fmtPercent(static_cast<double>(u.wait_caused_ns) /
+                                         static_cast<double>(caused_ns),
+                                     1)
+             : std::string("-"),
+         std::to_string(u.stolen)});
   }
   std::ostringstream out;
   out << "== utilization split: " << label << " ==\n" << table.render();
+  return out.str();
+}
+
+std::string renderWaitBlame(const RunStats& stats, const std::string& label) {
+  std::int64_t caused_ns = 0;
+  std::int64_t merge_caused_ns = 0;
+  for (const auto& rec : stats.supersteps()) {
+    for (PartitionId p = 0;
+         p < rec.parts.size() && p < stats.numPartitions(); ++p) {
+      caused_ns += rec.parts[p].wait_caused_ns;
+      merge_caused_ns += rec.is_merge_phase ? rec.parts[p].wait_caused_ns : 0;
+    }
+  }
+  const auto ms = [](std::int64_t ns) {
+    return TextTable::fmtDouble(nsToMs(ns), 3);
+  };
+  std::ostringstream out;
+  out << "== measured wait blame: " << label << " ==\n"
+      << "wait caused " << ms(caused_ns) << " ms = compute records "
+      << ms(caused_ns - merge_caused_ns) << " ms + merge records "
+      << ms(merge_caused_ns) << " ms\n";
+  const auto util = stats.partitionUtilization();
+  if (const auto straggler = RunStats::dominantStraggler(util)) {
+    out << "dominant straggler: partition " << straggler->partition << " ("
+        << TextTable::fmtPercent(straggler->share, 1)
+        << " of the wait caused)\n";
+  } else {
+    out << "dominant straggler: none (no measured wait)\n";
+  }
   return out.str();
 }
 
@@ -140,6 +181,8 @@ std::string runStatsToJson(const RunStats& stats, const std::string& label,
     json.kv("send_ns", u.send_ns);
     json.kv("sync_ns", u.sync_ns);
     json.kv("load_ns", u.load_ns);
+    json.kv("wait_caused_ns", u.wait_caused_ns);
+    json.kv("stolen", u.stolen);
     json.endObject();
   }
   json.endArray();
@@ -166,6 +209,8 @@ std::string runStatsToJson(const RunStats& stats, const std::string& label,
       json.kv("messages_sent", ps.messages_sent);
       json.kv("bytes_sent", ps.bytes_sent);
       json.kv("subgraphs_computed", ps.subgraphs_computed);
+      json.kv("wait_caused_ns", ps.wait_caused_ns);
+      json.kv("stolen", ps.stolen);
       json.endObject();
     }
     json.endArray();
@@ -320,6 +365,8 @@ Result<LoadedRunStats> runStatsFromJson(std::string_view text) {
         ps.messages_sent = u64Or(ps_json, "messages_sent", 0);
         ps.bytes_sent = u64Or(ps_json, "bytes_sent", 0);
         ps.subgraphs_computed = u64Or(ps_json, "subgraphs_computed", 0);
+        ps.wait_caused_ns = ps_json.intOr("wait_caused_ns", 0);
+        ps.stolen = u64Or(ps_json, "stolen", 0);
         rec.parts.push_back(ps);
       }
     }
@@ -351,9 +398,9 @@ Result<LoadedRunStats> runStatsFromJson(std::string_view text) {
     }
   }
 
-  // Registry delta: needed so compare can report scheduler counters
-  // (cluster.barrier_wait_ns, engine.ready_wait_ns, steals, skips) from
-  // re-loaded runs.
+  // Registry delta: needed so analyze can report fault counters and
+  // scheduler counters (cluster.barrier_wait_ns, engine.ready_wait_ns,
+  // steals, skips) from re-loaded runs.
   const JsonValue* metrics = doc.find("metrics");
   if (metrics != nullptr && metrics->isArray()) {
     MetricsRegistry::Snapshot snap;
@@ -374,7 +421,7 @@ Result<LoadedRunStats> runStatsFromJson(std::string_view text) {
 
   // Histogram deltas: buckets come back from the sparse [index, count]
   // pairs, so quantile() on a re-loaded run answers the same p50/p90/p99
-  // the writer resolved (compare and analyze read those).
+  // the writer resolved (analyze reads those).
   const JsonValue* histograms = doc.find("histograms");
   if (histograms != nullptr && histograms->isArray()) {
     MetricsRegistry::HistogramSnapshots hists;

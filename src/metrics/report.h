@@ -23,8 +23,16 @@ std::string renderCounterSeries(const RunStats& stats,
                                 const std::string& label);
 
 // Fig. 7b/7d: per-partition compute / partition-overhead / sync-overhead /
-// load split as percentages of that partition's total.
+// load split as percentages of that partition's total, next to its
+// measured wait blame: the wait it caused the others (ms, and share of all
+// the wait caused) and how many of its tasks other workers stole.
 std::string renderUtilization(const RunStats& stats, const std::string& label);
+
+// The measured straggler answer, read from the superstep records alone
+// (no profiler needed): the wait caused, split into compute and merge
+// records, and the dominant straggler — the partition that caused the most
+// wait. The per-partition blame is in renderUtilization's table.
+std::string renderWaitBlame(const RunStats& stats, const std::string& label);
 
 // One-line run summary: wall clock, modelled time, supersteps, messages
 // (delivered and cross-partition).
@@ -33,9 +41,9 @@ std::string summarizeRun(const RunStats& stats, const std::string& label,
 
 // Version stamped into every runStatsToJson document as "schema_version".
 // Bump on any incompatible change to the exported shape; readers
-// (runStatsFromJson, tsgcli analyze/compare) reject other versions rather
-// than misparse.
-inline constexpr std::int64_t kRunStatsSchemaVersion = 1;
+// (runStatsFromJson, tsgcli analyze) reject other versions rather than
+// misparse. Version 2 added each part's wait_caused_ns and stolen.
+inline constexpr std::int64_t kRunStatsSchemaVersion = 2;
 
 // Machine-readable export of a full run: totals, per-timestep modelled
 // series, per-partition utilization split, every superstep record, the

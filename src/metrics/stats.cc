@@ -119,9 +119,29 @@ std::vector<RunStats::PartitionUtilization> RunStats::partitionUtilization()
       util[p].send_ns += rec.parts[p].send_ns;
       util[p].sync_ns += rec.parts[p].sync_ns;
       util[p].load_ns += rec.parts[p].load_ns;
+      util[p].wait_caused_ns += rec.parts[p].wait_caused_ns;
+      util[p].stolen += rec.parts[p].stolen;
     }
   }
   return util;
+}
+
+std::optional<RunStats::Straggler> RunStats::dominantStraggler(
+    std::span<const PartitionUtilization> util) {
+  std::int64_t total = 0;
+  for (const auto& u : util) {
+    total += u.wait_caused_ns;
+  }
+  const auto it = std::max_element(
+      util.begin(), util.end(), [](const auto& a, const auto& b) {
+        return a.wait_caused_ns < b.wait_caused_ns;
+      });
+  if (it == util.end() || it->wait_caused_ns <= 0) {
+    return std::nullopt;
+  }
+  return Straggler{static_cast<PartitionId>(it - util.begin()),
+                   static_cast<double>(it->wait_caused_ns) /
+                       static_cast<double>(total)};
 }
 
 }  // namespace tsg

@@ -3,7 +3,9 @@
 // The engine appends one SuperstepRecord per (timestep, superstep) with the
 // per-partition breakdown the paper analyses: compute time, message send
 // time ("partition overhead"), barrier wait ("sync overhead") and instance
-// load time. Aggregations reproduce the evaluation's derived series:
+// load time, plus who caused the wait: the wall-clock wait each partition
+// imposed on the others, and whether another worker stole its task.
+// Aggregations reproduce the evaluation's derived series:
 //   * per-timestep time (Fig. 6),
 //   * per-partition utilization split (Fig. 7b/7d),
 //   * modelled parallel time — the critical-path wall-clock a real k-VM
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +38,14 @@ struct PartitionSuperstepStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t subgraphs_computed = 0;
+  // Wait this partition caused: a wave's straggler (the partition whose
+  // task ended last) is charged every worker's wait for it — barrier wait,
+  // or an async wave's seal wait; an async task is also charged the ready
+  // wait it ended. Summed over a run it equals cluster.barrier_wait_ns +
+  // engine.ready_wait_ns + cluster.seal_wait_ns, as does summed sync_ns.
+  std::int64_t wait_caused_ns = 0;
+  // 1 when another worker ran this partition's task (summed: cluster.steals).
+  std::uint64_t stolen = 0;
 };
 
 struct SuperstepRecord {
@@ -139,6 +150,8 @@ class RunStats {
     std::int64_t send_ns = 0;   // partition overhead
     std::int64_t sync_ns = 0;   // sync overhead (incl. idle at barrier)
     std::int64_t load_ns = 0;
+    std::int64_t wait_caused_ns = 0;  // blame, not part of totalNs()
+    std::uint64_t stolen = 0;         // tasks other workers ran
     [[nodiscard]] std::int64_t totalNs() const {
       return compute_ns + send_ns + sync_ns + load_ns;
     }
@@ -150,6 +163,15 @@ class RunStats {
     }
   };
   [[nodiscard]] std::vector<PartitionUtilization> partitionUtilization() const;
+  // The dominant straggler: the partition that caused the most measured
+  // wait (the lowest index on a tie) and its share of all the wait caused,
+  // or nullopt when none caused any.
+  struct Straggler {
+    PartitionId partition = 0;
+    double share = 0.0;
+  };
+  [[nodiscard]] static std::optional<Straggler> dominantStraggler(
+      std::span<const PartitionUtilization> util);
 
  private:
   std::uint32_t num_partitions_;

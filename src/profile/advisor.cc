@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 namespace tsg {
 namespace {
@@ -36,8 +37,12 @@ std::int64_t makespan(const std::vector<std::int64_t>& loads) {
 
 }  // namespace
 
-AdvisorReport advisePartitioning(const AttributionTable& table,
-                                 const CriticalPathAnalysis* analysis) {
+AdvisorReport advisePartitioning(
+    const AttributionTable& table,
+    std::span<const RunStats::PartitionUtilization> measured) {
+  const std::optional<RunStats::Straggler> blamed =
+      RunStats::dominantStraggler(measured);
+
   AdvisorReport report;
   report.suggested_subgraph_partition.resize(table.numSubgraphs());
   for (std::size_t sg = 0; sg < table.numSubgraphs(); ++sg) {
@@ -123,13 +128,11 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
         fmtMs(move.subgraph_compute_ns) + "); moving it to p" +
         std::to_string(best_to) + " cuts the modelled wave makespan by " +
         fmtPct(gain_pct);
-    if (analysis != nullptr && analysis->dominant_straggler >= 0 &&
-        static_cast<PartitionId>(analysis->dominant_straggler) ==
-            straggler) {
+    if (blamed && blamed->partition == straggler) {
       finding += " — p" + std::to_string(straggler) +
-                 " is also the dominant barrier straggler (" +
-                 fmtPct(100.0 * analysis->dominant_wait_fraction) +
-                 " of blamed wait)";
+                 " is also the dominant straggler (" +
+                 fmtPct(100.0 * blamed->share) +
+                 " of the measured wait caused)";
     }
     report.findings.push_back(std::move(finding));
 
@@ -148,22 +151,19 @@ AdvisorReport advisePartitioning(const AttributionTable& table,
         fmtPct(kMinGainPct));
   }
 
-  // Scheduler-blame corroboration: name the partition the schedulers blame
-  // most, so a reader can see whether runtime waits agree with the table.
-  if (!table.sched_wait_caused_ns.empty()) {
-    const auto it = std::max_element(table.sched_wait_caused_ns.begin(),
-                                     table.sched_wait_caused_ns.end());
-    if (*it > 0) {
-      const PartitionId p = static_cast<PartitionId>(
-          it - table.sched_wait_caused_ns.begin());
-      std::string line = "scheduler blame: p" + std::to_string(p) +
-                         " caused " + fmtMs(*it) + " of wait";
-      if (p < table.steal_victims.size() && table.steal_victims[p] > 0) {
-        line += " and had " + std::to_string(table.steal_victims[p]) +
-                " tasks stolen from it";
-      }
-      report.findings.push_back(std::move(line));
+  // Measured-blame corroboration: name the partition that caused the most
+  // wait, so a reader can see whether runtime waits agree with the table.
+  if (blamed) {
+    const auto& u = measured[blamed->partition];
+    std::string line = "measured blame: p" +
+                       std::to_string(blamed->partition) + " caused " +
+                       fmtMs(u.wait_caused_ns) + " of wait (" +
+                       fmtPct(100.0 * blamed->share) + ")";
+    if (u.stolen > 0) {
+      line += " and had " + std::to_string(u.stolen) +
+              " tasks stolen from it";
     }
+    report.findings.push_back(std::move(line));
   }
   return report;
 }

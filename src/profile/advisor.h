@@ -1,8 +1,9 @@
 // Partition-quality advisor — turns an AttributionTable into concrete,
 // checkable rebalancing suggestions.
 //
-// The PR-3 analyzer says "partition 2 straggles"; the attribution table
-// says which subgraphs make it heavy. The advisor closes the loop: it
+// The superstep records say "partition 2 caused most of the wait"; the
+// attribution table says which subgraphs make it heavy. The advisor closes
+// the loop: it
 // greedily moves the straggler's heaviest subgraphs to the lightest
 // partition while the modelled wave makespan (max per-partition compute)
 // improves, and emits findings like
@@ -10,9 +11,9 @@
 //   subgraph 12 is 41% of p2's compute (8.3 ms); moving it to p0 cuts the
 //   modelled wave makespan by 17%
 //
-// cross-referenced against the critical-path analysis (is the compute-heavy
-// partition also the barrier-wait straggler?) and the scheduler blame
-// series. The suggested assignment is replayable: bench_ablation_advisor
+// cross-referenced against the measured wait blame of the same run (is the
+// compute-heavy partition also the partition that caused the most wait?).
+// The suggested assignment is replayable: bench_ablation_advisor
 // rebuilds the PartitionedGraph from `suggested_subgraph_partition` and
 // reruns the workload to validate the predicted gain.
 //
@@ -23,11 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "metrics/analysis.h"
 #include "metrics/attribution.h"
+#include "metrics/stats.h"
 #include "partition/partitioned_graph.h"
 
 namespace tsg {
@@ -63,11 +65,13 @@ struct AdvisorReport {
 };
 
 // Suggests at most 3 moves, each improving the modelled makespan by at
-// least 2%. `analysis` is optional (pass nullptr when no superstep records
-// are at hand); when present, findings note whether compute skew and
-// barrier-wait blame point at the same partition.
-AdvisorReport advisePartitioning(const AttributionTable& table,
-                                 const CriticalPathAnalysis* analysis);
+// least 2%. `measured` is the run's RunStats::partitionUtilization() (empty
+// when no superstep records are at hand); when present, findings name the
+// partition that caused the most wait and note whether compute skew points
+// at the same one.
+AdvisorReport advisePartitioning(
+    const AttributionTable& table,
+    std::span<const RunStats::PartitionUtilization> measured);
 
 // Expands `report.suggested_subgraph_partition` to a per-vertex assignment
 // of `pg`'s template, ready for PartitionedGraph::build. `report` must come

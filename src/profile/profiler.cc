@@ -78,8 +78,6 @@ AttributionTable Profiler::take() {
       table.msgs_in[sg] += shard.msgs_in[sg];
       table.bytes_in[sg] += shard.bytes_in[sg];
     }
-    table.sched_wait_caused_ns.push_back(shard.wait_caused_ns);
-    table.steal_victims.push_back(shard.steal_victims);
     compute_sketch.merge(shard.compute);
     fanout_sketch.merge(shard.fanout);
   }
@@ -155,18 +153,6 @@ void Profiler::recordResidentSlice(PartitionId p, Timestep t,
       // An occupancy level, not a flow: the latest load for this row wins.
       cell->resident_bytes = bytes * sg.numVertices() / part_vertices;
     }
-  }
-}
-
-void Profiler::recordWaitCaused(PartitionId p, std::int64_t ns) {
-  if (p < shards_.size() && ns > 0) {
-    shards_[p].wait_caused_ns += ns;
-  }
-}
-
-void Profiler::recordStealVictim(PartitionId p) {
-  if (p < shards_.size()) {
-    ++shards_[p].steal_victims;
   }
 }
 

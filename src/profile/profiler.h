@@ -8,11 +8,11 @@
 // costs into a preallocated [row][subgraph] grid of plain integers.
 //
 // Who charges what. The subgraph-centric engine (core/engine.cc) is the
-// only caller outside this module and GoFS: it charges compute, sends and
-// scheduler blame, the last from the timings the cluster already hands its
-// wave driver (a task's ready wait and steal flag, a barriered wave's
-// per-partition barrier waits). The GoFS provider charges resident slice
-// bytes on each pack load; the vertex engines feed the vertex sketches.
+// only caller outside this module and GoFS: it charges compute and sends.
+// The GoFS provider charges resident slice bytes on each pack load; the
+// vertex engines feed the vertex sketches. Scheduler blame (who caused the
+// barrier, ready and seal wait, whose tasks were stolen) is not profiled:
+// every run measures it per partition in its SuperstepRecords.
 //
 // Hook placement contract (the reconciliation invariant depends on it):
 // recordCompute / recordSend calls sit immediately adjacent to the engine
@@ -24,10 +24,10 @@
 //
 // Concurrency: no cell is shared, so none needs an atomic or a lock. Every
 // hook writes only state of the partition whose task is running — its
-// subgraphs' cells, and its own shard (blame, sketches, and the inbound
-// traffic it sent, kept per destination and folded by take()) — or runs in
-// a wave's seal, which is exclusive. A partition's task runs at most once
-// per wave and waves are ordered by the cluster's mutex, so each write
+// subgraphs' cells, and its own shard (sketches, and the inbound traffic
+// it sent, kept per destination and folded by take()). A partition's task
+// runs at most once per wave and waves are ordered by the cluster's mutex,
+// so each write
 // happens-before the next one to the same integer. beginRun() and take()
 // run on the coordinator before the cluster starts and after it joins.
 // Outside that window the grid is empty and every hook's bounds check
@@ -80,7 +80,7 @@ class Profiler {
 
   // --- recording hooks (no-ops unless a run window is open) ---
   // Each is called by the task of the partition it charges (the owner of
-  // `sg`/`src`, or `p`) or by an exclusive wave seal.
+  // `sg`/`src`, or `p`).
 
   // One program compute invocation on subgraph sg at timestep t.
   void recordCompute(SubgraphId sg, Timestep t, std::int64_t ns);
@@ -95,16 +95,9 @@ class Profiler {
   // Resident attribute bytes of partition p's loaded instance at timestep
   // t, distributed across p's subgraphs proportional to vertex count.
   void recordResidentSlice(PartitionId p, Timestep t, std::uint64_t bytes);
-  // Scheduler blame: wall-clock other partitions spent waiting because of
-  // p (BSP barrier wait behind the wave's straggler; async ready-queue gap
-  // ended by p's task).
-  void recordWaitCaused(PartitionId p, std::int64_t ns);
-  // p's task was stolen by another worker (p is the straggling victim).
-  void recordStealVictim(PartitionId p);
-
   // Recovery rollback: zeroes rows for timesteps >= t, matching the
-  // engine's meter reset when it replays from a checkpoint. Inbound/
-  // scheduler run totals are not rolled back (documented approximation;
+  // engine's meter reset when it replays from a checkpoint. Inbound run
+  // totals are not rolled back (documented approximation;
   // the exact-reconciliation tests run fault-free).
   void resetRowsFrom(Timestep t);
 
@@ -115,8 +108,6 @@ class Profiler {
   struct Shard {
     std::vector<std::uint64_t> msgs_in;   // [dst subgraph]: sent by p
     std::vector<std::uint64_t> bytes_in;  // [dst subgraph]
-    std::int64_t wait_caused_ns = 0;
-    std::uint64_t steal_victims = 0;
     SpaceSavingSketch compute;
     SpaceSavingSketch fanout;
     Shard(std::size_t subgraphs, std::size_t capacity)

@@ -31,10 +31,13 @@ void perturbPoint(std::uint64_t crossing, PartitionId p, std::uint64_t salt) {
 Cluster::Cluster(std::uint32_t num_partitions)
     : deques_(num_partitions),
       end_ns_(num_partitions, -1),
-      barrier_wait_ns_(num_partitions, 0),
+      last_partition_(num_partitions, kInvalidPartition),
+      wait_ns_(num_partitions, 0),
       m_rounds_(MetricsRegistry::global().counter("cluster.rounds")),
       m_barrier_wait_ns_(
           MetricsRegistry::global().counter("cluster.barrier_wait_ns")),
+      m_seal_wait_ns_(
+          MetricsRegistry::global().counter("cluster.seal_wait_ns")),
       m_waves_(MetricsRegistry::global().counter("cluster.waves")),
       m_steals_(MetricsRegistry::global().counter("cluster.steals")),
       m_ready_wait_ns_(
@@ -133,19 +136,27 @@ bool Cluster::drainFaultsLocked(std::string& detail) {
   return died;
 }
 
-void Cluster::meterBarrier() {
-  // The slowest task's end is the barrier instant: every other
-  // partition's wait runs from its own end to there.
-  const std::int64_t barrier =
-      *std::max_element(end_ns_.begin(), end_ns_.end());
+PartitionId Cluster::meterSeal(bool barriered) {
+  // The slowest task's end is the seal instant: every other worker's wait
+  // runs from the end of its last task to there.
+  const auto last = std::max_element(end_ns_.begin(), end_ns_.end());
+  const PartitionId straggler =
+      last_partition_[static_cast<std::size_t>(last - end_ns_.begin())];
+  const std::int64_t seal = *last;
   std::int64_t total = 0;
-  for (std::size_t p = 0; p < end_ns_.size(); ++p) {
-    barrier_wait_ns_[p] = end_ns_[p] < 0 ? 0 : barrier - end_ns_[p];
-    total += barrier_wait_ns_[p];
-    end_ns_[p] = -1;
+  for (std::size_t w = 0; w < end_ns_.size(); ++w) {
+    wait_ns_[w] = end_ns_[w] < 0 ? 0 : seal - end_ns_[w];
+    total += wait_ns_[w];
+    end_ns_[w] = -1;
   }
-  m_rounds_.increment();
-  m_barrier_wait_ns_.add(static_cast<std::uint64_t>(total));
+  if (barriered) {
+    m_rounds_.increment();
+    m_barrier_wait_ns_.add(static_cast<std::uint64_t>(total));
+  } else {
+    m_waves_.increment();
+    m_seal_wait_ns_.add(static_cast<std::uint64_t>(total));
+  }
+  return straggler;
 }
 
 void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
@@ -171,7 +182,7 @@ void Cluster::runWaves(Driver& driver, const std::vector<PartitionId>& initial,
     executing_ = 0;
     idle_since_ns_ = -1;
     std::fill(end_ns_.begin(), end_ns_.end(), -1);
-    std::fill(barrier_wait_ns_.begin(), barrier_wait_ns_.end(), 0);
+    std::fill(wait_ns_.begin(), wait_ns_.end(), 0);
     pushTasksLocked(initial, 0);
     work_available_.notify_all();
     phase_done_cv_.wait(lock, [this] { return phase_done_; });
@@ -243,7 +254,8 @@ void Cluster::workerLoop(PartitionId p) {
     // Charge only spans where ready work sat with nobody executing. Time
     // covered by workers chewing through earlier tasks is utilization, not
     // wait — the whole point of the schedule is converting barrier idling
-    // into stolen work. A barriered wave's wait is metered at its seal.
+    // into stolen work. The idle after a worker's last task is metered at
+    // the seal.
     if (!barriered && idle_since_ns_ >= 0) {
       info.ready_wait_ns =
           steadyNowNs() - std::max(task.push_ns, idle_since_ns_);
@@ -280,9 +292,8 @@ void Cluster::workerLoop(PartitionId p) {
         fault_detail = f.what();
       }
     }
-    if (barriered) {
-      end_ns_[task.partition] = steadyNowNs();
-    }
+    end_ns_[p] = steadyNowNs();
+    last_partition_[p] = task.partition;
     perturbPoint(crossing, task.partition, /*salt=*/1);
     lock.lock();
     --executing_;
@@ -320,16 +331,12 @@ void Cluster::workerLoop(PartitionId p) {
         const std::int32_t sealed_wave = wave_;
         Driver* sealer = driver_;
         lock.unlock();
-        if (barriered) {
-          meterBarrier();
-        } else {
-          m_waves_.increment();
-        }
+        const PartitionId straggler = meterSeal(barriered);
         std::vector<PartitionId> next;
         bool seal_failed = false;
         std::string seal_detail;
         try {
-          next = sealer->sealWave(sealed_wave, barrier_wait_ns_);
+          next = sealer->sealWave(Seal{sealed_wave, wait_ns_, straggler});
         } catch (const fault::RecoveryNeeded& f) {
           seal_failed = true;
           seal_detail = f.what();

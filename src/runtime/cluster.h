@@ -19,7 +19,12 @@
 //  * kSteal — the dependency-driven waves behind `--schedule=async`: an
 //    idle worker whose own deque is dry steals whole partition-tasks from
 //    stragglers instead of waiting (cluster.waves, cluster.steals,
-//    engine.ready_wait_ns).
+//    engine.ready_wait_ns). A worker with nothing left to steal idles until
+//    the wave's last task ends; the seal meters that as its seal wait
+//    (cluster.seal_wait_ns).
+//
+// Either way the seal names the wave's straggler — the partition whose
+// task ended last, the one every metered wait was spent waiting for.
 //
 // Wave tasks are whole (partition, superstep) units — programs are stateful
 // per partition, so a partition's subgraphs must run on one thread, in
@@ -68,19 +73,30 @@ class Cluster {
     bool stolen = false;  // executed by a worker other than the owner
   };
 
+  // What the seal hands the driver about the wave it closes.
+  struct Seal {
+    std::int32_t wave = 0;
+    // Per worker (= its home partition): the wall-clock span from the end
+    // of the last task it ran in this wave to the end of the wave's last
+    // task — its barrier wait under kBarrier (cluster.barrier_wait_ns),
+    // its seal wait under kSteal (cluster.seal_wait_ns). Zero for a worker
+    // that ran no task in the wave.
+    std::span<const std::int64_t> wait_ns;
+    // The partition whose task ended last (the lowest worker's on a tie).
+    PartitionId straggler = kInvalidPartition;
+  };
+
   // The engine side of a phase. runTask does the partition's work for one
   // superstep (and its own CPU metering); sealWave is invoked exactly once
   // per wave, by the last finisher, with no task running — it delivers,
   // commits the record and returns the next wave's partitions (empty =
-  // phase complete). Under kBarrier, barrier_wait_ns[p] is partition p's
-  // wait at this wave's barrier; it is all zero under kSteal. Either may
-  // throw RecoveryNeeded; runTask may also throw WorkerFault.
+  // phase complete). Either may throw RecoveryNeeded; runTask may also
+  // throw WorkerFault.
   class Driver {
    public:
     virtual ~Driver() = default;
     virtual void runTask(PartitionId p, const TaskInfo& info) = 0;
-    virtual std::vector<PartitionId> sealWave(
-        std::int32_t wave, std::span<const std::int64_t> barrier_wait_ns) = 0;
+    virtual std::vector<PartitionId> sealWave(const Seal& seal) = 0;
   };
 
   explicit Cluster(std::uint32_t num_partitions);
@@ -121,9 +137,10 @@ class Cluster {
   // Refreshes cluster.ready_queue_depth from queued_ + executing_ (tasks
   // admitted to the current wave and not yet completed). Mutex must be held.
   void updateReadyDepthLocked();
-  // kBarrier: fills barrier_wait_ns_ for the sealed wave from end_ns_ and
-  // meters the barrier. Runs in the sealing worker with no task in flight.
-  void meterBarrier();
+  // Fills wait_ns_ for the sealed wave from end_ns_, meters it as barrier
+  // or seal wait, and returns the wave's straggler partition. Runs in the
+  // sealing worker with no task in flight.
+  PartitionId meterSeal(bool barriered);
   // Called with mutex_ held: drains the death records into `detail` (dead_
   // stays set for respawnDead) so a stale record cannot fail the rerun
   // after the engine recovers. Returns whether any worker died.
@@ -161,17 +178,19 @@ class Cluster {
   // queued with nobody executing — when that idle span began (-1 = none).
   std::uint32_t executing_ = 0;
   std::int64_t idle_since_ns_ = -1;
-  // Per partition: wall-clock end of its task in the current wave (-1 =
-  // not in the wave), and its wait at the last sealed barrier. Written by
-  // the task's worker, read by the sealer; the completion count under
+  // Per worker: wall-clock end of the last task it ran in the current wave
+  // (-1 = none) and that task's partition, and its wait at the last seal.
+  // Written by the worker, read by the sealer; the completion count under
   // mutex_ orders the two.
   std::vector<std::int64_t> end_ns_;
-  std::vector<std::int64_t> barrier_wait_ns_;
+  std::vector<PartitionId> last_partition_;
+  std::vector<std::int64_t> wait_ns_;
 
   // Cached handles: seals run once per superstep, so they bump the cells
   // directly instead of re-doing the registry name lookup.
   MetricsRegistry::Counter& m_rounds_;
   MetricsRegistry::Counter& m_barrier_wait_ns_;
+  MetricsRegistry::Counter& m_seal_wait_ns_;
   MetricsRegistry::Counter& m_waves_;
   MetricsRegistry::Counter& m_steals_;
   MetricsRegistry::Counter& m_ready_wait_ns_;

@@ -24,9 +24,11 @@
 # schedules, that an algorithm without a timestep loop (sssp-vertex) is
 # refused by `stream` but runs batch under `check --stream`, that
 # `analyze --attrib` rejects a malformed attribution block with exit 2,
-# that an out-of-range --profile= or --profile-sample= exits 2 naming the
-# flag, and that a malformed TSG_INJECT or TSG_INJECT_SEED exits 2 naming
-# the value.
+# that `analyze` renders the measured wait blame of a run recorded without
+# the profiler, that an out-of-range value of any numeric flag exits 2
+# naming the flag, that an output (--json=, --trace=, --timeline=,
+# --prom=) that cannot be written exits 1, and that a malformed TSG_INJECT
+# or TSG_INJECT_SEED exits 2 naming the value.
 
 foreach(var TSGCLI GOLDEN COUNTS WORK_DIR)
   if(NOT DEFINED ${var})
@@ -173,18 +175,61 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "num_rows")
 endif()
 message(STATUS "analyze --attrib rejects a malformed attribution block")
 
-# The profiler flags are range-checked like every numeric flag: an
-# out-of-range value exits 2 naming the flag instead of silently arming the
-# default (or, past 2^32, a truncated) setting. The bare flag still arms it.
-foreach(flag --profile=0 --profile=-5 --profile-sample=0 --profile-sample=-3
-        --profile-sample=4294967297)
+# A run recorded without the profiler still carries its measured wait
+# blame, and `analyze` leads with it.
+execute_process(
+  COMMAND "${TSGCLI}" tdsp "${WORK_DIR}/road" "--json=${WORK_DIR}/plain.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "tdsp --json run failed (${rc}): ${err}")
+endif()
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/plain.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "measured wait blame" OR
+   NOT out MATCHES "dominant straggler: ")
+  message(FATAL_ERROR
+    "analyze of an unprofiled run exited ${rc} without the measured wait "
+    "blame:\n${out}${err}")
+endif()
+message(STATUS "analyze leads with the measured wait blame")
+
+# Every numeric flag is range-checked: an out-of-range value exits 2
+# naming the flag instead of silently running with a negative, wrapped or
+# truncated setting, and before any work starts. The bare --profile still
+# arms the profiler.
+function(expect_flag_rejected flag)
   execute_process(
-    COMMAND "${TSGCLI}" meme "${WORK_DIR}/social" "${flag}"
+    COMMAND "${TSGCLI}" ${ARGN} "${flag}"
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag} is out of range")
     message(FATAL_ERROR
-      "meme ${flag} exited ${rc}, expected 2 naming the flag:\n${err}")
+      "${ARGN} ${flag} exited ${rc}, expected 2 naming the flag:\n${err}")
   endif()
+endfunction()
+foreach(flag --profile=0 --profile=-5 --profile-sample=0 --profile-sample=-3
+        --profile-sample=4294967297 --prom-port=99999 --prom-port=-1
+        --sample-ms=-5 --sample-ms=0)
+  expect_flag_rejected(${flag} meme "${WORK_DIR}/social")
+endforeach()
+expect_flag_rejected(--inject-seed=-1 meme "${WORK_DIR}/social"
+  --inject=delay@compute:p1:t1:d1)
+foreach(flag --vertices=-1 --vertices=0 --timesteps=0 --timesteps=-1
+        --partitions=0 --partitions=1025 --packing=0 --packing=4294967297
+        --seed=-1)
+  expect_flag_rejected(${flag} generate "--out=${WORK_DIR}/rejected")
+endforeach()
+if(EXISTS "${WORK_DIR}/rejected")
+  message(FATAL_ERROR "a rejected generate wrote ${WORK_DIR}/rejected")
+endif()
+foreach(flag --runs=0 --runs=-2 --seed=-1)
+  expect_flag_rejected(${flag} check meme "${WORK_DIR}/social")
+endforeach()
+foreach(flag --queue=0 --max-staged=-1)
+  expect_flag_rejected(${flag} stream meme "${WORK_DIR}/social")
+endforeach()
+foreach(flag --refresh-ms=-1 --sample-ms=-1)
+  expect_flag_rejected(${flag} top meme "${WORK_DIR}/social")
 endforeach()
 execute_process(
   COMMAND "${TSGCLI}" meme "${WORK_DIR}/social" --profile
@@ -195,7 +240,23 @@ if(NOT rc EQUAL 0)
 endif()
 file(READ "${WORK_DIR}/profiled_bare.json" doc)
 string(JSON rows GET "${doc}" attribution num_rows)
-message(STATUS "out-of-range profiler flags exit 2; bare --profile arms it")
+message(STATUS "out-of-range numeric flags exit 2; bare --profile arms it")
+
+# An output the command was asked to write but cannot (a path component is
+# a regular file) fails the command with exit 1 naming the path.
+file(WRITE "${WORK_DIR}/not_a_dir" "")
+foreach(flag json trace timeline prom)
+  execute_process(
+    COMMAND "${TSGCLI}" tdsp "${WORK_DIR}/road"
+            "--${flag}=${WORK_DIR}/not_a_dir/out"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "not_a_dir/out")
+    message(FATAL_ERROR
+      "tdsp --${flag}= into a regular file exited ${rc}, expected 1 naming "
+      "the path:\n${err}")
+  endif()
+endforeach()
+message(STATUS "an unwritable --json/--trace/--timeline/--prom exits 1")
 
 # The environment's fault plan gets the same validation as --inject: a
 # typo is a usage error (exit 2 naming the bad value), not an abort, and

@@ -1,5 +1,6 @@
-#include "metrics/analysis.h"
-
+// Post-run analysis over the superstep records: the measured wait blame
+// `tsgcli analyze` opens with (who caused the wait, the dominant
+// straggler), the RunStats JSON export it reads, and the JSON parser.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,28 +10,156 @@
 #include "gofs/instance_provider.h"
 #include "metrics/report.h"
 #include "metrics/stats.h"
+#include "runtime/fault_injector.h"
 #include "test_util.h"
 
 namespace tsg {
 namespace {
 
-// --- Critical-path decomposition ----------------------------------------
+// --- Measured wait blame -------------------------------------------------
 
-TEST(Analysis, ReconcilesWithModelledParallelTime) {
-  const RunStats stats = testing::stragglerFixtureStats();
-  const NetworkModel net = testing::fixtureNetworkModel();
-  const auto analysis = analyzeCriticalPath(stats, net);
-  // The decomposition's invariant: busy + comm + barriers is exactly the
-  // modelled parallel time RunStats reports.
-  EXPECT_EQ(analysis.modelled_parallel_ns, stats.modelledParallelNs(net));
-  EXPECT_EQ(analysis.critical_path_busy_ns + analysis.comm_ns +
-                analysis.barrier_ns,
-            analysis.modelled_parallel_ns);
+// The straggler fixture's records with blame booked the way the engine
+// books a barriered wave (each wave's straggler is charged every other
+// partition's wait), plus one merge record:
+//
+//   (t0,s0): p1 straggles, caused 230 us      (t0,s1): p1 caused 350 us
+//   (t1,s0): p0 straggles, caused 400 us; p1's task was stolen
+//   merge:   p0 caused 120 us; p1's task was stolen
+//
+// p0 caused 520 us, p1 580 us: 1.100 ms in all, 0.120 ms of it in merge
+// records; p1 is the dominant straggler with 580 / 1100 = 52.7%.
+RunStats blameFixtureStats() {
+  RunStats stats(2);
+  std::int32_t r = 0;
+  const std::int64_t caused[3][2] = {{0, 230000}, {0, 350000}, {400000, 0}};
+  const RunStats base = testing::stragglerFixtureStats();
+  for (SuperstepRecord rec : base.supersteps()) {
+    rec.parts[0].wait_caused_ns = caused[r][0];
+    rec.parts[1].wait_caused_ns = caused[r][1];
+    rec.parts[1].stolen = r == 2 ? 1 : 0;
+    stats.addSuperstep(std::move(rec));
+    ++r;
+  }
+  SuperstepRecord merge;
+  merge.timestep = 2;
+  merge.is_merge_phase = true;
+  merge.parts.resize(2);
+  merge.parts[0].wait_caused_ns = 120000;
+  merge.parts[1].stolen = 1;
+  stats.addSuperstep(std::move(merge));
+  return stats;
 }
 
-// The same identity must hold for records produced by the dependency-
-// driven scheduler (`--schedule=async`), whose supersteps interleave across
-// timesteps — not just the barrier-aligned BSP records the fixture models.
+TEST(Analysis, HandComputedFixtureDecomposition) {
+  RunStats stats = blameFixtureStats();
+  const auto util = stats.partitionUtilization();
+  ASSERT_EQ(util.size(), 2u);
+  EXPECT_EQ(util[0].wait_caused_ns, 520000);
+  EXPECT_EQ(util[1].wait_caused_ns, 580000);
+  EXPECT_EQ(util[0].stolen, 0u);
+  EXPECT_EQ(util[1].stolen, 2u);
+  // Blame is who caused the wait, not time spent: the split is unchanged.
+  EXPECT_EQ(util[0].totalNs(), 670);
+  EXPECT_EQ(util[1].totalNs(), 850);
+
+  const std::string report = renderWaitBlame(stats, "fixture");
+  EXPECT_NE(report.find("== measured wait blame: fixture =="),
+            std::string::npos);
+  EXPECT_NE(report.find("wait caused 1.100 ms = compute records 0.980 ms + "
+                        "merge records 0.120 ms"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("dominant straggler: partition 1 (52.7% of the wait "
+                        "caused)"),
+            std::string::npos)
+      << report;
+  const auto straggler = RunStats::dominantStraggler(util);
+  ASSERT_TRUE(straggler.has_value());
+  EXPECT_EQ(straggler->partition, 1u);
+  EXPECT_DOUBLE_EQ(straggler->share, 580000.0 / 1100000.0);
+
+  // The per-partition table carries the blame next to the time split:
+  // p1's row ends caused 0.580 ms, 52.7%, 2 steals.
+  const std::string table = renderUtilization(stats, "fixture");
+  EXPECT_NE(table.find("| 0.580"), std::string::npos) << table;
+  EXPECT_NE(table.find("| 52.7%"), std::string::npos) << table;
+  EXPECT_NE(table.find("| 2 "), std::string::npos) << table;
+}
+
+// A real run with partition 1 sleeping in every compute superstep, no
+// profiler armed: under either schedule every wave waits for p1's task at
+// its seal (the barrier under BSP, the last task's end under async), so p1
+// caused most of the run's wait and is named the dominant straggler.
+TEST(Analysis, DelayedPartitionIsDominantStraggler) {
+  const AlgorithmEntry& tdsp = testing::algorithm("tdsp");
+  const testing::AlgoEnv env = testing::envFor(tdsp);
+  for (const Schedule schedule : {Schedule::kBsp, Schedule::kAsync}) {
+    SCOPED_TRACE(schedule == Schedule::kBsp ? "bsp" : "async");
+    auto& injector = fault::FaultInjector::global();
+    injector.arm(testing::unwrap(
+                     fault::parseFaultPlan("delay@compute:p1:x1000:d3000")),
+                 7);
+    AlgorithmRequest request;
+    request.schedule = schedule;
+    const AlgorithmRun run = env.run(tdsp, request);
+    injector.disarm();
+    ASSERT_FALSE(run.stats.hasAttribution());
+    const auto util = run.stats.partitionUtilization();
+    ASSERT_EQ(util.size(), 3u);
+    EXPECT_GT(util[1].wait_caused_ns,
+              util[0].wait_caused_ns + util[2].wait_caused_ns);
+    EXPECT_NE(renderWaitBlame(run.stats, "delayed")
+                  .find("dominant straggler: partition 1 ("),
+              std::string::npos);
+  }
+}
+
+TEST(Analysis, EmptyRunYieldsNeutralAnalysis) {
+  const RunStats stats(0);
+  EXPECT_TRUE(stats.partitionUtilization().empty());
+  const std::string report = renderWaitBlame(stats, "empty");
+  EXPECT_NE(report.find("wait caused 0.000 ms = compute records 0.000 ms"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("dominant straggler: none"), std::string::npos);
+}
+
+TEST(Analysis, RecordWithNoPartitionsHasNoStraggler) {
+  RunStats stats(2);
+  stats.addSuperstep(SuperstepRecord{});
+  stats.setWallClockNs(1000);
+  const auto util = stats.partitionUtilization();
+  ASSERT_EQ(util.size(), 2u);
+  EXPECT_EQ(util[0].wait_caused_ns + util[1].wait_caused_ns, 0);
+  EXPECT_NE(renderWaitBlame(stats, "bare").find("dominant straggler: none"),
+            std::string::npos);
+}
+
+// One partition has no one to wait for: its barrier waves measure no
+// wait, so nothing is caused and no straggler is named.
+TEST(Analysis, SinglePartitionHasNoBarrierWait) {
+  auto tmpl = testing::smallRoad(8, 8);
+  auto pg = testing::partitionGraph(tmpl, 1);
+  auto coll = testing::roadCollection(tmpl, 5);
+  DirectInstanceProvider provider(pg, coll);
+  TdspOptions options;
+  options.latency_attr = tmpl->edgeSchema().requireIndex("latency");
+  const auto run = runTdsp(pg, provider, options);
+  const RunStats& stats = run.exec.stats;
+  ASSERT_FALSE(stats.supersteps().empty());
+  const auto util = stats.partitionUtilization();
+  ASSERT_EQ(util.size(), 1u);
+  EXPECT_EQ(util[0].sync_ns, 0);
+  EXPECT_EQ(util[0].wait_caused_ns, 0);
+  EXPECT_EQ(testing::metricTotal(stats, "cluster.barrier_wait_ns"), 0);
+  EXPECT_NE(renderWaitBlame(stats, "k1").find("dominant straggler: none"),
+            std::string::npos);
+}
+
+// Under the async schedule, whose supersteps interleave readiness-gated
+// waves with barriered end-of-timestep waves, the blame an exported run
+// carries still reconciles, after the JSON round trip, with the scheduler
+// meters exported next to it — what ci/check_attrib.py reads.
 TEST(Analysis, ReconcilesUnderAsyncScheduleRecords) {
   auto tmpl = testing::smallRoad(8, 8);
   auto pg = testing::partitionGraph(tmpl, 3);
@@ -42,128 +171,23 @@ TEST(Analysis, ReconcilesUnderAsyncScheduleRecords) {
   const auto run = runTdsp(pg, provider, options);
   ASSERT_FALSE(run.exec.stats.supersteps().empty());
 
-  const NetworkModel net = testing::fixtureNetworkModel();
-  const auto analysis = analyzeCriticalPath(run.exec.stats, net);
-  EXPECT_EQ(analysis.modelled_parallel_ns,
-            run.exec.stats.modelledParallelNs(net));
-  EXPECT_EQ(analysis.critical_path_busy_ns + analysis.comm_ns +
-                analysis.barrier_ns,
-            analysis.modelled_parallel_ns);
-  EXPECT_GT(analysis.critical_path_busy_ns, 0);
-}
-
-TEST(Analysis, HandComputedFixtureDecomposition) {
-  const auto analysis = analyzeCriticalPath(testing::stragglerFixtureStats(),
-                                            testing::fixtureNetworkModel());
-  EXPECT_EQ(analysis.critical_path_busy_ns, 1250);
-  EXPECT_EQ(analysis.total_busy_ns, 1520);
-  EXPECT_EQ(analysis.comm_ns, 1200);
-  EXPECT_EQ(analysis.barrier_ns, 3000);
-  EXPECT_EQ(analysis.modelled_parallel_ns, 5450);
-  EXPECT_EQ(analysis.total_barrier_wait_ns, 980);
-  EXPECT_NEAR(analysis.skew_index, 1250.0 / 760.0, 1e-9);
-
-  ASSERT_EQ(analysis.path.size(), 3u);
-  EXPECT_EQ(analysis.path[0].straggler, 1);
-  EXPECT_EQ(analysis.path[0].max_busy_ns, 350);
-  EXPECT_EQ(analysis.path[0].barrier_wait_ns, 230);
-  EXPECT_EQ(analysis.path[0].comm_ns, 1200);
-  EXPECT_EQ(analysis.path[1].straggler, 1);
-  EXPECT_EQ(analysis.path[1].barrier_wait_ns, 350);
-  EXPECT_EQ(analysis.path[2].straggler, 0);
-  EXPECT_EQ(analysis.path[2].barrier_wait_ns, 400);
-
-  ASSERT_EQ(analysis.partitions.size(), 2u);
-  EXPECT_EQ(analysis.partitions[0].straggler_supersteps, 1u);
-  EXPECT_EQ(analysis.partitions[0].blamed_wait_ns, 400);
-  EXPECT_EQ(analysis.partitions[0].busy_ns, 670);
-  EXPECT_EQ(analysis.partitions[1].straggler_supersteps, 2u);
-  EXPECT_EQ(analysis.partitions[1].blamed_wait_ns, 580);
-  EXPECT_EQ(analysis.partitions[1].busy_ns, 850);
-
-  EXPECT_EQ(analysis.dominant_straggler, 1);
-  EXPECT_NEAR(analysis.dominant_wait_fraction, 580.0 / 980.0, 1e-9);
-
-  ASSERT_EQ(analysis.straggler_by_timestep.size(), 2u);
-  EXPECT_EQ(analysis.straggler_by_timestep[0][0], 0u);
-  EXPECT_EQ(analysis.straggler_by_timestep[0][1], 2u);
-  EXPECT_EQ(analysis.straggler_by_timestep[1][0], 1u);
-  EXPECT_EQ(analysis.straggler_by_timestep[1][1], 0u);
-}
-
-TEST(Analysis, DelayedPartitionIsDominantStraggler) {
-  // Synthetic run with one delayed partition: p2 is slower in every
-  // superstep, so it must own well over half the barrier-wait blame.
-  RunStats stats(3);
-  for (std::int32_t s = 0; s < 4; ++s) {
-    SuperstepRecord rec;
-    rec.timestep = s / 2;
-    rec.superstep = s % 2;
-    rec.parts.resize(3);
-    rec.parts[0].compute_ns = 100;
-    rec.parts[1].compute_ns = 120;
-    rec.parts[2].compute_ns = 500;  // the delayed partition
-    stats.addSuperstep(std::move(rec));
+  const auto loaded = testing::unwrap(
+      runStatsFromJson(runStatsToJson(run.exec.stats, "async")));
+  std::int64_t caused_ns = 0;
+  std::int64_t stolen = 0;
+  for (const auto& u : loaded.stats.partitionUtilization()) {
+    caused_ns += u.wait_caused_ns;
+    stolen += static_cast<std::int64_t>(u.stolen);
   }
-  const auto analysis = analyzeCriticalPath(stats);
-  EXPECT_EQ(analysis.dominant_straggler, 2);
-  EXPECT_GE(analysis.dominant_wait_fraction, 0.5);
-  EXPECT_EQ(analysis.partitions[2].straggler_supersteps, 4u);
-
-  const std::string report = renderCriticalPath(analysis, "delayed");
-  EXPECT_NE(report.find("dominant straggler: partition 2"),
-            std::string::npos);
-  EXPECT_NE(report.find("skew index"), std::string::npos);
-}
-
-TEST(Analysis, EmptyRunYieldsNeutralAnalysis) {
-  const auto analysis = analyzeCriticalPath(RunStats(0));
-  EXPECT_TRUE(analysis.path.empty());
-  EXPECT_TRUE(analysis.partitions.empty());
-  EXPECT_EQ(analysis.modelled_parallel_ns, 0);
-  EXPECT_EQ(analysis.skew_index, 1.0);
-  EXPECT_EQ(analysis.dominant_straggler, -1);
-  EXPECT_EQ(analysis.dominant_wait_fraction, 0.0);
-  // Rendering an empty analysis must not crash.
-  EXPECT_FALSE(renderCriticalPath(analysis, "empty").empty());
-}
-
-TEST(Analysis, RecordWithNoPartitionsHasNoStraggler) {
-  RunStats stats(0);
-  stats.addSuperstep(SuperstepRecord{});
-  NetworkModel net;
-  net.per_superstep_barrier_ns = 5;
-  net.per_message_ns = 0;
-  const auto analysis = analyzeCriticalPath(stats, net);
-  ASSERT_EQ(analysis.path.size(), 1u);
-  EXPECT_EQ(analysis.path[0].straggler, -1);
-  EXPECT_EQ(analysis.path[0].barrier_wait_ns, 0);
-  EXPECT_EQ(analysis.modelled_parallel_ns, 5);
-  EXPECT_EQ(analysis.modelled_parallel_ns, stats.modelledParallelNs(net));
-}
-
-TEST(Analysis, SinglePartitionHasNoBarrierWait) {
-  RunStats stats(1);
-  SuperstepRecord rec;
-  rec.parts.resize(1);
-  rec.parts[0].compute_ns = 10;
-  rec.parts[0].send_ns = 5;
-  rec.parts[0].load_ns = 2;
-  stats.addSuperstep(std::move(rec));
-  NetworkModel net;
-  net.per_superstep_barrier_ns = 0;
-  net.per_message_ns = 0;
-  const auto analysis = analyzeCriticalPath(stats, net);
-  EXPECT_EQ(analysis.total_barrier_wait_ns, 0);
-  EXPECT_EQ(analysis.critical_path_busy_ns, 17);
-  EXPECT_NEAR(analysis.skew_index, 1.0, 1e-12);
-  EXPECT_EQ(analysis.modelled_parallel_ns, stats.modelledParallelNs(net));
+  EXPECT_EQ(caused_ns, testing::meteredWaitNs(loaded.stats));
+  EXPECT_EQ(stolen, testing::metricTotal(loaded.stats, "cluster.steals"));
+  EXPECT_GT(testing::metricTotal(loaded.stats, "cluster.waves"), 0);
 }
 
 // --- runStatsToJson round trip ------------------------------------------
 
 TEST(Analysis, RunStatsJsonRoundTrip) {
-  RunStats stats = testing::stragglerFixtureStats();
+  RunStats stats = blameFixtureStats();
   stats.setWallClockNs(123456);
   stats.addCounter("finalized", 0, 1, 7);
   const std::string json = runStatsToJson(stats, "fixture");
@@ -174,7 +198,7 @@ TEST(Analysis, RunStatsJsonRoundTrip) {
   EXPECT_EQ(loaded.label, "fixture");
   EXPECT_EQ(loaded.stats.numPartitions(), 2u);
   EXPECT_EQ(loaded.stats.wallClockNs(), 123456);
-  EXPECT_EQ(loaded.stats.totalSupersteps(), 3u);
+  EXPECT_EQ(loaded.stats.totalSupersteps(), 4u);
   EXPECT_EQ(loaded.stats.totalMessages(), stats.totalMessages());
   EXPECT_EQ(loaded.stats.totalBytes(), stats.totalBytes());
   EXPECT_EQ(loaded.stats.totalCrossPartitionMessages(),
@@ -183,12 +207,9 @@ TEST(Analysis, RunStatsJsonRoundTrip) {
             stats.totalCrossPartitionBytes());
   EXPECT_EQ(loaded.stats.counterTotal("finalized"), 7u);
   // The reloaded records reproduce the modelled time under the same
-  // (default) network model.
+  // (default) network model, and the measured blame report.
   EXPECT_EQ(loaded.stats.modelledParallelNs(), stats.modelledParallelNs());
-  // The analyzer works on a reloaded run exactly as on the original.
-  const NetworkModel net = testing::fixtureNetworkModel();
-  EXPECT_EQ(analyzeCriticalPath(loaded.stats, net).total_barrier_wait_ns,
-            analyzeCriticalPath(stats, net).total_barrier_wait_ns);
+  EXPECT_EQ(renderWaitBlame(loaded.stats, "x"), renderWaitBlame(stats, "x"));
 }
 
 TEST(Analysis, RejectsMissingSchemaVersion) {
@@ -208,10 +229,12 @@ TEST(Analysis, RejectsUnsupportedSchemaVersion) {
 
 TEST(Analysis, RejectsMalformedJson) {
   EXPECT_FALSE(runStatsFromJson("").isOk());
-  EXPECT_FALSE(runStatsFromJson("{\"schema_version\":1,").isOk());
+  const std::string version =
+      "{\"schema_version\":" + std::to_string(kRunStatsSchemaVersion);
+  EXPECT_FALSE(runStatsFromJson(version + ",").isOk());
   EXPECT_FALSE(runStatsFromJson("[1,2,3]").isOk());  // not an object
   // Version is right but the records are missing.
-  EXPECT_FALSE(runStatsFromJson("{\"schema_version\":1}").isOk());
+  EXPECT_FALSE(runStatsFromJson(version + "}").isOk());
 }
 
 // --- JsonValue parser ----------------------------------------------------

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,11 +39,11 @@ class JobDriver final : public Cluster::Driver {
     busy_ns_[p] = threadCpuNowNs() - cpu_start;
   }
 
-  std::vector<PartitionId> sealWave(
-      std::int32_t wave, std::span<const std::int64_t> waits) override {
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
     ++seals_;
-    wait_ns_.assign(waits.begin(), waits.end());
-    return wave + 1 < waves_ ? all_ : std::vector<PartitionId>{};
+    wait_ns_.assign(seal.wait_ns.begin(), seal.wait_ns.end());
+    straggler_ = seal.straggler;
+    return seal.wave + 1 < waves_ ? all_ : std::vector<PartitionId>{};
   }
 
   void run(Cluster& cluster) {
@@ -56,6 +55,7 @@ class JobDriver final : public Cluster::Driver {
   std::vector<PartitionId> all_;
   std::vector<std::int64_t> busy_ns_;
   std::vector<std::int64_t> wait_ns_;  // as handed to the last seal
+  PartitionId straggler_ = kInvalidPartition;
   std::int32_t seals_ = 0;
 };
 
@@ -148,6 +148,7 @@ TEST(Cluster, TimingsMeasureBusyAndSync) {
   // The straggler defines the barrier instant: it waits not at all.
   EXPECT_EQ(driver.wait_ns_[0], 0);
   EXPECT_GT(driver.wait_ns_[1], 0);
+  EXPECT_EQ(driver.straggler_, 0u);
   // The seal's waits are exactly what cluster.barrier_wait_ns meters.
   EXPECT_EQ(counter("cluster.barrier_wait_ns") - wait_before,
             static_cast<std::uint64_t>(driver.wait_ns_[0] +

@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "gofs/dataset.h"
 #include "gofs/instance_provider.h"
-#include "metrics/analysis.h"
 #include "metrics/report.h"
 #include "profile/advisor.h"
 #include "metrics/attribution.h"
@@ -119,8 +118,6 @@ AttributionTable sampleTable() {
   t.rows[1][1] = {500, 1, 0, 0, 128};
   t.msgs_in = {1, 0, 3};
   t.bytes_in = {32, 0, 96};
-  t.sched_wait_caused_ns = {1500, 300};
-  t.steal_victims = {0, 2};
   t.hot_compute = {{42, 1, 9000, 100}};
   t.hot_fanout = {{17, 0, 12, 0}};
   t.sketch_weight_compute = 9000;
@@ -158,8 +155,6 @@ TEST(Attribution, JsonRoundTrip) {
   }
   EXPECT_EQ(back.msgs_in, t.msgs_in);
   EXPECT_EQ(back.bytes_in, t.bytes_in);
-  EXPECT_EQ(back.sched_wait_caused_ns, t.sched_wait_caused_ns);
-  EXPECT_EQ(back.steal_victims, t.steal_victims);
   ASSERT_EQ(back.hot_compute.size(), 1u);
   EXPECT_EQ(back.hot_compute[0].vertex, 42u);
   EXPECT_EQ(back.hot_compute[0].weight, 9000u);
@@ -208,15 +203,6 @@ TEST(Attribution, RejectsInboundTrafficShorterThanSubgraphs) {
   expectRejected(t, "bytes_in");
 }
 
-TEST(Attribution, RejectsBlameArraysNotOnePerPartition) {
-  AttributionTable t = sampleTable();
-  t.sched_wait_caused_ns.push_back(0);
-  expectRejected(t, "sched_wait_caused_ns");
-  t = sampleTable();
-  t.steal_victims.pop_back();
-  expectRejected(t, "steal_victims");
-}
-
 TEST(Attribution, RejectsSubgraphPartitionOutOfRange) {
   AttributionTable t = sampleTable();
   t.subgraphs[2].partition = 2;
@@ -260,14 +246,12 @@ AttributionTable imbalancedTable() {
   t.rows[0][2] = {100000, 1, 0, 0, 0};
   t.msgs_in.resize(3);
   t.bytes_in.resize(3);
-  t.sched_wait_caused_ns.resize(2);
-  t.steal_victims.resize(2);
   return t;
 }
 
 TEST(Advisor, SuggestsMoveForImbalancedPartitions) {
   const AttributionTable t = imbalancedTable();
-  const AdvisorReport report = advisePartitioning(t, nullptr);
+  const AdvisorReport report = advisePartitioning(t, {});
   ASSERT_TRUE(report.hasSuggestions());
   EXPECT_LT(report.makespan_after_ns, report.makespan_before_ns);
   EXPECT_EQ(report.makespan_before_ns, 1100000);
@@ -283,12 +267,31 @@ TEST(Advisor, SuggestsMoveForImbalancedPartitions) {
   EXPECT_FALSE(report.findings.empty());
 }
 
+// The run's measured blame corroborates the move: the compute-heavy p0 is
+// also the partition that caused most of the wait.
+TEST(Advisor, NamesTheMeasuredStragglerNextToItsMove) {
+  std::vector<RunStats::PartitionUtilization> measured(2);
+  measured[0].wait_caused_ns = 3000000;
+  measured[0].stolen = 2;
+  measured[1].wait_caused_ns = 1000000;
+  const AdvisorReport report = advisePartitioning(imbalancedTable(), measured);
+  ASSERT_TRUE(report.hasSuggestions());
+  EXPECT_NE(report.findings.front().find(
+                "p0 is also the dominant straggler (75% of the measured "
+                "wait caused)"),
+            std::string::npos)
+      << report.findings.front();
+  EXPECT_EQ(report.findings.back(),
+            "measured blame: p0 caused 3.00 ms of wait (75%) and had 2 tasks "
+            "stolen from it");
+}
+
 TEST(Advisor, BalancedTableSuggestsNothing) {
   AttributionTable t = imbalancedTable();
   t.rows[0][0] = {500000, 1, 0, 0, 0};
   t.rows[0][1] = {100000, 1, 0, 0, 0};
   t.rows[0][2] = {500000, 1, 0, 0, 0};
-  const AdvisorReport report = advisePartitioning(t, nullptr);
+  const AdvisorReport report = advisePartitioning(t, {});
   EXPECT_FALSE(report.hasSuggestions());
   // Identity assignment back.
   for (std::size_t sg = 0; sg < t.subgraphs.size(); ++sg) {
@@ -303,7 +306,7 @@ TEST(Advisor, SinglePartitionIsNoop) {
   for (auto& meta : t.subgraphs) {
     meta.partition = 0;
   }
-  const AdvisorReport report = advisePartitioning(t, nullptr);
+  const AdvisorReport report = advisePartitioning(t, {});
   EXPECT_FALSE(report.hasSuggestions());
   EXPECT_EQ(report.suggested_subgraph_partition,
             std::vector<PartitionId>(t.subgraphs.size(), 0));
@@ -321,7 +324,7 @@ TEST(Advisor, RespectsMaxMoves) {
     t.subgraphs.push_back({sg, sg < 10 ? 0u : 1u, 10, 0, 0});
     t.rows[0].push_back({sg < 10 ? 100000 : 0, 1, 0, 0, 0});
   }
-  const AdvisorReport report = advisePartitioning(t, nullptr);
+  const AdvisorReport report = advisePartitioning(t, {});
   ASSERT_EQ(report.moves.size(), 3u);
   for (const AdvisorMove& move : report.moves) {
     EXPECT_EQ(move.from, 0u);
@@ -398,30 +401,6 @@ void expectReconciles(const RunStats& stats) {
   EXPECT_EQ(in_bytes, out_bytes);
 }
 
-// Scheduler blame conserves the scheduler's own meters: every nanosecond
-// of barrier and ready wait is charged to exactly one partition, and every
-// steal to exactly one victim. A barrier never steals.
-void expectBlameReconciles(const RunStats& stats, Schedule schedule) {
-  const AttributionTable& a = stats.attribution();
-  std::int64_t blamed_ns = 0;
-  for (const std::int64_t ns : a.sched_wait_caused_ns) {
-    blamed_ns += ns;
-  }
-  std::int64_t victims = 0;
-  for (const std::uint64_t n : a.steal_victims) {
-    victims += static_cast<std::int64_t>(n);
-  }
-  EXPECT_EQ(blamed_ns,
-            testing::metricTotal(stats, "cluster.barrier_wait_ns") +
-                testing::metricTotal(stats, "engine.ready_wait_ns"));
-  const std::int64_t steals = testing::metricTotal(stats, "cluster.steals");
-  EXPECT_EQ(victims, steals);
-  if (schedule == Schedule::kBsp) {
-    EXPECT_EQ(steals, 0);
-    EXPECT_EQ(victims, 0);
-  }
-}
-
 void expectAttributionReconcilesUnder(const AlgorithmEntry& entry,
                                       Schedule schedule) {
   const testing::AlgoEnv env = testing::envFor(entry);
@@ -430,7 +409,6 @@ void expectAttributionReconcilesUnder(const AlgorithmEntry& entry,
   request.schedule = schedule;
   const AlgorithmRun run = env.run(entry, request);
   expectReconciles(run.stats);
-  expectBlameReconciles(run.stats, schedule);
   if (entry.has_timestep_loop) {
     return;
   }
@@ -475,16 +453,15 @@ TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
   Profiler::global().recordSend(0, 0, 1, 0, 8);
   Profiler::global().recordVertexSample(0, 3, 50, 2);
   Profiler::global().recordResidentSlice(0, 0, 4096);
-  Profiler::global().recordWaitCaused(0, 10);
-  Profiler::global().recordStealVictim(0);
   Profiler::global().resetRowsFrom(0);
   const AttributionTable t = Profiler::global().take();
   EXPECT_TRUE(t.empty());
 }
 
-// A barriered wave's wait is blamed on its straggler: with partition 1
-// sleeping in every compute superstep, most of the run's barrier wait
-// lands on it.
+// A barriered wave's wait is blamed on its straggler with the profiler
+// armed too: arming it adds attribution rows without disturbing the blame
+// the superstep records carry. With partition 1 sleeping in every compute
+// superstep, most of the run's caused wait lands on it.
 TEST(Profiler, BarrierBlameLandsOnTheStraggler) {
   const AlgorithmEntry& tdsp = testing::algorithm("tdsp");
   const testing::AlgoEnv env = testing::envFor(tdsp);
@@ -497,9 +474,10 @@ TEST(Profiler, BarrierBlameLandsOnTheStraggler) {
   }();
   injector.disarm();
   ASSERT_TRUE(run.stats.hasAttribution());
-  const auto& blame = run.stats.attribution().sched_wait_caused_ns;
-  ASSERT_EQ(blame.size(), 3u);
-  EXPECT_GT(blame[1], blame[0] + blame[2]);
+  const auto util = run.stats.partitionUtilization();
+  ASSERT_EQ(util.size(), 3u);
+  EXPECT_GT(util[1].wait_caused_ns,
+            util[0].wait_caused_ns + util[2].wait_caused_ns);
 }
 
 // GoFS charges a partition's resident slice bytes on every pack load, and
@@ -605,9 +583,8 @@ TEST(Advisor, EndToEndAfterRealRun) {
   }();
   ASSERT_TRUE(run.exec.stats.hasAttribution());
 
-  const auto analysis = analyzeCriticalPath(run.exec.stats);
-  const AdvisorReport report =
-      advisePartitioning(run.exec.stats.attribution(), &analysis);
+  const AdvisorReport report = advisePartitioning(
+      run.exec.stats.attribution(), run.exec.stats.partitionUtilization());
   ASSERT_EQ(report.suggested_subgraph_partition.size(), pg.numSubgraphs());
   const auto advised = unwrap(
       PartitionedGraph::build(tmpl, advisedAssignment(pg, report), 4));

@@ -145,6 +145,30 @@ TEST(Report, JsonRoundTripsAgainstEngineRun) {
   EXPECT_FALSE(result.stats.metrics().empty());
   EXPECT_NE(json.find("\"bus.messages_delivered\""), std::string::npos);
   EXPECT_NE(json.find("\"engine.supersteps\""), std::string::npos);
+
+  // The measured wait blame survives the reload, part by part and summed.
+  const auto loaded = testing::unwrap(runStatsFromJson(json));
+  const auto& before = result.stats.supersteps();
+  const auto& after = loaded.stats.supersteps();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t r = 0; r < before.size(); ++r) {
+    ASSERT_EQ(after[r].parts.size(), before[r].parts.size());
+    for (std::size_t p = 0; p < before[r].parts.size(); ++p) {
+      EXPECT_EQ(after[r].parts[p].wait_caused_ns,
+                before[r].parts[p].wait_caused_ns);
+      EXPECT_EQ(after[r].parts[p].stolen, before[r].parts[p].stolen);
+    }
+  }
+  const auto util_before = result.stats.partitionUtilization();
+  const auto util_after = loaded.stats.partitionUtilization();
+  ASSERT_EQ(util_after.size(), util_before.size());
+  std::int64_t caused_ns = 0;
+  for (std::size_t p = 0; p < util_before.size(); ++p) {
+    EXPECT_EQ(util_after[p].wait_caused_ns, util_before[p].wait_caused_ns);
+    EXPECT_EQ(util_after[p].stolen, util_before[p].stolen);
+    caused_ns += util_before[p].wait_caused_ns;
+  }
+  EXPECT_EQ(caused_ns, testing::meteredWaitNs(result.stats));
 }
 
 // Full round-trip through runStatsFromJson, including the PR-6 scheduler
@@ -205,7 +229,8 @@ TEST(Report, RunStatsJsonRoundTripPreservesMetricsAndHistograms) {
 TEST(Report, RunStatsJsonRejectsMalformedHistogramBuckets) {
   // Bucket entries must be [index, count] pairs with the index in range.
   const std::string base =
-      "{\"schema_version\":1,\"num_partitions\":1,\"supersteps\":[],"
+      "{\"schema_version\":" + std::to_string(kRunStatsSchemaVersion) +
+      ",\"num_partitions\":1,\"supersteps\":[],"
       "\"histograms\":[{\"name\":\"h.x\",\"count\":1,\"sum\":1,\"max\":1,"
       "\"buckets\":";
   EXPECT_FALSE(runStatsFromJson(base + "[[0]]}]}").isOk());

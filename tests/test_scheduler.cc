@@ -5,12 +5,13 @@
 // and without injected faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -199,12 +200,19 @@ class ScriptedDriver final : public Cluster::Driver {
     --in_flight_;
   }
 
-  std::vector<PartitionId> sealWave(
-      std::int32_t wave, std::span<const std::int64_t> waits) override {
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
     std::lock_guard lock(mutex_);
-    for (const std::int64_t w : waits) {
-      EXPECT_EQ(w, 0) << "a steal-mode wave has no barrier wait";
+    const std::int32_t wave = seal.wave;
+    // Every wait runs up to the straggler's end, a task of this wave.
+    for (const std::int64_t w : seal.wait_ns) {
+      EXPECT_GE(w, 0);
     }
+    EXPECT_NE(std::find(seal.wait_ns.begin(), seal.wait_ns.end(), 0),
+              seal.wait_ns.end());
+    const auto& members = script_[static_cast<std::size_t>(wave)];
+    EXPECT_NE(std::find(members.begin(), members.end(), seal.straggler),
+              members.end())
+        << "wave " << wave << " straggler " << seal.straggler;
     EXPECT_EQ(in_flight_, 0) << "seal ran concurrently with a task";
     sealing_ = true;
     seals_.push_back(wave);
@@ -257,6 +265,54 @@ TEST(Cluster, RunsScriptedWavesAndSealsEachExactlyOnce) {
   EXPECT_TRUE(seen.count({2, 3}) == 1);
 }
 
+// A stealing wave seals when its slowest task ends: the other workers'
+// idle until then is their seal wait (cluster.seal_wait_ns, not barrier
+// wait), and the seal names the slow task's partition as the straggler —
+// whichever worker ran it.
+class SlowOneDriver final : public Cluster::Driver {
+ public:
+  // p0's and p2's tasks hold their workers until p1's has started, so one
+  // worker cannot run all three back to back: at least one other worker
+  // ends ~20 ms before p1's and idles until the seal.
+  void runTask(PartitionId p, const Cluster::TaskInfo&) override {
+    if (p == 1) {
+      p1_started_.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return;
+    }
+    while (!p1_started_.load()) {
+      std::this_thread::yield();
+    }
+  }
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
+    straggler_ = seal.straggler;
+    wait_ns_.assign(seal.wait_ns.begin(), seal.wait_ns.end());
+    return {};
+  }
+  std::atomic<bool> p1_started_{false};
+  PartitionId straggler_ = kInvalidPartition;
+  std::vector<std::int64_t> wait_ns_;
+};
+
+TEST(Cluster, StealWaveMetersSealWaitAndNamesTheStraggler) {
+  Cluster cluster(3);
+  auto& registry = MetricsRegistry::global();
+  const auto seal_before = registry.counter("cluster.seal_wait_ns").value();
+  const auto barrier_before =
+      registry.counter("cluster.barrier_wait_ns").value();
+  SlowOneDriver driver;
+  cluster.runWaves(driver, {0, 1, 2}, Cluster::Sync::kSteal);
+  EXPECT_EQ(driver.straggler_, 1u);
+  ASSERT_EQ(driver.wait_ns_.size(), 3u);
+  const std::int64_t total = std::accumulate(
+      driver.wait_ns_.begin(), driver.wait_ns_.end(), std::int64_t{0});
+  EXPECT_GT(total, 10'000'000);
+  EXPECT_EQ(registry.counter("cluster.seal_wait_ns").value() - seal_before,
+            static_cast<std::uint64_t>(total));
+  EXPECT_EQ(registry.counter("cluster.barrier_wait_ns").value(),
+            barrier_before);
+}
+
 // A task fault must abort the phase (RecoveryNeeded), leave the dead worker
 // respawnable, and the rerun after respawn must succeed — mirroring the
 // engine's rollback protocol.
@@ -269,10 +325,9 @@ class FaultyDriver final : public Cluster::Driver {
     }
     tasks_.fetch_add(1);
   }
-  std::vector<PartitionId> sealWave(
-      std::int32_t wave, std::span<const std::int64_t>) override {
-    return wave == 0 ? std::vector<PartitionId>{0, 1, 2}
-                     : std::vector<PartitionId>{};
+  std::vector<PartitionId> sealWave(const Cluster::Seal& seal) override {
+    return seal.wave == 0 ? std::vector<PartitionId>{0, 1, 2}
+                          : std::vector<PartitionId>{};
   }
   std::atomic<int> tasks_{0};
 
@@ -304,8 +359,25 @@ TEST(Cluster, WaveTaskFaultAbortsPhaseAndRespawnsCleanly) {
 constexpr std::uint32_t kPartitions = 3;
 constexpr std::uint32_t kTimesteps = 5;
 
+// The wait blame in a run's records conserves the scheduler's meters, with
+// no profiler armed: every nanosecond of barrier, ready and seal wait is
+// charged as caused to exactly one partition, and every steal to exactly
+// one victim.
+void expectBlameReconciles(const RunStats& stats, const char* schedule) {
+  std::int64_t caused_ns = 0;
+  std::int64_t stolen = 0;
+  for (const auto& rec : stats.supersteps()) {
+    for (const auto& part : rec.parts) {
+      caused_ns += part.wait_caused_ns;
+      stolen += static_cast<std::int64_t>(part.stolen);
+    }
+  }
+  EXPECT_EQ(caused_ns, testing::meteredWaitNs(stats)) << schedule;
+  EXPECT_EQ(stolen, metricTotal(stats, "cluster.steals")) << schedule;
+}
+
 // Every algorithm, in-process: the async digest is the BSP digest. BSP
-// supersteps are barriered and never stealing.
+// supersteps are barriered and never stealing. Both runs' blame reconciles.
 void expectAsyncMatchesBsp(const AlgorithmEntry& entry) {
   const testing::AlgoEnv env = testing::envFor(entry);
   AlgorithmRequest async_request;
@@ -314,6 +386,10 @@ void expectAsyncMatchesBsp(const AlgorithmEntry& entry) {
   const AlgorithmRun async = env.run(entry, async_request);
   EXPECT_EQ(async.digest, bsp.digest);
   EXPECT_EQ(metricTotal(bsp.stats, "cluster.waves"), 0);
+  EXPECT_EQ(metricTotal(bsp.stats, "cluster.steals"), 0);
+  EXPECT_EQ(metricTotal(bsp.stats, "cluster.seal_wait_ns"), 0);
+  expectBlameReconciles(bsp.stats, "bsp");
+  expectBlameReconciles(async.stats, "async");
 }
 
 const bool kAsyncMatchesBsp = testing::registerPerAlgorithm(
@@ -332,7 +408,8 @@ TEST(AsyncSchedule, TdspRunsStealingWaves) {
 // Every wait a run's records charge to sync_ns is metered in the registry:
 // barriered waves (BSP supersteps, end-of-timestep and maintenance waves,
 // under either schedule) into cluster.barrier_wait_ns, async wave pickups
-// into engine.ready_wait_ns. Nothing is counted twice or left out. And
+// into engine.ready_wait_ns and async idle until the seal into
+// cluster.seal_wait_ns. Nothing is counted twice or left out. And
 // every record is exactly one sealed wave: a barrier (cluster.rounds) or,
 // for async compute and merge supersteps, a stealing wave (cluster.waves).
 TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
@@ -353,9 +430,10 @@ TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
       }
     }
     const auto& stats = run.exec.stats;
-    EXPECT_EQ(sync_ns, metricTotal(stats, "cluster.barrier_wait_ns") +
-                           metricTotal(stats, "engine.ready_wait_ns"))
+    EXPECT_EQ(sync_ns, testing::meteredWaitNs(stats))
         << (schedule == Schedule::kBsp ? "bsp" : "async");
+    // Maintenance records are built by hand; their blame must count too.
+    expectBlameReconciles(stats, schedule == Schedule::kBsp ? "bsp" : "async");
     const auto records =
         static_cast<std::int64_t>(stats.supersteps().size());
     std::int64_t maintenance = 0;
@@ -370,6 +448,7 @@ TEST(AsyncSchedule, SyncNsReconcilesWithRegistryWaitUnderBothSchedules) {
       EXPECT_EQ(metricTotal(stats, "cluster.waves"), 0);
       EXPECT_EQ(metricTotal(stats, "cluster.steals"), 0);
       EXPECT_EQ(metricTotal(stats, "engine.ready_wait_ns"), 0);
+      EXPECT_EQ(metricTotal(stats, "cluster.seal_wait_ns"), 0);
     } else {
       EXPECT_EQ(metricTotal(stats, "cluster.waves"),
                 records - end_of_timestep - maintenance);

@@ -149,8 +149,7 @@ TEST(RunStats, ModelledTimeSinglePartitionSumsBusyComponents) {
 }
 
 TEST(RunStats, StragglerFixtureMatchesHandComputation) {
-  // The fixture's comment in test_util.h derives these numbers by hand;
-  // test_analysis asserts analyzeCriticalPath agrees with the same fixture.
+  // The fixture's comment in test_util.h derives these numbers by hand.
   const RunStats stats = testing::stragglerFixtureStats();
   const NetworkModel net = testing::fixtureNetworkModel();
   EXPECT_EQ(stats.modelledParallelNs(net), 5450);

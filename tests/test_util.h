@@ -184,6 +184,15 @@ inline std::int64_t metricTotal(const RunStats& stats,
   return total;
 }
 
+// Every wait the scheduler meters: barrier wait of barriered waves, ready
+// wait and seal wait of stealing waves. A run's summed sync_ns and its
+// summed wait_caused_ns both equal it.
+inline std::int64_t meteredWaitNs(const RunStats& stats) {
+  return metricTotal(stats, "cluster.barrier_wait_ns") +
+         metricTotal(stats, "engine.ready_wait_ns") +
+         metricTotal(stats, "cluster.seal_wait_ns");
+}
+
 // --- Per-algorithm matrices ----------------------------------------------
 
 // The registry entry named `name`.
@@ -267,17 +276,16 @@ inline bool registerPerAlgorithm(const char* suite, const std::string& suffix,
 }
 
 // --- Hand-computed straggler fixture ------------------------------------
-// Shared by test_stats and test_analysis so RunStats::modelledParallelNs and
-// analyzeCriticalPath are checked against the SAME arithmetic. Under
+// test_stats checks RunStats::modelledParallelNs against it; test_analysis
+// books the measured wait blame of the same three records on top. Under
 // fixtureNetworkModel() (1 byte = 8 ns, 100 ns/message, 1000 ns/barrier):
 //
-//   (t0,s0): busy {120, 350}  straggler 1, wait 230, comm 1200 -> 2550
-//   (t0,s1): busy { 50, 400}  straggler 1, wait 350            -> 1400
-//   (t1,s0): busy {500, 100}  straggler 0, wait 400            -> 1500
+//   (t0,s0): busy {120, 350}  straggler 1, comm 1200 -> 2550
+//   (t0,s1): busy { 50, 400}  straggler 1            -> 1400
+//   (t1,s0): busy {500, 100}  straggler 0            -> 1500
 //
 // modelledParallelNs = 5450 = critical-path busy 1250 + comm 1200 +
-// barriers 3000; total busy 1520; total barrier wait 980, of which
-// partition 1 is blamed for 580 (~59.2%, the dominant straggler).
+// barriers 3000; total busy 1520.
 
 inline NetworkModel fixtureNetworkModel() {
   NetworkModel net;

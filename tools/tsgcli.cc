@@ -7,7 +7,9 @@
 // Fig. 7b-style table). All analysis commands also accept --trace=PATH
 // (Perfetto/Chrome trace-event JSON of the run) and --json=PATH
 // (machine-readable RunStats export). `analyze` consumes those --json
-// exports and prints the critical-path / straggler breakdown.
+// exports and opens with the per-partition time split and measured wait
+// blame (the wait each partition caused the others, its stolen tasks),
+// then names the dominant straggler.
 // Fault tolerance: --checkpoint=DIR persists a recovery point at every
 // timestep boundary and --inject=PLAN (or TSG_INJECT) arms the fault
 // injector; analyze reports any recoveries a run survived. Log verbosity
@@ -41,7 +43,6 @@
 #include "gofs/checkpoint.h"
 #include "gofs/dataset.h"
 #include "graph/collection.h"
-#include "metrics/analysis.h"
 #include "metrics/report.h"
 #include "partition/partitioner.h"
 #include "profile/advisor.h"
@@ -121,8 +122,17 @@ Args parseArgs(int argc, char** argv) {
   return args;
 }
 
+// Ranges for numeric flags: every integer flag is read through
+// Args::getInt's [min, max], so a value that would wrap when narrowed, or
+// a negative count, exits 2 naming the flag.
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::int64_t kUint32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 // --profile=TOPK's ceiling: the sketches preallocate TOPK entries each.
 constexpr std::int64_t kMaxProfileTopK = std::int64_t{1} << 20;
+// --partitions' ceiling: every partition becomes a worker thread at run
+// time.
+constexpr std::int64_t kMaxPartitions = 1024;
 
 int usage() {
   std::fputs(
@@ -161,6 +171,8 @@ int usage() {
       "           (--verify also runs the cold batch reference and exits 1\n"
       "            unless the digests match)\n"
       "  analyze  RUN.json [--attrib] | --timeline=TIMELINE.json\n"
+      "           per-partition time split with the measured wait blame,\n"
+      "           and the dominant straggler;\n"
       "           --attrib: render the cost-attribution report (per-subgraph\n"
       "           table, hot vertices, per-timestep skew, partition advisor)\n"
       "  top      ALGO DIR [--schedule=bsp|async] [--sample-ms=N]\n"
@@ -222,6 +234,9 @@ Result<GofsDataset> openFrom(const Args& args) {
 // Set from --json=PATH before the command runs; printRunFooter exports the
 // run's stats there (every analysis command funnels through it).
 std::string g_json_path;
+// Set when an output the command was asked to write (--json=, --trace=,
+// --timeline=, --prom=) could not be written; main then exits 1.
+bool g_output_failed = false;
 
 // Parses --schedule=bsp|async into *out; returns false (after printing the
 // diagnostic) on an unknown value.
@@ -269,8 +284,8 @@ void printFaultSummary(const RunStats& stats) {
 }
 
 // Short attribution footer for run commands: the heaviest subgraphs by
-// attributed compute. Scheduler blame, the per-timestep skew and the
-// placement advice are in the full report, `analyze RUN.json --attrib`.
+// attributed compute. The per-timestep skew and the placement advice are
+// in the full report, `analyze RUN.json --attrib`.
 void printAttributionSummary(const RunStats& stats) {
   if (!stats.hasAttribution() || stats.attribution().empty()) {
     return;
@@ -316,6 +331,7 @@ void writeJsonStats(const RunStats& stats, const std::string& label) {
     std::printf("wrote run stats: %s\n", g_json_path.c_str());
   } else {
     std::fprintf(stderr, "tsgcli: cannot write %s\n", g_json_path.c_str());
+    g_output_failed = true;
   }
 }
 
@@ -338,16 +354,19 @@ int cmdGenerate(const Args& args) {
   const std::string workload =
       args.get("workload", kind == "road" ? "road" : "tweet");
   const auto vertices =
-      static_cast<std::uint32_t>(args.getInt("vertices", 10000));
+      static_cast<std::uint32_t>(args.getInt("vertices", 10000, 1,
+                                             kUint32Max));
   const auto timesteps =
-      static_cast<std::uint32_t>(args.getInt("timesteps", 50));
-  const auto partitions =
-      static_cast<std::uint32_t>(args.getInt("partitions", 4));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+      static_cast<std::uint32_t>(args.getInt("timesteps", 50, 1, kInt32Max));
+  const auto partitions = static_cast<std::uint32_t>(
+      args.getInt("partitions", 4, 1, kMaxPartitions));
+  const auto seed =
+      static_cast<std::uint64_t>(args.getInt("seed", 1, 0, kInt64Max));
   const double closures = args.getDouble("closures", 0.0);
   const double hit = args.getDouble("hit", 0.1);
   const double background = args.getDouble("background", 0.01);
-  const auto packing = static_cast<std::uint32_t>(args.getInt("packing", 10));
+  const auto packing =
+      static_cast<std::uint32_t>(args.getInt("packing", 10, 1, kUint32Max));
   if (!args.flagError().isOk()) {
     return failArgs(args.flagError());
   }
@@ -630,9 +649,9 @@ std::string renderHistogramQuantiles(const RunStats& stats) {
 
 // The full --attrib report: per-subgraph cost table, per-timestep skew
 // series, heavy-hitter vertices, and the partition-quality advisor cross-
-// referenced with the critical-path analysis.
-void printAttributionReport(const AttributionTable& attrib,
-                            const CriticalPathAnalysis& analysis) {
+// referenced with the run's measured wait blame.
+void printAttributionReport(const RunStats& stats) {
+  const AttributionTable& attrib = stats.attribution();
   const auto totals = attrib.subgraphTotals();
   std::int64_t total_ns = 0;
   for (const auto& c : totals) {
@@ -713,7 +732,8 @@ void printAttributionReport(const AttributionTable& attrib,
   hotTable(attrib.hot_compute, "compute ns");
   hotTable(attrib.hot_fanout, "message fan-out");
 
-  const AdvisorReport advice = advisePartitioning(attrib, &analysis);
+  const AdvisorReport advice =
+      advisePartitioning(attrib, stats.partitionUtilization());
   std::fputs(renderAdvisorReport(advice).c_str(), stdout);
 }
 
@@ -752,9 +772,8 @@ int cmdAnalyze(const Args& args) {
   const std::string label =
       run.label.empty() ? args.positional[0] : run.label;
   printFaultSummary(run.stats);
-  const auto analysis = analyzeCriticalPath(run.stats);
-  std::fputs(renderCriticalPath(analysis, label).c_str(), stdout);
   std::fputs(renderUtilization(run.stats, label).c_str(), stdout);
+  std::fputs(renderWaitBlame(run.stats, label).c_str(), stdout);
   std::fputs(renderHistogramQuantiles(run.stats).c_str(), stdout);
   if (args.has("attrib")) {
     if (!run.stats.hasAttribution() || run.stats.attribution().empty()) {
@@ -764,7 +783,7 @@ int cmdAnalyze(const Args& args) {
           stderr);
       return 2;
     }
-    printAttributionReport(run.stats.attribution(), analysis);
+    printAttributionReport(run.stats);
   }
   return 0;
 }
@@ -803,14 +822,12 @@ int cmdCheck(const Args& args) {
     return rc;
   }
   check::DeterminismOptions options;
-  options.runs = static_cast<std::int32_t>(args.getInt("runs", 3));
-  options.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+  options.runs =
+      static_cast<std::int32_t>(args.getInt("runs", 3, 1, kInt32Max));
+  options.seed =
+      static_cast<std::uint64_t>(args.getInt("seed", 1, 0, kInt64Max));
   if (!args.flagError().isOk()) {
     return failArgs(args.flagError());
-  }
-  if (options.runs < 1) {
-    std::fputs("tsgcli check: --runs must be >= 1\n", stderr);
-    return 2;
   }
   // --stream: every harness run replays the dataset's event stream through
   // the ingest pipeline instead of reading the dataset directly. The
@@ -914,10 +931,10 @@ int cmdStream(const Args& args) {
                  algo.c_str());
     return 2;
   }
-  const auto queue_cap = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.getInt("queue", 4)));
-  const auto max_staged = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, args.getInt("max-staged", 0)));
+  const auto queue_cap =
+      static_cast<std::size_t>(args.getInt("queue", 4, 1, kInt64Max));
+  const auto max_staged =
+      static_cast<std::size_t>(args.getInt("max-staged", 0, 0, kInt64Max));
   if (!args.flagError().isOk()) {
     return failArgs(args.flagError());
   }
@@ -1117,9 +1134,9 @@ int cmdTop(const Args& args) {
 
   TelemetryOptions sampler_options;
   sampler_options.sample_ms =
-      static_cast<int>(args.getInt("sample-ms", 20));
-  const auto refresh =
-      std::chrono::milliseconds(args.getInt("refresh-ms", 200));
+      static_cast<int>(args.getInt("sample-ms", 20, 1, kInt32Max));
+  const auto refresh = std::chrono::milliseconds(
+      args.getInt("refresh-ms", 200, 1, kInt32Max));
   if (!args.flagError().isOk()) {
     return failArgs(args.flagError());
   }
@@ -1244,7 +1261,8 @@ int main(int argc, char** argv) {
     }
     fault::FaultInjector::global().arm(
         std::move(plan).value(),
-        static_cast<std::uint64_t>(args.getInt("inject-seed", 42)));
+        static_cast<std::uint64_t>(
+            args.getInt("inject-seed", 42, 0, kInt64Max)));
   } else if (const Status armed = fault::armFromEnv(); !armed.isOk()) {
     return failArgs(armed);
   }
@@ -1276,13 +1294,13 @@ int main(int argc, char** argv) {
   RunTelemetryOptions telemetry_options;
   telemetry_options.sample_ms =
       args.has("sample-ms")
-          ? static_cast<int>(args.getInt("sample-ms", 10))
+          ? static_cast<int>(args.getInt("sample-ms", 10, 1, kInt32Max))
           : -1;
   telemetry_options.timeline_path = args.get("timeline", "");
   telemetry_options.prom_path = args.get("prom", "");
   telemetry_options.prom_port =
       args.has("prom-port")
-          ? static_cast<int>(args.getInt("prom-port", 0))
+          ? static_cast<int>(args.getInt("prom-port", 0, 0, 65535))
           : -1;
   telemetry_options.label = command;
   if (!args.flagError().isOk()) {
@@ -1299,11 +1317,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const int rc = dispatch(command, args);
+  int rc = dispatch(command, args);
   {
     const Status status = telemetry.finish();
     if (!status.isOk()) {
       std::fprintf(stderr, "tsgcli: %s\n", status.toString().c_str());
+      g_output_failed = true;
     } else if (!telemetry_options.timeline_path.empty() && run_command) {
       std::printf("wrote timeline: %s\n",
                   telemetry_options.timeline_path.c_str());
@@ -1317,7 +1336,8 @@ int main(int argc, char** argv) {
                   Tracer::instance().eventCount());
     } else {
       std::fprintf(stderr, "tsgcli: %s\n", status.toString().c_str());
+      g_output_failed = true;
     }
   }
-  return rc;
+  return rc == 0 && g_output_failed ? 1 : rc;
 }
