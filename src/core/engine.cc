@@ -92,9 +92,35 @@ class WorkerState {
   // Metering accumulators, drained per superstep.
   std::int64_t send_ns = 0;
   std::int64_t load_ns = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t subgraphs_computed = 0;
+
+  // The one cost meter: the unit being served (a compute, merge or
+  // end-of-timestep call of cur_sg) counts into `unit`; closeUnit() folds
+  // it into the superstep's costs and, profiled, queues it and its sends
+  // for the seal to charge to the attribution table.
+  SubgraphCosts unit;
+  SubgraphCosts superstep_costs;
+  bool profiled = false;
+  std::vector<Profiler::UnitCharge> pending_units;
+  std::vector<Profiler::InboundCharge> pending_inbound;
+
+  // tsg:hot — once per message send.
+  void meterSend(SubgraphId dst, std::uint64_t bytes) {
+    ++unit.msgs_out;
+    unit.bytes_out += bytes;
+    if (profiled) [[unlikely]] {
+      pending_inbound.push_back({dst, bytes});
+    }
+  }
+
+  // Ends cur_sg's unit; `compute_ns` is its timed span (0 unprofiled).
+  void closeUnit(std::int64_t compute_ns) {
+    unit.compute_ns = compute_ns;
+    superstep_costs += unit;
+    if (profiled) [[unlikely]] {
+      pending_units.push_back({cur_sg->id, unit});
+    }
+    unit = SubgraphCosts{};
+  }
 
   // Results.
   std::vector<std::string> outputs;
@@ -221,12 +247,7 @@ void SubgraphContext::sendToSubgraph(SubgraphId dst, PayloadBuffer payload) {
   msg.src = st.cur_sg->id;
   msg.dst = dst;
   msg.payload = std::move(payload);
-  ++st.msgs_sent;
-  st.bytes_sent += msg.byteSize();
-  if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(st.partition_, msg.src, dst, st.timestep,
-                                  msg.byteSize());
-  }
+  st.meterSend(dst, msg.byteSize());
   st.bus_.send(st.partition_, st.pg_.partitionOfSubgraph(dst), std::move(msg));
 }
 
@@ -247,12 +268,7 @@ void SubgraphContext::sendToSubgraphInNextTimestep(SubgraphId dst,
   msg.dst = dst;
   msg.origin_timestep = st.timestep;
   msg.payload = std::move(payload);
-  ++st.msgs_sent;
-  st.bytes_sent += msg.byteSize();
-  if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(st.partition_, msg.src, dst, st.timestep,
-                                  msg.byteSize());
-  }
+  st.meterSend(dst, msg.byteSize());
   st.next_msgs.push_back(std::move(msg));
 }
 
@@ -268,12 +284,7 @@ void SubgraphContext::sendMessageToMerge(PayloadBuffer payload) {
   msg.dst = st.cur_sg->id;
   msg.origin_timestep = st.timestep;
   msg.payload = std::move(payload);
-  ++st.msgs_sent;
-  st.bytes_sent += msg.byteSize();
-  if (Profiler::enabled()) [[unlikely]] {
-    Profiler::global().recordSend(st.partition_, msg.src, msg.dst,
-                                  st.timestep, msg.byteSize());
-  }
+  st.meterSend(msg.dst, msg.byteSize());
   st.merge_msgs.push_back(std::move(msg));
 }
 
@@ -371,7 +382,9 @@ void distributeInbox(WorkerState& st) {
   inbox.clear();
 }
 
-// Drains per-superstep meters from a state into a stats record entry.
+// Drains per-superstep meters from a state into a stats record entry and,
+// profiled, charges the superstep's closed units to the attribution table
+// in the same step.
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
                          const PartitionTiming& timing) {
   ps.send_ns = std::exchange(st.send_ns, 0);
@@ -381,9 +394,16 @@ void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
   ps.sync_ns = timing.sync_ns;
   ps.wait_caused_ns = timing.wait_caused_ns;
   ps.stolen = timing.stolen;
-  ps.messages_sent = std::exchange(st.msgs_sent, 0);
-  ps.bytes_sent = std::exchange(st.bytes_sent, 0);
-  ps.subgraphs_computed = std::exchange(st.subgraphs_computed, 0);
+  const SubgraphCosts costs = std::exchange(st.superstep_costs, {});
+  ps.messages_sent = costs.msgs_out;
+  ps.bytes_sent = costs.bytes_out;
+  ps.subgraphs_computed = costs.computes;
+  if (st.profiled) [[unlikely]] {
+    Profiler::global().chargeSealed(st.timestep, st.pending_units,
+                                    st.pending_inbound);
+    st.pending_units.clear();
+    st.pending_inbound.clear();
+  }
 }
 
 bool partitionQuiesced(const WorkerState& st) {
@@ -513,18 +533,14 @@ void runPartitionSuperstep(ExecEnv& env, PartitionId p, Timestep t,
     st.cur_local = i;
     st.cur_sg = &part.subgraphs[i];
     auto ctx = st.makeContext();
-    const bool profiled = Profiler::enabled();
-    const std::int64_t unit_start = profiled ? steadyNowNs() : 0;
+    const std::int64_t unit_start = st.profiled ? steadyNowNs() : 0;
     if (merge) {
       st.program->merge(ctx);
     } else {
       st.program->compute(ctx);
     }
-    if (profiled) [[unlikely]] {
-      Profiler::global().recordCompute(st.cur_sg->id, t,
-                                       steadyNowNs() - unit_start);
-    }
-    ++st.subgraphs_computed;
+    ++st.unit.computes;
+    st.closeUnit(st.profiled ? steadyNowNs() - unit_start : 0);
     st.sg_inbox[i].clear();
   }
   if (skipped > 0) {
@@ -810,6 +826,7 @@ bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
       st.cur_sg = &part.subgraphs[i];
       auto ctx = st.makeContext();
       st.program->endOfTimestep(ctx);
+      st.closeUnit(0);
     }
     if (env.checker != nullptr) {
       env.checker->exitCompute(p);
@@ -927,7 +944,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
   result.stats = RunStats(k);
   Tracer::setCurrentThreadName("coordinator");
   TraceSpan run_span("tibsp", "tibsp.run", "timesteps", count);
-  if (Profiler::enabled()) {
+  const bool profiled = Profiler::enabled();
+  if (profiled) {
     Profiler::global().beginRun(pg_, first, count);
   }
   const auto metrics_before = MetricsRegistry::global().snapshot();
@@ -947,6 +965,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         pg_, p, bus, config.pattern, static_cast<std::size_t>(count),
         provider_.t0(), provider_.delta()));
     states.back()->program = programs.back().get();
+    states.back()->profiled = profiled;
   }
   // Protocol checking: one checker per run, attached to the sole bus.
   const auto checker = attachChecker(bus, k, use_async);
@@ -1105,20 +1124,15 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         }
         st.send_ns = 0;
         st.load_ns = 0;
-        st.msgs_sent = 0;
-        st.bytes_sent = 0;
-        st.subgraphs_computed = 0;
+        st.unit = st.superstep_costs = SubgraphCosts{};
+        st.pending_units.clear();
+        st.pending_inbound.clear();
         st.agg_prev = ckpt.aggregates;
         st.instance = nullptr;
       }
       pending_next = std::move(ckpt.pending_next);
       merge_pool = std::move(ckpt.merge_pool);
       result.timesteps_executed = ckpt.timesteps_executed;
-      if (Profiler::enabled()) {
-        // Rolled-back timesteps re-run from the cut; drop their rows so
-        // attributed costs are not double-counted on the replay.
-        Profiler::global().resetRowsFrom(ckpt.timestep + 1);
-      }
       i = (ckpt.timestep - first) + 1;
       stop = false;
     }
@@ -1134,7 +1148,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       snapshotDelta(metrics_before, MetricsRegistry::global().snapshot()));
   result.stats.setHistograms(histogramDelta(
       hists_before, MetricsRegistry::global().histogramSnapshot()));
-  if (Profiler::enabled()) {
+  if (profiled) {
     result.stats.setAttribution(Profiler::global().take());
   }
   return result;

@@ -10,14 +10,15 @@
 // GoFS provider charges on each pack load; profile/profiler.h says who
 // writes which cell.
 //
-// Conservation invariants (asserted in tests/test_profile.cc under both
-// schedules): summing `computes`, `msgs_out` and `bytes_out` over a
-// partition's subgraphs reproduces the engine meters exactly — the same
-// values RunStats records per superstep and the MetricsRegistry
-// accumulates per partition — because the profiler hooks sit adjacent to
-// the very increments that feed those meters. `compute_ns` is a timed-span
-// measurement (a subset of CPU busy time), so it is comparable but not
-// bit-identical to busy_ns.
+// Conservation invariants, by construction (asserted in
+// tests/test_profile.cc under both schedules, fault-free and recovered):
+// summing `computes`, `msgs_out` and `bytes_out` over a partition's
+// subgraphs reproduces its SuperstepRecord parts exactly, and inbound
+// totals equal outbound totals. The engine meters each subgraph unit once;
+// the seal that commits a superstep's record part is the step that
+// charges its units' cells. `compute_ns` is a timed-span measurement (a
+// subset of CPU busy time), so it is comparable but not bit-identical to
+// busy_ns.
 //
 // Row layout: `num_rows = num_timesteps + 1`; row `t - first_timestep`
 // holds timestep t, and the final row holds the Merge BSP of eventually
@@ -86,8 +87,8 @@ struct AttributionTable {
   std::vector<SubgraphMeta> subgraphs;           // indexed by global id
   std::vector<std::vector<SubgraphCosts>> rows;  // [row][subgraph id]
 
-  // Run totals, per subgraph: inbound traffic charged at send time to the
-  // destination (by the engine's send paths, which every algorithm shares).
+  // Run totals, per subgraph: inbound traffic, charged to the destination
+  // in the seal of the superstep whose unit sent it.
   std::vector<std::uint64_t> msgs_in;
   std::vector<std::uint64_t> bytes_in;
 
@@ -124,8 +125,8 @@ void attributionToJson(JsonWriter& w, const AttributionTable& table);
 
 // Parses what attributionToJson wrote (the "attribution" member of a
 // RunStats document). Fails with CorruptData naming the field unless rows,
-// msgs_in and bytes_in match num_rows and the subgraph count, the blame
-// arrays match num_partitions, and every subgraph's partition is in range.
+// msgs_in and bytes_in match num_rows and the subgraph count, and every
+// subgraph's partition is below num_partitions.
 Result<AttributionTable> attributionFromJson(const JsonValue& v);
 
 }  // namespace tsg

@@ -53,10 +53,12 @@ void Profiler::beginRun(const PartitionedGraph& pg, Timestep first_timestep,
   }
   table_.rows.assign(static_cast<std::size_t>(table_.num_rows),
                      std::vector<SubgraphCosts>(num_subgraphs));
+  table_.msgs_in.assign(num_subgraphs, 0);
+  table_.bytes_in.assign(num_subgraphs, 0);
   shards_.clear();
   shards_.reserve(pg.numPartitions());
   for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
-    shards_.emplace_back(num_subgraphs, sketchCapacity());
+    shards_.emplace_back(sketchCapacity());
   }
 }
 
@@ -68,16 +70,9 @@ AttributionTable Profiler::take() {
   AttributionTable table = std::exchange(table_, AttributionTable{});
   const std::vector<Shard> shards = std::exchange(shards_, {});
 
-  const std::size_t num_subgraphs = table.numSubgraphs();
-  table.msgs_in.assign(num_subgraphs, 0);
-  table.bytes_in.assign(num_subgraphs, 0);
   SpaceSavingSketch compute_sketch(sketchCapacity());
   SpaceSavingSketch fanout_sketch(sketchCapacity());
   for (const Shard& shard : shards) {
-    for (std::size_t sg = 0; sg < num_subgraphs; ++sg) {
-      table.msgs_in[sg] += shard.msgs_in[sg];
-      table.bytes_in[sg] += shard.bytes_in[sg];
-    }
     compute_sketch.merge(shard.compute);
     fanout_sketch.merge(shard.fanout);
   }
@@ -104,24 +99,20 @@ AttributionTable Profiler::take() {
   return table;
 }
 
-// tsg:hot — hook fires after every subgraph compute call.
-void Profiler::recordCompute(SubgraphId sg, Timestep t, std::int64_t ns) {
-  if (SubgraphCosts* cell = cellAt(rowOf(t), sg)) {
-    cell->compute_ns += ns;
-    ++cell->computes;
+// tsg:hot — walks every unit and message of a sealed superstep.
+void Profiler::chargeSealed(Timestep t, std::span<const UnitCharge> units,
+                            std::span<const InboundCharge> inbound) {
+  const std::int32_t row = rowOf(t);
+  for (const UnitCharge& unit : units) {
+    if (SubgraphCosts* cell = cellAt(row, unit.sg)) {
+      *cell += unit.cost;
+    }
   }
-}
-
-// tsg:hot — hook fires once per message send.
-void Profiler::recordSend(PartitionId p, SubgraphId src, SubgraphId dst,
-                          Timestep t, std::uint64_t bytes) {
-  if (SubgraphCosts* cell = cellAt(rowOf(t), src)) {
-    ++cell->msgs_out;
-    cell->bytes_out += bytes;
-  }
-  if (p < shards_.size() && dst < shards_[p].msgs_in.size()) {
-    ++shards_[p].msgs_in[dst];
-    shards_[p].bytes_in[dst] += bytes;
+  for (const InboundCharge& msg : inbound) {
+    if (msg.dst < table_.msgs_in.size()) {
+      ++table_.msgs_in[msg.dst];
+      table_.bytes_in[msg.dst] += msg.bytes;
+    }
   }
 }
 
@@ -153,15 +144,6 @@ void Profiler::recordResidentSlice(PartitionId p, Timestep t,
       // An occupancy level, not a flow: the latest load for this row wins.
       cell->resident_bytes = bytes * sg.numVertices() / part_vertices;
     }
-  }
-}
-
-void Profiler::resetRowsFrom(Timestep t) {
-  const std::int32_t first_row = std::max(0, t - table_.first_timestep);
-  for (std::int32_t row = first_row; row < table_.num_rows; ++row) {
-    std::fill(table_.rows[static_cast<std::size_t>(row)].begin(),
-              table_.rows[static_cast<std::size_t>(row)].end(),
-              SubgraphCosts{});
   }
 }
 

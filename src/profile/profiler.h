@@ -4,38 +4,30 @@
 // Cost model mirrors the tracer and the protocol checker: disarmed (the
 // default), every hook call site is one relaxed atomic load plus an
 // untaken branch — no allocation, no locks, nothing observable. Armed, the
-// engine brackets a run with beginRun()/take(); in between, hooks charge
-// costs into a preallocated [row][subgraph] grid of plain integers.
+// engine brackets a run with beginRun()/take(); in between, the table is a
+// preallocated [row][subgraph] grid of plain integers.
 //
-// Who charges what. The subgraph-centric engine (core/engine.cc) is the
-// only caller outside this module and GoFS: it charges compute and sends.
-// The GoFS provider charges resident slice bytes on each pack load; the
-// vertex engines feed the vertex sketches. Scheduler blame (who caused the
-// barrier, ready and seal wait, whose tasks were stolen) is not profiled:
-// every run measures it per partition in its SuperstepRecords.
+// Who charges what. The subgraph-centric engine (core/engine.cc) meters
+// each subgraph unit once; the seal that commits a superstep's record hands
+// its closed units to chargeSealed(), so work of a wave a fault aborts is in
+// neither and a committed superstep a recovery replays is in both. The GoFS
+// provider charges resident slice bytes on each pack load; the vertex
+// engines feed the vertex sketches. Scheduler blame is not profiled: every
+// run measures it per partition in its SuperstepRecords.
 //
-// Hook placement contract (the reconciliation invariant depends on it):
-// recordCompute / recordSend calls sit immediately adjacent to the engine
-// meter increments (`subgraphs_computed`, `msgs_sent`, `bytes_sent`) that
-// feed SuperstepRecord parts and the per-partition MetricsRegistry
-// counters. Summing the table over a partition's subgraphs therefore
-// reproduces those totals exactly; tests/test_profile.cc asserts it for
-// all nine shipped algorithms under both schedules.
-//
-// Concurrency: no cell is shared, so none needs an atomic or a lock. Every
-// hook writes only state of the partition whose task is running — its
-// subgraphs' cells, and its own shard (sketches, and the inbound traffic
-// it sent, kept per destination and folded by take()). A partition's task
-// runs at most once per wave and waves are ordered by the cluster's mutex,
-// so each write
-// happens-before the next one to the same integer. beginRun() and take()
-// run on the coordinator before the cluster starts and after it joins.
-// Outside that window the grid is empty and every hook's bounds check
-// makes it a no-op.
+// Concurrency: no cell is shared, so none needs an atomic or a lock.
+// chargeSealed() runs in a seal, with no task in flight; the other hooks
+// run in the task of the partition they charge and write only its
+// subgraphs' resident bytes and its own sketch shard. Waves and seals are
+// ordered by the cluster's mutex, so each write happens-before the next one
+// to the same integer. beginRun() and take() run on the coordinator before
+// the cluster starts and after it joins. Outside that window the grid is
+// empty and every hook's bounds check makes it a no-op.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "partition/partitioned_graph.h"
@@ -78,16 +70,22 @@ class Profiler {
                 std::int32_t num_timesteps);
   [[nodiscard]] AttributionTable take();
 
-  // --- recording hooks (no-ops unless a run window is open) ---
-  // Each is called by the task of the partition it charges (the owner of
-  // `sg`/`src`, or `p`).
+  // A closed subgraph unit (resident_bytes 0), and one message it sent.
+  struct UnitCharge {
+    SubgraphId sg = kInvalidSubgraph;
+    SubgraphCosts cost;
+  };
+  struct InboundCharge {
+    SubgraphId dst = kInvalidSubgraph;
+    std::uint64_t bytes = 0;
+  };
 
-  // One program compute invocation on subgraph sg at timestep t.
-  void recordCompute(SubgraphId sg, Timestep t, std::int64_t ns);
-  // One message sent by partition p: outbound charged to (src, t), inbound
-  // to dst's run total.
-  void recordSend(PartitionId p, SubgraphId src, SubgraphId dst, Timestep t,
-                  std::uint64_t bytes);
+  // --- recording hooks (no-ops unless a run window is open) ---
+
+  // The seal of a superstep at timestep t: adds each unit to its (t, sg)
+  // cell and each message to its destination's inbound totals.
+  void chargeSealed(Timestep t, std::span<const UnitCharge> units,
+                    std::span<const InboundCharge> inbound);
   // One sampled vertex compute (vertex-centric engines); `ns` and `fanout`
   // are the raw sampled measurements — the profiler scales by sampleEvery().
   void recordVertexSample(PartitionId p, VertexIndex vertex, std::uint64_t ns,
@@ -95,24 +93,16 @@ class Profiler {
   // Resident attribute bytes of partition p's loaded instance at timestep
   // t, distributed across p's subgraphs proportional to vertex count.
   void recordResidentSlice(PartitionId p, Timestep t, std::uint64_t bytes);
-  // Recovery rollback: zeroes rows for timesteps >= t, matching the
-  // engine's meter reset when it replays from a checkpoint. Inbound run
-  // totals are not rolled back (documented approximation;
-  // the exact-reconciliation tests run fault-free).
-  void resetRowsFrom(Timestep t);
 
  private:
   Profiler() = default;
 
-  // What partition p's task writes outside its subgraphs' cells.
+  // The vertex sketches partition p's task feeds, merged by take().
   struct Shard {
-    std::vector<std::uint64_t> msgs_in;   // [dst subgraph]: sent by p
-    std::vector<std::uint64_t> bytes_in;  // [dst subgraph]
     SpaceSavingSketch compute;
     SpaceSavingSketch fanout;
-    Shard(std::size_t subgraphs, std::size_t capacity)
-        : msgs_in(subgraphs), bytes_in(subgraphs), compute(capacity),
-          fanout(capacity) {}
+    explicit Shard(std::size_t capacity)
+        : compute(capacity), fanout(capacity) {}
   };
 
   // Row index for timestep t, or -1 when outside the run window.

@@ -1,8 +1,9 @@
 // Cost-attribution profiler tests: the space-saving sketch's error
 // envelope, the AttributionTable JSON round trip, zero-cost-when-off, the
 // partition advisor, and the headline conservation invariant — for every
-// shipped algorithm, summing the attribution table over a partition's
-// subgraphs reproduces the engine meters (SuperstepRecord parts) exactly.
+// shipped algorithm, fault-free and recovered, summing the attribution
+// table over a partition's subgraphs reproduces the engine meters
+// (SuperstepRecord parts) exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "algorithms/tdsp.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "gofs/checkpoint.h"
 #include "gofs/dataset.h"
 #include "gofs/instance_provider.h"
 #include "metrics/report.h"
@@ -401,6 +403,32 @@ void expectReconciles(const RunStats& stats) {
   EXPECT_EQ(in_bytes, out_bytes);
 }
 
+// Recovered runs: a dropped delivery batch commits its superstep's record
+// before it unwinds, a killed worker aborts its wave; either way the run
+// rolls back to the store's newest cut and replays. The table must still
+// match the records exactly — a cell is charged when its record part is
+// committed, so work of an aborted wave is in neither and a committed
+// superstep that is replayed is in both. The fault lands in the second
+// timestep when the fault-free run has one, else in the only one.
+void expectRecoveredRunsReconcile(const testing::AlgoEnv& env,
+                                  const AlgorithmEntry& entry,
+                                  AlgorithmRequest request,
+                                  std::int32_t timesteps) {
+  const std::string t = timesteps > 1 ? "t1" : "t0";
+  auto& injector = fault::FaultInjector::global();
+  for (const std::string& plan :
+       {"drop@deliver:" + t, "kill@compute:p1:" + t}) {
+    SCOPED_TRACE(plan);
+    MemoryCheckpointStore store;
+    request.checkpoint_store = &store;
+    injector.arm(unwrap(fault::parseFaultPlan(plan)), 7);
+    const AlgorithmRun run = env.run(entry, request);
+    injector.disarm();
+    EXPECT_GE(testing::metricTotal(run.stats, "engine.recoveries"), 1);
+    expectReconciles(run.stats);
+  }
+}
+
 void expectAttributionReconcilesUnder(const AlgorithmEntry& entry,
                                       Schedule schedule) {
   const testing::AlgoEnv env = testing::envFor(entry);
@@ -410,6 +438,10 @@ void expectAttributionReconcilesUnder(const AlgorithmEntry& entry,
   const AlgorithmRun run = env.run(entry, request);
   expectReconciles(run.stats);
   if (entry.has_timestep_loop) {
+    // The plain vertex engine recovers by restarting and ignores the
+    // store, so only runs with a timestep loop take the recovered cases.
+    expectRecoveredRunsReconcile(env, entry, request,
+                                 run.stats.numTimesteps());
     return;
   }
   // The plain vertex engine feeds the heavy-hitter sketches; at
@@ -449,11 +481,11 @@ TEST(Profiler, DisarmedRunRecordsNothing) {
 TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
   ArmedProfiler armed;
   // Armed but no beginRun(): every hook must be a harmless no-op.
-  Profiler::global().recordCompute(0, 0, 100);
-  Profiler::global().recordSend(0, 0, 1, 0, 8);
+  const Profiler::UnitCharge unit{0, {100, 1, 1, 8, 0}};
+  const Profiler::InboundCharge msg{1, 8};
+  Profiler::global().chargeSealed(0, {&unit, 1}, {&msg, 1});
   Profiler::global().recordVertexSample(0, 3, 50, 2);
   Profiler::global().recordResidentSlice(0, 0, 4096);
-  Profiler::global().resetRowsFrom(0);
   const AttributionTable t = Profiler::global().take();
   EXPECT_TRUE(t.empty());
 }
