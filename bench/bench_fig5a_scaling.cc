@@ -12,16 +12,15 @@
 // parallel speedup; the scaling columns therefore report the MODELLED
 // parallel time (critical path + 1GbE network model; DESIGN.md §1), with
 // wall-clock shown for reference.
+#include <algorithm>
 #include <map>
 #include <sstream>
+#include <utility>
 
-#include "algorithms/hashtag.h"
-#include "algorithms/meme.h"
-#include "algorithms/tdsp.h"
+#include "algorithms/registry.h"
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "generators/topology.h"
 
 namespace {
 
@@ -34,52 +33,35 @@ struct RunResult {
   Timestep timesteps = 0;
 };
 
-RunResult runAlgoOnce(const std::string& algo, GraphKind kind,
-                      const GofsDataset& ds) {
-  const auto& pg = ds.partitionedGraph();
+// One run of a registry algorithm with the paper's parameters: the #meme
+// tag for HASH and MEME, source vertex 0 in While mode for TDSP.
+RunResult runAlgoOnce(const AlgorithmEntry& algo, const GofsDataset& ds) {
+  AlgorithmRequest request;
+  request.params.set("tag", "#meme");
+  request.params.set("source", "0");
   auto provider = ds.makeProvider();
-  RunResult r;
-  if (algo == "HASH") {
-    HashtagOptions options;
-    options.tag = "#meme";
-    options.tweets_attr =
-        pg.graphTemplate().vertexSchema().requireIndex(kTweetsAttr);
-    const auto run = runHashtagAggregation(pg, *provider, options);
-    r.wall_sec = nsToSec(run.exec.stats.wallClockNs());
-    r.modelled_sec = nsToSec(run.exec.stats.modelledParallelNs());
-    r.timesteps = run.exec.timesteps_executed;
-  } else if (algo == "MEME") {
-    MemeOptions options;
-    options.meme = "#meme";
-    options.tweets_attr =
-        pg.graphTemplate().vertexSchema().requireIndex(kTweetsAttr);
-    const auto run = runMemeTracking(pg, *provider, options);
-    r.wall_sec = nsToSec(run.exec.stats.wallClockNs());
-    r.modelled_sec = nsToSec(run.exec.stats.modelledParallelNs());
-    r.timesteps = run.exec.timesteps_executed;
-  } else {
-    TdspOptions options;
-    options.source = 0;
-    options.latency_attr =
-        pg.graphTemplate().edgeSchema().requireIndex(kLatencyAttr);
-    options.while_mode = true;
-    const auto run = runTdsp(pg, *provider, options);
-    r.wall_sec = nsToSec(run.exec.stats.wallClockNs());
-    r.modelled_sec = nsToSec(run.exec.stats.modelledParallelNs());
-    r.timesteps = run.exec.timesteps_executed;
+  const auto run =
+      runAlgorithm(algo, ds.partitionedGraph(), *provider, request);
+  TSG_CHECK_MSG(run.isOk(), run.status().toString());
+  const RunStats& stats = run.value().stats;
+  RunResult r{nsToSec(stats.wallClockNs()),
+              nsToSec(stats.modelledParallelNs()), 0};
+  // Timesteps executed: HASH's merge phase is recorded one past the last.
+  for (const auto& rec : stats.supersteps()) {
+    if (!rec.is_merge_phase) {
+      r.timesteps = std::max(r.timesteps, rec.timestep + 1);
+    }
   }
-  (void)kind;
   return r;
 }
 
 // Best of three repetitions: the modelled time is a per-superstep maximum,
 // so one transient page-fault or scheduling spike inflates a whole run;
 // the minimum is the reproducible figure.
-RunResult runAlgo(const std::string& algo, GraphKind kind,
-                  const GofsDataset& ds) {
-  RunResult best = runAlgoOnce(algo, kind, ds);
+RunResult runAlgo(const AlgorithmEntry& algo, const GofsDataset& ds) {
+  RunResult best = runAlgoOnce(algo, ds);
   for (int rep = 1; rep < 3; ++rep) {
-    const RunResult r = runAlgoOnce(algo, kind, ds);
+    const RunResult r = runAlgoOnce(algo, ds);
     if (r.modelled_sec < best.modelled_sec) {
       best = r;
     }
@@ -96,17 +78,23 @@ int main(int argc, char** argv) {
                    "speedup 3→6", "speedup 3→9", "timesteps", "wall k=6 (s)"});
   std::ostringstream notes;
 
-  for (const std::string algo : {"HASH", "MEME", "TDSP"}) {
+  // The paper's labels for the registry's entries.
+  const std::pair<const char*, const char*> algos[] = {
+      {"HASH", "hashtag"}, {"MEME", "meme"}, {"TDSP", "tdsp"}};
+  for (const auto& [label, name] : algos) {
+    const AlgorithmEntry* algo = findAlgorithm(name);
+    TSG_CHECK(algo != nullptr);
     for (const auto kind : {GraphKind::kCarn, GraphKind::kWiki}) {
-      const auto workload =
-          algo == "TDSP" ? WorkloadKind::kRoad : WorkloadKind::kTweet;
+      const auto workload = algo->needs == NeededAttr::kLatencyEdge
+                                ? WorkloadKind::kRoad
+                                : WorkloadKind::kTweet;
       std::map<std::uint32_t, RunResult> results;
       for (const std::uint32_t k : {3u, 6u, 9u}) {
         const auto ds = openDataset(kind, workload, k, config);
-        results[k] = runAlgo(algo, kind, ds);
+        results[k] = runAlgo(*algo, ds);
       }
       table.addRow(
-          {algo, kindName(kind),
+          {label, kindName(kind),
            TextTable::fmtDouble(results[3].modelled_sec, 3),
            TextTable::fmtDouble(results[6].modelled_sec, 3),
            TextTable::fmtDouble(results[9].modelled_sec, 3),

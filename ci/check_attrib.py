@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI gate for the cost-attribution profiler.
 
-Takes a paired run of the same workload with the profiler off (--base-run)
-and on (--run, produced with --profile=) and checks:
+Takes the --json= stats of a run with the profiler on (--run, produced
+with --profile=) and checks:
 
   * the profiler-on run carries an `attribution` block with the supported
     schema version;
@@ -18,14 +18,12 @@ and on (--run, produced with --profile=) and checks:
     (an async run steals, so this covers the steal path that small test
     graphs may never take);
   * sketch sanity: every heavy hitter's error is bounded by its weight and
-    by the sketch's total weight;
-  * profiler overhead: the wall-clock delta between the two runs must stay
-    under --max-overhead-pct, with an absolute floor so micro-runs on
-    noisy runners don't flake (same logic as check_timeline.py).
+    by the sketch's total weight.
+
+The profiler's wall-clock cost is gated by ci/check_overhead.py.
 
 Usage:
-  check_attrib.py --base-run base.json --run attrib.json
-      [--max-overhead-pct 2.0] [--overhead-floor-ms 150]
+  check_attrib.py --run attrib.json
 """
 
 import argparse
@@ -55,17 +53,10 @@ def metric_total(doc, name):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--base-run", required=True,
-                        help="--json= stats of the profiler-off run")
     parser.add_argument("--run", required=True,
                         help="--json= stats of the profiler-on run")
-    parser.add_argument("--max-overhead-pct", type=float, default=2.0)
-    parser.add_argument("--overhead-floor-ms", type=float, default=150.0,
-                        help="absolute overhead below this never fails")
     args = parser.parse_args()
 
-    with open(args.base_run) as f:
-        base = json.load(f)
     with open(args.run) as f:
         run = json.load(f)
 
@@ -124,24 +115,6 @@ def main():
                     f"{name} vertex {hot.get('vertex')}: weight "
                     f"{hot.get('weight')} exceeds sketch total {total}"
                 )
-
-    base_wall_ns = base.get("wall_clock_ns", 0)
-    wall_ns = run.get("wall_clock_ns", 0)
-    overhead_ns = wall_ns - base_wall_ns
-    overhead_pct = (
-        100.0 * overhead_ns / base_wall_ns if base_wall_ns > 0 else 0.0
-    )
-    floor_ns = args.overhead_floor_ms * 1e6
-    print(
-        f"profiler overhead: {overhead_ns / 1e6:.1f} ms "
-        f"({overhead_pct:+.2f}% of {base_wall_ns / 1e6:.1f} ms)"
-    )
-    if overhead_pct > args.max_overhead_pct and overhead_ns > floor_ns:
-        errors.append(
-            f"profiler overhead {overhead_pct:.2f}% exceeds "
-            f"{args.max_overhead_pct}% (and {overhead_ns / 1e6:.1f} ms "
-            f"exceeds the {args.overhead_floor_ms:.0f} ms noise floor)"
-        )
 
     print(f"measured blame: {blamed_ns / 1e6:.1f} ms of wait caused, "
           f"{victims} stolen tasks")

@@ -3,12 +3,21 @@
 // Callers fill RunTelemetryOptions from their --sample-ms / --timeline /
 // --prom / --prom-port flags; armed() says whether any of them asked for
 // telemetry. When armed, start() spawns the TelemetrySampler (and the
-// Prometheus listener / file refresher when requested) and finish() stops
-// everything and writes the timeline JSON. A run without telemetry flags
-// never constructs this object's sampler, keeping the off-path at zero cost.
+// Prometheus listener when requested) and finish() stops everything and
+// writes the timeline JSON and the final Prometheus file. A run without
+// telemetry flags never constructs this object's sampler, keeping the
+// off-path at zero cost.
+//
+// RunTelemetry is the sampler's one consumer and owns what is kept of the
+// samples: the newest one (for the final --prom= write) and, only with
+// --timeline=, the newest 8,192 of them. Both are written on the sampler
+// thread and read by finish() after stop() joins it, so no history is
+// ever read while the sampler runs. The --prom-port listener renders a
+// fresh captureSample() per scrape and reads neither.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 
@@ -62,12 +71,15 @@ class RunTelemetry {
   }
 
  private:
-  void onSample(const TelemetrySample& sample);
+  void onSample(TelemetrySample sample);
 
   RunTelemetryOptions options_;
   std::unique_ptr<TelemetrySampler> sampler_;
   std::unique_ptr<PromHttpListener> listener_;
-  std::int64_t last_prom_write_ns_ = 0;  // sampler-thread only
+  // Written on the sampler thread; finish() reads them after stop().
+  std::int64_t last_prom_write_ns_ = 0;
+  // The newest samples, oldest first: 8,192 with --timeline=, else one.
+  std::deque<TelemetrySample> kept_;
   bool finished_ = false;
 };
 

@@ -9,76 +9,13 @@
 #include "common/trace.h"
 
 namespace tsg {
-
-TelemetryRing::TelemetryRing(std::size_t capacity)
-    : slots_(std::max<std::size_t>(1, capacity)) {}
-
-// tsg:hot — producer side of the seqlock ring; must stay wait-free.
-void TelemetryRing::push(TelemetrySample sample) {
-  const std::uint64_t index = produced_.load(std::memory_order_relaxed);  // tsg:mo(producer-only counter; single writer)
-  sample.index = index;
-  Slot& slot = slots_[static_cast<std::size_t>(index % slots_.size())];
-  {
-    std::unique_lock lock(slot.mutex, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      // A reader is copying this slot right now. Dropping one sample beats
-      // stalling the cadence; the producer stays wait-free.
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // tsg:mo(drop tally; read after sampling stops)
-      produced_.store(index + 1, std::memory_order_release);  // tsg:mo(release publishes the slot seqlock-style to readers)
-      return;
-    }
-    slot.index = index;
-    slot.sample = std::move(sample);
-  }
-  produced_.store(index + 1, std::memory_order_release);  // tsg:mo(release publishes the slot seqlock-style to readers)
-}
-
-bool TelemetryRing::latest(TelemetrySample& out) const {
-  const std::uint64_t produced = produced_.load(std::memory_order_acquire);  // tsg:mo(acquire pairs with push()'s release publication)
-  if (produced == 0) {
-    return false;
-  }
-  // Scan back from the newest: the newest slot may have been dropped (or be
-  // mid-overwrite from this very reader's lock), so fall back a few.
-  const std::uint64_t window =
-      std::min<std::uint64_t>(produced, slots_.size());
-  for (std::uint64_t back = 0; back < window; ++back) {
-    const std::uint64_t want = produced - 1 - back;
-    const Slot& slot = slots_[static_cast<std::size_t>(want % slots_.size())];
-    std::lock_guard lock(slot.mutex);
-    if (slot.index == want) {
-      out = slot.sample;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<TelemetrySample> TelemetryRing::collect() const {
-  const std::uint64_t produced = produced_.load(std::memory_order_acquire);  // tsg:mo(acquire pairs with push()'s release publication)
-  const std::uint64_t window =
-      std::min<std::uint64_t>(produced, slots_.size());
-  std::vector<TelemetrySample> out;
-  out.reserve(static_cast<std::size_t>(window));
-  for (std::uint64_t want = produced - window; want < produced; ++want) {
-    const Slot& slot = slots_[static_cast<std::size_t>(want % slots_.size())];
-    std::lock_guard lock(slot.mutex);
-    if (slot.index == want) {
-      out.push_back(slot.sample);
-    }
-    // Mismatch = dropped at push time or overwritten since `produced` was
-    // read; either way the sample is gone, skip it.
-  }
-  return out;
-}
-
 namespace {
 
 // Sampler self-telemetry, injected as synthetic points so the Prometheus
 // exposition (tsg_telemetry_*) and the timeline carry the sampler's own
 // health without routing it through the process-wide registry (which would
 // leak them into every run's counter deltas).
-void appendSamplerPoints(TelemetrySample& sample, const TelemetryRing& ring,
+void appendSamplerPoints(TelemetrySample& sample, std::uint64_t produced,
                          std::uint64_t missed_ticks) {
   const auto insert_sorted = [&sample](std::string name, std::uint64_t value) {
     MetricsRegistry::Point p;
@@ -92,16 +29,16 @@ void appendSamplerPoints(TelemetrySample& sample, const TelemetryRing& ring,
         });
     sample.points.insert(it, std::move(p));
   };
-  insert_sorted("telemetry.dropped_samples", ring.droppedSamples());
   insert_sorted("telemetry.missed_ticks", missed_ticks);
-  insert_sorted("telemetry.produced_samples", ring.produced());
+  insert_sorted("telemetry.produced_samples", produced);
 }
 
 }  // namespace
 
 TelemetrySampler::TelemetrySampler(TelemetryOptions options)
-    : options_(std::move(options)),
-      ring_(options_.ring_capacity) {
+    : options_(std::move(options)) {
+  TSG_CHECK_MSG(options_.on_sample != nullptr,
+                "TelemetrySampler needs an on_sample consumer");
   options_.sample_ms = std::max(1, options_.sample_ms);
 }
 
@@ -129,19 +66,18 @@ TelemetrySample TelemetrySampler::captureSample() {
 }
 
 void TelemetrySampler::start() {
-  if (running_.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with stop()'s release store)
+  if (running()) {
     return;
   }
   {
     std::lock_guard lock(mutex_);
     stop_requested_ = false;
   }
-  running_.store(true, std::memory_order_release);  // tsg:mo(release publishes sampler state to the thread)
   thread_ = std::thread([this] { threadMain(); });  // NOLINT(tsg-naked-thread)
 }
 
 void TelemetrySampler::stop() {
-  if (!running_.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with start()'s release store)
+  if (!running()) {
     return;
   }
   {
@@ -149,10 +85,14 @@ void TelemetrySampler::stop() {
     stop_requested_ = true;
   }
   cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  running_.store(false, std::memory_order_release);  // tsg:mo(release marks the joined thread's state visible)
+  thread_.join();
+}
+
+void TelemetrySampler::emitSample() {
+  TelemetrySample sample = captureSample();
+  appendSamplerPoints(sample, produced_, missed_ticks_);
+  ++produced_;
+  options_.on_sample(std::move(sample));
 }
 
 void TelemetrySampler::threadMain() {
@@ -164,33 +104,21 @@ void TelemetrySampler::threadMain() {
       std::unique_lock lock(mutex_);
       cv_.wait_until(lock, next_tick, [this] { return stop_requested_; });
       if (stop_requested_) {
-        // Final capture so the timeline's last sample covers the run tail.
         break;
       }
     }
-    TelemetrySample sample = captureSample();
-    appendSamplerPoints(sample, ring_,
-                        missed_ticks_.load(std::memory_order_relaxed));  // tsg:mo(stat read; the sampler thread is the only writer)
-    if (options_.on_sample) {
-      options_.on_sample(sample);
-    }
-    ring_.push(std::move(sample));
+    emitSample();
     // Absolute schedule: if a capture overran one or more ticks, skip them
     // (counted) rather than firing a burst of late samples.
     next_tick += interval;
     const auto now = std::chrono::steady_clock::now();
     while (next_tick < now) {
       next_tick += interval;
-      missed_ticks_.fetch_add(1, std::memory_order_relaxed);  // tsg:mo(stat counter; the sampler thread is the only writer)
+      ++missed_ticks_;
     }
   }
-  TelemetrySample final_sample = captureSample();
-  appendSamplerPoints(final_sample, ring_,
-                      missed_ticks_.load(std::memory_order_relaxed));  // tsg:mo(stat read; the sampler thread is the only writer)
-  if (options_.on_sample) {
-    options_.on_sample(final_sample);
-  }
-  ring_.push(std::move(final_sample));
+  // Final capture so the timeline's last sample covers the run tail.
+  emitSample();
 }
 
 }  // namespace tsg

@@ -1,28 +1,23 @@
-// Live telemetry: in-run sampling of the MetricsRegistry into a ring of
-// timestamped samples.
+// Live telemetry: in-run sampling of the MetricsRegistry on a cadence.
 //
-// A TelemetrySampler is a background thread that, every `sample_ms`
-// milliseconds, snapshots the process-wide MetricsRegistry (counters,
-// gauges, histogram quantiles) plus /proc/self process stats into a
-// preallocated TelemetryRing. Consumers — the timeline JSON writer, the
-// Prometheus exposition and `tsgcli top` — read the ring concurrently with
-// production.
+// A TelemetrySampler is a clock: a background thread that, every
+// `sample_ms` milliseconds, snapshots the process-wide MetricsRegistry
+// (counters, gauges, histogram quantiles) plus /proc/self process stats
+// and hands the sample to its one consumer, `on_sample`. It keeps no
+// history: RunTelemetry (run_telemetry.h) decides what to keep — the last
+// sample for the Prometheus file and, with --timeline=, a bounded window
+// it reads only after stop() joins. `tsgcli top` takes its frames with
+// captureSample() and constructs no sampler.
 //
 // Cost model: nothing here exists unless a telemetry flag armed it — a run
 // without --sample-ms/--timeline/--prom* constructs no sampler, so the
 // steady-state cost when off is zero. When on, the budget is one registry
 // snapshot (~a few µs for a few hundred cells) per tick on a thread of its
-// own; the CI gate holds the end-to-end overhead under 2% of wall time.
-//
-// Ring-buffer concurrency: slots are preallocated and guarded by per-slot
-// locks. The producer only ever try_locks — if a reader happens to hold the
-// slot (it copies one sample, microseconds), the sample is dropped and
-// counted instead of blocking the cadence. So the sampler thread is
-// wait-free, readers never observe torn samples, and the structure is clean
-// under TSan (no seqlock-style benign races).
+// own; ci/check_overhead.py fails CI when the median wall clock of five
+// sampler-on runs exceeds that of five interleaved sampler-off runs by
+// more than 2% and by more than the off runs' own range (max - min).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -38,8 +33,7 @@ namespace tsg {
 
 // One captured sample: a timestamp, process stats and the registry's state.
 struct TelemetrySample {
-  std::int64_t ts_ns = 0;    // steadyNowNs() at capture
-  std::uint64_t index = 0;   // 0-based monotone sample number
+  std::int64_t ts_ns = 0;  // steadyNowNs() at capture
   ProcStats proc;
   MetricsRegistry::Snapshot points;  // counters + gauges, sorted
 
@@ -56,59 +50,12 @@ struct TelemetrySample {
   std::vector<HistPoint> hists;
 };
 
-// Fixed-capacity ring of samples: single producer (the sampler thread),
-// any number of concurrent readers. Retains the most recent `capacity`
-// samples; older ones are overwritten in place (no allocation after
-// construction beyond the sample payloads themselves).
-class TelemetryRing {
- public:
-  explicit TelemetryRing(std::size_t capacity);
-
-  TelemetryRing(const TelemetryRing&) = delete;
-  TelemetryRing& operator=(const TelemetryRing&) = delete;
-
-  // Producer side. Never blocks: a slot held by a reader drops the sample
-  // (counted in droppedSamples()).
-  void push(TelemetrySample sample);
-
-  // Copies the most recent sample; false if nothing was produced yet.
-  [[nodiscard]] bool latest(TelemetrySample& out) const;
-
-  // Copies all retained samples, oldest first. Samples overwritten while
-  // collecting are skipped (their slot index no longer fits the window).
-  [[nodiscard]] std::vector<TelemetrySample> collect() const;
-
-  // Total samples offered to push() (including dropped / overwritten).
-  [[nodiscard]] std::uint64_t produced() const {
-    return produced_.load(std::memory_order_acquire);  // tsg:mo(acquire pairs with push()'s release publication)
-  }
-  // Samples dropped because a reader held the slot at push time.
-  [[nodiscard]] std::uint64_t droppedSamples() const {
-    return dropped_.load(std::memory_order_relaxed);  // tsg:mo(drop tally read; reporting only)
-  }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    mutable std::mutex mutex;
-    // Sample index stored here, or kEmpty. Guarded by mutex.
-    std::uint64_t index = kEmpty;
-    TelemetrySample sample;
-  };
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> produced_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
 struct TelemetryOptions {
-  int sample_ms = 10;               // cadence; clamped to >= 1
-  std::size_t ring_capacity = 8192; // samples retained
-  std::string label;                // run label, stamped into the timeline
-  // Invoked on the sampler thread after each captured sample (Prometheus
-  // file refresh hangs off this). Keep it cheap; it runs inside the tick.
-  std::function<void(const TelemetrySample&)> on_sample;
+  int sample_ms = 10;  // cadence; clamped to >= 1
+  std::string label;   // run label, stamped into the timeline
+  // Required: receives every captured sample, on the sampler thread, and
+  // owns it from then on. Keep it cheap; it runs inside the tick.
+  std::function<void(TelemetrySample)> on_sample;
 };
 
 // The background sampling thread. start() spawns it, stop() joins it; the
@@ -124,33 +71,31 @@ class TelemetrySampler {
 
   void start();
   void stop();
-  [[nodiscard]] bool running() const {
-    return running_.load(std::memory_order_acquire);  // tsg:mo(acquire pairs with start()/stop() release stores)
-  }
+  [[nodiscard]] bool running() const { return thread_.joinable(); }
 
-  [[nodiscard]] const TelemetryRing& ring() const { return ring_; }
   [[nodiscard]] const TelemetryOptions& options() const { return options_; }
 
-  // Ticks the sampler missed because a capture overran the cadence (the
-  // schedule skips forward rather than bunching late samples).
-  [[nodiscard]] std::uint64_t missedTicks() const {
-    return missed_ticks_.load(std::memory_order_relaxed);  // tsg:mo(stat read; reporting only)
-  }
+  // The sampler thread's tallies, summed over every start()/stop() span.
+  // Read them only while the sampler is stopped (stop() joins the thread).
+  [[nodiscard]] std::uint64_t producedSamples() const { return produced_; }
+  // Ticks skipped because a capture overran the cadence (the schedule
+  // skips forward rather than bunching late samples).
+  [[nodiscard]] std::uint64_t missedTicks() const { return missed_ticks_; }
 
-  // One synchronous capture of registry + process state (does not touch
-  // the ring).
+  // One synchronous capture of registry + process state.
   [[nodiscard]] static TelemetrySample captureSample();
 
  private:
   void threadMain();
+  // Captures, stamps the sampler's own points and hands the sample over.
+  void emitSample();
 
   TelemetryOptions options_;
-  TelemetryRing ring_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stop_requested_ = false;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> missed_ticks_{0};
+  bool stop_requested_ = false;  // guarded by mutex_
+  std::uint64_t produced_ = 0;      // written by the sampler thread only
+  std::uint64_t missed_ticks_ = 0;  // written by the sampler thread only
   std::thread thread_;  // NOLINT(tsg-naked-thread) — long-lived background
                         // sampler, deliberately outside the worker pools so
                         // it can observe them.

@@ -35,8 +35,7 @@ Timeline buildTimeline(const std::vector<TelemetrySample>& samples,
   timeline.label = sampler.options().label;
   timeline.sample_interval_ms =
       static_cast<double>(sampler.options().sample_ms);
-  timeline.produced_samples = sampler.ring().produced();
-  timeline.dropped_samples = sampler.ring().droppedSamples();
+  timeline.produced_samples = sampler.producedSamples();
   timeline.missed_ticks = sampler.missedTicks();
   if (samples.empty()) {
     return timeline;
@@ -113,7 +112,6 @@ std::string timelineToJson(const Timeline& timeline) {
   json.kv("sample_interval_ms", timeline.sample_interval_ms);
   json.kv("start_ts_ns", timeline.start_ts_ns);
   json.kv("produced_samples", timeline.produced_samples);
-  json.kv("dropped_samples", timeline.dropped_samples);
   json.kv("missed_ticks", timeline.missed_ticks);
   json.key("t_ms");
   json.beginArray();
@@ -163,8 +161,6 @@ Result<Timeline> timelineFromJson(std::string_view text) {
   timeline.start_ts_ns = root.intOr("start_ts_ns", 0);
   timeline.produced_samples =
       static_cast<std::uint64_t>(root.intOr("produced_samples", 0));
-  timeline.dropped_samples =
-      static_cast<std::uint64_t>(root.intOr("dropped_samples", 0));
   timeline.missed_ticks =
       static_cast<std::uint64_t>(root.intOr("missed_ticks", 0));
 
@@ -251,9 +247,8 @@ std::string renderTimelineCurves(const Timeline& timeline, int max_rows) {
   }
   out += ": " + std::to_string(n) + " samples @ " +
          TextTable::fmtDouble(timeline.sample_interval_ms, 1) + " ms";
-  if (timeline.dropped_samples != 0 || timeline.missed_ticks != 0) {
-    out += " [dropped " + std::to_string(timeline.dropped_samples) +
-           ", missed ticks " + std::to_string(timeline.missed_ticks) + "]";
+  if (timeline.missed_ticks != 0) {
+    out += " [missed ticks " + std::to_string(timeline.missed_ticks) + "]";
   }
   out += "\n";
   if (n == 0) {

@@ -11,7 +11,7 @@
 // Consumers: `tsgcli analyze --timeline=` renders phase-aligned
 // utilization/progress curves (the paper's Fig. 7 lineage, from a live run
 // instead of post-mortem traces), and ci/check_timeline.py validates
-// monotonic timestamps, required series and sampler overhead in CI.
+// monotonic timestamps and required, moving series in CI.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,7 @@ struct Timeline {
   std::string label;
   double sample_interval_ms = 0.0;
   std::int64_t start_ts_ns = 0;        // steady-clock ns of the first sample
-  std::uint64_t produced_samples = 0;  // offered to the ring (incl. evicted)
-  std::uint64_t dropped_samples = 0;   // lost to reader contention
+  std::uint64_t produced_samples = 0;  // captured (incl. evicted ones)
   std::uint64_t missed_ticks = 0;      // cadence overruns
   std::vector<double> t_ms;            // per-sample time since first sample
   std::vector<TimelineSeries> series;  // sorted by (name, partition)
@@ -52,10 +51,10 @@ struct Timeline {
                                            std::int32_t partition = -1) const;
 };
 
-// Builds the columnar timeline from raw samples (oldest first, as returned
-// by TelemetryRing::collect()). Values before a metric's first appearance
-// are 0 — registry cells only ever appear, never vanish, so a series is
-// dense from its first sample on.
+// Builds the columnar timeline from raw samples (oldest first), stamped
+// with the stopped sampler's label, cadence and tallies. Values before a
+// metric's first appearance are 0 — registry cells only ever appear, never
+// vanish, so a series is dense from its first sample on.
 Timeline buildTimeline(const std::vector<TelemetrySample>& samples,
                        const TelemetrySampler& sampler);
 

@@ -26,7 +26,8 @@
 # `analyze --attrib` rejects a malformed attribution block with exit 2,
 # that `analyze` renders the measured wait blame of a run recorded without
 # the profiler, that an out-of-range value of any numeric flag exits 2
-# naming the flag, that an output (--json=, --trace=, --timeline=,
+# naming the flag, that `top` prints frames, the committed digest and the
+# timeline it was asked for, that an output (--json=, --trace=, --timeline=,
 # --prom=) that cannot be written exits 1, and that a malformed TSG_INJECT
 # or TSG_INJECT_SEED exits 2 naming the value.
 
@@ -241,6 +242,32 @@ endif()
 file(READ "${WORK_DIR}/profiled_bare.json" doc)
 string(JSON rows GET "${doc}" attribution num_rows)
 message(STATUS "out-of-range numeric flags exit 2; bare --profile arms it")
+
+# `top` is a run command like the others: on a non-tty it prints its frames
+# as text, ends with the committed digest of the plain run, and honours the
+# telemetry flags -- here --timeline=, whose file `analyze` must render.
+execute_process(
+  COMMAND "${TSGCLI}" top meme "${WORK_DIR}/social" --refresh-ms=5
+          "--timeline=${WORK_DIR}/top_timeline.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "tsgcli top [^\n]* meme")
+  message(FATAL_ERROR "top meme exited ${rc} without a frame:\n${out}${err}")
+endif()
+if(NOT expected MATCHES "meme bsp ([0-9a-f]+)")
+  message(FATAL_ERROR "no committed meme bsp digest")
+endif()
+if(NOT out MATCHES "digest ${CMAKE_MATCH_1}\n")
+  message(FATAL_ERROR
+    "top meme did not end with the meme digest ${CMAKE_MATCH_1}:\n${out}")
+endif()
+execute_process(
+  COMMAND "${TSGCLI}" analyze "--timeline=${WORK_DIR}/top_timeline.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "Timeline \\(top\\): [1-9][0-9]* samples")
+  message(FATAL_ERROR
+    "analyze could not render top's --timeline= (${rc}):\n${out}${err}")
+endif()
+message(STATUS "top prints frames, the meme digest and its --timeline=")
 
 # An output the command was asked to write but cannot (a path component is
 # a regular file) fails the command with exit 1 naming the path.

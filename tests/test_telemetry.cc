@@ -1,8 +1,13 @@
-// Tests for src/telemetry/: the sampler's cadence and ring semantics, the
-// Prometheus exposition grammar, the timeline JSON schema, and the trace
-// buffer saturation accounting that rides along in this subsystem.
+// Tests for src/telemetry/: the sampler's cadence, what RunTelemetry keeps
+// and writes, the Prometheus exposition grammar, the timeline JSON schema,
+// and the trace buffer saturation accounting that rides along in this
+// subsystem.
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -11,6 +16,7 @@
 #include "common/trace.h"
 #include "telemetry/proc_stats.h"
 #include "telemetry/prom.h"
+#include "telemetry/run_telemetry.h"
 #include "telemetry/sampler.h"
 #include "telemetry/timeline.h"
 #include "test_util.h"
@@ -24,45 +30,14 @@ TelemetrySample makeSample(std::int64_t ts_ns) {
   return sample;
 }
 
-// ---------------------------------------------------------------------------
-// TelemetryRing
-// ---------------------------------------------------------------------------
-
-TEST(TelemetryRing, LatestReturnsNewestSample) {
-  TelemetryRing ring(8);
-  TelemetrySample out;
-  EXPECT_FALSE(ring.latest(out));
-  for (int i = 0; i < 5; ++i) {
-    ring.push(makeSample(100 + i));
+// The value of an unpartitioned point in a sample, or -1 if absent.
+std::int64_t pointValue(const TelemetrySample& sample, std::string_view name) {
+  for (const auto& p : sample.points) {
+    if (p.name == name && p.partition == MetricsRegistry::kNoPartition) {
+      return p.value;
+    }
   }
-  ASSERT_TRUE(ring.latest(out));
-  EXPECT_EQ(out.ts_ns, 104);
-  EXPECT_EQ(out.index, 4u);
-  EXPECT_EQ(ring.produced(), 5u);
-  EXPECT_EQ(ring.droppedSamples(), 0u);
-}
-
-TEST(TelemetryRing, WraparoundKeepsTheMostRecentWindowInOrder) {
-  TelemetryRing ring(4);
-  for (int i = 0; i < 11; ++i) {
-    ring.push(makeSample(1000 + i));
-  }
-  const auto samples = ring.collect();
-  ASSERT_EQ(samples.size(), 4u);
-  // Oldest-first, and exactly the last `capacity` pushes.
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].index, 7 + i);
-    EXPECT_EQ(samples[i].ts_ns, 1007 + static_cast<std::int64_t>(i));
-  }
-  EXPECT_EQ(ring.produced(), 11u);
-}
-
-TEST(TelemetryRing, CollectBeforeWraparoundReturnsEverything) {
-  TelemetryRing ring(16);
-  for (int i = 0; i < 3; ++i) {
-    ring.push(makeSample(i));
-  }
-  EXPECT_EQ(ring.collect().size(), 3u);
+  return -1;
 }
 
 // ---------------------------------------------------------------------------
@@ -89,8 +64,14 @@ TEST(TelemetrySampler, CaptureSampleReadsRegistryAndProcess) {
 }
 
 TEST(TelemetrySampler, SamplesAtCadenceUnderLoad) {
+  // The consumer runs on the sampler thread; the vector is read only after
+  // stop() joins it.
+  std::vector<TelemetrySample> samples;
   TelemetryOptions options;
   options.sample_ms = 2;
+  options.on_sample = [&samples](TelemetrySample sample) {
+    samples.push_back(std::move(sample));
+  };
   TelemetrySampler sampler(options);
   sampler.start();
   EXPECT_TRUE(sampler.running());
@@ -108,35 +89,37 @@ TEST(TelemetrySampler, SamplesAtCadenceUnderLoad) {
   // 60 ms at a 2 ms cadence: demand the order of magnitude, not the exact
   // count — CI machines stall. Missed ticks are skipped, never bunched, so
   // produced + missed ≈ elapsed/cadence.
-  const auto samples = sampler.ring().collect();
   ASSERT_GE(samples.size(), 5u);
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LT(samples[i - 1].ts_ns, samples[i].ts_ns);
-    EXPECT_EQ(samples[i].index, samples[i - 1].index + 1);
-  }
-  // The final capture at stop() sees the spin counter's end state.
-  bool found = false;
-  for (const auto& p : samples.back().points) {
-    if (p.name == "telemetrytest.spin") {
-      found = true;
-      EXPECT_EQ(p.value, static_cast<std::int64_t>(counter.value()));
+  EXPECT_EQ(sampler.producedSamples(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(samples[i - 1].ts_ns, samples[i].ts_ns);
     }
+    // Each sample carries its own 0-based number.
+    EXPECT_EQ(pointValue(samples[i], "telemetry.produced_samples"),
+              static_cast<std::int64_t>(i));
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(pointValue(samples.back(), "telemetry.missed_ticks"),
+            static_cast<std::int64_t>(sampler.missedTicks()));
+  // The final capture at stop() sees the spin counter's end state.
+  EXPECT_EQ(pointValue(samples.back(), "telemetrytest.spin"),
+            static_cast<std::int64_t>(counter.value()));
 }
 
 TEST(TelemetrySampler, StopIsIdempotentAndRestartable) {
   TelemetryOptions options;
   options.sample_ms = 1;
+  options.on_sample = [](TelemetrySample) {};
   TelemetrySampler sampler(options);
   sampler.start();
   sampler.stop();
   sampler.stop();
-  const auto produced = sampler.ring().produced();
+  EXPECT_FALSE(sampler.running());
+  const auto produced = sampler.producedSamples();
   EXPECT_GE(produced, 1u);  // the final capture at minimum
   sampler.start();
   sampler.stop();
-  EXPECT_GT(sampler.ring().produced(), produced);
+  EXPECT_GT(sampler.producedSamples(), produced);
 }
 
 TEST(TelemetrySampler, OnSampleHookRunsPerTick) {
@@ -152,6 +135,63 @@ TEST(TelemetrySampler, OnSampleHookRunsPerTick) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   sampler.stop();
   EXPECT_GE(calls.load(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// RunTelemetry
+// ---------------------------------------------------------------------------
+
+std::string readText(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(RunTelemetry, WritesTheKeptSamplesAfterStop) {
+  testing::TempDir dir("tsg_run_telemetry");
+  std::filesystem::create_directories(dir.path());
+  RunTelemetryOptions options;
+  options.sample_ms = 1;
+  options.timeline_path = dir.path() + "/timeline.json";
+  options.prom_path = dir.path() + "/metrics.prom";
+  options.label = "kept";
+  RunTelemetry telemetry(options);
+  ASSERT_TRUE(telemetry.start().isOk());
+  auto& counter = MetricsRegistry::global().counter("telemetrytest.kept");
+  for (int i = 0; i < 10; ++i) {
+    counter.increment();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(telemetry.finish().isOk());
+  EXPECT_TRUE(telemetry.finish().isOk());  // idempotent
+
+  auto loaded = timelineFromJson(readText(options.timeline_path));
+  ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
+  const Timeline& timeline = loaded.value();
+  EXPECT_EQ(timeline.label, "kept");
+  ASSERT_GE(timeline.t_ms.size(), 2u);
+  // A run this short keeps every sample the sampler took, oldest first.
+  EXPECT_EQ(timeline.produced_samples, timeline.t_ms.size());
+  const auto* produced = timeline.find("telemetry.produced_samples");
+  ASSERT_NE(produced, nullptr);
+  for (std::size_t i = 0; i < produced->values.size(); ++i) {
+    EXPECT_EQ(produced->values[i], static_cast<double>(i));
+  }
+  // The last sample is the one stop() takes: it sees the counter's end
+  // state, and the final Prometheus write renders that same sample.
+  const auto* kept = timeline.find("telemetrytest.kept");
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->values.back(), static_cast<double>(counter.value()));
+  const std::string prom = readText(options.prom_path);
+  EXPECT_NE(prom.find("tsg_telemetrytest_kept " +
+                      std::to_string(counter.value()) + "\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("tsg_telemetry_produced_samples " +
+                      std::to_string(timeline.t_ms.size() - 1) + "\n"),
+            std::string::npos)
+      << prom;
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +292,6 @@ std::vector<TelemetrySample> timelineFixture() {
   std::vector<TelemetrySample> samples;
   for (int i = 0; i < 3; ++i) {
     TelemetrySample s = makeSample(1'000'000LL * (i + 1));
-    s.index = static_cast<std::uint64_t>(i);
     s.points.push_back({"bus.messages_delivered",
                         MetricsRegistry::kNoPartition, false, 10 * (i + 1)});
     s.points.push_back({"cluster.worker_queue_depth", 0, true, 5 - i});
@@ -275,6 +314,7 @@ TelemetryOptions fixtureOptions() {
   TelemetryOptions options;
   options.sample_ms = 1;
   options.label = "fixture";
+  options.on_sample = [](TelemetrySample) {};
   return options;
 }
 

@@ -175,10 +175,10 @@ int usage() {
       "           and the dominant straggler;\n"
       "           --attrib: render the cost-attribution report (per-subgraph\n"
       "           table, hot vertices, per-timestep skew, partition advisor)\n"
-      "  top      ALGO DIR [--schedule=bsp|async] [--sample-ms=N]\n"
-      "           [--refresh-ms=N]\n"
-      "           runs ALGO with the telemetry sampler on and renders a\n"
-      "           live progress view until the job completes\n"
+      "  top      ALGO DIR [--schedule=bsp|async] [--refresh-ms=N]\n"
+      "           runs ALGO and redraws a live progress view from a fresh\n"
+      "           metrics capture every N ms (default 200) until the job\n"
+      "           completes\n"
       "analysis commands also take:\n"
       "  --trace=PATH   write a Perfetto/Chrome trace of the run\n"
       "  --json=PATH    write machine-readable run stats (JSON)\n"
@@ -1018,7 +1018,8 @@ int cmdStream(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// top — live terminal view of a running job, fed by the telemetry ring.
+// top — live terminal view of a running job: one registry capture per
+// redraw.
 // ---------------------------------------------------------------------------
 
 std::int64_t pointTotal(const MetricsRegistry::Snapshot& points,
@@ -1131,18 +1132,11 @@ int cmdTop(const Args& args) {
     return rc;
   }
   const auto num_partitions = cmd.pg().numPartitions();
-
-  TelemetryOptions sampler_options;
-  sampler_options.sample_ms =
-      static_cast<int>(args.getInt("sample-ms", 20, 1, kInt32Max));
   const auto refresh = std::chrono::milliseconds(
       args.getInt("refresh-ms", 200, 1, kInt32Max));
   if (!args.flagError().isOk()) {
     return failArgs(args.flagError());
   }
-  sampler_options.label = "top " + algo;
-  TelemetrySampler sampler(sampler_options);
-  sampler.start();
 
   // The job runs on its own thread so this one can keep redrawing. The
   // digest result is only read after join().
@@ -1163,11 +1157,8 @@ int cmdTop(const Args& args) {
   bool has_prev = false;
   while (!done.load(std::memory_order_acquire)) {  // tsg:mo(acquire pairs with the worker's release of done)
     std::this_thread::sleep_for(refresh);
-    TelemetrySample sample;
-    if (!sampler.ring().latest(sample)) {
-      continue;
-    }
-    const double elapsed_s = static_cast<double>(steadyNowNs() - t0) / 1e9;
+    TelemetrySample sample = TelemetrySampler::captureSample();
+    const double elapsed_s = static_cast<double>(sample.ts_ns - t0) / 1e9;
     const std::string frame =
         renderTopFrame(algo, num_partitions, sample,
                        has_prev ? &prev : nullptr, elapsed_s);
@@ -1182,20 +1173,13 @@ int cmdTop(const Args& args) {
     has_prev = true;
   }
   job.join();
-  sampler.stop();
 
-  // Final frame from a synchronous capture so the end state is exact.
-  const double elapsed_s = static_cast<double>(steadyNowNs() - t0) / 1e9;
+  // Final frame, captured after the job ends so the end state is exact.
   const TelemetrySample last = TelemetrySampler::captureSample();
+  const double elapsed_s = static_cast<double>(last.ts_ns - t0) / 1e9;
   std::printf("%s", renderTopFrame(algo, num_partitions, last,
                                    has_prev ? &prev : nullptr, elapsed_s)
                         .c_str());
-  // Sampler health footer: how many frames the ring produced, how many a
-  // slow consumer cost us, and how far the tick thread fell behind.
-  std::printf("telemetry: %llu samples, %llu dropped, %llu missed ticks\n",
-              static_cast<unsigned long long>(sampler.ring().produced()),
-              static_cast<unsigned long long>(sampler.ring().droppedSamples()),
-              static_cast<unsigned long long>(sampler.missedTicks()));
   if (!run.isOk()) {
     return failArgs(run.status());
   }
@@ -1289,8 +1273,7 @@ int main(int argc, char** argv) {
     Tracer::instance().start();
   }
   // Live telemetry wraps the run commands only: `analyze` reads --timeline=
-  // instead of writing it, `top` drives its own sampler, and generate /
-  // inspect have nothing to sample.
+  // instead of writing it, and generate / inspect have nothing to sample.
   RunTelemetryOptions telemetry_options;
   telemetry_options.sample_ms =
       args.has("sample-ms")
@@ -1307,7 +1290,8 @@ int main(int argc, char** argv) {
     return failArgs(args.flagError());
   }
   const bool run_command = findAlgorithm(command) != nullptr ||
-                           command == "check" || command == "stream";
+                           command == "check" || command == "stream" ||
+                           command == "top";
   RunTelemetry telemetry(run_command ? telemetry_options
                                      : RunTelemetryOptions{});
   if (telemetry.armed()) {
