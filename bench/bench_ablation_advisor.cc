@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const BenchConfig config = parseArgs(argc, argv);
   constexpr std::uint32_t kPartitions = 6;
 
-  Profiler::global().arm(ProfileOptions{});
+  profile::arm(ProfileOptions{});
 
   auto tmpl = makeTemplate(GraphKind::kCarn, WorkloadKind::kRoad, config);
   const auto collection =
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   const auto after = observe(pg_after_result.value(), collection,
                              latency_attr);
 
-  Profiler::global().disarm();
+  profile::disarm();
 
   TextTable table({"placement", "modelled (s)", "compute makespan (ms)",
                    "subgraph gini", "edge cut %"});

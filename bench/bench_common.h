@@ -36,8 +36,9 @@ struct BenchConfig {
   std::string trace_path;     // --trace=PATH: Perfetto trace of the run
   std::string json_path;      // --json=PATH: machine-readable run stats
 
-  // Live telemetry (see src/telemetry/): any of these arms the sampler.
-  int sample_ms = -1;          // --sample-ms=N (-1 = default 10 when armed)
+  // Live telemetry (see src/telemetry/): any output flag arms the sampler;
+  // --sample-ms=N sets its cadence (-1 = default 10).
+  int sample_ms = -1;
   std::string timeline_path;   // --timeline=PATH: timeline JSON at exit
   std::string prom_path;       // --prom=PATH: Prometheus exposition file
   int prom_port = -1;          // --prom-port=N (-1 = off, 0 = ephemeral)
@@ -46,7 +47,7 @@ struct BenchConfig {
 // Parses --scale=, --timesteps=, --seed=, --trace=, --json= and the
 // telemetry flags (--sample-ms=, --timeline=, --prom=, --prom-port=) out of
 // argv; resolves data_dir, applies TSG_LOG_LEVEL, starts the tracer if
-// --trace was given and the telemetry sampler if any telemetry flag was.
+// --trace was given and the telemetry sampler if any telemetry output was.
 BenchConfig parseArgs(int argc, char** argv);
 
 // Deterministic templates. CARN default ~22.5k vertices; WIKI ~20k.

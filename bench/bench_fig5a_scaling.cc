@@ -12,7 +12,6 @@
 // parallel speedup; the scaling columns therefore report the MODELLED
 // parallel time (critical path + 1GbE network model; DESIGN.md §1), with
 // wall-clock shown for reference.
-#include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -44,15 +43,8 @@ RunResult runAlgoOnce(const AlgorithmEntry& algo, const GofsDataset& ds) {
       runAlgorithm(algo, ds.partitionedGraph(), *provider, request);
   TSG_CHECK_MSG(run.isOk(), run.status().toString());
   const RunStats& stats = run.value().stats;
-  RunResult r{nsToSec(stats.wallClockNs()),
-              nsToSec(stats.modelledParallelNs()), 0};
-  // Timesteps executed: HASH's merge phase is recorded one past the last.
-  for (const auto& rec : stats.supersteps()) {
-    if (!rec.is_merge_phase) {
-      r.timesteps = std::max(r.timesteps, rec.timestep + 1);
-    }
-  }
-  return r;
+  return RunResult{nsToSec(stats.wallClockNs()),
+                   nsToSec(stats.modelledParallelNs()), stats.numTimesteps()};
 }
 
 // Best of three repetitions: the modelled time is a per-superstep maximum,

@@ -31,7 +31,7 @@ import json
 import sys
 
 RUN_SCHEMA = 2  # runStatsToJson's schema_version
-SUPPORTED_SCHEMA = 2  # the attribution block's schema_version
+SUPPORTED_SCHEMA = 3  # the attribution block's schema_version
 
 
 def blame_totals(doc):
@@ -76,8 +76,8 @@ def main():
             f"!= {SUPPORTED_SCHEMA}"
         )
 
-    # Row cells are fixed-order arrays:
-    # [compute_ns, computes, msgs_out, bytes_out, resident_bytes].
+    # Row cells are fixed-order arrays: [compute_ns, computes, msgs_out,
+    # bytes_out].
     out_msgs = sum(c[2] for row in attrib.get("rows", []) for c in row)
     out_bytes = sum(c[3] for row in attrib.get("rows", []) for c in row)
     in_msgs = sum(attrib.get("msgs_in", []))

@@ -80,9 +80,9 @@ int main() {
   // run records each subgraph's measured compute.
   PageRankOptions pr_options;
   pr_options.iterations = 25;
-  Profiler::global().arm(ProfileOptions{});
+  profile::arm(ProfileOptions{});
   const auto pr = runSubgraphPageRank(pg, provider, pr_options);
-  Profiler::global().disarm();
+  profile::disarm();
   std::vector<VertexIndex> order(tmpl->numVertices());
   for (VertexIndex v = 0; v < order.size(); ++v) {
     order[v] = v;

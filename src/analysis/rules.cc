@@ -74,7 +74,7 @@ void checkTraceLiteral(const SourceFile& f, std::vector<Diagnostic>& out) {
         (t.text == "TraceSpan" &&
          (isPunct(tokens[i + 1], "(") || isPunct(tokens[i + 1], "{")));
     const bool call_like =
-        ((t.text == "traceInstant" || t.text == "traceCounter") &&
+        (t.text == "traceCounter" &&
          isPunct(tokens[i + 1], "("));
     if (span_like || call_like) {
       if (i + 2 >= tokens.size() ||

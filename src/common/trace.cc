@@ -278,21 +278,6 @@ TraceSpan::~TraceSpan() {
   Tracer::instance().record(event_);
 }
 
-void traceInstant(TraceLiteral category, TraceLiteral name, TraceLiteral k1,
-                  std::int64_t v1) {
-  if (!Tracer::enabled()) {
-    return;
-  }
-  TraceEvent ev;
-  ev.category = category.str;
-  ev.name = name.str;
-  ev.phase = 'i';
-  ev.ts_ns = steadyNowNs();
-  ev.k1 = k1.str;
-  ev.v1 = v1;
-  Tracer::instance().record(ev);
-}
-
 void traceCounter(TraceLiteral track, std::int64_t value) {
   if (!Tracer::enabled()) {
     return;

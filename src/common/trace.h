@@ -2,10 +2,9 @@
 //
 // The tracer is a process-wide singleton that buffers events per thread and
 // serializes them as Chrome trace-event JSON ("traceEvents" array), loadable
-// in Perfetto / chrome://tracing. Four event kinds:
+// in Perfetto / chrome://tracing. Three event kinds:
 //   * spans    — RAII TraceSpan objects become complete ("X") events with
 //                nested durations (timestep → superstep → partition job);
-//   * instants — point-in-time markers ("i");
 //   * counters — numeric tracks ("C"), e.g. delivered messages per superstep;
 //   * flows    — "s"/"t"/"f" events sharing a 64-bit flow id, drawn by the
 //                viewer as arrows between the spans that enclose them. The
@@ -44,8 +43,8 @@ extern std::atomic<bool> g_trace_enabled;
 // Compile-time guard for the literal-lifetime contract: only constructible
 // (consteval) from character-array literals or nullptr, so every name /
 // category / arg key handed to the tracer is known to live forever. Used at
-// all instrumentation call sites via the TraceSpan / traceInstant /
-// traceCounter / traceFlow* signatures.
+// all instrumentation call sites via the TraceSpan / traceCounter /
+// traceFlow* signatures.
 struct TraceLiteral {
   template <std::size_t N>
   consteval TraceLiteral(const char (&literal)[N])  // NOLINT(runtime/explicit)
@@ -60,12 +59,12 @@ struct TraceLiteral {
 struct TraceEvent {
   const char* category = nullptr;
   const char* name = nullptr;
-  char phase = 'X';         // 'X' complete, 'i' instant, 'C' counter,
+  char phase = 'X';         // 'X' complete, 'C' counter,
                             // 's'/'t'/'f' flow start/step/finish
   std::int64_t ts_ns = 0;   // steady-clock nanoseconds
   std::int64_t dur_ns = 0;  // 'X' only
   std::uint64_t flow_id = 0;  // 's'/'t'/'f' only; pairs the arrow endpoints
-  // Up to two integer args ('X'/'i'); 'C' stores the counter value in v1.
+  // Up to two integer args ('X'); 'C' stores the counter value in v1.
   const char* k1 = nullptr;
   std::int64_t v1 = 0;
   const char* k2 = nullptr;
@@ -144,10 +143,6 @@ class TraceSpan {
   bool active_;
   TraceEvent event_;
 };
-
-// Point-in-time marker.
-void traceInstant(TraceLiteral category, TraceLiteral name,
-                  TraceLiteral k1 = nullptr, std::int64_t v1 = 0);
 
 // Counter track sample: `track` becomes a named counter series in Perfetto.
 void traceCounter(TraceLiteral track, std::int64_t value);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -96,19 +97,19 @@ class WorkerState {
   // The one cost meter: the unit being served (a compute, merge or
   // end-of-timestep call of cur_sg) counts into `unit`; closeUnit() folds
   // it into the superstep's costs and, profiled, queues it and its sends
-  // for the seal to charge to the attribution table.
+  // for the seal to charge to the run's attribution table.
   SubgraphCosts unit;
   SubgraphCosts superstep_costs;
   bool profiled = false;
-  std::vector<Profiler::UnitCharge> pending_units;
-  std::vector<Profiler::InboundCharge> pending_inbound;
+  std::vector<std::pair<SubgraphId, SubgraphCosts>> pending_units;
+  std::vector<std::pair<SubgraphId, std::uint64_t>> pending_inbound;  // dst
 
   // tsg:hot — once per message send.
   void meterSend(SubgraphId dst, std::uint64_t bytes) {
     ++unit.msgs_out;
     unit.bytes_out += bytes;
     if (profiled) [[unlikely]] {
-      pending_inbound.push_back({dst, bytes});
+      pending_inbound.emplace_back(dst, bytes);
     }
   }
 
@@ -117,7 +118,7 @@ class WorkerState {
     unit.compute_ns = compute_ns;
     superstep_costs += unit;
     if (profiled) [[unlikely]] {
-      pending_units.push_back({cur_sg->id, unit});
+      pending_units.emplace_back(cur_sg->id, unit);
     }
     unit = SubgraphCosts{};
   }
@@ -383,10 +384,11 @@ void distributeInbox(WorkerState& st) {
 }
 
 // Drains per-superstep meters from a state into a stats record entry and,
-// profiled, charges the superstep's closed units to the attribution table
-// in the same step.
+// profiled, adds the superstep's closed units to their cells of the run's
+// attribution table and their sends to the destinations' inbound totals.
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
-                         const PartitionTiming& timing) {
+                         const PartitionTiming& timing,
+                         AttributionTable* attribution) {
   ps.send_ns = std::exchange(st.send_ns, 0);
   ps.load_ns = std::exchange(st.load_ns, 0);
   ps.compute_ns =
@@ -398,9 +400,17 @@ void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
   ps.messages_sent = costs.msgs_out;
   ps.bytes_sent = costs.bytes_out;
   ps.subgraphs_computed = costs.computes;
-  if (st.profiled) [[unlikely]] {
-    Profiler::global().chargeSealed(st.timestep, st.pending_units,
-                                    st.pending_inbound);
+  // tsg:hot — walks every unit and message of a sealed superstep.
+  if (attribution != nullptr) [[unlikely]] {
+    auto& row = attribution->rows[static_cast<std::size_t>(
+        st.timestep - attribution->first_timestep)];
+    for (const auto& [sg, cost] : st.pending_units) {
+      row[sg] += cost;
+    }
+    for (const auto& [dst, bytes] : st.pending_inbound) {
+      ++attribution->msgs_in[dst];
+      attribution->bytes_in[dst] += bytes;
+    }
     st.pending_units.clear();
     st.pending_inbound.clear();
   }
@@ -422,6 +432,7 @@ struct ExecEnv {
   bool async;
   RunStats& stats;
   check::BspChecker* checker;  // null when protocol checking is off
+  AttributionTable* attribution;  // null unless the profiler is armed
 };
 
 void commitRecord(ExecEnv& env, SuperstepRecord rec, Timestep counter_t) {
@@ -575,7 +586,8 @@ void sealSuperstep(ExecEnv& env, Timestep t, std::int32_t s, ExecPhase phase,
   rec.is_merge_phase = merge;
   rec.parts.resize(k);
   for (PartitionId p = 0; p < k; ++p) {
-    drainPartitionStats(*env.states[p], rec.parts[p], timings[p]);
+    drainPartitionStats(*env.states[p], rec.parts[p], timings[p],
+                        env.attribution);
   }
   auto& inj = fault::FaultInjector::global();
   if (!merge && inj.armed()) [[unlikely]] {
@@ -839,7 +851,8 @@ bool runEndOfTimestep(ExecEnv& env, Timestep t, std::int32_t s) {
   bool all_halt_timestep = true;
   for (PartitionId p = 0; p < k; ++p) {
     auto& st = *env.states[p];
-    drainPartitionStats(st, eot_rec.parts[p], eot_timings[p]);
+    drainPartitionStats(st, eot_rec.parts[p], eot_timings[p],
+                        env.attribution);
     all_halt_timestep =
         all_halt_timestep &&
         std::all_of(st.halt_timestep.begin(), st.halt_timestep.end(),
@@ -944,9 +957,9 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
   result.stats = RunStats(k);
   Tracer::setCurrentThreadName("coordinator");
   TraceSpan run_span("tibsp", "tibsp.run", "timesteps", count);
-  const bool profiled = Profiler::enabled();
-  if (profiled) {
-    Profiler::global().beginRun(pg_, first, count);
+  std::optional<AttributionTable> attribution;
+  if (profile::enabled()) {
+    attribution = profile::makeAttributionTable(pg_, first, count);
   }
   const auto metrics_before = MetricsRegistry::global().snapshot();
   const auto hists_before = MetricsRegistry::global().histogramSnapshot();
@@ -965,7 +978,7 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
         pg_, p, bus, config.pattern, static_cast<std::size_t>(count),
         provider_.t0(), provider_.delta()));
     states.back()->program = programs.back().get();
-    states.back()->profiled = profiled;
+    states.back()->profiled = attribution.has_value();
   }
   // Protocol checking: one checker per run, attached to the sole bus.
   const auto checker = attachChecker(bus, k, use_async);
@@ -977,7 +990,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
               cluster,
               use_async,
               result.stats,
-              checker.get()};
+              checker.get(),
+              attribution ? &*attribution : nullptr};
 
   std::vector<Message> pending_next;
   std::vector<Message> merge_pool;
@@ -1148,8 +1162,8 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
       snapshotDelta(metrics_before, MetricsRegistry::global().snapshot()));
   result.stats.setHistograms(histogramDelta(
       hists_before, MetricsRegistry::global().histogramSnapshot()));
-  if (profiled) {
-    result.stats.setAttribution(Profiler::global().take());
+  if (attribution) {
+    result.stats.setAttribution(std::move(*attribution));
   }
   return result;
 }

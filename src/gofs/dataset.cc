@@ -10,7 +10,6 @@
 #include "common/serialize.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "profile/profiler.h"
 #include "runtime/fault_injector.h"
 
 namespace tsg {
@@ -273,10 +272,6 @@ class GofsInstanceProvider final : public InstanceProvider {
           .set(static_cast<std::int64_t>(state.pack_data.size()));
       registry.gauge("gofs.resident_bytes", static_cast<std::int32_t>(p))
           .set(state.resident_bytes);
-      if (Profiler::enabled()) [[unlikely]] {
-        Profiler::global().recordResidentSlice(
-            p, t, static_cast<std::uint64_t>(state.resident_bytes));
-      }
     }
     const std::size_t offset = static_cast<std::uint32_t>(t) % packing;
     TSG_CHECK(offset < state.pack_data.size());

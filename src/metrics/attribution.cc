@@ -156,8 +156,8 @@ void attributionToJson(JsonWriter& w, const AttributionTable& table) {
   }
   w.endArray();
 
-  // Rows are dense [compute_ns, computes, msgs_out, bytes_out,
-  // resident_bytes] cells; the subgraph index is positional.
+  // Rows are dense [compute_ns, computes, msgs_out, bytes_out] cells; the
+  // subgraph index is positional.
   w.key("rows");
   w.beginArray();
   for (const auto& row : table.rows) {
@@ -168,7 +168,6 @@ void attributionToJson(JsonWriter& w, const AttributionTable& table) {
       w.value(c.computes);
       w.value(c.msgs_out);
       w.value(c.bytes_out);
-      w.value(c.resident_bytes);
       w.endArray();
     }
     w.endArray();
@@ -241,17 +240,15 @@ Result<AttributionTable> attributionFromJson(const JsonValue& v) {
     std::vector<SubgraphCosts> cells;
     cells.reserve(row.array().size());
     for (const JsonValue& cell : row.array()) {
-      if (!cell.isArray() || cell.array().size() != 5) {
+      if (!cell.isArray() || cell.array().size() != 4) {
         return Status::corruptData(
-            "attribution: cell is not a 5-element array");
+            "attribution: cell is not a 4-element array");
       }
       SubgraphCosts c;
       c.compute_ns = cell.array()[0].intValue();
       c.computes = static_cast<std::uint64_t>(cell.array()[1].intValue());
       c.msgs_out = static_cast<std::uint64_t>(cell.array()[2].intValue());
       c.bytes_out = static_cast<std::uint64_t>(cell.array()[3].intValue());
-      c.resident_bytes =
-          static_cast<std::uint64_t>(cell.array()[4].intValue());
       cells.push_back(c);
     }
     table.rows.push_back(std::move(cells));

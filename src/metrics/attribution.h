@@ -4,11 +4,10 @@
 // The superstep records name the straggler *partition* (the wait each
 // partition caused); this table explains it: each (timestep row, subgraph)
 // cell accounts the compute time, compute invocations, and outbound message
-// traffic that subgraph caused, plus the resident attribute bytes its slice
-// of the loaded instance occupies. Run totals add inbound traffic per
-// subgraph. The engine charges everything but resident bytes, which the
-// GoFS provider charges on each pack load; profile/profiler.h says who
-// writes which cell.
+// traffic that subgraph caused. Run totals add inbound traffic per
+// subgraph. The table is a value of one profiled run, built and charged by
+// the engine (profile/profiler.h says how); a partition's resident
+// attribute bytes are its `gofs.resident_bytes` gauge in the run's metrics.
 //
 // Conservation invariants, by construction (asserted in
 // tests/test_profile.cc under both schedules, fault-free and recovered):
@@ -36,7 +35,7 @@
 
 namespace tsg {
 
-inline constexpr std::int32_t kAttributionSchemaVersion = 2;
+inline constexpr std::int32_t kAttributionSchemaVersion = 3;
 
 // One (timestep, subgraph) accounting cell.
 struct SubgraphCosts {
@@ -44,21 +43,18 @@ struct SubgraphCosts {
   std::uint64_t computes = 0;       // compute invocations (supersteps run)
   std::uint64_t msgs_out = 0;       // messages this subgraph sent
   std::uint64_t bytes_out = 0;
-  std::uint64_t resident_bytes = 0; // attribute bytes of its loaded slice
 
   SubgraphCosts& operator+=(const SubgraphCosts& o) {
     compute_ns += o.compute_ns;
     computes += o.computes;
     msgs_out += o.msgs_out;
     bytes_out += o.bytes_out;
-    resident_bytes = resident_bytes > o.resident_bytes ? resident_bytes
-                                                       : o.resident_bytes;
     return *this;
   }
 };
 
-// Static shape of one subgraph (copied from the PartitionedGraph at
-// beginRun so reports and the advisor need no graph in hand).
+// Static shape of one subgraph (copied from the PartitionedGraph when the
+// run's table is built, so reports and the advisor need no graph in hand).
 struct SubgraphMeta {
   SubgraphId id = kInvalidSubgraph;
   PartitionId partition = kInvalidPartition;
@@ -103,8 +99,7 @@ struct AttributionTable {
   [[nodiscard]] bool empty() const { return subgraphs.empty(); }
   [[nodiscard]] std::size_t numSubgraphs() const { return subgraphs.size(); }
 
-  // Per-subgraph totals across all rows (resident_bytes is the max, not the
-  // sum — it is an occupancy level, not a flow).
+  // Per-subgraph totals across all rows.
   [[nodiscard]] std::vector<SubgraphCosts> subgraphTotals() const;
   // Per-partition compute-ns totals (folding subgraphTotals by owner).
   [[nodiscard]] std::vector<std::int64_t> partitionComputeNs() const;
@@ -120,7 +115,7 @@ struct AttributionTable {
 
 // Writes the table as one JSON object value (the caller emits the
 // surrounding key). Row cells are compact fixed-order arrays:
-// [compute_ns, computes, msgs_out, bytes_out, resident_bytes].
+// [compute_ns, computes, msgs_out, bytes_out].
 void attributionToJson(JsonWriter& w, const AttributionTable& table);
 
 // Parses what attributionToJson wrote (the "attribution" member of a

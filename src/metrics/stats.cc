@@ -35,7 +35,9 @@ std::uint64_t RunStats::counterTotal(const std::string& name) const {
 std::int32_t RunStats::numTimesteps() const {
   std::int32_t max_t = -1;
   for (const auto& rec : records_) {
-    max_t = std::max(max_t, rec.timestep);
+    if (!rec.is_merge_phase) {
+      max_t = std::max(max_t, rec.timestep);
+    }
   }
   return max_t + 1;
 }

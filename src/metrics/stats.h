@@ -123,9 +123,12 @@ class RunStats {
   [[nodiscard]] const AttributionTable& attribution() const {
     return *attribution_;
   }
+  [[nodiscard]] AttributionTable& attribution() { return *attribution_; }
 
   // --- aggregations ---
 
+  // One past the last compute timestep recorded; merge-phase records, which
+  // are stamped one past the last timestep, do not count.
   [[nodiscard]] std::int32_t numTimesteps() const;
   [[nodiscard]] std::uint64_t totalSupersteps() const {
     return records_.size();

@@ -1,78 +1,73 @@
 #include "profile/profiler.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace tsg {
+namespace profile {
 
-std::atomic<bool> Profiler::armed_{false};
+namespace profile_detail {
+std::atomic<bool> g_armed{false};
+}  // namespace profile_detail
 
-Profiler& Profiler::global() {
-  static Profiler instance;
-  return instance;
+namespace {
+ProfileOptions g_options;
+}  // namespace
+
+void arm(const ProfileOptions& options) {
+  g_options = options;
+  g_options.sample_every = std::max<std::uint32_t>(1, options.sample_every);
+  g_options.sketch_capacity =
+      std::max<std::size_t>(8, options.sketch_capacity);
+  profile_detail::g_armed.store(true, std::memory_order_relaxed);  // tsg:mo(gate flag only; arming publishes no data)
 }
 
-void Profiler::arm(const ProfileOptions& options) {
-  options_ = options;
-  sample_every_ = std::max<std::uint32_t>(1, options.sample_every);
-  armed_.store(true, std::memory_order_relaxed);  // tsg:mo(gate flag only; arming publishes no data)
+void disarm() {
+  profile_detail::g_armed.store(false, std::memory_order_relaxed);  // tsg:mo(gate flag; disarming publishes nothing)
 }
 
-void Profiler::disarm() {
-  armed_.store(false, std::memory_order_relaxed);  // tsg:mo(gate flag; disarming publishes nothing)
-  pg_ = nullptr;
-  table_ = AttributionTable{};
-  shards_.clear();
-}
-
-std::size_t Profiler::sketchCapacity() const {
-  return std::max<std::size_t>(8, options_.sketch_capacity);
-}
-
-void Profiler::beginRun(const PartitionedGraph& pg, Timestep first_timestep,
-                        std::int32_t num_timesteps) {
-  if (!enabled()) {
-    return;
-  }
-  pg_ = &pg;
-  table_ = AttributionTable{};
-  table_.num_partitions = pg.numPartitions();
-  table_.first_timestep = first_timestep;
-  table_.num_rows = std::max<std::int32_t>(0, num_timesteps) + 1;  // + merge
-  table_.sample_every = sample_every_;
+AttributionTable makeAttributionTable(const PartitionedGraph& pg,
+                                      Timestep first_timestep,
+                                      std::int32_t num_timesteps) {
+  AttributionTable table;
+  table.num_partitions = pg.numPartitions();
+  table.first_timestep = first_timestep;
+  table.num_rows = std::max<std::int32_t>(0, num_timesteps) + 1;  // + merge
+  table.sample_every = g_options.sample_every;
   const std::size_t num_subgraphs = pg.numSubgraphs();
-  table_.subgraphs.resize(num_subgraphs);
+  table.subgraphs.resize(num_subgraphs);
   for (SubgraphId sg = 0; sg < num_subgraphs; ++sg) {
     const Subgraph& s = pg.subgraph(sg);
-    SubgraphMeta& m = table_.subgraphs[sg];
+    SubgraphMeta& m = table.subgraphs[sg];
     m.id = sg;
     m.partition = s.partition;
     m.vertices = s.numVertices();
     m.local_edges = s.num_local_edges;
     m.remote_edges = s.remote_edges.size();
   }
-  table_.rows.assign(static_cast<std::size_t>(table_.num_rows),
-                     std::vector<SubgraphCosts>(num_subgraphs));
-  table_.msgs_in.assign(num_subgraphs, 0);
-  table_.bytes_in.assign(num_subgraphs, 0);
-  shards_.clear();
-  shards_.reserve(pg.numPartitions());
-  for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
-    shards_.emplace_back(sketchCapacity());
-  }
+  table.rows.assign(static_cast<std::size_t>(table.num_rows),
+                    std::vector<SubgraphCosts>(num_subgraphs));
+  table.msgs_in.assign(num_subgraphs, 0);
+  table.bytes_in.assign(num_subgraphs, 0);
+  return table;
 }
 
-AttributionTable Profiler::take() {
-  if (pg_ == nullptr) {
+std::vector<VertexSketches> makeVertexSketches(const PartitionedGraph& pg) {
+  if (!enabled()) {
     return {};
   }
-  const PartitionedGraph& pg = *std::exchange(pg_, nullptr);
-  AttributionTable table = std::exchange(table_, AttributionTable{});
-  const std::vector<Shard> shards = std::exchange(shards_, {});
+  return std::vector<VertexSketches>(pg.numPartitions(),
+                                     VertexSketches(g_options));
+}
 
-  SpaceSavingSketch compute_sketch(sketchCapacity());
-  SpaceSavingSketch fanout_sketch(sketchCapacity());
-  for (const Shard& shard : shards) {
+void foldVertexSketches(const PartitionedGraph& pg,
+                        const std::vector<VertexSketches>& sketches,
+                        RunStats& stats) {
+  if (sketches.empty() || !stats.hasAttribution()) {
+    return;
+  }
+  SpaceSavingSketch compute_sketch(g_options.sketch_capacity);
+  SpaceSavingSketch fanout_sketch(g_options.sketch_capacity);
+  for (const VertexSketches& shard : sketches) {
     compute_sketch.merge(shard.compute);
     fanout_sketch.merge(shard.fanout);
   }
@@ -88,6 +83,7 @@ AttributionTable Profiler::take() {
     h.error = e.error;
     return h;
   };
+  AttributionTable& table = stats.attribution();
   for (const auto& e : compute_sketch.topK()) {
     table.hot_compute.push_back(to_hot(e));
   }
@@ -96,55 +92,7 @@ AttributionTable Profiler::take() {
   }
   table.sketch_weight_compute = compute_sketch.totalWeight();
   table.sketch_weight_fanout = fanout_sketch.totalWeight();
-  return table;
 }
 
-// tsg:hot — walks every unit and message of a sealed superstep.
-void Profiler::chargeSealed(Timestep t, std::span<const UnitCharge> units,
-                            std::span<const InboundCharge> inbound) {
-  const std::int32_t row = rowOf(t);
-  for (const UnitCharge& unit : units) {
-    if (SubgraphCosts* cell = cellAt(row, unit.sg)) {
-      *cell += unit.cost;
-    }
-  }
-  for (const InboundCharge& msg : inbound) {
-    if (msg.dst < table_.msgs_in.size()) {
-      ++table_.msgs_in[msg.dst];
-      table_.bytes_in[msg.dst] += msg.bytes;
-    }
-  }
-}
-
-void Profiler::recordVertexSample(PartitionId p, VertexIndex vertex,
-                                  std::uint64_t ns, std::uint64_t fanout) {
-  if (p >= shards_.size()) {
-    return;
-  }
-  const std::uint64_t scale = sample_every_;
-  shards_[p].compute.offer(vertex, ns * scale);
-  if (fanout > 0) {
-    shards_[p].fanout.offer(vertex, fanout * scale);
-  }
-}
-
-void Profiler::recordResidentSlice(PartitionId p, Timestep t,
-                                   std::uint64_t bytes) {
-  const std::int32_t row = rowOf(t);
-  if (pg_ == nullptr || p >= pg_->numPartitions() || row < 0) {
-    return;
-  }
-  const Partition& part = pg_->partition(p);
-  const std::uint64_t part_vertices = part.numVertices();
-  if (part_vertices == 0) {
-    return;
-  }
-  for (const Subgraph& sg : part.subgraphs) {
-    if (SubgraphCosts* cell = cellAt(row, sg.id)) {
-      // An occupancy level, not a flow: the latest load for this row wins.
-      cell->resident_bytes = bytes * sg.numVertices() / part_vertices;
-    }
-  }
-}
-
+}  // namespace profile
 }  // namespace tsg

@@ -1,37 +1,35 @@
-// Profiler — the process-wide cost-attribution recorder behind
-// `tsgcli --profile=`.
+// Profiler — the arm gate behind `tsgcli --profile=`, and the run-scoped
+// pieces a profiled run builds.
 //
-// Cost model mirrors the tracer and the protocol checker: disarmed (the
-// default), every hook call site is one relaxed atomic load plus an
-// untaken branch — no allocation, no locks, nothing observable. Armed, the
-// engine brackets a run with beginRun()/take(); in between, the table is a
-// preallocated [row][subgraph] grid of plain integers.
+// Cost model mirrors the protocol checker's gate: disarmed (the default),
+// each engine reads the gate once per run and builds nothing. Arming
+// records nothing by itself; it tells each engine run to build an
+// attribution table, and the gate and its options are the only profiler
+// state that outlives a run.
 //
-// Who charges what. The subgraph-centric engine (core/engine.cc) meters
-// each subgraph unit once; the seal that commits a superstep's record hands
-// its closed units to chargeSealed(), so work of a wave a fault aborts is in
-// neither and a committed superstep a recovery replays is in both. The GoFS
-// provider charges resident slice bytes on each pack load; the vertex
-// engines feed the vertex sketches. Scheduler blame is not profiled: every
+// Who owns what. The table is a value of the run: TiBspEngine::run shapes
+// it with makeAttributionTable(), the seal that commits a superstep's
+// record adds that superstep's closed subgraph units and their sends to
+// it, and RunStats takes it when the run ends. So work of a wave a fault
+// aborts is in neither, and a committed superstep a recovery replays is in
+// both. The vertex engines own one VertexSketches per partition for the
+// run, hand each adapter its partition's pair (the pairs outlive the
+// programs a recovery re-creates), and fold them into the table's hot
+// lists with foldVertexSketches(). Scheduler blame is not profiled: every
 // run measures it per partition in its SuperstepRecords.
 //
-// Concurrency: no cell is shared, so none needs an atomic or a lock.
-// chargeSealed() runs in a seal, with no task in flight; the other hooks
-// run in the task of the partition they charge and write only its
-// subgraphs' resident bytes and its own sketch shard. Waves and seals are
-// ordered by the cluster's mutex, so each write happens-before the next one
-// to the same integer. beginRun() and take() run on the coordinator before
-// the cluster starts and after it joins. Outside that window the grid is
-// empty and every hook's bounds check makes it a no-op.
+// Concurrency: table cells are written only in seals, with no task in
+// flight; a sketch pair is offered to only by its partition's task. Waves
+// and seals are ordered by the cluster's mutex, so each write
+// happens-before the next one to the same integer.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "partition/partitioned_graph.h"
-#include "metrics/attribution.h"
 #include "profile/sketch.h"
 
 namespace tsg {
@@ -46,88 +44,59 @@ struct ProfileOptions {
   std::size_t sketch_capacity = 64;
 };
 
-class Profiler {
- public:
-  static Profiler& global();
+namespace profile {
 
-  // The zero-cost gate every hook call site checks first.
-  static bool enabled() {
-    return armed_.load(std::memory_order_relaxed);  // tsg:mo(gate read; a stale miss only skips one sample)
-  }
+namespace profile_detail {
+extern std::atomic<bool> g_armed;
+}  // namespace profile_detail
 
-  // Arms/disarms the profiler process-wide (tsgcli --profile=, benches).
-  // Coordinator-only, never during a run.
-  void arm(const ProfileOptions& options);
-  void disarm();
-  [[nodiscard]] std::uint32_t sampleEvery() const { return sample_every_; }
+// The gate each engine reads once per run.
+inline bool enabled() {
+  return profile_detail::g_armed.load(std::memory_order_relaxed);  // tsg:mo(gate read; arming is coordinator-only, never during a run)
+}
 
-  // Engine lifecycle: beginRun preallocates the [num_timesteps + 1 rows]
-  // x [subgraphs] grid (the extra row holds the Merge BSP, stamped
-  // timestep `first + count` like its RunStats records); take() folds the
-  // partition shards into the table and empties the grid. Both run on the
-  // engine's coordinator thread. `pg` must stay alive until take().
-  void beginRun(const PartitionedGraph& pg, Timestep first_timestep,
-                std::int32_t num_timesteps);
-  [[nodiscard]] AttributionTable take();
+// Arms/disarms the profiler process-wide (tsgcli --profile=, benches).
+// Coordinator-only, never during a run.
+void arm(const ProfileOptions& options);
+void disarm();
 
-  // A closed subgraph unit (resident_bytes 0), and one message it sent.
-  struct UnitCharge {
-    SubgraphId sg = kInvalidSubgraph;
-    SubgraphCosts cost;
-  };
-  struct InboundCharge {
-    SubgraphId dst = kInvalidSubgraph;
-    std::uint64_t bytes = 0;
-  };
+// An empty table shaped for one run of `pg`: [num_timesteps + 1 rows] x
+// [subgraphs] (the extra row holds the Merge BSP, stamped timestep
+// `first + count` like its RunStats records).
+[[nodiscard]] AttributionTable makeAttributionTable(const PartitionedGraph& pg,
+                                                    Timestep first_timestep,
+                                                    std::int32_t num_timesteps);
 
-  // --- recording hooks (no-ops unless a run window is open) ---
+// One partition's heavy-hitter sketches over per-vertex compute-ns and
+// message fan-out.
+struct VertexSketches {
+  SpaceSavingSketch compute;
+  SpaceSavingSketch fanout;
+  std::uint32_t sample_every;
 
-  // The seal of a superstep at timestep t: adds each unit to its (t, sg)
-  // cell and each message to its destination's inbound totals.
-  void chargeSealed(Timestep t, std::span<const UnitCharge> units,
-                    std::span<const InboundCharge> inbound);
-  // One sampled vertex compute (vertex-centric engines); `ns` and `fanout`
-  // are the raw sampled measurements — the profiler scales by sampleEvery().
-  void recordVertexSample(PartitionId p, VertexIndex vertex, std::uint64_t ns,
-                          std::uint64_t fanout);
-  // Resident attribute bytes of partition p's loaded instance at timestep
-  // t, distributed across p's subgraphs proportional to vertex count.
-  void recordResidentSlice(PartitionId p, Timestep t, std::uint64_t bytes);
+  explicit VertexSketches(const ProfileOptions& options)
+      : compute(options.sketch_capacity),
+        fanout(options.sketch_capacity),
+        sample_every(options.sample_every) {}
 
- private:
-  Profiler() = default;
-
-  // The vertex sketches partition p's task feeds, merged by take().
-  struct Shard {
-    SpaceSavingSketch compute;
-    SpaceSavingSketch fanout;
-    explicit Shard(std::size_t capacity)
-        : compute(capacity), fanout(capacity) {}
-  };
-
-  // Row index for timestep t, or -1 when outside the run window.
-  [[nodiscard]] std::int32_t rowOf(Timestep t) const {
-    const std::int32_t row = t - table_.first_timestep;
-    return row >= 0 && row < table_.num_rows ? row : -1;
-  }
-  [[nodiscard]] SubgraphCosts* cellAt(std::int32_t row, SubgraphId sg) {
-    if (row < 0 || sg >= table_.numSubgraphs()) {
-      return nullptr;
+  // One sampled vertex compute: `ns` and `fanout_msgs` are the raw sampled
+  // measurements, scaled here by sample_every.
+  void offer(VertexIndex vertex, std::uint64_t ns, std::uint64_t fanout_msgs) {
+    compute.offer(vertex, ns * sample_every);
+    if (fanout_msgs > 0) {
+      fanout.offer(vertex, fanout_msgs * sample_every);
     }
-    return &table_.rows[static_cast<std::size_t>(row)][sg];
   }
-  [[nodiscard]] std::size_t sketchCapacity() const;
-
-  static std::atomic<bool> armed_;
-
-  ProfileOptions options_;
-  std::uint32_t sample_every_ = 8;
-
-  // The run being recorded; empty (no rows, no shards) outside beginRun ..
-  // take(), which is what makes every hook a no-op there.
-  const PartitionedGraph* pg_ = nullptr;
-  AttributionTable table_;
-  std::vector<Shard> shards_;  // per partition
 };
 
+// One pair per partition of `pg` when armed, none otherwise.
+[[nodiscard]] std::vector<VertexSketches> makeVertexSketches(
+    const PartitionedGraph& pg);
+// Merges the partition pairs into `stats`' table as its hot lists; a no-op
+// without pairs or without a table.
+void foldVertexSketches(const PartitionedGraph& pg,
+                        const std::vector<VertexSketches>& sketches,
+                        RunStats& stats);
+
+}  // namespace profile
 }  // namespace tsg

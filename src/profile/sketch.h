@@ -11,8 +11,10 @@
 //   * error <= W / k, so any key whose true weight exceeds W / k is
 //     guaranteed to be monitored (asserted in tests/test_profile.cc).
 //
-// Not thread-safe; the Profiler keeps one sketch pair per partition,
-// offered to only by that partition's task, and merges them at take().
+// Not thread-safe; a vertex engine keeps one sketch pair per partition
+// for its run (profile::VertexSketches), offered to only by that
+// partition's task, and merges them after the run
+// (profile::foldVertexSketches).
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,9 @@
 // RunTelemetry — the flag-level glue tsgcli and the bench binaries share.
 //
 // Callers fill RunTelemetryOptions from their --sample-ms / --timeline /
-// --prom / --prom-port flags; armed() says whether any of them asked for
-// telemetry. When armed, start() spawns the TelemetrySampler (and the
+// --prom / --prom-port flags; armed() says whether any output was asked
+// for (--sample-ms only sets the cadence, so alone it arms nothing). When
+// armed, start() spawns the TelemetrySampler (and the
 // Prometheus listener when requested) and finish() stops everything and
 // writes the timeline JSON and the final Prometheus file. A run without
 // telemetry flags never constructs this object's sampler, keeping the
@@ -29,17 +30,16 @@
 namespace tsg {
 
 struct RunTelemetryOptions {
-  // Cadence. <0 = unset; the effective cadence defaults to 10 ms whenever
-  // another flag arms telemetry.
+  // Cadence of an armed run. <0 = unset: the cadence defaults to 10 ms.
   int sample_ms = -1;
   std::string timeline_path;  // --timeline=out.json ("" = off)
   std::string prom_path;      // --prom=path ("" = off)
   int prom_port = -1;         // --prom-port=N (-1 = off, 0 = ephemeral)
   std::string label;          // stamped into the timeline
 
+  // Only an output arms telemetry: samples nothing reads are not taken.
   [[nodiscard]] bool armed() const {
-    return sample_ms >= 0 || !timeline_path.empty() || !prom_path.empty() ||
-           prom_port >= 0;
+    return !timeline_path.empty() || !prom_path.empty() || prom_port >= 0;
   }
 };
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/stopwatch.h"
-#include "profile/profiler.h"
 
 namespace tsg {
 namespace vertexcentric {
@@ -24,13 +23,15 @@ PayloadBuffer encodeVertexMessage(VertexIndex dst, double value) {
 }  // namespace
 
 VertexAdapter::VertexAdapter(const PartitionedGraph& pg, PartitionId p,
-                             bool min_combiner)
+                             bool min_combiner,
+                             std::vector<profile::VertexSketches>& sketches)
     : pg_(pg),
       partition_(p),
       min_combiner_(min_combiner),
       inbox_(pg.partition(p).vertices.size()),
       has_msgs_(pg.partition(p).vertices.size(), 0),
-      halted_(pg.partition(p).vertices.size(), 0) {}
+      halted_(pg.partition(p).vertices.size(), 0),
+      sketches_(sketches.empty() ? nullptr : &sketches[p]) {}
 
 void VertexAdapter::compute(SubgraphContext& ctx) {
   ctx_ = &ctx;
@@ -57,15 +58,14 @@ void VertexAdapter::compute(SubgraphContext& ctx) {
     const std::uint32_t local = pg_.localIndexOfVertex(v);
     if (first_superstep || has_msgs_[local] != 0 || halted_[local] == 0) {
       halted_[local] = 0;  // must re-vote to stay halted
-      if (Profiler::enabled()) [[unlikely]] {
-        auto& prof = Profiler::global();
+      if (sketches_ != nullptr) [[unlikely]] {
         const std::uint64_t sent_before = sent_;
         const std::int64_t start = steadyNowNs();
         computeVertex(ctx, v, inbox_[local], halted_[local]);
         const std::int64_t ns = steadyNowNs() - start;
-        if (vertices_computed_ % prof.sampleEvery() == 0) {
-          prof.recordVertexSample(partition_, v, static_cast<std::uint64_t>(ns),
-                                  sent_ - sent_before);
+        if (vertices_computed_ % sketches_->sample_every == 0) {
+          sketches_->offer(v, static_cast<std::uint64_t>(ns),
+                           sent_ - sent_before);
         }
         ++vertices_computed_;
       } else {

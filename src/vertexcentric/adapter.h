@@ -24,13 +24,17 @@
 
 #include "core/program.h"
 #include "partition/partitioned_graph.h"
+#include "profile/profiler.h"
 
 namespace tsg {
 namespace vertexcentric {
 
 class VertexAdapter : public TiBspProgram {
  public:
-  VertexAdapter(const PartitionedGraph& pg, PartitionId p, bool min_combiner);
+  // `sketches` is the run's per-partition pairs (empty when unprofiled);
+  // the adapter feeds pair p, which outlives it.
+  VertexAdapter(const PartitionedGraph& pg, PartitionId p, bool min_combiner,
+                std::vector<profile::VertexSketches>& sketches);
 
   void compute(SubgraphContext& ctx) final;
 
@@ -55,7 +59,9 @@ class VertexAdapter : public TiBspProgram {
   std::vector<std::vector<double>> inbox_;
   std::vector<std::uint8_t> has_msgs_;
   std::vector<std::uint8_t> halted_;
-  // Profiler sampling: the sampling cadence and per-vertex fan-out.
+  // Profiler sampling: partition p's sketches (null when unprofiled), the
+  // sampling cadence and per-vertex fan-out.
+  profile::VertexSketches* const sketches_;
   std::uint64_t vertices_computed_ = 0;
   std::uint64_t sent_ = 0;
 };

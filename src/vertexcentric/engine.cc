@@ -15,8 +15,9 @@ namespace vertexcentric {
 class VcAdapter final : public VertexAdapter {
  public:
   VcAdapter(const PartitionedGraph& pg, PartitionId p, VertexProgram& program,
-            const VcConfig& config, std::vector<double>& values)
-      : VertexAdapter(pg, p, config.combiner == Combiner::kMin),
+            const VcConfig& config, std::vector<double>& values,
+            std::vector<profile::VertexSketches>& sketches)
+      : VertexAdapter(pg, p, config.combiner == Combiner::kMin, sketches),
         program_(program),
         edge_weights_(config.edge_weights),
         values_(values) {}
@@ -104,13 +105,15 @@ VcResult VertexCentricEngine::run(
   tc.checkpoint_store = &store;
   tc.max_recoveries = config.max_recoveries;
   TiBspEngine engine(pg_, provider);
+  auto sketches = profile::makeVertexSketches(pg_);
   auto run = engine.run(
       [&](PartitionId p) {
         return std::make_unique<VcAdapter>(pg_, p, program, config,
-                                           result.values);
+                                           result.values, sketches);
       },
       tc);
   result.stats = std::move(run.stats);
+  profile::foldVertexSketches(pg_, sketches, result.stats);
   // The end-of-timestep round is the last record; it runs at superstep
   // index = the number of supersteps the BSP took.
   TSG_CHECK(!result.stats.supersteps().empty());

@@ -13,8 +13,10 @@ namespace vertexcentric {
 class TvAdapter final : public VertexAdapter {
  public:
   TvAdapter(const PartitionedGraph& pg, PartitionId p,
-            TemporalVertexProgram& program)
-      : VertexAdapter(pg, p, /*min_combiner=*/false), program_(program) {}
+            TemporalVertexProgram& program,
+            std::vector<profile::VertexSketches>& sketches)
+      : VertexAdapter(pg, p, /*min_combiner=*/false, sketches),
+        program_(program) {}
 
   void endOfTimestep(SubgraphContext& ctx) override {
     for (const VertexIndex v : ctx.subgraph().vertices) {
@@ -82,13 +84,15 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
   tc.max_recoveries = config.max_recoveries;
   tc.stream = config.stream;
   TiBspEngine engine(pg_, provider_);
+  auto sketches = profile::makeVertexSketches(pg_);
   auto run = engine.run(
       [&](PartitionId p) {
-        return std::make_unique<TvAdapter>(pg_, p, program);
+        return std::make_unique<TvAdapter>(pg_, p, program, sketches);
       },
       tc);
   TemporalVcResult result;
   result.stats = std::move(run.stats);
+  profile::foldVertexSketches(pg_, sketches, result.stats);
   result.timesteps_executed = run.timesteps_executed;
   return result;
 }

@@ -23,7 +23,8 @@
 # with a worker killed mid-run recovers to the committed digest under both
 # schedules, that an algorithm without a timestep loop (sssp-vertex) is
 # refused by `stream` but runs batch under `check --stream`, that
-# `analyze --attrib` rejects a malformed attribution block with exit 2,
+# `analyze --attrib` shows each partition's residency and rejects a
+# malformed attribution block with exit 2,
 # that `analyze` renders the measured wait blame of a run recorded without
 # the profiler, that an out-of-range value of any numeric flag exits 2
 # naming the flag, that `top` prints frames, the committed digest and the
@@ -160,6 +161,17 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "profiled meme run failed (${rc}): ${err}")
+endif()
+# Its report shows each partition's residency, read from the run's
+# gofs.resident_bytes gauge.
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/profiled.json" --attrib
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR
+   NOT out MATCHES "resident attribute bytes per partition")
+  message(FATAL_ERROR
+    "analyze --attrib exited ${rc} without the partition residency:\n"
+    "${out}${err}")
 endif()
 file(READ "${WORK_DIR}/profiled.json" doc)
 string(JSON rows GET "${doc}" attribution num_rows)

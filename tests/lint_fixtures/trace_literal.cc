@@ -13,7 +13,6 @@ void literalFromVariable(const char* name) {
 
 void fineSpan() {
   TraceSpan("engine", "superstep");  // literal: OK
-  traceInstant("engine", "tick");    // literal: OK
 }
 
 }  // namespace fixture

@@ -115,9 +115,9 @@ AttributionTable sampleTable() {
   t.sample_every = 4;
   t.subgraphs = {{0, 0, 10, 20, 2}, {1, 0, 5, 8, 1}, {2, 1, 12, 30, 3}};
   t.rows.resize(2, std::vector<SubgraphCosts>(3));
-  t.rows[0][0] = {1000, 2, 3, 96, 512};
-  t.rows[0][2] = {4000, 1, 1, 32, 700};
-  t.rows[1][1] = {500, 1, 0, 0, 128};
+  t.rows[0][0] = {1000, 2, 3, 96};
+  t.rows[0][2] = {4000, 1, 1, 32};
+  t.rows[1][1] = {500, 1, 0, 0};
   t.msgs_in = {1, 0, 3};
   t.bytes_in = {32, 0, 96};
   t.hot_compute = {{42, 1, 9000, 100}};
@@ -134,7 +134,11 @@ TEST(Attribution, JsonRoundTrip) {
   const auto parsed = unwrap(JsonValue::parse(w.str()));
   const AttributionTable back = unwrap(attributionFromJson(parsed));
 
-  EXPECT_EQ(back.schema_version, t.schema_version);
+  // Schema 3: each cell is [compute_ns, computes, msgs_out, bytes_out].
+  EXPECT_EQ(back.schema_version, 3);
+  const JsonValue& cell = parsed.find("rows")->array()[0].array()[0];
+  ASSERT_TRUE(cell.isArray());
+  EXPECT_EQ(cell.array().size(), 4u);
   EXPECT_EQ(back.num_partitions, t.num_partitions);
   EXPECT_EQ(back.first_timestep, t.first_timestep);
   EXPECT_EQ(back.num_rows, t.num_rows);
@@ -152,7 +156,6 @@ TEST(Attribution, JsonRoundTrip) {
       EXPECT_EQ(back.rows[r][s].computes, t.rows[r][s].computes);
       EXPECT_EQ(back.rows[r][s].msgs_out, t.rows[r][s].msgs_out);
       EXPECT_EQ(back.rows[r][s].bytes_out, t.rows[r][s].bytes_out);
-      EXPECT_EQ(back.rows[r][s].resident_bytes, t.rows[r][s].resident_bytes);
     }
   }
   EXPECT_EQ(back.msgs_in, t.msgs_in);
@@ -181,6 +184,9 @@ void expectRejected(const AttributionTable& t, const std::string& field) {
 TEST(Attribution, RejectsUnknownSchemaVersion) {
   AttributionTable t = sampleTable();
   t.schema_version = 999;
+  expectRejected(t, "schema_version");
+  // Schema 2 carried a fifth, resident-bytes cell column.
+  t.schema_version = 2;
   expectRejected(t, "schema_version");
 }
 
@@ -243,9 +249,9 @@ AttributionTable imbalancedTable() {
   // moving the 500us subgraph to p1 balances the makespan 1.1ms -> 600us.
   t.subgraphs = {{0, 0, 100, 0, 0}, {1, 0, 80, 0, 0}, {2, 1, 20, 0, 0}};
   t.rows.resize(1, std::vector<SubgraphCosts>(3));
-  t.rows[0][0] = {600000, 1, 0, 0, 0};
-  t.rows[0][1] = {500000, 1, 0, 0, 0};
-  t.rows[0][2] = {100000, 1, 0, 0, 0};
+  t.rows[0][0] = {600000, 1, 0, 0};
+  t.rows[0][1] = {500000, 1, 0, 0};
+  t.rows[0][2] = {100000, 1, 0, 0};
   t.msgs_in.resize(3);
   t.bytes_in.resize(3);
   return t;
@@ -290,9 +296,9 @@ TEST(Advisor, NamesTheMeasuredStragglerNextToItsMove) {
 
 TEST(Advisor, BalancedTableSuggestsNothing) {
   AttributionTable t = imbalancedTable();
-  t.rows[0][0] = {500000, 1, 0, 0, 0};
-  t.rows[0][1] = {100000, 1, 0, 0, 0};
-  t.rows[0][2] = {500000, 1, 0, 0, 0};
+  t.rows[0][0] = {500000, 1, 0, 0};
+  t.rows[0][1] = {100000, 1, 0, 0};
+  t.rows[0][2] = {500000, 1, 0, 0};
   const AdvisorReport report = advisePartitioning(t, {});
   EXPECT_FALSE(report.hasSuggestions());
   // Identity assignment back.
@@ -324,7 +330,7 @@ TEST(Advisor, RespectsMaxMoves) {
   t.rows.resize(1);
   for (SubgraphId sg = 0; sg <= 10; ++sg) {
     t.subgraphs.push_back({sg, sg < 10 ? 0u : 1u, 10, 0, 0});
-    t.rows[0].push_back({sg < 10 ? 100000 : 0, 1, 0, 0, 0});
+    t.rows[0].push_back({sg < 10 ? 100000 : 0, 1, 0, 0});
   }
   const AdvisorReport report = advisePartitioning(t, {});
   ASSERT_EQ(report.moves.size(), 3u);
@@ -345,9 +351,9 @@ class ArmedProfiler {
     ProfileOptions options;
     options.sample_every = 1;
     options.sketch_capacity = 32;
-    Profiler::global().arm(options);
+    profile::arm(options);
   }
-  ~ArmedProfiler() { Profiler::global().disarm(); }
+  ~ArmedProfiler() { profile::disarm(); }
 };
 
 // The invariant: per partition, the attribution cells of its subgraphs sum
@@ -471,23 +477,11 @@ const bool kProfileReconciliationAsync = testing::registerPerAlgorithm(
 // --- Lifecycle -----------------------------------------------------------
 
 TEST(Profiler, DisarmedRunRecordsNothing) {
-  Profiler::global().disarm();
+  profile::disarm();
   const AlgorithmEntry& meme = testing::algorithm("meme");
   const auto run = testing::envFor(meme).run(meme);
-  EXPECT_FALSE(Profiler::enabled());
+  EXPECT_FALSE(profile::enabled());
   EXPECT_FALSE(run.stats.hasAttribution());
-}
-
-TEST(Profiler, HooksAreNoOpsOutsideRunWindow) {
-  ArmedProfiler armed;
-  // Armed but no beginRun(): every hook must be a harmless no-op.
-  const Profiler::UnitCharge unit{0, {100, 1, 1, 8, 0}};
-  const Profiler::InboundCharge msg{1, 8};
-  Profiler::global().chargeSealed(0, {&unit, 1}, {&msg, 1});
-  Profiler::global().recordVertexSample(0, 3, 50, 2);
-  Profiler::global().recordResidentSlice(0, 0, 4096);
-  const AttributionTable t = Profiler::global().take();
-  EXPECT_TRUE(t.empty());
 }
 
 // A barriered wave's wait is blamed on its straggler with the profiler
@@ -512,11 +506,10 @@ TEST(Profiler, BarrierBlameLandsOnTheStraggler) {
             util[0].wait_caused_ns + util[2].wait_caused_ns);
 }
 
-// GoFS charges a partition's resident slice bytes on every pack load, and
-// only then: each pack-load row holds the partition's resident bytes split
-// across its subgraphs by vertex share (floor division), and the rows that
-// reuse a cached pack hold none.
-TEST(Profiler, GofsPackLoadsChargeResidentBytes) {
+// A partition's residency is its gofs.resident_bytes gauge, which `tsgcli
+// analyze --attrib` reads from the run's metrics: a profiled run over a
+// packed GoFS dataset carries it for every partition.
+TEST(Profiler, RunMetricsCarryEachPartitionsResidentBytes) {
   testing::TempDir tmp("tsg_profile_gofs");
   auto tmpl = testing::smallRoad(8, 8);
   const auto written = testing::partitionGraph(tmpl, 3);
@@ -538,21 +531,7 @@ TEST(Profiler, GofsPackLoadsChargeResidentBytes) {
   }();
   const RunStats& stats = run.exec.stats;
   ASSERT_TRUE(stats.hasAttribution());
-  const AttributionTable& a = stats.attribution();
-  ASSERT_EQ(a.num_rows, 13);
-  std::int32_t last_load_row = -1;
-  for (std::int32_t row = 0; row < a.num_rows; ++row) {
-    std::uint64_t resident = 0;
-    for (const SubgraphCosts& c : a.rows[static_cast<std::size_t>(row)]) {
-      resident += c.resident_bytes;
-    }
-    const bool pack_load = row < 12 && row % 3 == 0;
-    EXPECT_EQ(resident > 0, pack_load) << "row " << row;
-    if (pack_load) {
-      last_load_row = row;
-    }
-  }
-  ASSERT_EQ(last_load_row, 9);
+  EXPECT_EQ(stats.attribution().num_rows, 13);
   for (PartitionId p = 0; p < pg.numPartitions(); ++p) {
     std::int64_t gauge = -1;
     for (const auto& point : stats.metrics()) {
@@ -561,15 +540,7 @@ TEST(Profiler, GofsPackLoadsChargeResidentBytes) {
         gauge = point.value;
       }
     }
-    ASSERT_GT(gauge, 0) << "partition " << p;
-    const Partition& part = pg.partition(p);
-    for (const Subgraph& sg : part.subgraphs) {
-      EXPECT_EQ(a.rows[static_cast<std::size_t>(last_load_row)][sg.id]
-                    .resident_bytes,
-                static_cast<std::uint64_t>(gauge) * sg.numVertices() /
-                    part.numVertices())
-          << "partition " << p << " subgraph " << sg.id;
-    }
+    EXPECT_GT(gauge, 0) << "partition " << p;
   }
 }
 

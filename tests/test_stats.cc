@@ -42,6 +42,19 @@ TEST(RunStats, NumTimestepsFromRecords) {
   EXPECT_EQ(stats.numTimesteps(), 5);
 }
 
+// An eventually dependent run stamps its merge records one past the last
+// timestep; they are not a timestep.
+TEST(RunStats, NumTimestepsSkipsMergeRecords) {
+  RunStats stats(2);
+  for (Timestep t = 0; t < 6; ++t) {
+    stats.addSuperstep(makeRecord(t, 0, {1, 1}));
+  }
+  auto merge = makeRecord(6, 0, {1, 1});
+  merge.is_merge_phase = true;
+  stats.addSuperstep(std::move(merge));
+  EXPECT_EQ(stats.numTimesteps(), 6);
+}
+
 TEST(RunStats, ModelledParallelTimeIsCriticalPath) {
   RunStats stats(2);
   // Superstep 1: partitions busy 10 and 30 -> max 30.

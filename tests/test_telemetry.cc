@@ -194,6 +194,19 @@ TEST(RunTelemetry, WritesTheKeptSamplesAfterStop) {
       << prom;
 }
 
+// --sample-ms only sets the cadence: without an output to feed, no sampler
+// thread is started.
+TEST(RunTelemetry, CadenceAloneArmsNothing) {
+  RunTelemetryOptions options;
+  options.sample_ms = 1;
+  EXPECT_FALSE(options.armed());
+  RunTelemetry telemetry(options);
+  EXPECT_FALSE(telemetry.armed());
+  ASSERT_TRUE(telemetry.start().isOk());
+  EXPECT_EQ(telemetry.sampler(), nullptr);
+  EXPECT_TRUE(telemetry.finish().isOk());
+}
+
 // ---------------------------------------------------------------------------
 // Prometheus exposition
 // ---------------------------------------------------------------------------
@@ -398,7 +411,7 @@ TEST(TraceSaturation, DropsAreCountedAndTracesStayValid) {
   const auto dropped_counter_before =
       MetricsRegistry::global().counter("trace.dropped_events").value();
   for (int i = 0; i < 64; ++i) {
-    traceInstant("test", "saturate");
+    traceCounter("test.saturate", i);
   }
   tracer.stop();
   EXPECT_GT(Tracer::droppedEventCount(), 0u);

@@ -182,8 +182,8 @@ int usage() {
       "analysis commands also take:\n"
       "  --trace=PATH   write a Perfetto/Chrome trace of the run\n"
       "  --json=PATH    write machine-readable run stats (JSON)\n"
-      "  --sample-ms=N  telemetry sampling cadence (default 10 when any\n"
-      "                 telemetry flag is present; off otherwise)\n"
+      "  --sample-ms=N  telemetry sampling cadence (default 10) for\n"
+      "                 --timeline=, --prom= and --prom-port=; alone, no effect\n"
       "  --timeline=PATH  write the sampled timeline JSON at exit\n"
       "                   (for `analyze`, the flag names a file to read)\n"
       "  --prom=PATH    rewrite a Prometheus text exposition during the run\n"
@@ -647,9 +647,21 @@ std::string renderHistogramQuantiles(const RunStats& stats) {
   return "== histogram quantiles (ms / count) ==\n" + table.render();
 }
 
-// The full --attrib report: per-subgraph cost table, per-timestep skew
-// series, heavy-hitter vertices, and the partition-quality advisor cross-
-// referenced with the run's measured wait blame.
+const MetricsRegistry::Point* findPoint(
+    const MetricsRegistry::Snapshot& points, std::string_view name,
+    std::int32_t partition) {
+  for (const auto& p : points) {
+    if (p.partition == partition && p.name == name) {
+      return &p;
+    }
+  }
+  return nullptr;
+}
+
+// The full --attrib report: per-subgraph cost table, each partition's
+// residency, per-timestep skew series, heavy-hitter vertices, and the
+// partition-quality advisor cross-referenced with the run's measured wait
+// blame.
 void printAttributionReport(const RunStats& stats) {
   const AttributionTable& attrib = stats.attribution();
   const auto totals = attrib.subgraphTotals();
@@ -667,8 +679,7 @@ void printAttributionReport(const RunStats& stats) {
   });
   const std::size_t keep = std::min<std::size_t>(15, order.size());
   TextTable table({"subgraph", "partition", "vertices", "compute ms", "share",
-                   "computes", "msgs out", "msgs in", "KB out", "KB in",
-                   "resident KB"});
+                   "computes", "msgs out", "msgs in", "KB out", "KB in"});
   for (std::size_t i = 0; i < keep; ++i) {
     const std::size_t sg = order[i];
     const double share =
@@ -687,12 +698,28 @@ void printAttributionReport(const RunStats& stats) {
          TextTable::fmtDouble(static_cast<double>(totals[sg].bytes_out) / 1e3,
                               1),
          TextTable::fmtDouble(static_cast<double>(attrib.bytes_in[sg]) / 1e3,
-                              1),
-         TextTable::fmtDouble(
-             static_cast<double>(totals[sg].resident_bytes) / 1e3, 1)});
+                              1)});
   }
   std::printf("== cost attribution: subgraphs by compute (top %zu of %zu) ==\n%s",
               keep, totals.size(), table.render().c_str());
+
+  // Residency is a partition's level: its gofs.resident_bytes gauge in the
+  // run's metrics (absent when the run loaded nothing from GoFS).
+  TextTable resident({"partition", "resident KB"});
+  bool any_resident = false;
+  for (PartitionId p = 0; p < attrib.num_partitions; ++p) {
+    if (const auto* point = findPoint(stats.metrics(), "gofs.resident_bytes",
+                                      static_cast<std::int32_t>(p))) {
+      resident.addRow(
+          {std::to_string(p),
+           TextTable::fmtDouble(static_cast<double>(point->value) / 1e3, 1)});
+      any_resident = true;
+    }
+  }
+  if (any_resident) {
+    std::printf("== resident attribute bytes per partition ==\n%s",
+                resident.render().c_str());
+  }
 
   // Per-timestep compute + skew (Gini over the row's subgraph compute).
   TextTable skew({"timestep", "compute ms", "gini"});
@@ -1033,17 +1060,6 @@ std::int64_t pointTotal(const MetricsRegistry::Snapshot& points,
   return total;
 }
 
-const MetricsRegistry::Point* findPoint(
-    const MetricsRegistry::Snapshot& points, std::string_view name,
-    std::int32_t partition) {
-  for (const auto& p : points) {
-    if (p.partition == partition && p.name == name) {
-      return &p;
-    }
-  }
-  return nullptr;
-}
-
 // Per-second rate of a counter between two samples.
 double rateOf(const TelemetrySample& now, const TelemetrySample& prev,
               std::string_view name) {
@@ -1265,7 +1281,7 @@ int main(int argc, char** argv) {
     if (!args.flagError().isOk()) {
       return failArgs(args.flagError());
     }
-    Profiler::global().arm(profile_options);
+    profile::arm(profile_options);
   }
   g_json_path = args.get("json", "");
   const std::string trace_path = args.get("trace", "");
