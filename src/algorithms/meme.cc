@@ -1,9 +1,7 @@
 #include "algorithms/meme.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "algorithms/codec.h"
 
@@ -18,27 +16,17 @@ class MemeProgram final : public TiBspProgram {
         partition_(partition),
         options_(options),
         colored_at_(colored_at),
-        visited_at_(pg.graphTemplate().numVertices(), -1),
-        remote_sent_at_(pg.graphTemplate().numVertices(), -1) {}
+        marks_(pg.graphTemplate().numVertices(), 0),
+        frontier_(pg.partition(partition).subgraphs.size()),
+        newly_(frontier_.size()) {}
 
-  // Checkpoint hooks: C* and this partition's slice of the shared
-  // colored_at_ result carry across timesteps and must roll back together.
-  // The visited/remote-sent stamps compare against the current timestep, so
-  // a fresh -1 fill (the constructor default) is already correct on replay.
+  // Checkpoint hooks: only this partition's slice of the shared colored_at_
+  // result is saved. The frontier and the sent-notification marks follow
+  // from it, so loadState leaves them empty and asks the next superstep 0 to
+  // re-root every colored vertex once (see compute), which rebuilds both.
   void saveState(BinaryWriter& w) const override {
     for (const VertexIndex v : pg_.partition(partition_).vertices) {
       w.writeI32(colored_at_[v]);
-    }
-    std::vector<SubgraphId> ids;
-    ids.reserve(colored_by_sg_.size());
-    for (const auto& [sg, colored] : colored_by_sg_) {
-      ids.push_back(sg);
-    }
-    std::sort(ids.begin(), ids.end());  // deterministic checkpoint bytes
-    w.writeVarint(ids.size());
-    for (const SubgraphId sg : ids) {
-      w.writeU32(sg);
-      w.writePodVector(colored_by_sg_.at(sg));
     }
   }
 
@@ -46,28 +34,21 @@ class MemeProgram final : public TiBspProgram {
     for (const VertexIndex v : pg_.partition(partition_).vertices) {
       TSG_RETURN_IF_ERROR(r.readI32(colored_at_[v]));
     }
-    std::uint64_t entries = 0;
-    TSG_RETURN_IF_ERROR(r.readVarint(entries));
-    colored_by_sg_.clear();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-      SubgraphId sg = kInvalidSubgraph;
-      TSG_RETURN_IF_ERROR(r.readU32(sg));
-      TSG_RETURN_IF_ERROR(r.readPodVector(colored_by_sg_[sg]));
-    }
+    reflood_ = true;
     return Status::ok();
   }
 
-  // At t > first, superstep-0 roots come only from the previous timestep's
-  // C* messages (Alg. 1 line 6): with an empty inbox the queue stays empty,
-  // compute sends/colors nothing and votes to halt — exactly the state the
-  // engine's incremental skip leaves behind. endOfTimestep re-sends C* for
-  // any subgraph with colored vertices, so those keep receiving messages
-  // and are never skipped.
-  [[nodiscard]] bool skippableWhenClean() const override { return true; }
+  // A message-free subgraph whose cells did not change has no frontier
+  // member that turned carrier, so superstep 0 would color and send
+  // nothing. Not while a restore's reflood is pending: the frontier is
+  // rebuilt only by computing every subgraph.
+  [[nodiscard]] bool skippableWhenClean() const override { return !reflood_; }
 
   void compute(SubgraphContext& ctx) override {
     const Subgraph& sg = ctx.subgraph();
     const Timestep t = ctx.timestep();
+    const auto local = pg_.subgraphIndexInPartition(sg.id);
+    auto& frontier = frontier_[local];
 
     auto hasMeme = [&](VertexIndex v) {
       const auto& tweets = ctx.vertexStringList(options_.tweets_attr, v);
@@ -75,18 +56,24 @@ class MemeProgram final : public TiBspProgram {
              tweets.end();
     };
 
-    std::deque<VertexIndex> queue;
-    auto enqueueRoot = [&](VertexIndex v) {
-      if (visited_at_[v] != t) {
-        visited_at_[v] = t;
-        queue.push_back(v);
-      }
-    };
+    std::vector<VertexIndex> queue;
     auto color = [&](VertexIndex v) {
-      if (colored_at_[v] < 0) {
-        colored_at_[v] = t;
-        coloredOf(sg).push_back(v);
-        ++newly_colored_[sg.id];
+      colored_at_[v] = t;
+      newly_[local].push_back(v);
+      queue.push_back(v);
+    };
+    // An own uncolored vertex gains a colored in-neighbour: it is colored if
+    // it carries the meme at t, and joins the frontier otherwise. Frontier
+    // members were already tested at t, so each vertex is tested once.
+    auto reach = [&](VertexIndex v) {
+      if (colored_at_[v] >= 0 || (marks_[v] & kInFrontier) != 0) {
+        return;
+      }
+      if (hasMeme(v)) {
+        color(v);
+      } else {
+        marks_[v] |= kInFrontier;
+        frontier.push_back(v);
       }
     };
 
@@ -96,46 +83,45 @@ class MemeProgram final : public TiBspProgram {
         for (const VertexIndex v : sg.vertices) {
           if (hasMeme(v)) {
             color(v);
-            enqueueRoot(v);
+          }
+        }
+      } else if (reflood_) {
+        // After a restore: re-root the colored set once (Alg. 1's C*).
+        for (const VertexIndex v : sg.vertices) {
+          if (colored_at_[v] >= 0) {
+            queue.push_back(v);
           }
         }
       } else {
-        // Alg. 1 line 6: C* arrives from this subgraph's previous instance.
-        for (const Message& msg : ctx.messages()) {
-          for (const VertexIndex v : decodeVertexList(msg.payload)) {
-            enqueueRoot(v);
+        // The roots are the frontier members that carry the meme now.
+        std::erase_if(frontier, [&](VertexIndex v) {
+          if (!hasMeme(v)) {
+            return false;
           }
-        }
+          marks_[v] &= ~kInFrontier;
+          color(v);
+          return true;
+        });
       }
     } else {
-      // Alg. 1 line 8: remote notifications — accept only carriers.
+      // Alg. 1 line 8: remote notifications of a newly colored in-neighbour.
       for (const Message& msg : ctx.messages()) {
         for (const VertexIndex v : decodeVertexList(msg.payload)) {
-          if (hasMeme(v)) {
-            color(v);
-            enqueueRoot(v);
-          }
+          reach(v);
         }
       }
     }
 
-    // MemeBFS (Alg. 1 line 10): traverse contiguous meme carriers; remote
-    // edges produce notifications batched per destination subgraph.
+    // MemeBFS (Alg. 1 line 10) over uncolored vertices only. Each remote
+    // out-neighbour is notified once per run, batched per destination.
     std::unordered_map<SubgraphId, std::vector<VertexIndex>> remote_touched;
-    const auto& pg = ctx.partitionedGraph();
-    while (!queue.empty()) {
-      const VertexIndex v = queue.front();
-      queue.pop_front();
-      for (const auto& oe : ctx.graphTemplate().outEdges(v)) {
-        const SubgraphId dst_sg = pg.subgraphOfVertex(oe.dst);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (const auto& oe : ctx.graphTemplate().outEdges(queue[head])) {
+        const SubgraphId dst_sg = pg_.subgraphOfVertex(oe.dst);
         if (dst_sg == sg.id) {
-          if (visited_at_[oe.dst] != t && hasMeme(oe.dst)) {
-            visited_at_[oe.dst] = t;
-            color(oe.dst);
-            queue.push_back(oe.dst);
-          }
-        } else if (remote_sent_at_[oe.dst] != t) {
-          remote_sent_at_[oe.dst] = t;
+          reach(oe.dst);
+        } else if ((marks_[oe.dst] & kNotified) == 0) {
+          marks_[oe.dst] |= kNotified;
           remote_touched[dst_sg].push_back(oe.dst);
         }
       }
@@ -147,44 +133,35 @@ class MemeProgram final : public TiBspProgram {
   }
 
   void endOfTimestep(SubgraphContext& ctx) override {
-    const Subgraph& sg = ctx.subgraph();
-    const Timestep t = ctx.timestep();
-    const std::uint64_t newly =
-        std::exchange(newly_colored_[sg.id], 0);
-    ctx.addCounter(kMemeColoredCounter, newly);
-    if (options_.emit_outputs && newly > 0) {
-      // The paper prints the frontier Cₜ (Alg. 1 line 18); newly colored
-      // vertices are the tail of the accumulated list.
-      const auto& colored = coloredOf(sg);
-      for (std::size_t i = colored.size() - newly; i < colored.size(); ++i) {
+    reflood_ = false;  // every subgraph's superstep 0 has re-rooted
+    auto& newly = newly_[pg_.subgraphIndexInPartition(ctx.subgraphId())];
+    ctx.addCounter(kMemeColoredCounter, newly.size());
+    if (options_.emit_outputs) {
+      // The paper prints the frontier Cₜ (Alg. 1 line 18).
+      for (const VertexIndex v : newly) {
         ctx.output("meme," +
-                   std::to_string(ctx.graphTemplate().vertexId(colored[i])) +
-                   "," + std::to_string(t));
+                   std::to_string(ctx.graphTemplate().vertexId(v)) + "," +
+                   std::to_string(ctx.timestep()));
       }
     }
-    // Alg. 1 line 19-20: pass C* to the next instance of this subgraph.
-    const bool last_planned =
-        t + 1 >= options_.first_timestep +
-                     static_cast<Timestep>(ctx.numTimestepsPlanned());
-    const auto& colored = coloredOf(sg);
-    if (!colored.empty() && !last_planned) {
-      ctx.sendToNextTimestep(encodeVertexList(colored));
-    }
+    newly.clear();
   }
 
  private:
-  std::vector<VertexIndex>& coloredOf(const Subgraph& sg) {
-    return colored_by_sg_[sg.id];
-  }
+  static constexpr std::uint8_t kInFrontier = 1;  // own vertex, in F
+  static constexpr std::uint8_t kNotified = 2;    // notification sent
 
   const PartitionedGraph& pg_;
   const PartitionId partition_;
   const MemeOptions& options_;
-  std::vector<Timestep>& colored_at_;       // shared result (own vertices)
-  std::vector<Timestep> visited_at_;        // BFS stamp per timestep
-  std::vector<Timestep> remote_sent_at_;    // dedup of remote notifications
-  std::unordered_map<SubgraphId, std::vector<VertexIndex>> colored_by_sg_;
-  std::unordered_map<SubgraphId, std::uint64_t> newly_colored_;
+  std::vector<Timestep>& colored_at_;  // shared result (own vertices)
+  std::vector<std::uint8_t> marks_;    // per template vertex
+  // Per subgraph (by index in the partition): the frontier F, i.e. the own
+  // uncolored vertices with a colored in-neighbour, and the vertices colored
+  // this timestep.
+  std::vector<std::vector<VertexIndex>> frontier_;
+  std::vector<std::vector<VertexIndex>> newly_;
+  bool reflood_ = false;  // restored from a checkpoint, not yet re-rooted
 };
 
 }  // namespace

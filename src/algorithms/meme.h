@@ -1,12 +1,13 @@
 // Meme Tracking — Algorithm 1 of the paper (sequentially dependent
 // pattern, §III-B): a temporal BFS for a meme µ over space and time.
 //
-// At t=0 the roots are the vertices whose tweets contain µ; the BFS then
-// traverses contiguous meme-carrying vertices inside each subgraph,
-// notifying neighbor subgraphs across remote edges. The accumulated colored
-// set C* is passed to the same subgraph in the next timestep and seeds the
-// next instance's traversal, so each timestep only explores the new
-// frontier rather than the whole graph.
+// At the first timestep the roots are the vertices whose tweets contain µ;
+// the BFS then traverses contiguous meme-carrying vertices inside each
+// subgraph, notifying neighbor subgraphs across remote edges. Instead of
+// re-sending the colored set C* to itself each timestep (Alg. 1's listing),
+// each partition keeps a frontier: the uncolored vertices with a colored
+// in-neighbour. A later timestep's roots are the frontier members that
+// carry µ then, so its work follows what changed, not |C*| (DESIGN.md).
 #pragma once
 
 #include <cstddef>

@@ -135,11 +135,14 @@ class TiBspProgram {
   // unconditional work (e.g. TDSP label resets) must keep the default.
   [[nodiscard]] virtual bool skippableWhenClean() const { return false; }
 
-  // Checkpoint hooks. A program whose members carry state across timesteps
-  // (TDSP labels, Meme stamps, ...) must serialize all of it here, or a
-  // fault recovery restarts it from whatever loadState leaves behind. The
-  // defaults suit stateless programs (PageRank, SSSP, WCC, Hashtag): there
-  // is nothing to save, and a recovery re-creates the program fresh.
+  // Checkpoint hooks. A recovery re-creates every program through the
+  // factory and then calls loadState, so each member a program carries
+  // across timesteps (TDSP labels, ...) must either be serialized here or be
+  // rebuilt from what was serialized. A rebuild must happen before the next
+  // superstep 0 does its work, and that superstep must not be skipped (keep
+  // skippableWhenClean() false until the rebuild ran). The defaults suit
+  // stateless programs (PageRank, SSSP, WCC, Hashtag): there is nothing to
+  // save, and a recovery re-creates the program fresh.
   virtual void saveState(BinaryWriter& w) const { (void)w; }
   virtual Status loadState(BinaryReader& r) {
     (void)r;

@@ -463,10 +463,11 @@ Result<LoadedRunStats> runStatsFromJson(std::string_view text) {
   const JsonValue* attribution = doc.find("attribution");
   if (attribution != nullptr) {
     auto table = attributionFromJson(*attribution);
-    if (!table.isOk()) {
-      return table.status();
+    if (table.isOk()) {
+      loaded.stats.setAttribution(std::move(table).value());
+    } else {
+      loaded.attribution_status = table.status();
     }
-    loaded.stats.setAttribution(std::move(table).value());
   }
 
   return loaded;

@@ -59,10 +59,16 @@ std::string runStatsToJson(const RunStats& stats, const std::string& label,
 struct LoadedRunStats {
   std::string label;
   RunStats stats;
+  // Why the "attribution" block was not loaded (another schema version, a
+  // malformed table); ok when it loaded or is absent. Only a reader of the
+  // attribution table (`tsgcli analyze --attrib`) fails on it.
+  Status attribution_status;
 };
 
 // Parses a runStatsToJson document. Fails with CorruptData on malformed
 // JSON, a missing "schema_version", or a version this reader does not speak.
+// A bad attribution block does not fail the document: the rest of the run
+// is readable without it (see LoadedRunStats::attribution_status).
 Result<LoadedRunStats> runStatsFromJson(std::string_view text);
 
 }  // namespace tsg

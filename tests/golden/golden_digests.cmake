@@ -23,8 +23,10 @@
 # with a worker killed mid-run recovers to the committed digest under both
 # schedules, that an algorithm without a timestep loop (sssp-vertex) is
 # refused by `stream` but runs batch under `check --stream`, that
-# `analyze --attrib` shows each partition's residency and rejects a
-# malformed attribution block with exit 2,
+# `analyze --attrib` shows each partition's residency, rejects a
+# malformed attribution block or one of another schema version with exit 2
+# (plain `analyze` still reads such a run) and prints one line for a
+# hot-vertex list that separates no vertex from the sketch's error,
 # that `analyze` renders the measured wait blame of a run recorded without
 # the profiler, that an out-of-range value of any numeric flag exits 2
 # naming the flag, that `top` prints frames, the committed digest and the
@@ -187,6 +189,54 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "num_rows")
     "expected 2 naming num_rows:\n${err}")
 endif()
 message(STATUS "analyze --attrib rejects a malformed attribution block")
+
+# An attribution block of another schema version (a profiled run from an
+# older build) fails only the report that reads it: plain `analyze` still
+# renders the run, `analyze --attrib` exits 2 naming the version.
+file(READ "${WORK_DIR}/profiled.json" doc)
+string(JSON doc SET "${doc}" attribution schema_version 2)
+file(WRITE "${WORK_DIR}/old_attrib.json" "${doc}")
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/old_attrib.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "dominant straggler")
+  message(FATAL_ERROR
+    "analyze on a run with an old attribution block exited ${rc}:\n"
+    "${out}${err}")
+endif()
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/old_attrib.json" --attrib
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "schema_version 2")
+  message(FATAL_ERROR
+    "analyze --attrib on an old attribution block exited ${rc}, expected 2 "
+    "naming schema_version 2:\n${err}")
+endif()
+message(STATUS "an old attribution block fails only analyze --attrib")
+
+# A hot-vertex list whose lower bounds (weight - error) all stay within its
+# largest error separates nothing and is reported as one line; a list with
+# a clear leader prints its rows.
+file(READ "${WORK_DIR}/profiled.json" doc)
+string(JSON doc SET "${doc}" attribution hot_compute
+  [=[[{"vertex":1,"partition":0,"weight":100,"error":99},
+      {"vertex":2,"partition":1,"weight":90,"error":80},
+      {"vertex":3,"partition":2,"weight":85,"error":85}]]=])
+string(JSON doc SET "${doc}" attribution hot_fanout
+  [=[[{"vertex":7,"partition":0,"weight":1000,"error":0},
+      {"vertex":8,"partition":1,"weight":10,"error":9}]]=])
+file(WRITE "${WORK_DIR}/hot.json" "${doc}")
+execute_process(
+  COMMAND "${TSGCLI}" analyze "${WORK_DIR}/hot.json" --attrib
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR
+   NOT out MATCHES "hot vertices: compute ns: the sketch separated no vertex"
+   OR out MATCHES "hot vertices: compute ns \\(space-saving"
+   OR NOT out MATCHES "hot vertices: message fan-out \\(space-saving")
+  message(FATAL_ERROR
+    "analyze --attrib did not collapse a noise-only hot list:\n${out}${err}")
+endif()
+message(STATUS "analyze --attrib collapses a hot list that separates nothing")
 
 # A run recorded without the profiler still carries its measured wait
 # blame, and `analyze` leads with it.

@@ -226,6 +226,27 @@ TEST(Report, RunStatsJsonRoundTripPreservesMetricsAndHistograms) {
             stats.histograms()[0].quantile(0.99));
 }
 
+// An attribution block of another schema version leaves the rest of the
+// document readable; only its reader sees the error, naming the version.
+TEST(Report, RunStatsJsonKeepsTheRunWhenOnlyItsAttributionIsForeign) {
+  const std::string base =
+      "{\"schema_version\":" + std::to_string(kRunStatsSchemaVersion) +
+      ",\"label\":\"old\",\"num_partitions\":1,\"supersteps\":[]";
+  auto plain = runStatsFromJson(base + "}");
+  ASSERT_TRUE(plain.isOk()) << plain.status().toString();
+  EXPECT_TRUE(plain.value().attribution_status.isOk());
+
+  auto foreign =
+      runStatsFromJson(base + ",\"attribution\":{\"schema_version\":2}}");
+  ASSERT_TRUE(foreign.isOk()) << foreign.status().toString();
+  EXPECT_EQ(foreign.value().label, "old");
+  EXPECT_FALSE(foreign.value().stats.hasAttribution());
+  const Status& why = foreign.value().attribution_status;
+  EXPECT_EQ(why.code(), ErrorCode::kCorruptData);
+  EXPECT_NE(why.message().find("schema_version 2"), std::string::npos)
+      << why.toString();
+}
+
 TEST(Report, RunStatsJsonRejectsMalformedHistogramBuckets) {
   // Bucket entries must be [index, count] pairs with the index in range.
   const std::string base =

@@ -744,8 +744,22 @@ void printAttributionReport(const RunStats& stats) {
     if (hot.empty()) {
       return;
     }
-    TextTable t({"vertex", "partition", "weight<=", "error"});
     const std::size_t n = std::min<std::size_t>(10, hot.size());
+    // Any vertex the sketch does not hold weighs at most its largest error,
+    // so an entry stands out only if its lower bound (weight - error) does.
+    std::uint64_t max_error = 0;
+    for (const HotVertex& h : hot) {
+      max_error = std::max(max_error, h.error);
+    }
+    if (std::none_of(hot.begin(), hot.begin() + n, [&](const HotVertex& h) {
+          return h.weight > h.error && h.weight - h.error > max_error;
+        })) {
+      std::printf("== hot vertices: %s: the sketch separated no vertex (no "
+                  "entry's weight-error exceeds the largest error, %s) ==\n",
+                  what, TextTable::fmtCount(max_error).c_str());
+      return;
+    }
+    TextTable t({"vertex", "partition", "weight<=", "error"});
     for (std::size_t i = 0; i < n; ++i) {
       t.addRow({std::to_string(hot[i].vertex),
                 std::to_string(hot[i].partition),
@@ -803,6 +817,12 @@ int cmdAnalyze(const Args& args) {
   std::fputs(renderWaitBlame(run.stats, label).c_str(), stdout);
   std::fputs(renderHistogramQuantiles(run.stats).c_str(), stdout);
   if (args.has("attrib")) {
+    if (!run.attribution_status.isOk()) {
+      fail(Status(run.attribution_status.code(),
+                  args.positional[0] + ": " +
+                      run.attribution_status.message()));
+      return 2;
+    }
     if (!run.stats.hasAttribution() || run.stats.attribution().empty()) {
       std::fputs(
           "tsgcli analyze: no attribution block in this run (record one "
